@@ -2,7 +2,8 @@
 
 Subcommands: denoise, add-noise, metrics, estimate, bench.  Exit codes:
 0 success, 1 validation error (bad flags, malformed files, inconsistent
-dimensions), 2 operating-system level I/O failure.
+dimensions, a solve that left the finite range), 2 operating-system level
+I/O failure.
 """
 
 import argparse
@@ -240,7 +241,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (FormatError, ValueError) as exc:
+    except (FormatError, ValueError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:

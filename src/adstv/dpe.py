@@ -22,6 +22,7 @@ with the strongest kappa_hat per pixel, then gets its own light TV cleanup
 (half fidelity, weight 0.02) and is folded back into [0, pi).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +55,15 @@ class DpeConfig:
     coherence_tv_weight: float = 1.0
 
     def __post_init__(self):
-        if self.alpha_plus <= 1.0:
-            raise ValueError("alpha_plus must be > 1")
+        if not (math.isfinite(self.alpha_plus) and self.alpha_plus > 1.0):
+            raise ValueError("alpha_plus must be finite and > 1")
         if self.num_scales not in (2, 3):
             raise ValueError("num_scales must be 2 or 3")
         if self.st_support < 3 or self.st_support % 2 == 0:
             raise ValueError("st_support must be odd and >= 3")
-        if self.theta_tv_tau < 0 or self.coherence_tv_weight < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        for weight in (self.theta_tv_tau, self.coherence_tv_weight):
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError("regularization weights must be finite and nonnegative")
 
 
 def _fold_angle(a):

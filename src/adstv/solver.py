@@ -29,11 +29,15 @@ from .diffops import Kernel, delta_kernel, gaussian_kernel
 from .image import Image
 from .tensor import (
     PatchJacobianField,
-    eig2x2,
+    _gram,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
 )
+
+# The solver makes no eigendecomposition; the name stays because perfbench's
+# traced run wraps solver.eig2x2 (its span now reads 0).
+from .tensor import eig2x2  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -67,14 +71,14 @@ class SolverConfig:
     kernel: Kernel = dataclass_field(default_factory=_default_kernel)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be positive and finite")
         if self.constraint is not None:
             lo, hi = self.constraint
             if not lo < hi:
@@ -121,45 +125,59 @@ def project_box(img, constraint):
     return Image(np.clip(img.data, constraint[0], constraint[1]))
 
 
-def _project_ball(data, p):
-    """Project each (rows, 2) block of (..., rows, 2) onto the unit
-    Schatten-p ball."""
-    if p == 2:
-        n = np.sqrt(np.sum(data * data, axis=(-2, -1), keepdims=True))
-        return data / np.maximum(1.0, n)
-    if not math.isinf(p):
+def _project_ball(data, p, scratch):
+    """Project each (rows, 2) block of the (..., rows, 2) field data onto
+    the unit Schatten-p ball, in place; returns data.  scratch is a field of
+    the same shape that the p = inf branch overwrites."""
+    if p != 2 and not math.isinf(p):
         raise ValueError("p must be 2 or inf")
     a = data[..., 0]
     b = data[..., 1]
-    gxx = np.sum(a * a, axis=-1)
-    gxy = np.sum(a * b, axis=-1)
-    gyy = np.sum(b * b, axis=-1)
-    lp, lm, vp, vm = eig2x2(gxx, gxy, gyy)
-    sp = np.sqrt(np.maximum(lp, 0.0))
-    sm = np.sqrt(np.maximum(lm, 0.0))
-    # Per singular value: multiply by min(1, 1/sigma); at sigma = 0 the
-    # factor is irrelevant (zero component), so 1/max(sigma, 1) covers both.
+    if p == 2 or data.shape[-2] == 1:
+        # A single row has one singular value, its norm: both balls agree.
+        n = np.sqrt(np.einsum("...rk,...rk->...", data, data))
+        data /= np.maximum(1.0, n)[..., None, None]
+        return data
+    # M -> M F with F = V diag(f+, f-) V^T, f = 1/max(1, sigma), built from
+    # the Gram matrix G = M^T M without its eigenvectors:
+    #     F = f- I + c (G - l- I),  c = (f+ - f-) / (l+ - l-).
+    gxx, gxy, gyy = _gram(data)
+    half = 0.5 * (gxx - gyy)
+    rad = np.hypot(half, gxy)
+    mean = 0.5 * (gxx + gyy)
+    sp = np.sqrt(mean + rad)
+    sm = np.sqrt(np.maximum(mean - rad, 0.0))
     fp = 1.0 / np.maximum(sp, 1.0)
     fm = 1.0 / np.maximum(sm, 1.0)
-    f00 = fp * vp[..., 0] ** 2 + fm * vm[..., 0] ** 2
-    f01 = fp * vp[..., 0] * vp[..., 1] + fm * vm[..., 0] * vm[..., 1]
-    f11 = fp * vp[..., 1] ** 2 + fm * vm[..., 1] ** 2
-    outx = a * f00[..., None] + b * f01[..., None]
-    outy = a * f01[..., None] + b * f11[..., None]
-    return np.stack([outx, outy], axis=-1)
+    # Where sigma- > 1 the quotient is -1/(s+ s- (s+ + s-)): free of
+    # cancellation and finite at l+ = l-, where F = f+ I.  Elsewhere f- = 1,
+    # and l+ > l- (rad > 0) wherever f+ < 1; where f+ = 1 as well the
+    # quotient is 0 and the guarded denominator is never used.
+    c = np.where(sm > 1.0, -(fp * fm) / np.maximum(sp + sm, 2.0),
+                 (fp - 1.0) / np.where(rad > 0.0, 2.0 * rad, 1.0))
+    f00 = (fm + c * (half + rad))[..., None]
+    f01 = (c * gxy)[..., None]
+    f11 = (fm + c * (rad - half))[..., None]
+    bf = np.multiply(b, f01, out=scratch[..., 0])
+    af = np.multiply(a, f01, out=scratch[..., 1])
+    a *= f00
+    a += bf
+    b *= f11
+    b += af
+    return data
 
 
 def project_schatten(m, p):
     """Nearest point of the unit Schatten-p ball to one (rows, 2) matrix.
 
     For p = 2 this scales by 1/max(1, ||m||_F); for p = inf it clamps the
-    singular values to <= 1 via the 2x2 Gram eigensystem, never forming the
+    singular values to <= 1 through the 2x2 Gram matrix, never forming the
     left singular vectors.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = np.array(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != 2:
         raise ValueError("m must have shape (rows, 2)")
-    return _project_ball(m[None], p)[0]
+    return _project_ball(m, p, np.empty_like(m))
 
 
 def _adjoint_image(psi_data, g, kernel, dp):
@@ -195,7 +213,8 @@ def solve(g, dp, cfg, monitor=None):
 
     dp may be None for the unsteered regularizer.  monitor, when given, is
     called after every iteration as monitor(iteration, z, psi_accepted) and
-    exists for diagnostics and tests.
+    exists for diagnostics and tests; psi_accepted is a reused buffer, valid
+    until the next call.
     """
     kernel = cfg.kernel
     tau = cfg.tau
@@ -203,13 +222,18 @@ def solve(g, dp, cfg, monitor=None):
     h, w_ = g.height, g.width
     rows = kernel.support**2 * g.channels
     if dp is None:
-        lip = np.full((1, 1, 1, 1), 16.0 * math.sqrt(2.0) * tau)
+        lip = 16.0 * math.sqrt(2.0) * tau
     else:
         if dp.shape != (h, w_):
             raise ValueError("direction fields do not match image dimensions")
         lip = lipschitz_field(dp, tau)[:, :, None, None]
-    zeros = np.zeros((h, w_, rows, 2))
-    state = DualState(psi=zeros, psi_prev=zeros, t=1.0, lipschitz=lip)
+    # Three planar dual fields rotate through the loop: the extrapolated
+    # point psi, the last accepted point psi_prev, and the ascent step.
+    def field():
+        return np.zeros((2, rows, h, w_)).transpose(2, 3, 1, 0)
+
+    state = DualState(psi=field(), psi_prev=field(), t=1.0, lipschitz=lip)
+    step = field()
     z_prev = None
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
@@ -218,11 +242,18 @@ def solve(g, dp, cfg, monitor=None):
         z = _clip(w, cfg.constraint)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite values in solver iterate")
-        ascent = state.psi + jacobian_apply(z, kernel, dp) / state.lipschitz
-        accepted = _project_ball(ascent, p)
+        jacobian_apply(z, kernel, dp, out=step)
+        step /= state.lipschitz
+        step += state.psi
+        accepted = _project_ball(step, p, state.psi)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
-        state.psi = accepted + ((state.t - 1.0) / t_next) * (accepted - state.psi_prev)
-        state.psi_prev = accepted
+        # psi <- accepted + (t - 1)/t_next (accepted - psi_prev), written
+        # over psi_prev; the spent psi buffer takes the next ascent step.
+        momentum = state.psi_prev
+        np.subtract(accepted, momentum, out=momentum)
+        momentum *= (state.t - 1.0) / t_next
+        momentum += accepted
+        step, state.psi, state.psi_prev = state.psi, momentum, accepted
         state.t = t_next
         if monitor is not None:
             monitor(it, z, accepted)

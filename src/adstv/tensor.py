@@ -13,10 +13,17 @@ sufficient for every singular-value computation in this package.
 The directional variant transforms each gradient by diag(a+, a-[j]) R(-th[j])
 at its source pixel j before gathering, steering the penalty toward the
 direction th and modulating its strength through a-.
+
+Storage is planar: jacobian_apply fills a (2, L*C, H, W) buffer, so every
+row of every gradient component is one contiguous H x W plane, and returns
+its (H, W, L*C, 2) view.  A row is gathered as a slice of the gradient
+plane extended by the kernel radius under reflect indexing; the adjoint
+adds each row into a padded plane at the same slice and folds the border
+back onto the samples it mirrors.  Per-pixel Gram sums run over the rows
+axis of the planes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,16 +64,16 @@ class DirectionalParams:
         self.alpha_plus = float(self.alpha_plus)
         self.alpha_minus = np.asarray(self.alpha_minus, dtype=np.float64)
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.alpha_plus < 1.0:
-            raise ValueError("alpha_plus must be >= 1")
+        # Each test is written so that NaN fails it.
+        if not 1.0 <= self.alpha_plus < np.inf:
+            raise ValueError("alpha_plus must be finite and >= 1")
         if self.alpha_minus.shape != self.theta.shape or self.alpha_minus.ndim != 2:
             raise ValueError("alpha_minus and theta must be matching 2-D fields")
         slack = 1e-9
-        if np.any(self.alpha_minus < 1.0 - slack) or np.any(
-            self.alpha_minus > self.alpha_plus + slack
-        ):
+        am = self.alpha_minus
+        if not np.all((am >= 1.0 - slack) & (am <= self.alpha_plus + slack)):
             raise ValueError("alpha_minus must lie in [1, alpha_plus]")
-        if np.any(self.theta < 0.0) or np.any(self.theta >= np.pi):
+        if not np.all((self.theta >= 0.0) & (self.theta < np.pi)):
             raise ValueError("theta must lie in [0, pi)")
         self.alpha_minus = np.clip(self.alpha_minus, 1.0, self.alpha_plus)
 
@@ -117,11 +124,7 @@ class PatchJacobianField:
 
     def gram(self):
         """Per-pixel 2x2 Gram matrix M^T M, shape (H, W, 2, 2)."""
-        a = self.data[..., 0]
-        b = self.data[..., 1]
-        gxx = np.sum(a * a, axis=-1)
-        gxy = np.sum(a * b, axis=-1)
-        gyy = np.sum(b * b, axis=-1)
+        gxx, gxy, gyy = _gram(self.data)
         out = np.empty(gxx.shape + (2, 2))
         out[..., 0, 0] = gxx
         out[..., 0, 1] = gxy
@@ -147,25 +150,40 @@ class StructureTensorField:
 # Gather/scatter plumbing
 
 
-@lru_cache(maxsize=16)
-def _tap_maps(support, h, w):
-    """Flat reflect-indexed source positions i - p for every tap offset p.
+def _planar(field):
+    """The (2, rows, H, W) view of an (H, W, rows, 2) field."""
+    return field.transpose(3, 2, 0, 1)
 
-    Returns an (L, h*w) integer array in row-major tap order, matching
-    Kernel.taps().
-    """
-    r = support // 2
-    ys = np.arange(h)
-    xs = np.arange(w)
-    maps = np.empty((support * support, h * w), dtype=np.intp)
-    i = 0
-    for dy in range(-r, r + 1):
-        ry = reflect_index(ys - dy, h)
-        for dx in range(-r, r + 1):
-            rx = reflect_index(xs - dx, w)
-            maps[i] = (ry[:, None] * w + rx[None, :]).ravel()
-            i += 1
-    return maps
+
+def _gram(field):
+    """Per-pixel Gram entries (gxx, gxy, gyy) of an (..., rows, 2) field."""
+    a = field[..., 0]
+    b = field[..., 1]
+    return (
+        np.einsum("...r,...r->...", a, a),
+        np.einsum("...r,...r->...", a, b),
+        np.einsum("...r,...r->...", b, b),
+    )
+
+
+def _extension(r, h, w):
+    """Source rows and columns of the reflect extension by r on every side."""
+    return reflect_index(np.arange(-r, h + r), h), reflect_index(np.arange(-r, w + r), w)
+
+
+def _fold(acc, r, ys, xs):
+    """Adjoint of the reflect extension: add every border row and column of
+    the (..., h + 2r, w + 2r) planes acc onto the sample it mirrors.
+    Returns the (..., h, w) view of acc, which it overwrites."""
+    h = acc.shape[-2] - 2 * r
+    w = acc.shape[-1] - 2 * r
+    inner = acc[..., r : r + h, :]
+    for j in (*range(r), *range(h + r, h + 2 * r)):
+        inner[..., ys[j], :] += acc[..., j, :]
+    out = inner[..., r : r + w]
+    for j in (*range(r), *range(w + r, w + 2 * r)):
+        out[..., xs[j]] += inner[..., j]
+    return out
 
 
 def _transformed_gradients(channels, dp):
@@ -187,38 +205,43 @@ def _transformed_gradients(channels, dp):
     return grads
 
 
-def jacobian_apply(channels, kernel, dp=None):
-    """Raw forward operator: (C, H, W) samples -> (H, W, L*C, 2) field."""
+def jacobian_apply(channels, kernel, dp=None, out=None):
+    """Raw forward operator: (C, H, W) samples -> (H, W, L*C, 2) field.
+
+    The result is the (H, W, L*C, 2) view of a planar (2, L*C, H, W)
+    buffer.  out, when given, is such a view (an earlier result) and is
+    filled and returned instead of a new one.
+    """
     nch, h, w = channels.shape
     if dp is not None and dp.shape != (h, w):
         raise ValueError("direction fields do not match image dimensions")
-    L = kernel.support**2
-    sq = np.sqrt(kernel.weights).ravel()
-    data = np.empty((h, w, L * nch, 2))
-    if kernel.support == 1:
-        for c, (gx, gy) in enumerate(_transformed_gradients(channels, dp)):
-            data[:, :, c, 0] = gx
-            data[:, :, c, 1] = gy
-        return data
-    maps = _tap_maps(kernel.support, h, w)
-    for c, (gx, gy) in enumerate(_transformed_gradients(channels, dp)):
-        fx = gx.ravel()
-        fy = gy.ravel()
-        for l in range(L):
-            s = c * L + l
-            if sq[l] == 0.0:
-                data[:, :, s, :] = 0.0
-                continue
-            idx = maps[l]
-            data[:, :, s, 0] = (sq[l] * fx[idx]).reshape(h, w)
-            data[:, :, s, 1] = (sq[l] * fy[idx]).reshape(h, w)
-    return data
+    taps = kernel.taps()
+    L = len(taps)
+    if out is None:
+        out = np.empty((2, L * nch, h, w)).transpose(2, 3, 1, 0)
+    elif out.shape != (h, w, L * nch, 2):
+        raise ValueError("out does not match image, kernel and channels")
+    planar = _planar(out)
+    r = kernel.radius
+    ys, xs = _extension(r, h, w)
+    for c, grads in enumerate(_transformed_gradients(channels, dp)):
+        for k, grad in enumerate(grads):
+            ext = grad[np.ix_(ys, xs)] if r else grad
+            for l, ((dy, dx), weight) in enumerate(taps):
+                dst = planar[k, c * L + l]
+                if weight == 0.0:
+                    dst[...] = 0.0
+                    continue
+                # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
+                np.multiply(np.sqrt(weight), ext[r - dy : r - dy + h, r - dx : r - dx + w], out=dst)
+    return out
 
 
 def jacobian_adjoint_apply(data, kernel, channels, dp=None):
     """Raw adjoint operator: (H, W, L*C, 2) field -> (C, H, W) samples."""
     h, w, rows, _ = data.shape
-    L = kernel.support**2
+    taps = kernel.taps()
+    L = len(taps)
     if rows != L * channels:
         raise ValueError("field row count does not match kernel and channels")
     if dp is not None:
@@ -227,26 +250,25 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None):
         ct, st = dp.trig()
         ap = dp.alpha_plus
         am = dp.alpha_minus
-    sq = np.sqrt(kernel.weights).ravel()
-    maps = None if kernel.support == 1 else _tap_maps(kernel.support, h, w)
+    planar = _planar(data)
+    r = kernel.radius
+    ys, xs = _extension(r, h, w)
     out = np.empty((channels, h, w))
-    n = h * w
     for c in range(channels):
-        if kernel.support == 1:
-            ax = data[:, :, c, 0].copy()
-            ay = data[:, :, c, 1].copy()
+        if r == 0:
+            # one tap and no border
+            ax, ay = np.sqrt(taps[0][1]) * planar[:, c]
         else:
-            accx = np.zeros(n)
-            accy = np.zeros(n)
-            for l in range(L):
-                if sq[l] == 0.0:
+            # scatter each row back to its source pixel i - p_l, then fold
+            # the reflect border onto the samples it came from
+            term = np.empty((2, h, w))
+            acc = np.zeros((2, h + 2 * r, w + 2 * r))
+            for l, ((dy, dx), weight) in enumerate(taps):
+                if weight == 0.0:
                     continue
-                s = c * L + l
-                idx = maps[l]
-                accx += np.bincount(idx, weights=sq[l] * data[:, :, s, 0].ravel(), minlength=n)
-                accy += np.bincount(idx, weights=sq[l] * data[:, :, s, 1].ravel(), minlength=n)
-            ax = accx.reshape(h, w)
-            ay = accy.reshape(h, w)
+                np.multiply(np.sqrt(weight), planar[:, c * L + l], out=term)
+                acc[:, r - dy : r - dy + h, r - dx : r - dx + w] += term
+            ax, ay = _fold(acc, r, ys, xs)
         if dp is not None:
             # transpose of diag(ap, am) R(-th) is R(th) diag(ap, am)
             bx = ct * ap * ax - st * am * ay
@@ -382,13 +404,7 @@ def regularizer_value(f, k, dp=None, q=1):
     """
     if q not in (1, 2):
         raise ValueError("q must be 1 or 2")
-    data = jacobian_apply(f.data, k, dp)
-    a = data[..., 0]
-    b = data[..., 1]
-    gxx = np.sum(a * a, axis=-1)
-    gxy = np.sum(a * b, axis=-1)
-    gyy = np.sum(b * b, axis=-1)
-    lp, lm, _, _ = eig2x2(gxx, gxy, gyy)
+    lp, lm, _, _ = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
     lp = np.maximum(lp, 0.0)
     lm = np.maximum(lm, 0.0)
     if q == 1:

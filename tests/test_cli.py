@@ -45,6 +45,31 @@ def test_malformed_input_is_validation_error(tmp_path):
                  str(tmp_path / "out.pgm"), "--regularizer", "tv", "--tau", "0.1"]) == 1
 
 
+def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    src = tmp_path / "src.pfm"
+    dst = tmp_path / "dst.pgm"
+    save_image(rand_image(rng, 8, 8), src)
+    for reg, flags in (("tv", ["--tau", "nan"]), ("stv", ["--tau", "inf"]),
+                       ("stv", ["--tau", "0.1", "--tol", "nan"]),
+                       ("eadtv", ["--tau", "0.1", "--alpha-plus", "nan"]),
+                       ("adstv", ["--tau", "0.1", "--alpha-plus", "nan"])):
+        assert main(["denoise", "--input", str(src), "--output", str(dst),
+                     "--regularizer", reg] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # a non-finite sample reaches the solver, which stops on the first
+    # non-finite iterate
+    data = rng.random((1, 8, 8))
+    data[0, 3, 4] = np.nan
+    save_image(Image(data), src)
+    assert main(["denoise", "--input", str(src), "--output", str(dst),
+                 "--regularizer", "tv", "--tau", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite values in solver iterate\n"
+    assert not dst.exists()
+
+
 def test_denoise_tv_tau_zero_is_passthrough(tmp_path):
     rng = np.random.default_rng(30)
     src = tmp_path / "src.pgm"

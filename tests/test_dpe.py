@@ -35,6 +35,14 @@ def test_config_validation():
             DpeConfig(**bad)
 
 
+def test_config_rejects_non_finite():
+    for value in (np.nan, np.inf):
+        for bad in (dict(alpha_plus=value), dict(alpha_plus=3.0, theta_tv_tau=value),
+                    dict(alpha_plus=3.0, coherence_tv_weight=value)):
+            with pytest.raises(ValueError):
+                DpeConfig(**bad)
+
+
 def test_coherence_constant_image_is_zero():
     cfg = DpeConfig(alpha_plus=3.0)
     g = Image(np.full((1, 16, 16), 0.5))

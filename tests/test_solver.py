@@ -7,6 +7,7 @@ from adstv import Image
 from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
     SolverConfig,
+    _project_ball,
     denoise_adstv,
     dual_gradient,
     dual_objective,
@@ -44,6 +45,13 @@ def test_config_validation_and_defaults():
                 dict(tau=0.1, rel_tol=0.0), dict(tau=0.1, constraint=(1.0, 0.0))):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+def test_config_rejects_non_finite():
+    for value in (math.nan, math.inf):
+        for bad in (dict(tau=value), dict(tau=0.1, rel_tol=value)):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
 
 def test_lipschitz_field_reference_values():
@@ -104,6 +112,58 @@ def test_project_schatten_zero_and_rank1():
     m = np.array([[6.0, 0.0], [8.0, 0.0]])  # rank 1, sigma = 10
     out = project_schatten(m, math.inf)
     np.testing.assert_allclose(out, m / 10.0, atol=1e-12)
+
+
+def branch_blocks():
+    """Blocks that hit every branch of the p = inf projection."""
+    rng = np.random.default_rng(20)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 2)))  # orthonormal columns
+    rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    u = rng.standard_normal(4)
+    v = np.array([0.6, -0.8])
+    return {
+        # l+ = l-: sigma+ = sigma- on either side of 1, and both exactly 1
+        "equal": [2.0 * np.vstack([np.eye(2), np.zeros((1, 2))]), 3.0 * q, 0.4 * q,
+                  q, 5.0 * rot, np.eye(2)],
+        "zero": [np.zeros((rows, 2)) for rows in (1, 2, 9, 27)],
+        "rank1": [s * np.outer(u / np.linalg.norm(u), v) for s in (0.3, 1.0, 2.5, 40.0)],
+        # sigma+ = 1 exactly, sigma- below 1 or 0
+        "on_ball": [np.diag([1.0, 0.3]), q @ np.diag([1.0, 0.5]) @ rot, q @ np.diag([1.0, 0.0])],
+    }
+
+
+@pytest.mark.parametrize("branch", ["equal", "zero", "rank1", "on_ball"])
+def test_project_schatten_branches_match_svd_oracle(branch):
+    for m in branch_blocks()[branch]:
+        out = project_schatten(m, math.inf)
+        np.testing.assert_allclose(out, svd_clamp(m), atol=1e-10)
+        assert np.all(np.isfinite(out))
+
+
+def test_project_schatten_one_row_is_frobenius_rescale():
+    rng = np.random.default_rng(21)
+    for scale in (0.0, 0.2, 1.0, 7.0):
+        m = scale * rng.standard_normal((1, 2))
+        out = project_schatten(m, math.inf)
+        np.testing.assert_array_equal(out, project_schatten(m, 2))
+        np.testing.assert_allclose(out, svd_clamp(m), atol=1e-10)
+
+
+def test_field_projection_matches_blockwise():
+    # the in-place projection of a planar field agrees with the one-block
+    # projection on a field that mixes every branch
+    rng = np.random.default_rng(22)
+    rows = 9
+    blocks = [b for group in branch_blocks().values() for b in group if len(b) <= rows]
+    blocks += list(rng.standard_normal((20, rows, 2)) * rng.choice([0.2, 1.0, 4.0], (20, 1, 1)))
+    # zero rows leave the singular values, and the projection, unchanged
+    field = np.stack([np.vstack([b, np.zeros((rows - len(b), 2))]) for b in blocks])[None]
+    expected = np.stack([project_schatten(b, math.inf) for b in field[0]])
+    planar = np.ascontiguousarray(field.transpose(3, 2, 0, 1))
+    data = planar.transpose(2, 3, 1, 0)
+    out = _project_ball(data, math.inf, np.empty_like(planar).transpose(2, 3, 1, 0))
+    assert out is data
+    np.testing.assert_allclose(out[0], expected, atol=1e-14)
 
 
 def test_dual_gradient_trivial_cases():

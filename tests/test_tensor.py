@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adstv import Image
-from adstv.diffops import delta_kernel, gaussian_kernel, grad_forward
+from adstv.diffops import delta_kernel, gaussian_kernel, grad_forward, reflect_index
 from adstv.tensor import (
     DirectionalParams,
     PatchJacobianField,
@@ -11,6 +11,8 @@ from adstv.tensor import (
     directional_adjoint,
     directional_patch_jacobian,
     eig2x2,
+    jacobian_adjoint_apply,
+    jacobian_apply,
     patch_jacobian,
     patch_jacobian_adjoint,
     regularizer_value,
@@ -41,6 +43,13 @@ def test_params_validation():
         DirectionalParams(2.0, ones, zeros + np.pi)        # theta out of range
     with pytest.raises(ValueError):
         DirectionalParams(2.0, ones, zeros - 0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            DirectionalParams(bad, ones, zeros)
+        with pytest.raises(ValueError):
+            DirectionalParams(2.0, np.where(np.eye(3) > 0, bad, 1.0), zeros)
+        with pytest.raises(ValueError):
+            DirectionalParams(2.0, ones, np.where(np.eye(3) > 0, bad, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +94,57 @@ def test_patch_jacobian_row_layout():
                     row = pj.data[y, x, c * 9 + l]
                     assert row[0] == pytest.approx(np.sqrt(wt) * grads[c].gx[sy, sx], abs=1e-15)
                     assert row[1] == pytest.approx(np.sqrt(wt) * grads[c].gy[sy, sx], abs=1e-15)
+
+
+def gather_oracle(f, k, dp):
+    """The forward operator by explicit reflect-indexed lookups: row c*L + l
+    at pixel (y, x) is sqrt(w_l) g[reflect(y - dy), reflect(x - dx)]."""
+    c, h, w = f.data.shape
+    taps = k.taps()
+    out = np.empty((h, w, len(taps) * c, 2))
+    for ch in range(c):
+        gf = grad_forward(f.data[ch])
+        g = np.stack([gf.gx, gf.gy], axis=-1)
+        if dp is not None:
+            g = apply_direction(g, dp.alpha_plus, dp.alpha_minus, dp.theta)
+        for l, ((dy, dx), wt) in enumerate(taps):
+            ys = reflect_index(np.arange(h) - dy, h)
+            xs = reflect_index(np.arange(w) - dx, w)
+            out[:, :, ch * len(taps) + l] = np.sqrt(wt) * g[np.ix_(ys, xs)]
+    return out
+
+
+@pytest.mark.parametrize("support", [5, 7])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 3), (3, 2)])
+def test_gather_scatter_on_images_smaller_than_the_kernel(support, shape):
+    # the reflect extension wraps more than once on every side
+    rng = np.random.default_rng(support * 10 + shape[0] * 3 + shape[1])
+    k = gaussian_kernel(1.2, support)
+    h, w = shape
+    for c in (1, 3):
+        for dp in (None, rand_params(rng, h, w)):
+            f = rand_image(rng, h, w, c)
+            jf = jacobian_apply(f.data, k, dp)
+            np.testing.assert_array_equal(jf, gather_oracle(f, k, dp))
+            psi = rng.standard_normal(jf.shape)
+            lhs = np.vdot(jf, psi)
+            rhs = np.vdot(f.data, jacobian_adjoint_apply(psi, k, c, dp))
+            assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+def test_jacobian_apply_is_planar_view_and_fills_out():
+    rng = np.random.default_rng(19)
+    f = rand_image(rng, 6, 5, 3)
+    k = gaussian_kernel(0.5, 3)
+    dp = rand_params(rng, 6, 5)
+    jf = jacobian_apply(f.data, k, dp)
+    assert jf.shape == (6, 5, 27, 2)
+    assert jf.transpose(3, 2, 0, 1).flags.c_contiguous
+    out = np.zeros((2, 27, 6, 5)).transpose(2, 3, 1, 0)
+    assert jacobian_apply(f.data, k, dp, out=out) is out
+    np.testing.assert_array_equal(out, jf)
+    with pytest.raises(ValueError):
+        jacobian_apply(f.data, k, dp, out=np.zeros((6, 5, 9, 2)))
 
 
 def test_gram_equals_convolution_structure_tensor():
