@@ -102,33 +102,70 @@ def gaussian_kernel(sigma, support):
     return Kernel(w / w.sum())
 
 
-def grad_forward(channel):
-    """Forward-difference gradient of a single channel with Neumann edges."""
-    f = np.asarray(channel, dtype=np.float64)
-    gx = np.zeros_like(f)
-    gy = np.zeros_like(f)
-    gx[:, :-1] = f[:, 1:] - f[:, :-1]
-    gy[:-1, :] = f[1:, :] - f[:-1, :]
+def grad_forward(channel, out=None):
+    """Forward-difference gradient of a single channel with Neumann edges.
+
+    out, when given, is a pair of C-contiguous planes (gx, gy) of the
+    channel's shape that receive the result.
+    """
+    f = np.ascontiguousarray(channel, dtype=np.float64)
+    if out is None:
+        out = (np.empty_like(f), np.empty_like(f))
+    gx, gy = _planes(out, f.shape)
+    # Differences of the flattened plane: the one that wraps across a row
+    # end lands in the last column (last row for y), which is then zeroed.
+    flat = f.reshape(-1)
+    w = f.shape[1]
+    np.subtract(flat[1:], flat[:-1], out=gx.reshape(-1)[:-1])
+    gx[:, -1] = 0.0
+    np.subtract(flat[w:], flat[:-w], out=gy.reshape(-1)[:-w])
+    gy[-1] = 0.0
     return GradientField(gx=gx, gy=gy)
 
 
-def div_backward(p):
+def div_backward(p, out=None, scratch=None):
     """Backward-difference divergence, the exact negative adjoint of
-    grad_forward."""
-    px, py = p.gx, p.gy
-    out = np.zeros_like(px)
+    grad_forward.
+
+    out, when given, is a C-contiguous plane that receives the result;
+    scratch, when given, is a C-contiguous plane of the same shape that
+    the call may overwrite.
+    """
+    px = np.ascontiguousarray(p.gx)
+    py = np.ascontiguousarray(p.gy)
+    h, w = px.shape
+    if out is None:
+        out = np.empty_like(px)
+    _planes((out,), px.shape)
     # First column copies, interior differences, last column closes the
     # telescope so that the adjoint identity holds exactly.  A size-1 axis
     # has an identically zero forward difference, hence no contribution.
-    if px.shape[1] > 1:
-        out[:, 0] += px[:, 0]
-        out[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-        out[:, -1] += -px[:, -2]
-    if py.shape[0] > 1:
-        out[0, :] += py[0, :]
-        out[1:-1, :] += py[1:-1, :] - py[:-2, :]
-        out[-1, :] += -py[-2, :]
+    if w > 1:
+        flat = px.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[1:])
+        out[:, 0] = px[:, 0]
+        # not np.negative: in numpy 2.4 it reads the wrong elements when
+        # input and output are both strided by 64 bytes (an 8-wide plane)
+        np.subtract(0.0, px[:, -2], out=out[:, -1])
+    else:
+        out[...] = 0.0
+    if h > 1:
+        out[0] += py[0]
+        if h > 2:
+            inner = np.empty((h - 2, w)) if scratch is None else scratch[: h - 2]
+            np.subtract(py[1:-1], py[:-2], out=inner)
+            out[1:-1] += inner
+        out[-1] -= py[-2]
     return out
+
+
+def _planes(planes, shape):
+    """Check that every output plane has the given shape and is C-contiguous,
+    so the flat views above write through to it."""
+    for plane in planes:
+        if plane.shape != shape or not plane.flags.c_contiguous:
+            raise ValueError("output planes must be C-contiguous with the input's shape")
+    return planes
 
 
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .diffops import convolve_channel, gaussian_kernel, grad_forward, sobel_grad
 from .image import Image, to_luminance
@@ -134,7 +133,12 @@ def skew_enhance(field):
     if field.std() <= 1e-9:
         # skewness of a (near-)constant field is undefined
         return field.copy()
-    g1 = float(stats.skew(field.ravel()))
+    # biased sample skewness m3 / m2^1.5, the central moments taken as
+    # scipy.stats.skew takes them
+    flat = field.ravel()
+    dev = flat - flat.mean()
+    sq = dev**2
+    g1 = float(np.mean(sq * dev) / np.mean(sq) ** 1.5)
     mu = float(field.mean())
     if g1 > 1.0:
         return np.where(field < mu, field * field, field)

@@ -34,7 +34,8 @@ class FormatError(ValueError):
 
 @dataclass
 class Image:
-    """A float64 raster with explicit channel axis, shape (C, H, W)."""
+    """A float64 raster with explicit channel axis, shape (C, H, W), and
+    finite samples."""
 
     data: np.ndarray
 
@@ -48,6 +49,8 @@ class Image:
             raise ValueError("channel count must be 1 or 3")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("image dimensions must be positive")
+        if not np.isfinite(arr).all():
+            raise ValueError("image samples must be finite")
         self.data = arr
 
     @property
@@ -180,7 +183,10 @@ def _load_pfm(buf):
 
 
 def load_image(path):
-    """Load a PGM (P5), PPM (P6), or PFM (Pf/PF) file."""
+    """Load a PGM (P5), PPM (P6), or PFM (Pf/PF) file.
+
+    A PFM sample that is NaN or infinite is rejected like any other
+    invalid image (ValueError)."""
     with open(path, "rb") as fh:
         buf = fh.read()
     magic = buf[:2]

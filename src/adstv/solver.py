@@ -29,6 +29,7 @@ from .diffops import Kernel, delta_kernel, gaussian_kernel
 from .image import Image
 from .tensor import (
     PatchJacobianField,
+    Workspace,
     _gram,
     jacobian_adjoint_apply,
     jacobian_apply,
@@ -41,7 +42,6 @@ from .tensor import eig2x2  # noqa: F401
 
 __all__ = [
     "SolverConfig",
-    "DualState",
     "SolveResult",
     "lipschitz_field",
     "project_box",
@@ -90,16 +90,6 @@ class SolverConfig:
 
 
 @dataclass
-class DualState:
-    """Mutable state of one dual ascent: current point, momentum, step bound."""
-
-    psi: np.ndarray
-    psi_prev: np.ndarray
-    t: float
-    lipschitz: np.ndarray
-
-
-@dataclass
 class SolveResult:
     image: Image
     iterations: int
@@ -125,45 +115,90 @@ def project_box(img, constraint):
     return Image(np.clip(img.data, constraint[0], constraint[1]))
 
 
-def _project_ball(data, p, scratch):
+def _project_ball(data, p, workspace=None):
     """Project each (rows, 2) block of the (..., rows, 2) field data onto
-    the unit Schatten-p ball, in place; returns data.  scratch is a field of
-    the same shape that the p = inf branch overwrites."""
+    the unit Schatten-p ball, in place; returns data.  The per-pixel
+    planes come from workspace when given (the solve's Workspace, for an
+    (H, W, rows, 2) field), else from a throwaway set."""
     if p != 2 and not math.isinf(p):
         raise ValueError("p must be 2 or inf")
-    a = data[..., 0]
-    b = data[..., 1]
-    if p == 2 or data.shape[-2] == 1:
-        # A single row has one singular value, its norm: both balls agree.
-        n = np.sqrt(np.einsum("...rk,...rk->...", data, data))
-        data /= np.maximum(1.0, n)[..., None, None]
+    rows = data.shape[-2]
+    # A single row has one singular value, its norm: both balls agree.
+    rescale = p == 2 or rows == 1
+    count = 1 if rescale else 8
+    if workspace is None:
+        shape = data.shape[:-2]
+        block = np.empty((count,) + shape)
+        planes = [block[i, ...] for i in range(count)]
+        mask = np.empty(shape, dtype=bool)
+    else:
+        _, planes = workspace.scratch(planes=count)
+        mask = workspace.mask[0]
+    # row r of component k is planar[k, r, ...], a view even when 0-d
+    planar = np.moveaxis(data, (-1, -2), (0, 1))
+    if rescale:
+        n = planes[0]
+        np.einsum("...rk,...rk->...", data, data, out=n)
+        np.sqrt(n, out=n)
+        np.maximum(n, 1.0, out=n)
+        for k in range(2):
+            for r in range(rows):
+                np.divide(planar[k, r, ...], n, out=planar[k, r, ...])
         return data
     # M -> M F with F = V diag(f+, f-) V^T, f = 1/max(1, sigma), built from
     # the Gram matrix G = M^T M without its eigenvectors:
     #     F = f- I + c (G - l- I),  c = (f+ - f-) / (l+ - l-).
-    gxx, gxy, gyy = _gram(data)
-    half = 0.5 * (gxx - gyy)
-    rad = np.hypot(half, gxy)
-    mean = 0.5 * (gxx + gyy)
-    sp = np.sqrt(mean + rad)
-    sm = np.sqrt(np.maximum(mean - rad, 0.0))
-    fp = 1.0 / np.maximum(sp, 1.0)
-    fm = 1.0 / np.maximum(sm, 1.0)
+    # Planes are reused once their value is spent; the names say what each
+    # holds at that point.
+    gxx, gxy, gyy, half, sp, fp, fm, quot = planes
+    _gram(data, out=(gxx, gxy, gyy))
+    np.subtract(gxx, gyy, out=half)
+    half *= 0.5
+    mean = np.add(gxx, gyy, out=gxx)
+    mean *= 0.5
+    rad = np.hypot(half, gxy, out=gyy)
+    np.add(mean, rad, out=sp)
+    np.sqrt(sp, out=sp)
+    sm = np.subtract(mean, rad, out=mean)
+    np.maximum(sm, 0.0, out=sm)
+    np.sqrt(sm, out=sm)
+    np.maximum(sp, 1.0, out=fp)
+    np.divide(1.0, fp, out=fp)
+    np.maximum(sm, 1.0, out=fm)
+    np.divide(1.0, fm, out=fm)
     # Where sigma- > 1 the quotient is -1/(s+ s- (s+ + s-)): free of
     # cancellation and finite at l+ = l-, where F = f+ I.  Elsewhere f- = 1,
     # and l+ > l- (rad > 0) wherever f+ < 1; where f+ = 1 as well the
     # quotient is 0 and the guarded denominator is never used.
-    c = np.where(sm > 1.0, -(fp * fm) / np.maximum(sp + sm, 2.0),
-                 (fp - 1.0) / np.where(rad > 0.0, 2.0 * rad, 1.0))
-    f00 = (fm + c * (half + rad))[..., None]
-    f01 = (c * gxy)[..., None]
-    f11 = (fm + c * (rad - half))[..., None]
-    bf = np.multiply(b, f01, out=scratch[..., 0])
-    af = np.multiply(a, f01, out=scratch[..., 1])
-    a *= f00
-    a += bf
-    b *= f11
-    b += af
+    np.multiply(fp, fm, out=quot)
+    np.negative(quot, out=quot)
+    den = np.add(sp, sm, out=sp)
+    np.maximum(den, 2.0, out=den)
+    np.divide(quot, den, out=quot)
+    c = np.subtract(fp, 1.0, out=fp)
+    den = np.multiply(2.0, rad, out=den)
+    np.greater(rad, 0.0, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(den, 1.0, where=mask)
+    np.divide(c, den, out=c)
+    np.greater(sm, 1.0, out=mask)
+    np.copyto(c, quot, where=mask)
+    f00 = np.add(half, rad, out=den)
+    f00 *= c
+    f00 += fm
+    f11 = np.subtract(rad, half, out=half)
+    f11 *= c
+    f11 += fm
+    f01 = np.multiply(gxy, c, out=gxy)
+    bf, af = sm, rad
+    for r in range(rows):
+        ar, br = planar[0, r, ...], planar[1, r, ...]
+        np.multiply(br, f01, out=bf)
+        np.multiply(ar, f01, out=af)
+        ar *= f00
+        ar += bf
+        br *= f11
+        br += af
     return data
 
 
@@ -177,7 +212,7 @@ def project_schatten(m, p):
     m = np.array(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != 2:
         raise ValueError("m must have shape (rows, 2)")
-    return _project_ball(m, p, np.empty_like(m))
+    return _project_ball(m, p)
 
 
 def _adjoint_image(psi_data, g, kernel, dp):
@@ -213,58 +248,84 @@ def solve(g, dp, cfg, monitor=None):
 
     dp may be None for the unsteered regularizer.  monitor, when given, is
     called after every iteration as monitor(iteration, z, psi_accepted) and
-    exists for diagnostics and tests; psi_accepted is a reused buffer, valid
-    until the next call.
+    exists for diagnostics and tests.  z and psi_accepted are reused
+    buffers, valid until the next call; the last psi_accepted stays intact
+    after solve returns.
+
+    One Workspace, built here, serves every J, J* and projection of the
+    solve, and the iteration tail (w, the clip, the finiteness check and
+    the rel-change difference) runs in preallocated buffers, so from the
+    second iteration on an iteration allocates no image-sized array.
     """
     kernel = cfg.kernel
     tau = cfg.tau
     p = cfg.dual_p
-    h, w_ = g.height, g.width
-    rows = kernel.support**2 * g.channels
+    nch, h, w_ = g.shape
+    rows = kernel.support**2 * nch
     if dp is None:
         lip = 16.0 * math.sqrt(2.0) * tau
     else:
         if dp.shape != (h, w_):
             raise ValueError("direction fields do not match image dimensions")
-        lip = lipschitz_field(dp, tau)[:, :, None, None]
-    # Three planar dual fields rotate through the loop: the extrapolated
-    # point psi, the last accepted point psi_prev, and the ascent step.
-    def field():
-        return np.zeros((2, rows, h, w_)).transpose(2, 3, 1, 0)
-
-    state = DualState(psi=field(), psi_prev=field(), t=1.0, lipschitz=lip)
-    step = field()
-    z_prev = None
+        lip = lipschitz_field(dp, tau)
+    ws = Workspace(kernel, nch, h, w_, dp)
+    # Three planar (2, rows, H, W) dual fields rotate through the loop: the
+    # extrapolated point psi, the last accepted point prev, and the ascent
+    # step.  J, J* and the monitor see their (H, W, rows, 2) views.
+    psi, prev, step = (np.zeros((2, rows, h, w_)) for _ in range(3))
+    z, z_prev = np.empty(g.shape), np.empty(g.shape)
+    t = 1.0
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        w = g.data - tau * _adjoint_image(state.psi, g, kernel, dp)
-        z = _clip(w, cfg.constraint)
-        if not np.all(np.isfinite(z)):
+        # z = P_C(g - tau J* psi), written in place
+        jacobian_adjoint_apply(_field(psi), kernel, nch, dp, out=z, workspace=ws)
+        z *= tau
+        np.subtract(g.data, z, out=z)
+        if cfg.constraint is not None:
+            np.clip(z, cfg.constraint[0], cfg.constraint[1], out=z)
+        if not np.isfinite(z, out=ws.mask).all():
             raise FloatingPointError("non-finite values in solver iterate")
-        jacobian_apply(z, kernel, dp, out=step)
-        step /= state.lipschitz
-        step += state.psi
-        accepted = _project_ball(step, p, state.psi)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
-        # psi <- accepted + (t - 1)/t_next (accepted - psi_prev), written
-        # over psi_prev; the spent psi buffer takes the next ascent step.
-        momentum = state.psi_prev
-        np.subtract(accepted, momentum, out=momentum)
-        momentum *= (state.t - 1.0) / t_next
-        momentum += accepted
-        step, state.psi, state.psi_prev = state.psi, momentum, accepted
-        state.t = t_next
+        jacobian_apply(z, kernel, dp, out=_field(step), workspace=ws)
+        if dp is None:
+            step /= lip
+        else:
+            for plane in step.reshape(-1, h, w_):
+                plane /= lip
+        step += psi
+        _project_ball(_field(step), p, ws)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        # psi <- step + (t - 1)/t_next (step - prev), written over prev; the
+        # accepted step becomes prev and the spent psi buffer takes the
+        # next ascent step.
+        np.subtract(step, prev, out=prev)
+        prev *= (t - 1.0) / t_next
+        prev += step
+        step, psi, prev = psi, prev, step
+        t = t_next
         if monitor is not None:
-            monitor(it, z, accepted)
-        if z_prev is not None:
-            delta = float(np.linalg.norm(z - z_prev))
+            monitor(it, z, _field(prev))
+        if it > 1:
+            # z_prev is spent after this test: the next J* overwrites it
             base = float(np.linalg.norm(z_prev))
+            delta = float(np.linalg.norm(np.subtract(z, z_prev, out=z_prev)))
             if delta <= cfg.rel_tol * max(base, 1e-30):
                 break
-        z_prev = z
-    final = _clip(g.data - tau * _adjoint_image(state.psi_prev, g, kernel, dp), cfg.constraint)
+        z, z_prev = z_prev, z
+    # only prev is read from here on: release the other two dual fields
+    # before the result is allocated
+    del psi, step
+    final = jacobian_adjoint_apply(_field(prev), kernel, nch, dp, workspace=ws)
+    final *= tau
+    np.subtract(g.data, final, out=final)
+    if cfg.constraint is not None:
+        np.clip(final, cfg.constraint[0], cfg.constraint[1], out=final)
     return SolveResult(Image(final), iterations)
+
+
+def _field(planar):
+    """The (H, W, rows, 2) view of a planar (2, rows, H, W) dual field."""
+    return planar.transpose(2, 3, 1, 0)
 
 
 def denoise_adstv(g, dp, cfg):

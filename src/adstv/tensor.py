@@ -17,10 +17,16 @@ direction th and modulating its strength through a-.
 Storage is planar: jacobian_apply fills a (2, L*C, H, W) buffer, so every
 row of every gradient component is one contiguous H x W plane, and returns
 its (H, W, L*C, 2) view.  A row is gathered as a slice of the gradient
-plane extended by the kernel radius under reflect indexing; the adjoint
-adds each row into a padded plane at the same slice and folds the border
-back onto the samples it mirrors.  Per-pixel Gram sums run over the rows
-axis of the planes.
+plane extended by the kernel radius under reflect indexing (one np.take
+through a flat index); the adjoint adds each row into a padded plane at the
+same slice, as one contiguous run, and folds the border back onto the
+samples it mirrors.  Per-pixel Gram sums run over the rows axis of the
+planes.
+
+A Workspace carries what every call for the same operands shares: the
+taps, the extension index, the steering products and the scratch planes.
+The solver builds one per solve and passes it to every J and J*, which then
+allocate nothing; a call without one builds its own.
 """
 
 from dataclasses import dataclass
@@ -32,6 +38,7 @@ from .image import Image
 
 __all__ = [
     "DirectionalParams",
+    "Workspace",
     "PatchJacobianField",
     "StructureTensorField",
     "patch_jacobian",
@@ -150,19 +157,86 @@ class StructureTensorField:
 # Gather/scatter plumbing
 
 
+class Workspace:
+    """Constants and scratch memory shared by the operator calls of one solve.
+
+    Built once from (kernel, channels, H, W, dp).  It holds the taps as
+    offsets and square-root weights, the flat index of the reflect
+    extension by the kernel radius, the steering products that the adjoint
+    needs, a boolean mask per channel and one block of scratch planes.
+    J, J* and the ball projection each draw their planes from the start of
+    that block and never hold them past their own call, so the block is as
+    large as the largest single demand; it grows only on a demand larger
+    than any before.  Their arithmetic reads and writes whole C-contiguous
+    planes or one-dimensional runs, which numpy iterates without buffers of
+    its own: strided two-dimensional windows are only copied.
+    """
+
+    def __init__(self, kernel, channels, h, w, dp=None):
+        if dp is not None and dp.shape != (h, w):
+            raise ValueError("direction fields do not match image dimensions")
+        self.kernel = kernel
+        self.channels = channels
+        self.shape = (h, w)
+        self.dp = dp
+        self.taps = [(offset, np.sqrt(weight)) for offset, weight in kernel.taps()]
+        r = kernel.radius
+        self.padded_shape = (h + 2 * r, w + 2 * r)
+        self.ys, self.xs = _extension(r, h, w)
+        # the extension of a plane is plane.flat[extension]
+        self.extension = self.ys[:, None] * w + self.xs[None, :] if r else None
+        if dp is not None:
+            ct, st = dp.trig()
+            ap = dp.alpha_plus
+            am = dp.alpha_minus
+            self.cos, self.sin = ct, st
+            # transpose of diag(ap, am) R(-th) is R(th) diag(ap, am)
+            self.cos_ap, self.sin_am = ct * ap, st * am
+            self.sin_ap, self.cos_am = st * ap, ct * am
+        self.mask = np.empty((channels, h, w), dtype=bool)
+        self._slot = self.padded_shape[0] * self.padded_shape[1]
+        self._block = np.empty(0)
+
+    def _reserve(self, slots):
+        if self._block.size < slots * self._slot:
+            self._block = None  # release the old block before the new one
+            self._block = np.empty(slots * self._slot)
+
+    def scratch(self, padded=0, planes=0):
+        """Lists of `padded` extension-sized and then `planes` image-sized
+        scratch planes, each C-contiguous, from the start of the block."""
+        self._reserve(padded + planes)
+        slots = self._block[: (padded + planes) * self._slot].reshape(-1, self._slot)
+        h, w = self.shape
+        return ([slot.reshape(self.padded_shape) for slot in slots[:padded]],
+                [slot[: h * w].reshape(h, w) for slot in slots[padded:]])
+
+
+def _workspace(workspace, kernel, channels, h, w, dp):
+    """workspace, checked against the call's operands, or a new one."""
+    if workspace is None:
+        return Workspace(kernel, channels, h, w, dp)
+    if (workspace.kernel is not kernel or workspace.dp is not dp
+            or workspace.channels != channels or workspace.shape != (h, w)):
+        raise ValueError("workspace was built for other operands")
+    return workspace
+
+
 def _planar(field):
     """The (2, rows, H, W) view of an (H, W, rows, 2) field."""
     return field.transpose(3, 2, 0, 1)
 
 
-def _gram(field):
-    """Per-pixel Gram entries (gxx, gxy, gyy) of an (..., rows, 2) field."""
+def _gram(field, out=(None, None, None)):
+    """Per-pixel Gram entries (gxx, gxy, gyy) of an (..., rows, 2) field,
+    written to the three planes of out when given."""
     a = field[..., 0]
     b = field[..., 1]
+    gxx, gxy, gyy = out
     return (
-        np.einsum("...r,...r->...", a, a),
-        np.einsum("...r,...r->...", a, b),
-        np.einsum("...r,...r->...", b, b),
+        np.einsum("...r,...r->...", a, a, out=gxx),
+        np.einsum("...r,...r->...", a, b, out=gxy),
+        np.einsum("...r,...r->...", b, b, out=gyy),
     )
 
 
@@ -171,110 +245,140 @@ def _extension(r, h, w):
     return reflect_index(np.arange(-r, h + r), h), reflect_index(np.arange(-r, w + r), w)
 
 
-def _fold(acc, r, ys, xs):
-    """Adjoint of the reflect extension: add every border row and column of
-    the (..., h + 2r, w + 2r) planes acc onto the sample it mirrors.
-    Returns the (..., h, w) view of acc, which it overwrites."""
-    h = acc.shape[-2] - 2 * r
-    w = acc.shape[-1] - 2 * r
-    inner = acc[..., r : r + h, :]
-    for j in (*range(r), *range(h + r, h + 2 * r)):
-        inner[..., ys[j], :] += acc[..., j, :]
-    out = inner[..., r : r + w]
-    for j in (*range(r), *range(w + r, w + 2 * r)):
-        out[..., xs[j]] += inner[..., j]
-    return out
+def _gradient(ws, channel, gx, gy, tmp):
+    """Forward-difference gradient of one channel, steered by the
+    workspace's fields when it has them, written to the planes gx and gy.
+    tmp is a pair of scratch planes, used only when steering."""
+    if ws.dp is None:
+        grad_forward(channel, out=(gx, gy))
+        return
+    fx, fy = tmp
+    grad_forward(channel, out=(fx, fy))
+    # diag(ap, am) R(-th) applied per source pixel
+    np.multiply(ws.cos, fx, out=gx)
+    np.multiply(ws.sin, fy, out=gy)
+    gx += gy
+    gx *= ws.dp.alpha_plus
+    np.multiply(ws.cos, fy, out=gy)
+    fx *= ws.sin
+    gy -= fx
+    gy *= ws.dp.alpha_minus
 
 
-def _transformed_gradients(channels, dp):
-    """Forward-difference gradients, steered by dp when given."""
-    grads = []
-    if dp is not None:
-        ct, st = dp.trig()
-        ap = dp.alpha_plus
-        am = dp.alpha_minus
-    for ch in channels:
-        gf = grad_forward(ch)
-        if dp is None:
-            grads.append((gf.gx, gf.gy))
-        else:
-            # diag(ap, am) R(-th) applied per source pixel
-            rx = ct * gf.gx + st * gf.gy
-            ry = ct * gf.gy - st * gf.gx
-            grads.append((ap * rx, am * ry))
-    return grads
-
-
-def jacobian_apply(channels, kernel, dp=None, out=None):
+def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None):
     """Raw forward operator: (C, H, W) samples -> (H, W, L*C, 2) field.
 
     The result is the (H, W, L*C, 2) view of a planar (2, L*C, H, W)
     buffer.  out, when given, is such a view (an earlier result) and is
-    filled and returned instead of a new one.
+    filled and returned instead of a new one.  workspace is the solve's
+    Workspace for these operands; without one the call builds its own.
     """
     nch, h, w = channels.shape
-    if dp is not None and dp.shape != (h, w):
-        raise ValueError("direction fields do not match image dimensions")
-    taps = kernel.taps()
-    L = len(taps)
+    ws = _workspace(workspace, kernel, nch, h, w, dp)
+    L = len(ws.taps)
     if out is None:
         out = np.empty((2, L * nch, h, w)).transpose(2, 3, 1, 0)
-    elif out.shape != (h, w, L * nch, 2):
-        raise ValueError("out does not match image, kernel and channels")
+    elif out.shape != (h, w, L * nch, 2) or not _planar(out).flags.c_contiguous:
+        raise ValueError("out must be the planar view for this image, kernel and channels")
     planar = _planar(out)
     r = kernel.radius
-    ys, xs = _extension(r, h, w)
-    for c, grads in enumerate(_transformed_gradients(channels, dp)):
-        for k, grad in enumerate(grads):
-            ext = grad[np.ix_(ys, xs)] if r else grad
-            for l, ((dy, dx), weight) in enumerate(taps):
+    steered = dp is not None
+    if r == 0 and ws.taps[0][1] == 1.0:
+        # one unit tap: row c is the channel's (steered) gradient itself
+        _, tmp = ws.scratch(planes=2 if steered else 0)
+        for c in range(nch):
+            _gradient(ws, channels[c], planar[0, c], planar[1, c], tmp)
+        return out
+    pads, planes = ws.scratch(1 if r else 0, 4 if steered else 2)
+    for c in range(nch):
+        _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
+        for k in range(2):
+            ext = planes[k]
+            if r:
+                ext = np.take(ext, ws.extension, out=pads[0], mode="clip")
+            for l, ((dy, dx), sw) in enumerate(ws.taps):
                 dst = planar[k, c * L + l]
-                if weight == 0.0:
+                if sw == 0.0:
                     dst[...] = 0.0
                     continue
                 # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                np.multiply(np.sqrt(weight), ext[r - dy : r - dy + h, r - dx : r - dx + w], out=dst)
+                dst[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
+                if sw != 1.0:
+                    dst *= sw
     return out
 
 
-def jacobian_adjoint_apply(data, kernel, channels, dp=None):
-    """Raw adjoint operator: (H, W, L*C, 2) field -> (C, H, W) samples."""
+def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=None):
+    """Raw adjoint operator: (H, W, L*C, 2) field -> (C, H, W) samples.
+
+    out, when given, is a C-contiguous (C, H, W) array that is filled and
+    returned.  workspace is as for jacobian_apply.
+    """
     h, w, rows, _ = data.shape
-    taps = kernel.taps()
-    L = len(taps)
+    ws = _workspace(workspace, kernel, channels, h, w, dp)
+    L = len(ws.taps)
     if rows != L * channels:
         raise ValueError("field row count does not match kernel and channels")
-    if dp is not None:
-        if dp.shape != (h, w):
-            raise ValueError("direction fields do not match image dimensions")
-        ct, st = dp.trig()
-        ap = dp.alpha_plus
-        am = dp.alpha_minus
+    if out is None:
+        out = np.empty((channels, h, w))
+    elif out.shape != (channels, h, w):
+        raise ValueError("out does not match image and channels")
     planar = _planar(data)
     r = kernel.radius
-    ys, xs = _extension(r, h, w)
-    out = np.empty((channels, h, w))
+    steered = dp is not None
+    unit = r == 0 and ws.taps[0][1] == 1.0
+    # planes[:2] hold the scattered rows unless the field's own planes
+    # serve; the next three (one unsteered) serve steering and divergence
+    first = 0 if unit else 2
+    pads, planes = ws.scratch(3 if r else 0, first + (3 if steered else 1))
+    if r:
+        wp = ws.padded_shape[1]
+        # A row is copied into an (h, wp) layout whose last 2r columns are
+        # zero, so adding it into the padded plane is one contiguous run;
+        # the zeros land on samples of the padded plane outside the window.
+        run = (h - 1) * wp + w
+        grid = pads[2].reshape(-1)[: h * wp].reshape(h, wp)
+        grid[:, w:] = 0.0
+        term = pads[2].reshape(-1)[:run]
     for c in range(channels):
-        if r == 0:
-            # one tap and no border
-            ax, ay = np.sqrt(taps[0][1]) * planar[:, c]
+        if unit:
+            ax, ay = planar[0, c], planar[1, c]
+        elif r == 0:
+            ax = np.multiply(ws.taps[0][1], planar[0, c], out=planes[0])
+            ay = np.multiply(ws.taps[0][1], planar[1, c], out=planes[1])
         else:
-            # scatter each row back to its source pixel i - p_l, then fold
-            # the reflect border onto the samples it came from
-            term = np.empty((2, h, w))
-            acc = np.zeros((2, h + 2 * r, w + 2 * r))
-            for l, ((dy, dx), weight) in enumerate(taps):
-                if weight == 0.0:
-                    continue
-                np.multiply(np.sqrt(weight), planar[:, c * L + l], out=term)
-                acc[:, r - dy : r - dy + h, r - dx : r - dx + w] += term
-            ax, ay = _fold(acc, r, ys, xs)
-        if dp is not None:
-            # transpose of diag(ap, am) R(-th) is R(th) diag(ap, am)
-            bx = ct * ap * ax - st * am * ay
-            by = st * ap * ax + ct * am * ay
+            for k in range(2):
+                # scatter each row back to its source pixel i - p_l, then
+                # fold the reflect border onto the samples it came from
+                acc = pads[k]
+                acc[...] = 0.0
+                flat = acc.reshape(-1)
+                for l, ((dy, dx), sw) in enumerate(ws.taps):
+                    if sw == 0.0:
+                        continue
+                    grid[:, :w] = planar[k, c * L + l]
+                    if sw != 1.0:
+                        term *= sw
+                    start = (r - dy) * wp + (r - dx)
+                    flat[start : start + run] += term
+                for j in (*range(r), *range(h + r, h + 2 * r)):
+                    acc[r + ws.ys[j]] += acc[j]
+                folded = planes[k]
+                folded[...] = acc[r : r + h, r : r + w]
+                for j in (*range(r), *range(w + r, w + 2 * r)):
+                    folded[:, ws.xs[j]] += acc[r : r + h, j]
+            ax, ay = planes[0], planes[1]
+        if steered:
+            bx, by, tmp = planes[first : first + 3]
+            np.multiply(ws.cos_ap, ax, out=bx)
+            np.multiply(ws.sin_am, ay, out=tmp)
+            bx -= tmp
+            np.multiply(ws.sin_ap, ax, out=by)
+            np.multiply(ws.cos_am, ay, out=tmp)
+            by += tmp
             ax, ay = bx, by
-        out[c] = -div_backward(GradientField(gx=ax, gy=ay))
+        div_backward(GradientField(gx=ax, gy=ay), out=out[c], scratch=planes[-1])
+        np.negative(out[c], out=out[c])
     return out
 
 

@@ -168,6 +168,34 @@ def test_skew_enhance_negative_branch():
     np.testing.assert_allclose(out[:10], 0.5, atol=1e-12)
 
 
+def test_skew_enhance_branches_follow_scipy_skewness():
+    # one 64^2 field per branch, and two-level fields whose skewness is
+    # within 0.3% of +-1; the branch and the output follow the skewness
+    # that scipy.stats.skew reports
+    from scipy import stats
+
+    rng = np.random.default_rng(27)
+    u = rng.random((64, 64))
+    cases = [(u**4, 1), (1.0 - u**4, -1), (u, 0)]
+    for high, branch in ((276, 1), (277, 0)):
+        # skewness (1 - 2p) / sqrt(p (1 - p)) with p = high / 1000
+        field = np.full(1000, 0.2)
+        field[:high] = 0.9
+        cases += [(field, branch), (1.1 - field, -branch)]
+    for field, branch in cases:
+        g1 = stats.skew(field.ravel())
+        assert (g1 > 1.0, g1 < -1.0) == (branch == 1, branch == -1)
+        mu = field.mean()
+        if branch == 1:
+            expected = np.where(field < mu, field * field, field)
+        elif branch == -1:
+            root = field**0.25
+            expected = np.where(root > mu, root * root, root)
+        else:
+            expected = field
+        np.testing.assert_array_equal(skew_enhance(field), expected)
+
+
 def test_skew_enhance_symmetric_passthrough():
     rng = np.random.default_rng(26)
     field = rng.uniform(0.2, 0.8, (8, 8))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_field_projection_matches_blockwise():
     expected = np.stack([project_schatten(b, math.inf) for b in field[0]])
     planar = np.ascontiguousarray(field.transpose(3, 2, 0, 1))
     data = planar.transpose(2, 3, 1, 0)
-    out = _project_ball(data, math.inf, np.empty_like(planar).transpose(2, 3, 1, 0))
+    out = _project_ball(data, math.inf)
     assert out is data
     np.testing.assert_allclose(out[0], expected, atol=1e-14)
 
@@ -358,3 +359,92 @@ def test_steered_solve_matches_convex_solver():
     cfg = SolverConfig(tau=tau, q=1, kernel=k, max_iters=5000, rel_tol=1e-14)
     ours = solve(Image(g[None]), dp, cfg).image
     assert np.abs(ours.data.ravel() - fv.value).max() < 1e-6
+
+
+def reference_solve(g, dp, cfg):
+    """Dual FISTA in the solver's iteration order, with fresh arrays for
+    every intermediate and no workspace."""
+    k, tau, c = cfg.kernel, cfg.tau, g.channels
+    lip = (16.0 * math.sqrt(2.0) * tau if dp is None
+           else lipschitz_field(dp, tau)[:, :, None, None])
+    psi = np.zeros(jacobian_apply(g.data, k, dp).shape)
+    prev = psi.copy()
+    t = 1.0
+    z_prev = None
+
+    def clip(w):
+        return w if cfg.constraint is None else np.clip(w, *cfg.constraint)
+
+    for it in range(1, cfg.max_iters + 1):
+        z = clip(g.data - tau * jacobian_adjoint_apply(psi, k, c, dp))
+        accepted = _project_ball(jacobian_apply(z, k, dp) / lip + psi, cfg.dual_p)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        psi = accepted + (t - 1.0) / t_next * (accepted - prev)
+        prev, t = accepted, t_next
+        if z_prev is not None and (np.linalg.norm(z - z_prev)
+                                   <= cfg.rel_tol * max(np.linalg.norm(z_prev), 1e-30)):
+            break
+        z_prev = z
+    return clip(g.data - tau * jacobian_adjoint_apply(prev, k, c, dp)), it
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 4)])
+@pytest.mark.parametrize("case", ["tv", "steered-1", "steered-3"])
+def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
+    rng = np.random.default_rng(23)
+    h, w = shape
+    if case == "tv":
+        g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
+        dp = None
+        cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=60, rel_tol=1e-3)
+    else:
+        g = Image(rng.random((int(case[-1]), h, w)) * 1.4 - 0.2)
+        dp = rand_params(rng, h, w)
+        cfg = SolverConfig(tau=0.1, q=1, max_iters=60, rel_tol=1e-3)
+    res = solve(g, dp, cfg)
+    expected, iterations = reference_solve(g, dp, cfg)
+    assert res.iterations == iterations
+    assert np.array_equal(res.image.data, expected)
+
+
+@pytest.mark.parametrize("case", ["tv", "steered"])
+def test_iterations_after_the_second_allocate_less_than_a_plane(case):
+    # peak traced memory between consecutive monitor calls, above what
+    # was held at the earlier call
+    rng = np.random.default_rng(24)
+    h = w = 64
+    g = Image(rng.random((1, h, w)))
+    if case == "tv":
+        dp = None
+        cfg = SolverConfig(tau=0.1, q=2, kernel=delta_kernel(), max_iters=8, rel_tol=1e-15)
+    else:
+        dp = rand_params(rng, h, w)
+        cfg = SolverConfig(tau=0.1, q=1, max_iters=8, rel_tol=1e-15)
+    growth = {}
+    held = {}
+
+    def mon(it, z, acc):
+        if it > 1:
+            growth[it] = tracemalloc.get_traced_memory()[1] - held["bytes"]
+        tracemalloc.reset_peak()
+        held["bytes"] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        solve(g, dp, cfg, monitor=mon)
+    finally:
+        tracemalloc.stop()
+    assert sorted(growth) == list(range(2, 9))
+    plane = h * w * 8
+    assert all(growth[it] < plane for it in range(3, 9)), growth
+
+
+def test_overflow_in_a_finite_input_raises():
+    # J of columns alternating +-1e308 overflows; the next iterate is NaN
+    data = np.empty((1, 6, 6))
+    data[..., 0::2] = 1e308
+    data[..., 1::2] = -1e308
+    cfg = SolverConfig(tau=0.1, q=2, kernel=delta_kernel(), constraint=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite values in solver iterate"):
+            solve(Image(data), None, cfg)

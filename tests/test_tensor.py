@@ -6,6 +6,7 @@ from adstv.diffops import delta_kernel, gaussian_kernel, grad_forward, reflect_i
 from adstv.tensor import (
     DirectionalParams,
     PatchJacobianField,
+    Workspace,
     apply_direction,
     coherence,
     directional_adjoint,
@@ -145,6 +146,39 @@ def test_jacobian_apply_is_planar_view_and_fills_out():
     np.testing.assert_array_equal(out, jf)
     with pytest.raises(ValueError):
         jacobian_apply(f.data, k, dp, out=np.zeros((6, 5, 9, 2)))
+
+
+@pytest.mark.parametrize("support", [1, 3, 5])
+def test_workspace_and_out_change_no_value(support):
+    # J and J* through one reused workspace, whose scratch is filled with
+    # NaN before every call, and into given outputs equal the plain calls
+    rng = np.random.default_rng(support)
+    k = delta_kernel() if support == 1 else gaussian_kernel(0.8, support)
+    h, w = 7, 5
+    for c in (1, 3):
+        for dp in (None, rand_params(rng, h, w)):
+            f = rand_image(rng, h, w, c).data
+            ws = Workspace(k, c, h, w, dp)
+            jf = jacobian_apply(f, k, dp)
+            psi = np.ascontiguousarray(rng.standard_normal((2, support**2 * c, h, w)))
+            psi = psi.transpose(2, 3, 1, 0)
+            adj = jacobian_adjoint_apply(psi, k, c, dp)
+            out = np.empty((2, support**2 * c, h, w)).transpose(2, 3, 1, 0)
+            into = np.empty((c, h, w))
+            for _ in range(2):
+                for plane in sum(ws.scratch(3, 8), []):
+                    plane[...] = np.nan
+                assert jacobian_apply(f, k, dp, out=out, workspace=ws) is out
+                np.testing.assert_array_equal(out, jf)
+                for plane in sum(ws.scratch(3, 8), []):
+                    plane[...] = np.nan
+                assert jacobian_adjoint_apply(psi, k, c, dp, out=into, workspace=ws) is into
+                np.testing.assert_array_equal(into, adj)
+            other = None if dp is not None else rand_params(rng, h, w)
+            with pytest.raises(ValueError):
+                jacobian_apply(f, k, other, workspace=ws)
+            with pytest.raises(ValueError):
+                jacobian_adjoint_apply(psi, k, c, other, workspace=ws)
 
 
 def test_gram_equals_convolution_structure_tensor():
