@@ -34,8 +34,7 @@ class FormatError(ValueError):
 
 @dataclass
 class Image:
-    """A float64 raster with explicit channel axis, shape (C, H, W), and
-    finite samples."""
+    """A float64 raster with explicit channel axis, shape (C, H, W)."""
 
     data: np.ndarray
 
@@ -49,8 +48,6 @@ class Image:
             raise ValueError("channel count must be 1 or 3")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("image dimensions must be positive")
-        if not np.isfinite(arr).all():
-            raise ValueError("image samples must be finite")
         self.data = arr
 
     @property
@@ -176,6 +173,8 @@ def _load_pfm(buf):
     if len(payload) < need:
         raise FormatError("truncated payload")
     arr = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("image samples must be finite")
     arr = arr.reshape(height, width, nchan)
     # PFM scanlines run bottom to top.
     arr = arr[::-1]

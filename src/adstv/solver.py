@@ -31,6 +31,8 @@ from .tensor import (
     PatchJacobianField,
     Workspace,
     _gram,
+    dual_field,
+    dual_planes,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
@@ -262,38 +264,32 @@ def solve(g, dp, cfg, monitor=None):
     p = cfg.dual_p
     nch, h, w_ = g.shape
     rows = kernel.support**2 * nch
-    if dp is None:
-        lip = 16.0 * math.sqrt(2.0) * tau
-    else:
-        if dp.shape != (h, w_):
-            raise ValueError("direction fields do not match image dimensions")
-        lip = lipschitz_field(dp, tau)
     ws = Workspace(kernel, nch, h, w_, dp)
-    # Three planar (2, rows, H, W) dual fields rotate through the loop: the
-    # extrapolated point psi, the last accepted point prev, and the ascent
-    # step.  J, J* and the monitor see their (H, W, rows, 2) views.
-    psi, prev, step = (np.zeros((2, rows, h, w_)) for _ in range(3))
+    lip = 16.0 * math.sqrt(2.0) * tau if dp is None else lipschitz_field(dp, tau)
+    # Three dual fields rotate through the loop: the extrapolated point psi,
+    # the last accepted point prev, and the ascent step.
+    psi, prev, step = (dual_field(rows, h, w_) for _ in range(3))
     z, z_prev = np.empty(g.shape), np.empty(g.shape)
     t = 1.0
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         # z = P_C(g - tau J* psi), written in place
-        jacobian_adjoint_apply(_field(psi), kernel, nch, dp, out=z, workspace=ws)
+        jacobian_adjoint_apply(psi, kernel, nch, dp, out=z, workspace=ws)
         z *= tau
         np.subtract(g.data, z, out=z)
         if cfg.constraint is not None:
             np.clip(z, cfg.constraint[0], cfg.constraint[1], out=z)
         if not np.isfinite(z, out=ws.mask).all():
             raise FloatingPointError("non-finite values in solver iterate")
-        jacobian_apply(z, kernel, dp, out=_field(step), workspace=ws)
+        jacobian_apply(z, kernel, dp, out=step, workspace=ws)
         if dp is None:
             step /= lip
         else:
-            for plane in step.reshape(-1, h, w_):
+            for plane in dual_planes(step):
                 plane /= lip
         step += psi
-        _project_ball(_field(step), p, ws)
+        _project_ball(step, p, ws)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         # psi <- step + (t - 1)/t_next (step - prev), written over prev; the
         # accepted step becomes prev and the spent psi buffer takes the
@@ -304,7 +300,7 @@ def solve(g, dp, cfg, monitor=None):
         step, psi, prev = psi, prev, step
         t = t_next
         if monitor is not None:
-            monitor(it, z, _field(prev))
+            monitor(it, z, prev)
         if it > 1:
             # z_prev is spent after this test: the next J* overwrites it
             base = float(np.linalg.norm(z_prev))
@@ -315,17 +311,12 @@ def solve(g, dp, cfg, monitor=None):
     # only prev is read from here on: release the other two dual fields
     # before the result is allocated
     del psi, step
-    final = jacobian_adjoint_apply(_field(prev), kernel, nch, dp, workspace=ws)
+    final = jacobian_adjoint_apply(prev, kernel, nch, dp, workspace=ws)
     final *= tau
     np.subtract(g.data, final, out=final)
     if cfg.constraint is not None:
         np.clip(final, cfg.constraint[0], cfg.constraint[1], out=final)
     return SolveResult(Image(final), iterations)
-
-
-def _field(planar):
-    """The (H, W, rows, 2) view of a planar (2, rows, H, W) dual field."""
-    return planar.transpose(2, 3, 1, 0)
 
 
 def denoise_adstv(g, dp, cfg):

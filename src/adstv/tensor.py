@@ -16,7 +16,8 @@ direction th and modulating its strength through a-.
 
 Storage is planar: jacobian_apply fills a (2, L*C, H, W) buffer, so every
 row of every gradient component is one contiguous H x W plane, and returns
-its (H, W, L*C, 2) view.  A row is gathered as a slice of the gradient
+its (H, W, L*C, 2) view; dual_field allocates such a view and dual_planes
+gives back its planes.  A row is gathered as a slice of the gradient
 plane extended by the kernel radius under reflect indexing (one np.take
 through a flat index); the adjoint adds each row into a padded plane at the
 same slice, as one contiguous run, and folds the border back onto the
@@ -52,6 +53,8 @@ __all__ = [
     "regularizer_value",
     "jacobian_apply",
     "jacobian_adjoint_apply",
+    "dual_field",
+    "dual_planes",
 ]
 
 
@@ -227,6 +230,19 @@ def _planar(field):
     return field.transpose(3, 2, 0, 1)
 
 
+def dual_field(rows, h, w):
+    """A zeroed (H, W, rows, 2) field over a planar (2, rows, H, W) buffer,
+    the layout jacobian_apply fills and both operators read fastest."""
+    return np.zeros((2, rows, h, w)).transpose(2, 3, 1, 0)
+
+
+def dual_planes(field):
+    """The 2*rows C-contiguous H x W planes of a dual_field, as one
+    (2*rows, H, W) view."""
+    h, w = field.shape[:2]
+    return _planar(field).reshape(-1, h, w, copy=False)
+
+
 def _gram(field, out=(None, None, None)):
     """Per-pixel Gram entries (gxx, gxy, gyy) of an (..., rows, 2) field,
     written to the three planes of out when given."""
@@ -341,11 +357,13 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
         grid[:, w:] = 0.0
         term = pads[2].reshape(-1)[:run]
     for c in range(channels):
-        if unit:
+        if r == 0:
+            # one tap: the rows are the channel's gradients, times sw
             ax, ay = planar[0, c], planar[1, c]
-        elif r == 0:
-            ax = np.multiply(ws.taps[0][1], planar[0, c], out=planes[0])
-            ay = np.multiply(ws.taps[0][1], planar[1, c], out=planes[1])
+            sw = ws.taps[0][1]
+            if sw != 1.0:
+                ax = np.multiply(sw, ax, out=planes[0])
+                ay = np.multiply(sw, ay, out=planes[1])
         else:
             for k in range(2):
                 # scatter each row back to its source pixel i - p_l, then

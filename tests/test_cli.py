@@ -59,9 +59,9 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     # a non-finite sample is rejected when the file is loaded
-    data = rng.random((1, 8, 8)).astype("<f4")
+    data = rng.random((1, 8, 8))
     data[0, 3, 4] = np.nan
-    src.write_bytes(b"Pf\n8 8\n-1.0\n" + data[0, ::-1].tobytes())
+    save_image(Image(data), src)
     assert main(["denoise", "--input", str(src), "--output", str(dst),
                  "--regularizer", "tv", "--tau", "0.1"]) == 1
     err = capsys.readouterr().err

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from adstv import Image
-from adstv.diffops import delta_kernel, gaussian_kernel, grad_forward, reflect_index
+from adstv.diffops import Kernel, delta_kernel, gaussian_kernel, grad_forward, reflect_index
 from adstv.tensor import (
     DirectionalParams,
     PatchJacobianField,
     Workspace,
     apply_direction,
     coherence,
+    dual_field,
+    dual_planes,
     directional_adjoint,
     directional_patch_jacobian,
     eig2x2,
@@ -146,6 +148,38 @@ def test_jacobian_apply_is_planar_view_and_fills_out():
     np.testing.assert_array_equal(out, jf)
     with pytest.raises(ValueError):
         jacobian_apply(f.data, k, dp, out=np.zeros((6, 5, 9, 2)))
+
+
+def test_dual_field_is_planar_and_its_planes_are_views():
+    rng = np.random.default_rng(23)
+    f = rand_image(rng, 6, 5, 3)
+    k = gaussian_kernel(0.5, 3)
+    field = dual_field(27, 6, 5)
+    assert field.shape == (6, 5, 27, 2) and not field.any()
+    assert jacobian_apply(f.data, k, out=field) is field
+    planes = dual_planes(field)
+    assert planes.shape == (54, 6, 5) and np.shares_memory(planes, field)
+    np.testing.assert_array_equal(planes[27 + 4], field[:, :, 4, 1])
+    with pytest.raises(ValueError):
+        dual_planes(np.zeros((6, 5, 27, 2)))
+
+
+def test_single_tap_weight_scales_the_rows():
+    # a 1x1 kernel whose weight is not exactly 1 scales J and J* by its
+    # square root
+    rng = np.random.default_rng(29)
+    k = Kernel(np.array([[1.0 - 1e-12]]))
+    sw = np.sqrt(1.0 - 1e-12)
+    assert sw != 1.0
+    for c in (1, 3):
+        for dp in (None, rand_params(rng, 6, 5)):
+            f = rand_image(rng, 6, 5, c).data
+            np.testing.assert_array_equal(
+                jacobian_apply(f, k, dp), sw * jacobian_apply(f, delta_kernel(), dp))
+            psi = rng.standard_normal((6, 5, c, 2))
+            np.testing.assert_array_equal(
+                jacobian_adjoint_apply(psi, k, c, dp),
+                jacobian_adjoint_apply(sw * psi, delta_kernel(), c, dp))
 
 
 @pytest.mark.parametrize("support", [1, 3, 5])
