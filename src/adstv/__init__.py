@@ -21,7 +21,7 @@ from .image import (
     ssim,
     to_luminance,
 )
-from .solver import SolverConfig, denoise_adstv, solve, tv_denoise
+from .solver import SolverConfig, solve, tv_denoise
 from .tensor import DirectionalParams, regularizer_value
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "analyze",
     "estimate",
     "eadtv_angles",
-    "denoise_adstv",
     "solve",
     "tv_denoise",
     "__version__",

@@ -29,11 +29,57 @@ __all__ = [
     "default_st_support",
     "default_tau_grid",
     "default_alpha_grid",
+    "regularizer",
     "run_tuple",
     "bench",
 ]
 
 REGULARIZERS = ("tv", "eadtv", "stv", "adstv")
+
+
+def regularizer(name, g, kernel, q, smooth_sigma=1.5, num_scales=2, st_support=None):
+    """The (kernel, q, steering) that the regularizer name denoises g with.
+
+    tv is the delta kernel at q = 2 and stv the given kernel at q; neither
+    is steered, and steering is None.  eadtv (the delta kernel) and adstv
+    (the given kernel) are steered at q: steering maps alpha_plus to the
+    DirectionalParams of the solve.  Its first call estimates the fields
+    from g, with eadtv_angles (gradients smoothed by smooth_sigma) or with
+    analyze (num_scales scales, structure-tensor support st_support, by
+    default chosen from the image size), and later calls reuse them.
+    """
+    if name == "tv":
+        return delta_kernel(), 2, None
+    if name == "stv":
+        return kernel, q, None
+    if name == "eadtv":
+        kernel = delta_kernel()
+
+        def fields():
+            theta = eadtv_angles(g, smooth_sigma)
+            ones = np.ones(theta.shape)
+            return lambda alpha_plus: DirectionalParams(alpha_plus, ones, theta)
+    elif name == "adstv":
+
+        def fields():
+            support = st_support
+            if support is None:
+                support = default_st_support(g.height, g.width)
+            # analyze() never reads alpha_plus; the value here only satisfies
+            # config validation, and the real alpha is steering's argument
+            cfg = DpeConfig(alpha_plus=2.0, num_scales=num_scales, st_support=support)
+            return analyze(g, cfg).directional_params
+    else:
+        raise ValueError("unknown regularizer %r" % name)
+    estimated = []
+
+    def steering(alpha_plus):
+        if not estimated:
+            estimated.append(fields())
+        return estimated[0](alpha_plus)
+
+    return kernel, q, steering
+
 
 CSV_HEADER = "image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,ssim,iters,wall_seconds,seed"
 
@@ -115,44 +161,26 @@ def _solver_kwargs(opts):
     )
 
 
-def run_tuple(clean, image_id, sigma_eta, regularizer, tau_grid, alpha_grid,
+def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
               master_seed, opts=None):
     """Best-PSNR record for one (image, sigma, regularizer) tuple."""
     opts = opts or {}
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
-    kernel = opts.get("kernel") or gaussian_kernel(0.5, 3)
-    q = opts.get("q", 1)
-
-    if regularizer == "tv":
-        configs = [(delta_kernel(), 2, None, 1.0)]
-    elif regularizer == "stv":
-        configs = [(kernel, q, None, 1.0)]
-    elif regularizer == "eadtv":
-        theta = eadtv_angles(noisy, opts.get("smooth_sigma", 1.5))
-        ones = np.ones(theta.shape)
-        configs = [
-            (delta_kernel(), q, DirectionalParams(a, ones, theta), a)
-            for a in alpha_grid
-        ]
-    elif regularizer == "adstv":
-        # analyze() never reads alpha_plus; the value here only satisfies
-        # config validation, and the real alpha comes from the grid below
-        dpe_cfg = DpeConfig(
-            alpha_plus=2.0,
-            num_scales=opts.get("num_scales") or default_num_scales(sigma_eta),
-            st_support=opts.get("st_support")
-            or default_st_support(clean.height, clean.width),
-        )
-        fields = analyze(noisy, dpe_cfg)
-        configs = [(kernel, q, fields.directional_params(a), a) for a in alpha_grid]
+    kernel, q, steering = regularizer(
+        reg, noisy, opts.get("kernel") or gaussian_kernel(0.5, 3), opts.get("q", 1),
+        smooth_sigma=opts.get("smooth_sigma", 1.5),
+        num_scales=opts.get("num_scales") or default_num_scales(sigma_eta),
+        st_support=opts.get("st_support"))
+    if steering is None:
+        runs = [(1.0, None)]
     else:
-        raise ValueError("unknown regularizer %r" % regularizer)
+        runs = ((a, steering(a)) for a in alpha_grid)
 
     best = None
-    for run_kernel, run_q, dp, alpha in configs:
+    for alpha, dp in runs:
         for tau in tau_grid:
-            cfg = SolverConfig(tau=float(tau), q=run_q, kernel=run_kernel,
+            cfg = SolverConfig(tau=float(tau), q=q, kernel=kernel,
                                **_solver_kwargs(opts))
             t0 = time.perf_counter()
             result = solve(noisy, dp, cfg)
@@ -161,7 +189,7 @@ def run_tuple(clean, image_id, sigma_eta, regularizer, tau_grid, alpha_grid,
             if best is None or p > best.psnr_db:
                 best = RunRecord(
                     image_id=image_id,
-                    regularizer=regularizer,
+                    regularizer=reg,
                     sigma_eta=float(sigma_eta),
                     tau=float(tau),
                     alpha_plus=float(alpha),
@@ -183,6 +211,9 @@ def _run_tuple_from_path(args):
 def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
           master_seed=0, jobs=1, opts=None):
     """Sweep all tuples; returns RunRecords in deterministic order."""
+    for reg in regularizers:
+        if reg not in REGULARIZERS:
+            raise ValueError("unknown regularizer %r" % reg)
     tasks = []
     for path, image_id in image_paths:
         for sigma in sigmas:
@@ -190,8 +221,10 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
                 tasks.append((str(path), image_id, float(sigma), reg,
                               list(tau_grid), list(alpha_grid), master_seed,
                               opts or {}))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at once, so it gets no more than tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_tuple_from_path, tasks))
     return [_run_tuple_from_path(t) for t in tasks]
 

@@ -14,15 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    REGULARIZERS,
     bench,
     default_alpha_grid,
     default_num_scales,
     default_st_support,
     default_tau_grid,
+    regularizer,
     write_csv,
 )
-from .diffops import delta_kernel, gaussian_kernel
-from .dpe import DpeConfig, eadtv_angles, estimate
+from .diffops import gaussian_kernel
+from .dpe import DpeConfig, estimate
 from .image import Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, psnr, save_image, ssim
 from .solver import SolverConfig, project_box, solve
 from .tensor import DirectionalParams
@@ -53,14 +55,18 @@ def _add_dpe_flags(p):
                    help="declared noise level; only sets the default scale count")
 
 
+def _num_scales(args):
+    if args.scales is not None:
+        return args.scales
+    return default_num_scales(args.noise_sigma) if args.noise_sigma is not None else 2
+
+
 def _dpe_config(args, img):
-    scales = args.scales
-    if scales is None:
-        scales = default_num_scales(args.noise_sigma) if args.noise_sigma is not None else 2
     support = args.st_support
     if support is None:
         support = default_st_support(img.height, img.width)
-    return DpeConfig(alpha_plus=args.alpha_plus, num_scales=scales, st_support=support)
+    return DpeConfig(alpha_plus=args.alpha_plus, num_scales=_num_scales(args),
+                     st_support=support)
 
 
 def _dump_fields(dirpath, dp):
@@ -73,29 +79,25 @@ def _dump_fields(dirpath, dp):
 def cmd_denoise(args):
     img = load_image(args.input)
     box = None if args.unconstrained else (0.0, 1.0)
-    kernel = gaussian_kernel(args.kernel_sigma, args.kernel_support)
     reg = args.regularizer
-    q = args.q
+    kernel, q, steering = regularizer(
+        reg, img, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,
+        smooth_sigma=args.smooth_sigma, num_scales=_num_scales(args),
+        st_support=args.st_support)
     dp = None
-    if reg == "tv":
-        kernel = delta_kernel()
-        q = 2
-    elif reg == "eadtv":
-        kernel = delta_kernel()
-        theta = eadtv_angles(img, args.smooth_sigma)
-        dp = DirectionalParams(args.alpha_plus, np.ones(theta.shape), theta)
-    elif reg == "adstv":
-        if args.theta_override is not None:
-            # fixed global direction: no estimation, unit dose everywhere
-            shape = (img.height, img.width)
-            folded = args.theta_override % math.pi
-            if folded >= math.pi:
-                folded = 0.0
-            dp = DirectionalParams(args.alpha_plus, np.ones(shape), np.full(shape, folded))
-        elif args.alpha_plus <= 1.0:
-            raise ValueError("adstv needs --alpha-plus > 1 unless --theta-override is given")
-        else:
-            dp = estimate(img, _dpe_config(args, img))
+    if reg == "adstv" and args.theta_override is not None:
+        # fixed global direction: no estimation, unit dose everywhere
+        shape = (img.height, img.width)
+        folded = args.theta_override % math.pi
+        if folded >= math.pi:
+            folded = 0.0
+        dp = DirectionalParams(args.alpha_plus, np.ones(shape), np.full(shape, folded))
+    elif steering is not None:
+        # written so that NaN fails it too
+        if reg == "adstv" and not 1.0 < args.alpha_plus < math.inf:
+            raise ValueError("adstv needs a finite --alpha-plus > 1 unless "
+                             "--theta-override is given")
+        dp = steering(args.alpha_plus)
     if args.dump_fields:
         if dp is None:
             raise ValueError("--dump-fields requires a directional regularizer")
@@ -112,8 +114,6 @@ def cmd_denoise(args):
 
 def cmd_add_noise(args):
     img = load_image(args.input)
-    if args.sigma < 0:
-        raise ValueError("--sigma must be nonnegative")
     noisy = add_gaussian_noise(img, NoiseSpec(args.sigma, args.seed))
     save_image(noisy, args.output)
     return 0
@@ -179,8 +179,7 @@ def _build_parser():
     p = sub.add_parser("denoise", help="restore a noisy image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--regularizer", required=True,
-                   choices=("tv", "eadtv", "stv", "adstv"))
+    p.add_argument("--regularizer", required=True, choices=REGULARIZERS)
     _add_solver_flags(p)
     _add_dpe_flags(p)
     p.add_argument("--smooth-sigma", type=float, default=1.5,

@@ -7,6 +7,7 @@ precision.  All smoothing is correlation with mirror (edge-duplicating)
 extension.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,12 @@ class Kernel:
             raise ValueError("kernel must be square")
         if w.shape[0] % 2 == 0:
             raise ValueError("kernel support must be odd")
-        if np.any(w < 0):
+        # Each test is written so that NaN fails it.
+        if not np.all(np.isfinite(w)):
+            raise ValueError("kernel weights must be finite")
+        if not np.all(w >= 0):
             raise ValueError("kernel weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("kernel weights must sum to 1")
         self.weights = w
 
@@ -93,8 +97,8 @@ def gaussian_kernel(sigma, support):
         raise ValueError("support must be odd and positive")
     if support == 1:
         return delta_kernel()
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("kernel sigma must be positive and finite")
     r = support // 2
     t = np.arange(-r, r + 1, dtype=np.float64)
     g = np.exp(-(t**2) / (2.0 * sigma**2))

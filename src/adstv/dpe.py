@@ -210,8 +210,8 @@ def eadtv_angles(g, smooth_sigma=1.5):
     """Edge-tangent orientation field: the angle perpendicular to the
     smoothed luminance gradient, folded into [0, pi); 0 where the gradient
     vanishes."""
-    if smooth_sigma <= 0:
-        raise ValueError("smooth_sigma must be positive")
+    if not (math.isfinite(smooth_sigma) and smooth_sigma > 0):
+        raise ValueError("smooth_sigma must be positive and finite")
     gl = to_luminance(g).data[0]
     support = 2 * int(np.ceil(3.0 * smooth_sigma)) + 1
     gl = convolve_channel(gl, gaussian_kernel(smooth_sigma, support))

@@ -81,8 +81,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_eta < 0:
-            raise ValueError("sigma_eta must be nonnegative")
+        if not 0 <= self.sigma_eta < math.inf:
+            raise ValueError("sigma_eta must be finite and nonnegative")
 
 
 @dataclass

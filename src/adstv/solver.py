@@ -28,7 +28,6 @@ import numpy as np
 from .diffops import Kernel, delta_kernel, gaussian_kernel
 from .image import Image
 from .tensor import (
-    PatchJacobianField,
     Workspace,
     _gram,
     dual_field,
@@ -47,12 +46,10 @@ __all__ = [
     "SolveResult",
     "lipschitz_field",
     "project_box",
-    "project_schatten",
     "dual_gradient",
     "dual_objective",
     "primal_energy",
     "solve",
-    "denoise_adstv",
     "tv_denoise",
 ]
 
@@ -204,33 +201,18 @@ def _project_ball(data, p, workspace=None):
     return data
 
 
-def project_schatten(m, p):
-    """Nearest point of the unit Schatten-p ball to one (rows, 2) matrix.
-
-    For p = 2 this scales by 1/max(1, ||m||_F); for p = inf it clamps the
-    singular values to <= 1 through the 2x2 Gram matrix, never forming the
-    left singular vectors.
-    """
-    m = np.array(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != 2:
-        raise ValueError("m must have shape (rows, 2)")
-    return _project_ball(m, p)
-
-
-def _adjoint_image(psi_data, g, kernel, dp):
-    return jacobian_adjoint_apply(psi_data, kernel, g.channels, dp)
-
-
 def dual_gradient(psi, g, dp, cfg):
-    """tau * J~ P_C(g - tau J~* Psi), the ascent direction of the dual."""
-    w = g.data - cfg.tau * _adjoint_image(psi.data, g, cfg.kernel, dp)
+    """tau * J~ P_C(g - tau J~* Psi), the ascent direction of the dual at
+    the (H, W, rows, 2) field psi, as a field of the same shape."""
+    w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)
     z = _clip(w, cfg.constraint)
-    return PatchJacobianField(cfg.tau * jacobian_apply(z, cfg.kernel, dp), cfg.kernel, g.channels)
+    return cfg.tau * jacobian_apply(z, cfg.kernel, dp)
 
 
 def dual_objective(psi, g, dp, cfg):
-    """The dual value at Psi; diagnostic companion of dual_gradient."""
-    w = g.data - cfg.tau * _adjoint_image(psi.data, g, cfg.kernel, dp)
+    """The dual value at the (H, W, rows, 2) field psi; diagnostic
+    companion of dual_gradient."""
+    w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)
     pc = _clip(w, cfg.constraint)
     return float(
         0.5 * np.sum((w - pc) ** 2) + 0.5 * (np.sum(g.data**2) - np.sum(w * w))
@@ -317,11 +299,6 @@ def solve(g, dp, cfg, monitor=None):
     if cfg.constraint is not None:
         np.clip(final, cfg.constraint[0], cfg.constraint[1], out=final)
     return SolveResult(Image(final), iterations)
-
-
-def denoise_adstv(g, dp, cfg):
-    """Denoise g with the steered regularizer defined by dp and cfg."""
-    return solve(g, dp, cfg).image
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5):

@@ -1,4 +1,4 @@
-"""Patch-based Jacobian fields, structure tensors, and their adjoints.
+"""The patch-based Jacobian operator, its adjoint, and 2x2 eigensystems.
 
 The patch-based Jacobian attaches to every pixel i an (L*C) x 2 matrix whose
 rows are kernel-weighted gradients gathered from the neighborhood:
@@ -34,20 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import GradientField, Kernel, div_backward, grad_forward, reflect_index
-from .image import Image
+from .diffops import GradientField, div_backward, grad_forward, reflect_index
 
 __all__ = [
     "DirectionalParams",
     "Workspace",
-    "PatchJacobianField",
-    "StructureTensorField",
-    "patch_jacobian",
-    "patch_jacobian_adjoint",
-    "directional_patch_jacobian",
-    "directional_adjoint",
     "apply_direction",
-    "structure_tensor",
     "eig2x2",
     "coherence",
     "regularizer_value",
@@ -104,56 +96,6 @@ class DirectionalParams:
             cached = (np.cos(self.theta), np.sin(self.theta))
             self._trig = cached
         return cached
-
-
-@dataclass
-class PatchJacobianField:
-    """Stack of per-pixel (L*C) x 2 matrices, stored as (H, W, L*C, 2)."""
-
-    data: np.ndarray
-    kernel: Kernel
-    channels: int
-
-    def __post_init__(self):
-        if self.data.ndim != 4 or self.data.shape[-1] != 2:
-            raise ValueError("field data must have shape (H, W, rows, 2)")
-        if self.data.shape[2] != self.kernel.support**2 * self.channels:
-            raise ValueError("row count must equal support^2 * channels")
-
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
-    @property
-    def rows(self):
-        return self.data.shape[2]
-
-    def gram(self):
-        """Per-pixel 2x2 Gram matrix M^T M, shape (H, W, 2, 2)."""
-        gxx, gxy, gyy = _gram(self.data)
-        out = np.empty(gxx.shape + (2, 2))
-        out[..., 0, 0] = gxx
-        out[..., 0, 1] = gxy
-        out[..., 1, 0] = gxy
-        out[..., 1, 1] = gyy
-        return out
-
-
-@dataclass
-class StructureTensorField:
-    """Smoothed gradient outer products with their eigensystem."""
-
-    sxx: np.ndarray
-    sxy: np.ndarray
-    syy: np.ndarray
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +343,7 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
 
 
 # ---------------------------------------------------------------------------
-# Public operators
-
-
-def patch_jacobian(f, k):
-    """Kernel-weighted stack of shifted gradients for every pixel."""
-    return PatchJacobianField(jacobian_apply(f.data, k), k, f.channels)
-
-
-def patch_jacobian_adjoint(psi):
-    """Exact adjoint of patch_jacobian under the Euclidean inner products."""
-    return Image(jacobian_adjoint_apply(psi.data, psi.kernel, psi.channels))
+# Steering, eigensystems and the regularizer
 
 
 def apply_direction(g, ap, am, th):
@@ -426,40 +358,6 @@ def apply_direction(g, ap, am, th):
     gx = g[..., 0]
     gy = g[..., 1]
     return np.stack([ap * (ct * gx + st * gy), am * (ct * gy - st * gx)], axis=-1)
-
-
-def directional_patch_jacobian(f, k, dp):
-    """Patch-based Jacobian of the steered gradients.
-
-    Each channel gradient is transformed by apply_direction with the
-    alpha_minus and theta values at its source pixel, then gathered and
-    weighted exactly like patch_jacobian.
-    """
-    return PatchJacobianField(jacobian_apply(f.data, k, dp), k, f.channels)
-
-
-def directional_adjoint(psi, dp):
-    """Exact adjoint of directional_patch_jacobian."""
-    return Image(jacobian_adjoint_apply(psi.data, psi.kernel, psi.channels, dp))
-
-
-def structure_tensor(f, k):
-    """Channel-summed gradient outer products, smoothed by k, with eigensystem."""
-    sxx = np.zeros((f.height, f.width))
-    sxy = np.zeros_like(sxx)
-    syy = np.zeros_like(sxx)
-    for c in range(f.channels):
-        gf = grad_forward(f.data[c])
-        sxx += gf.gx * gf.gx
-        sxy += gf.gx * gf.gy
-        syy += gf.gy * gf.gy
-    from .diffops import convolve_channel
-
-    sxx = convolve_channel(sxx, k)
-    sxy = convolve_channel(sxy, k)
-    syy = convolve_channel(syy, k)
-    lp, lm, vp, vm = eig2x2(sxx, sxy, syy)
-    return StructureTensorField(sxx, sxy, syy, lp, lm, vp, vm)
 
 
 def eig2x2(sxx, sxy, syy):

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 
 from adstv import Image
-from adstv.tensor import DirectionalParams
+from adstv.diffops import convolve_channel, grad_forward
+from adstv.tensor import DirectionalParams, eig2x2
 
 
 def rand_image(rng, h, w, c=1):
@@ -22,3 +25,23 @@ def stripe_image(h, w, tangent_angle, period=8.0, contrast=0.4):
     normal = tangent_angle + np.pi / 2.0
     phase = xx * np.cos(normal) + yy * np.sin(normal)
     return Image((0.5 + contrast * np.sin(2.0 * np.pi * phase / period))[None])
+
+
+def structure_tensor(f, k):
+    """Oracle for the Gram matrices of the patch Jacobian: channel-summed
+    gradient outer products smoothed by k (the convolution route), with
+    their eigensystem."""
+    sxx = np.zeros((f.height, f.width))
+    sxy = np.zeros_like(sxx)
+    syy = np.zeros_like(sxx)
+    for c in range(f.channels):
+        gf = grad_forward(f.data[c])
+        sxx += gf.gx * gf.gx
+        sxy += gf.gx * gf.gy
+        syy += gf.gy * gf.gy
+    sxx = convolve_channel(sxx, k)
+    sxy = convolve_channel(sxy, k)
+    syy = convolve_channel(syy, k)
+    lp, lm, vp, vm = eig2x2(sxx, sxy, syy)
+    return SimpleNamespace(sxx=sxx, sxy=sxy, syy=syy, lambda_plus=lp,
+                           lambda_minus=lm, v_plus=vp, v_minus=vm)

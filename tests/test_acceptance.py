@@ -22,23 +22,22 @@ from adstv.dpe import DpeConfig, analyze, estimate
 from adstv.image import Image, NoiseSpec, add_gaussian_noise, psnr
 from adstv.solver import (
     SolverConfig,
+    _project_ball,
     dual_gradient,
     dual_objective,
     primal_energy,
     project_box,
-    project_schatten,
     solve,
     tv_denoise,
 )
 from adstv.tensor import (
     DirectionalParams,
-    PatchJacobianField,
+    _gram,
     jacobian_adjoint_apply,
     jacobian_apply,
-    structure_tensor,
 )
 
-from conftest import rand_image, rand_params, stripe_image
+from conftest import rand_image, rand_params, stripe_image, structure_tensor
 
 
 def report(name, ok, detail):
@@ -183,9 +182,8 @@ def test_criterion02_structure_tensor_paths():
         for c in (1, 3):
             f = rng.random((c, 16, 16))
             st = structure_tensor(Image(f), kernel)
-            gram = PatchJacobianField(jacobian_apply(f, kernel), kernel, c).gram()
-            for a, b in ((gram[..., 0, 0], st.sxx), (gram[..., 0, 1], st.sxy),
-                         (gram[..., 1, 1], st.syy)):
+            gxx, gxy, gyy = _gram(jacobian_apply(f, kernel))
+            for a, b in ((gxx, st.sxx), (gxy, st.sxy), (gyy, st.syy)):
                 worst = max(worst, float(np.abs(a - b).max()))
     elapsed = time.perf_counter() - t0
     report("2 tensor-paths", worst <= 1e-10 and elapsed < 5.0,
@@ -198,17 +196,17 @@ def test_criterion03_dual_gradient():
     g = rand_image(rng, 4, 4)
     dp = rand_params(rng, 4, 4)
     cfg = SolverConfig(tau=0.3, constraint=None)
-    psi = PatchJacobianField(0.2 * rng.standard_normal((4, 4, 9, 2)), cfg.kernel, 1)
+    psi = 0.2 * rng.standard_normal((4, 4, 9, 2))
     grad = dual_gradient(psi, g, dp, cfg)
     eps = 1e-4
     worst = 0.0
     for _ in range(50):
-        direction = rng.standard_normal(psi.data.shape)
+        direction = rng.standard_normal(psi.shape)
         direction /= np.linalg.norm(direction)
-        plus = PatchJacobianField(psi.data + eps * direction, cfg.kernel, 1)
-        minus = PatchJacobianField(psi.data - eps * direction, cfg.kernel, 1)
+        plus = psi + eps * direction
+        minus = psi - eps * direction
         fd = (dual_objective(plus, g, dp, cfg) - dual_objective(minus, g, dp, cfg)) / (2 * eps)
-        ip = float(np.vdot(grad.data, direction))
+        ip = float(np.vdot(grad, direction))
         worst = max(worst, abs(fd - ip) / max(abs(fd), abs(ip), 1e-12))
     elapsed = time.perf_counter() - t0
     report("3 dual-gradient", worst <= 1e-5 and elapsed < 10.0,
@@ -223,7 +221,7 @@ def test_criterion04_projection_optimality():
     for _ in range(100):
         rows = int(rng.integers(1, 13))
         m = rng.standard_normal((rows, 2)) * float(rng.choice([0.3, 1.0, 3.0]))
-        proj = project_schatten(m, math.inf)
+        proj = _project_ball(np.array(m, float), math.inf)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         oracle = (u * np.minimum(s, 1.0)) @ vt
         worst_svd = max(worst_svd, float(np.abs(proj - oracle).max()))
@@ -290,8 +288,7 @@ def test_criterion06b_dual_trace_monotone():
         trace = []
 
         def mon(it, z, acc, trace=trace, g=g, dp=dp, cfg=cfg):
-            trace.append(dual_objective(
-                PatchJacobianField(acc, cfg.kernel, 1), g, dp, cfg))
+            trace.append(dual_objective(acc, g, dp, cfg))
 
         solve(g, dp, cfg, monitor=mon)
         d = np.asarray(trace)

@@ -50,14 +50,33 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
     src = tmp_path / "src.pfm"
     dst = tmp_path / "dst.pgm"
     save_image(rand_image(rng, 8, 8), src)
-    for reg, flags in (("tv", ["--tau", "nan"]), ("stv", ["--tau", "inf"]),
-                       ("stv", ["--tau", "0.1", "--tol", "nan"]),
-                       ("eadtv", ["--tau", "0.1", "--alpha-plus", "nan"]),
-                       ("adstv", ["--tau", "0.1", "--alpha-plus", "nan"])):
-        assert main(["denoise", "--input", str(src), "--output", str(dst),
-                     "--regularizer", reg] + flags) == 1
+    io = ["--input", str(src), "--output", str(dst)]
+    for argv, says in (
+            (["denoise", "--regularizer", "tv", "--tau", "nan"], "tau"),
+            (["denoise", "--regularizer", "stv", "--tau", "inf"], "tau"),
+            (["denoise", "--regularizer", "stv", "--tau", "0.1", "--tol", "nan"], "rel_tol"),
+            (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--alpha-plus", "nan"],
+             "alpha_plus"),
+            # rejected before the direction fields are estimated
+            (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--alpha-plus", "nan"],
+             "--alpha-plus"),
+            (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--alpha-plus", "inf"],
+             "--alpha-plus"),
+            (["denoise", "--regularizer", "stv", "--tau", "0.1", "--kernel-sigma", "nan"],
+             "kernel"),
+            (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--kernel-sigma", "inf"],
+             "kernel"),
+            (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--smooth-sigma", "inf"],
+             "smooth_sigma"),
+            (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--smooth-sigma", "nan"],
+             "smooth_sigma"),
+            (["add-noise", "--sigma", "nan"], "sigma_eta"),
+            (["add-noise", "--sigma", "inf"], "sigma_eta")):
+        assert main(argv[:1] + io + argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert not dst.exists()
     # a non-finite sample is rejected when the file is loaded
     data = rng.random((1, 8, 8))
     data[0, 3, 4] = np.nan

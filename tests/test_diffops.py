@@ -121,6 +121,13 @@ def test_kernel_validation():
         Kernel(np.ones((3, 3)))           # sum != 1
     with pytest.raises(ValueError):
         Kernel(np.array([[2.0, -1.0, 0.0]] * 3) / 3)  # negative weight
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Kernel(np.array([[bad]]))
+        weights = np.full((3, 3), 1.0 / 9.0)
+        weights[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Kernel(weights)
     k = delta_kernel()
     assert k.support == 1 and k.weights[0, 0] == 1.0
 
@@ -140,6 +147,9 @@ def test_gaussian_kernel_values():
         gaussian_kernel(1.0, 4)
     with pytest.raises(ValueError):
         gaussian_kernel(-1.0, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="kernel sigma"):
+            gaussian_kernel(bad, 3)
 
 
 def test_kernel_taps_enumeration():

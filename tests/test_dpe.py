@@ -341,3 +341,6 @@ def test_eadtv_angles_flat_and_validation():
     np.testing.assert_array_equal(eadtv_angles(g), 0.0)
     with pytest.raises(ValueError):
         eadtv_angles(g, smooth_sigma=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="smooth_sigma"):
+            eadtv_angles(g, smooth_sigma=bad)

@@ -121,6 +121,12 @@ def test_noise_deterministic_and_unclamped():
     np.testing.assert_array_equal(zero.data, img.data)
 
 
+def test_noise_spec_rejects_bad_sigma():
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma_eta"):
+            NoiseSpec(bad)
+
+
 def test_noise_sample_statistics():
     img = Image(np.zeros((1, 512, 512)))
     out = add_gaussian_noise(img, NoiseSpec(0.1, seed=0))

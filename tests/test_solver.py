@@ -9,25 +9,27 @@ from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
     SolverConfig,
     _project_ball,
-    denoise_adstv,
     dual_gradient,
     dual_objective,
     lipschitz_field,
     primal_energy,
     project_box,
-    project_schatten,
     solve,
     tv_denoise,
 )
 from adstv.tensor import (
     DirectionalParams,
-    PatchJacobianField,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
 )
 
 from conftest import rand_image, rand_params
+
+
+def project_block(m, p):
+    """The projection of one (rows, 2) block onto the unit Schatten-p ball."""
+    return _project_ball(np.array(m, float), p)
 
 
 def svd_clamp(m):
@@ -83,16 +85,16 @@ def test_project_box():
 
 def test_project_schatten_inside_ball_and_clamp():
     m = np.diag([0.5, 0.2])
-    np.testing.assert_allclose(project_schatten(m, math.inf), m, atol=1e-14)
+    np.testing.assert_allclose(project_block(m, math.inf), m, atol=1e-14)
     m = np.diag([3.0, 0.5])
-    out = project_schatten(m, math.inf)
+    out = project_block(m, math.inf)
     np.testing.assert_allclose(np.linalg.svd(out, compute_uv=False), [1.0, 0.5], atol=1e-12)
     # p=2: Frobenius rescale
     m = np.array([[3.0, 4.0]])
-    np.testing.assert_allclose(project_schatten(m, 2), m / 5.0, atol=1e-14)
-    np.testing.assert_allclose(project_schatten(m / 10.0, 2), m / 10.0, atol=1e-14)
+    np.testing.assert_allclose(project_block(m, 2), m / 5.0, atol=1e-14)
+    np.testing.assert_allclose(project_block(m / 10.0, 2), m / 10.0, atol=1e-14)
     with pytest.raises(ValueError):
-        project_schatten(np.zeros((2, 2)), 3)
+        project_block(np.zeros((2, 2)), 3)
 
 
 def test_project_schatten_matches_svd_oracle():
@@ -100,18 +102,18 @@ def test_project_schatten_matches_svd_oracle():
     for _ in range(100):
         rows = int(rng.integers(1, 13))
         m = rng.standard_normal((rows, 2)) * rng.choice([0.2, 1.0, 4.0])
-        out = project_schatten(m, math.inf)
+        out = project_block(m, math.inf)
         np.testing.assert_allclose(out, svd_clamp(m), atol=1e-10)
         # idempotent, and no singular value grows
-        np.testing.assert_allclose(project_schatten(out, math.inf), out, atol=1e-10)
+        np.testing.assert_allclose(project_block(out, math.inf), out, atol=1e-10)
         assert (np.linalg.svd(out, compute_uv=False)
                 <= np.linalg.svd(m, compute_uv=False) + 1e-12).all()
 
 
 def test_project_schatten_zero_and_rank1():
-    np.testing.assert_array_equal(project_schatten(np.zeros((4, 2)), math.inf), np.zeros((4, 2)))
+    np.testing.assert_array_equal(project_block(np.zeros((4, 2)), math.inf), np.zeros((4, 2)))
     m = np.array([[6.0, 0.0], [8.0, 0.0]])  # rank 1, sigma = 10
-    out = project_schatten(m, math.inf)
+    out = project_block(m, math.inf)
     np.testing.assert_allclose(out, m / 10.0, atol=1e-12)
 
 
@@ -136,7 +138,7 @@ def branch_blocks():
 @pytest.mark.parametrize("branch", ["equal", "zero", "rank1", "on_ball"])
 def test_project_schatten_branches_match_svd_oracle(branch):
     for m in branch_blocks()[branch]:
-        out = project_schatten(m, math.inf)
+        out = project_block(m, math.inf)
         np.testing.assert_allclose(out, svd_clamp(m), atol=1e-10)
         assert np.all(np.isfinite(out))
 
@@ -145,8 +147,8 @@ def test_project_schatten_one_row_is_frobenius_rescale():
     rng = np.random.default_rng(21)
     for scale in (0.0, 0.2, 1.0, 7.0):
         m = scale * rng.standard_normal((1, 2))
-        out = project_schatten(m, math.inf)
-        np.testing.assert_array_equal(out, project_schatten(m, 2))
+        out = project_block(m, math.inf)
+        np.testing.assert_array_equal(out, project_block(m, 2))
         np.testing.assert_allclose(out, svd_clamp(m), atol=1e-10)
 
 
@@ -159,7 +161,7 @@ def test_field_projection_matches_blockwise():
     blocks += list(rng.standard_normal((20, rows, 2)) * rng.choice([0.2, 1.0, 4.0], (20, 1, 1)))
     # zero rows leave the singular values, and the projection, unchanged
     field = np.stack([np.vstack([b, np.zeros((rows - len(b), 2))]) for b in blocks])[None]
-    expected = np.stack([project_schatten(b, math.inf) for b in field[0]])
+    expected = np.stack([project_block(b, math.inf) for b in field[0]])
     planar = np.ascontiguousarray(field.transpose(3, 2, 0, 1))
     data = planar.transpose(2, 3, 1, 0)
     out = _project_ball(data, math.inf)
@@ -171,23 +173,22 @@ def test_dual_gradient_trivial_cases():
     rng = np.random.default_rng(2)
     g = rand_image(rng, 5, 5)
     cfg = SolverConfig(tau=0.3, constraint=None)
-    pj = PatchJacobianField(np.zeros((5, 5, 9, 2)), cfg.kernel, 1)
-    grad = dual_gradient(pj, g, None, cfg)
-    np.testing.assert_allclose(grad.data, 0.3 * jacobian_apply(g.data, cfg.kernel), atol=1e-14)
+    psi = np.zeros((5, 5, 9, 2))
+    grad = dual_gradient(psi, g, None, cfg)
+    np.testing.assert_allclose(grad, 0.3 * jacobian_apply(g.data, cfg.kernel), atol=1e-14)
     const = Image(np.full((1, 5, 5), 0.6))
-    np.testing.assert_array_equal(dual_gradient(pj, const, None, cfg).data, 0.0)
+    np.testing.assert_array_equal(dual_gradient(psi, const, None, cfg), 0.0)
 
 
 def test_dual_objective_trivial_cases():
     rng = np.random.default_rng(3)
     g = rand_image(rng, 5, 5)  # already inside the box
     cfg = SolverConfig(tau=0.2)
-    pj = PatchJacobianField(np.zeros((5, 5, 9, 2)), cfg.kernel, 1)
-    assert dual_objective(pj, g, None, cfg) == 0.0
+    assert dual_objective(np.zeros((5, 5, 9, 2)), g, None, cfg) == 0.0
     # unconstrained: only the norm-difference term survives
     cfg2 = SolverConfig(tau=0.2, constraint=None)
-    psi = PatchJacobianField(rng.standard_normal((5, 5, 9, 2)), cfg2.kernel, 1)
-    w = g.data - 0.2 * jacobian_adjoint_apply(psi.data, cfg2.kernel, 1)
+    psi = rng.standard_normal((5, 5, 9, 2))
+    w = g.data - 0.2 * jacobian_adjoint_apply(psi, cfg2.kernel, 1)
     expected = 0.5 * (np.sum(g.data**2) - np.sum(w**2))
     assert dual_objective(psi, g, None, cfg2) == pytest.approx(expected, rel=1e-12)
 
@@ -197,16 +198,16 @@ def test_dual_gradient_finite_difference():
     g = rand_image(rng, 4, 4)
     dp = rand_params(rng, 4, 4)
     cfg = SolverConfig(tau=0.3, constraint=None)
-    psi = PatchJacobianField(0.3 * rng.standard_normal((4, 4, 9, 2)), cfg.kernel, 1)
+    psi = 0.3 * rng.standard_normal((4, 4, 9, 2))
     grad = dual_gradient(psi, g, dp, cfg)
     eps = 1e-4
     for _ in range(10):
-        direction = rng.standard_normal(psi.data.shape)
+        direction = rng.standard_normal(psi.shape)
         direction /= np.linalg.norm(direction)
-        plus = PatchJacobianField(psi.data + eps * direction, cfg.kernel, 1)
-        minus = PatchJacobianField(psi.data - eps * direction, cfg.kernel, 1)
+        plus = psi + eps * direction
+        minus = psi - eps * direction
         fd = (dual_objective(plus, g, dp, cfg) - dual_objective(minus, g, dp, cfg)) / (2 * eps)
-        ip = np.vdot(grad.data, direction)
+        ip = np.vdot(grad, direction)
         assert abs(fd - ip) <= 1e-5 * max(abs(fd), abs(ip), 1e-12)
 
 
@@ -275,7 +276,7 @@ def test_denoise_reduces_noise():
     noisy = Image(clean + rng.normal(0, 0.1, clean.shape))
     cfg = SolverConfig(tau=0.08)
     dp = DirectionalParams(3.0, np.full((24, 24), 1.5), np.full((24, 24), np.pi / 2))
-    out = denoise_adstv(noisy, dp, cfg)
+    out = solve(noisy, dp, cfg).image
     before = np.mean((noisy.data.clip(0, 1) - clean) ** 2)
     after = np.mean((out.data - clean) ** 2)
     assert after < before / 2
@@ -307,9 +308,7 @@ def test_tv_denoise_duality_gap_certificate():
         last["psi"] = acc
 
     res = solve(g, None, cfg, monitor=mon)
-    gap = primal_energy(res.image, g, None, cfg) - dual_objective(
-        PatchJacobianField(last["psi"], cfg.kernel, 1), g, None, cfg
-    )
+    gap = primal_energy(res.image, g, None, cfg) - dual_objective(last["psi"], g, None, cfg)
     assert 0 <= gap < 1e-4
 
 

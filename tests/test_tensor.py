@@ -5,28 +5,19 @@ from adstv import Image
 from adstv.diffops import Kernel, delta_kernel, gaussian_kernel, grad_forward, reflect_index
 from adstv.tensor import (
     DirectionalParams,
-    PatchJacobianField,
     Workspace,
+    _gram,
     apply_direction,
     coherence,
     dual_field,
     dual_planes,
-    directional_adjoint,
-    directional_patch_jacobian,
     eig2x2,
     jacobian_adjoint_apply,
     jacobian_apply,
-    patch_jacobian,
-    patch_jacobian_adjoint,
     regularizer_value,
-    structure_tensor,
 )
 
-from conftest import rand_image, rand_params
-
-
-def field_like(rng, pj):
-    return PatchJacobianField(rng.standard_normal(pj.data.shape), pj.kernel, pj.channels)
+from conftest import rand_image, rand_params, structure_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +51,17 @@ def test_params_validation():
 
 
 def test_patch_jacobian_zero_for_constant():
-    pj = patch_jacobian(Image(np.full((1, 5, 5), 0.8)), gaussian_kernel(0.5, 3))
-    assert not pj.data.any()
+    jf = jacobian_apply(np.full((1, 5, 5), 0.8), gaussian_kernel(0.5, 3))
+    assert not jf.any()
 
 
 def test_patch_jacobian_delta_kernel_rows_are_gradients():
     rng = np.random.default_rng(0)
     f = rand_image(rng, 6, 6)
-    pj = patch_jacobian(f, delta_kernel())
+    jf = jacobian_apply(f.data, delta_kernel())
     gf = grad_forward(f.data[0])
-    np.testing.assert_array_equal(pj.data[:, :, 0, 0], gf.gx)
-    np.testing.assert_array_equal(pj.data[:, :, 0, 1], gf.gy)
+    np.testing.assert_array_equal(jf[:, :, 0, 0], gf.gx)
+    np.testing.assert_array_equal(jf[:, :, 0, 1], gf.gy)
 
 
 def test_patch_jacobian_row_layout():
@@ -79,8 +70,8 @@ def test_patch_jacobian_row_layout():
     rng = np.random.default_rng(1)
     f = rand_image(rng, 5, 4, c=3)
     k = gaussian_kernel(1.0, 3)
-    pj = patch_jacobian(f, k)
-    assert pj.rows == 9 * 3
+    jf = jacobian_apply(f.data, k)
+    assert jf.shape[2] == 9 * 3
     taps = k.taps()
     grads = [grad_forward(f.data[c]) for c in range(3)]
 
@@ -94,7 +85,7 @@ def test_patch_jacobian_row_layout():
                 for x in (0, 3):
                     sy = mirror(y - dy, 5)
                     sx = mirror(x - dx, 4)
-                    row = pj.data[y, x, c * 9 + l]
+                    row = jf[y, x, c * 9 + l]
                     assert row[0] == pytest.approx(np.sqrt(wt) * grads[c].gx[sy, sx], abs=1e-15)
                     assert row[1] == pytest.approx(np.sqrt(wt) * grads[c].gy[sy, sx], abs=1e-15)
 
@@ -219,11 +210,11 @@ def test_gram_equals_convolution_structure_tensor():
     rng = np.random.default_rng(2)
     f = rand_image(rng, 6, 6)
     k = gaussian_kernel(0.5, 3)
-    g = patch_jacobian(f, k).gram()
+    gxx, gxy, gyy = _gram(jacobian_apply(f.data, k))
     st = structure_tensor(f, k)
-    np.testing.assert_allclose(g[..., 0, 0], st.sxx, atol=1e-10)
-    np.testing.assert_allclose(g[..., 0, 1], st.sxy, atol=1e-10)
-    np.testing.assert_allclose(g[..., 1, 1], st.syy, atol=1e-10)
+    np.testing.assert_allclose(gxx, st.sxx, atol=1e-10)
+    np.testing.assert_allclose(gxy, st.sxy, atol=1e-10)
+    np.testing.assert_allclose(gyy, st.syy, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +224,16 @@ def test_gram_equals_convolution_structure_tensor():
 def test_adjoint_zero_and_delta_reduction():
     rng = np.random.default_rng(3)
     k = gaussian_kernel(0.5, 3)
-    pj = patch_jacobian(rand_image(rng, 4, 4), k)
-    out = patch_jacobian_adjoint(field_like(rng, pj))
+    jf = jacobian_apply(rand_image(rng, 4, 4).data, k)
+    out = jacobian_adjoint_apply(rng.standard_normal(jf.shape), k, 1)
     assert out.shape == (1, 4, 4)
-    zeros = PatchJacobianField(np.zeros(pj.data.shape), k, 1)
-    assert not patch_jacobian_adjoint(zeros).data.any()
+    assert not jacobian_adjoint_apply(np.zeros(jf.shape), k, 1).any()
     # single-tap case: adjoint is minus the divergence of the row field
     from adstv.diffops import GradientField, div_backward
 
-    psi = field_like(rng, patch_jacobian(rand_image(rng, 4, 4), delta_kernel()))
-    expected = -div_backward(GradientField(gx=psi.data[:, :, 0, 0], gy=psi.data[:, :, 0, 1]))
-    np.testing.assert_array_equal(patch_jacobian_adjoint(psi).data[0], expected)
+    psi = rng.standard_normal(jacobian_apply(rand_image(rng, 4, 4).data, delta_kernel()).shape)
+    expected = -div_backward(GradientField(gx=psi[:, :, 0, 0], gy=psi[:, :, 0, 1]))
+    np.testing.assert_array_equal(jacobian_adjoint_apply(psi, delta_kernel(), 1)[0], expected)
 
 
 def test_adjoint_inner_product_identity():
@@ -252,10 +242,10 @@ def test_adjoint_inner_product_identity():
         for support in (1, 3):
             k = delta_kernel() if support == 1 else gaussian_kernel(0.5, support)
             f = rand_image(rng, 5, 5, c)
-            pj = patch_jacobian(f, k)
-            psi = field_like(rng, pj)
-            lhs = np.vdot(pj.data, psi.data)
-            rhs = np.vdot(f.data, patch_jacobian_adjoint(psi).data)
+            jf = jacobian_apply(f.data, k)
+            psi = rng.standard_normal(jf.shape)
+            lhs = np.vdot(jf, psi)
+            rhs = np.vdot(f.data, jacobian_adjoint_apply(psi, k, c))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -266,10 +256,10 @@ def test_directional_adjoint_inner_product_identity():
             k = delta_kernel() if support == 1 else gaussian_kernel(0.7, support)
             f = rand_image(rng, 5, 5, c)
             dp = rand_params(rng, 5, 5)
-            pj = directional_patch_jacobian(f, k, dp)
-            psi = field_like(rng, pj)
-            lhs = np.vdot(pj.data, psi.data)
-            rhs = np.vdot(f.data, directional_adjoint(psi, dp).data)
+            jf = jacobian_apply(f.data, k, dp)
+            psi = rng.standard_normal(jf.shape)
+            lhs = np.vdot(jf, psi)
+            rhs = np.vdot(f.data, jacobian_adjoint_apply(psi, k, c, dp))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -279,11 +269,11 @@ def test_directional_reduces_to_plain_under_identity_params():
     k = gaussian_kernel(0.5, 3)
     dp = DirectionalParams.identity((6, 5))
     np.testing.assert_array_equal(
-        directional_patch_jacobian(f, k, dp).data, patch_jacobian(f, k).data
+        jacobian_apply(f.data, k, dp), jacobian_apply(f.data, k)
     )
-    psi = field_like(rng, patch_jacobian(f, k))
+    psi = rng.standard_normal(jacobian_apply(f.data, k).shape)
     np.testing.assert_array_equal(
-        directional_adjoint(psi, dp).data, patch_jacobian_adjoint(psi).data
+        jacobian_adjoint_apply(psi, k, 3, dp), jacobian_adjoint_apply(psi, k, 3)
     )
 
 
@@ -292,7 +282,7 @@ def test_directional_dimension_mismatch():
     f = rand_image(rng, 6, 6)
     dp = rand_params(rng, 5, 5)
     with pytest.raises(ValueError):
-        directional_patch_jacobian(f, gaussian_kernel(0.5, 3), dp)
+        jacobian_apply(f.data, gaussian_kernel(0.5, 3), dp)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +318,8 @@ def test_constant_rotation_preserves_gram_eigenvalues():
     k = gaussian_kernel(0.5, 3)
     h, w = 8, 8
     dp = DirectionalParams(1.0, np.ones((h, w)), np.full((h, w), 0.9))
-    plain = patch_jacobian(f, k).gram()
-    steered = directional_patch_jacobian(f, k, dp).gram()
-    lp0, lm0, _, _ = eig2x2(plain[..., 0, 0], plain[..., 0, 1], plain[..., 1, 1])
-    lp1, lm1, _, _ = eig2x2(steered[..., 0, 0], steered[..., 0, 1], steered[..., 1, 1])
+    lp0, lm0, _, _ = eig2x2(*_gram(jacobian_apply(f.data, k)))
+    lp1, lm1, _, _ = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
     np.testing.assert_allclose(lp0, lp1, atol=1e-10)
     np.testing.assert_allclose(lm0, lm1, atol=1e-10)
 
@@ -343,9 +331,9 @@ def test_directional_linear_in_image():
     f1 = rand_image(rng, 5, 5)
     f2 = rand_image(rng, 5, 5)
     combo = Image(2.0 * f1.data - 3.0 * f2.data)
-    lhs = directional_patch_jacobian(combo, k, dp).data
-    rhs = (2.0 * directional_patch_jacobian(f1, k, dp).data
-           - 3.0 * directional_patch_jacobian(f2, k, dp).data)
+    lhs = jacobian_apply(combo.data, k, dp)
+    rhs = (2.0 * jacobian_apply(f1.data, k, dp)
+           - 3.0 * jacobian_apply(f2.data, k, dp))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -467,8 +455,8 @@ def test_regularizer_singular_values_match_full_svd():
     f = rand_image(rng, 5, 5, 3)
     k = gaussian_kernel(0.7, 3)
     dp = rand_params(rng, 5, 5)
-    pj = directional_patch_jacobian(f, k, dp)
-    svals = np.linalg.svd(pj.data.reshape(-1, pj.rows, 2), compute_uv=False)
+    jf = jacobian_apply(f.data, k, dp)
+    svals = np.linalg.svd(jf.reshape(-1, jf.shape[2], 2), compute_uv=False)
     assert regularizer_value(f, k, dp, 1) == pytest.approx(svals.sum(), rel=1e-10)
 
 
