@@ -12,11 +12,9 @@ from .dpe import DpeConfig, analyze, eadtv_angles, estimate
 from .image import (
     Image,
     NoiseSpec,
-    QualityReport,
     add_gaussian_noise,
     load_image,
     psnr,
-    quality,
     save_image,
     ssim,
     to_luminance,
@@ -29,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Image",
     "NoiseSpec",
-    "QualityReport",
     "Kernel",
     "DirectionalParams",
     "DpeConfig",
@@ -40,7 +37,6 @@ __all__ = [
     "add_gaussian_noise",
     "psnr",
     "ssim",
-    "quality",
     "delta_kernel",
     "gaussian_kernel",
     "regularizer_value",

@@ -153,6 +153,15 @@ def default_alpha_grid():
     return [float(a) for a in np.arange(2, 31)]
 
 
+def _check_grids(regularizers, tau_grid, alpha_grid):
+    """Reject a grid that would leave a tuple without a single solve."""
+    if not tau_grid:
+        raise ValueError("the tau grid is empty")
+    steered = [reg for reg in regularizers if reg in ("eadtv", "adstv")]
+    if steered and not alpha_grid:
+        raise ValueError("the alpha grid is empty, and %s needs one" % steered[0])
+
+
 def _solver_kwargs(opts):
     return dict(
         max_iters=opts.get("max_iters", 100),
@@ -164,6 +173,8 @@ def _solver_kwargs(opts):
 def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
               master_seed, opts=None):
     """Best-PSNR record for one (image, sigma, regularizer) tuple."""
+    tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
+    _check_grids([reg], tau_grid, alpha_grid)
     opts = opts or {}
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
@@ -214,12 +225,14 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     for reg in regularizers:
         if reg not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % reg)
+    tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
+    _check_grids(regularizers, tau_grid, alpha_grid)
     tasks = []
     for path, image_id in image_paths:
         for sigma in sigmas:
             for reg in regularizers:
                 tasks.append((str(path), image_id, float(sigma), reg,
-                              list(tau_grid), list(alpha_grid), master_seed,
+                              tau_grid, alpha_grid, master_seed,
                               opts or {}))
     # a pool starts all its workers at once, so it gets no more than tasks
     workers = min(jobs, len(tasks))

@@ -13,17 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .image import Image
-
 __all__ = [
     "GradientField",
     "Kernel",
     "delta_kernel",
     "gaussian_kernel",
     "grad_forward",
+    "forward_difference",
     "div_backward",
     "sobel_grad",
-    "convolve",
     "convolve_channel",
     "reflect_index",
 ]
@@ -116,15 +114,27 @@ def grad_forward(channel, out=None):
     if out is None:
         out = (np.empty_like(f), np.empty_like(f))
     gx, gy = _planes(out, f.shape)
+    forward_difference(f, 1, gx)
+    forward_difference(f, 0, gy)
+    return GradientField(gx=gx, gy=gy)
+
+
+def forward_difference(channel, axis, out):
+    """One component of grad_forward: the forward difference of a single
+    channel along axis (1 for x, 0 for y), written to the C-contiguous
+    plane out and returned."""
+    f = np.ascontiguousarray(channel, dtype=np.float64)
+    _planes((out,), f.shape)
     # Differences of the flattened plane: the one that wraps across a row
     # end lands in the last column (last row for y), which is then zeroed.
     flat = f.reshape(-1)
-    w = f.shape[1]
-    np.subtract(flat[1:], flat[:-1], out=gx.reshape(-1)[:-1])
-    gx[:, -1] = 0.0
-    np.subtract(flat[w:], flat[:-w], out=gy.reshape(-1)[:-w])
-    gy[-1] = 0.0
-    return GradientField(gx=gx, gy=gy)
+    lag = 1 if axis == 1 else f.shape[1]
+    np.subtract(flat[lag:], flat[:-lag], out=out.reshape(-1)[:-lag])
+    if axis == 1:
+        out[:, -1] = 0.0
+    else:
+        out[-1] = 0.0
+    return out
 
 
 def div_backward(p, out=None, scratch=None):
@@ -189,12 +199,6 @@ def convolve_channel(channel, kernel):
     if kernel.support == 1:
         return f * kernel.weights[0, 0]
     return ndimage.correlate(f, kernel.weights, mode="reflect")
-
-
-def convolve(img, kernel):
-    """Kernel smoothing applied independently per channel."""
-    out = np.stack([convolve_channel(img.data[c], kernel) for c in range(img.channels)])
-    return Image(out)
 
 
 def reflect_index(idx, n):

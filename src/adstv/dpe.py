@@ -35,7 +35,6 @@ from .solver import tv_denoise
 __all__ = [
     "DpeConfig",
     "DpeFields",
-    "coherence_at_scale",
     "tv_regularize_field",
     "fuse_scales",
     "skew_enhance",
@@ -86,17 +85,6 @@ def _scale_fields(gl, k_index, cfg):
     c = coherence(lp, lm)
     angle = _fold_angle(np.arctan2(vm[..., 1], vm[..., 0]))
     return c, angle
-
-
-def coherence_at_scale(gl, k_index, cfg):
-    """Coherence field of the luminance at scale k (pre-smoothing variance
-    2k - 1; k = 1 means no pre-smoothing)."""
-    if gl.channels != 1:
-        raise ValueError("expected a single-channel image")
-    if not 1 <= k_index <= cfg.num_scales:
-        raise ValueError("scale index out of range")
-    c, _ = _scale_fields(gl.data[0], k_index, cfg)
-    return c
 
 
 def tv_regularize_field(field, fidelity_half, tau, box):

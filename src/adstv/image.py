@@ -17,14 +17,12 @@ __all__ = [
     "FormatError",
     "Image",
     "NoiseSpec",
-    "QualityReport",
     "load_image",
     "save_image",
     "to_luminance",
     "add_gaussian_noise",
     "psnr",
     "ssim",
-    "quality",
 ]
 
 
@@ -83,12 +81,6 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.sigma_eta < math.inf:
             raise ValueError("sigma_eta must be finite and nonnegative")
-
-
-@dataclass
-class QualityReport:
-    psnr_db: float
-    ssim: float
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +216,10 @@ def save_image(img, path):
         header = b"P6\n%d %d\n255\n" % (img.width, img.height)
         body = q.astype(np.uint8).tobytes()
     elif ext == "pfm":
+        # a finite sample beyond float32 range would be written as inf,
+        # which load_image rejects
+        if np.any(np.abs(img.data) > np.finfo(np.float32).max):
+            raise ValueError("image samples exceed the float32 range of PFM")
         magic = b"PF" if img.channels == 3 else b"Pf"
         header = magic + b"\n%d %d\n-1.0\n" % (img.width, img.height)
         arr = np.moveaxis(img.data, 0, 2)[::-1]
@@ -304,7 +300,3 @@ def ssim(ref, test):
         raise ValueError("image too small for the 11x11 window")
     scores = [_ssim_channel(ref.data[c], test.data[c]) for c in range(ref.channels)]
     return float(np.mean(scores))
-
-
-def quality(ref, test):
-    return QualityReport(psnr_db=psnr(ref, test), ssim=ssim(ref, test))

@@ -31,7 +31,6 @@ from .tensor import (
     Workspace,
     _gram,
     dual_field,
-    dual_planes,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
@@ -248,9 +247,10 @@ def solve(g, dp, cfg, monitor=None):
     rows = kernel.support**2 * nch
     ws = Workspace(kernel, nch, h, w_, dp)
     lip = 16.0 * math.sqrt(2.0) * tau if dp is None else lipschitz_field(dp, tau)
-    # Three dual fields rotate through the loop: the extrapolated point psi,
-    # the last accepted point prev, and the ascent step.
-    psi, prev, step = (dual_field(rows, h, w_) for _ in range(3))
+    # Two dual fields alternate through the loop: the extrapolated point
+    # psi, which takes the ascent step and the projection in place and so
+    # becomes the accepted point, and the last accepted point prev.
+    psi, prev = dual_field(rows, h, w_), dual_field(rows, h, w_)
     z, z_prev = np.empty(g.shape), np.empty(g.shape)
     t = 1.0
     iterations = 0
@@ -264,22 +264,16 @@ def solve(g, dp, cfg, monitor=None):
             np.clip(z, cfg.constraint[0], cfg.constraint[1], out=z)
         if not np.isfinite(z, out=ws.mask).all():
             raise FloatingPointError("non-finite values in solver iterate")
-        jacobian_apply(z, kernel, dp, out=step, workspace=ws)
-        if dp is None:
-            step /= lip
-        else:
-            for plane in dual_planes(step):
-                plane /= lip
-        step += psi
-        _project_ball(step, p, ws)
+        # psi += J z / L, then onto the balls: psi is the accepted point
+        jacobian_apply(z, kernel, dp, out=psi, workspace=ws, step=lip)
+        _project_ball(psi, p, ws)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        # psi <- step + (t - 1)/t_next (step - prev), written over prev; the
-        # accepted step becomes prev and the spent psi buffer takes the
-        # next ascent step.
-        np.subtract(step, prev, out=prev)
+        # the next extrapolated point psi + (t - 1)/t_next (psi - prev),
+        # written over prev; the accepted psi becomes prev
+        np.subtract(psi, prev, out=prev)
         prev *= (t - 1.0) / t_next
-        prev += step
-        step, psi, prev = psi, prev, step
+        prev += psi
+        psi, prev = prev, psi
         t = t_next
         if monitor is not None:
             monitor(it, z, prev)
@@ -290,9 +284,9 @@ def solve(g, dp, cfg, monitor=None):
             if delta <= cfg.rel_tol * max(base, 1e-30):
                 break
         z, z_prev = z_prev, z
-    # only prev is read from here on: release the other two dual fields
-    # before the result is allocated
-    del psi, step
+    # only prev is read from here on: release psi before the result is
+    # allocated
+    del psi
     final = jacobian_adjoint_apply(prev, kernel, nch, dp, workspace=ws)
     final *= tau
     np.subtract(g.data, final, out=final)

@@ -16,13 +16,14 @@ direction th and modulating its strength through a-.
 
 Storage is planar: jacobian_apply fills a (2, L*C, H, W) buffer, so every
 row of every gradient component is one contiguous H x W plane, and returns
-its (H, W, L*C, 2) view; dual_field allocates such a view and dual_planes
-gives back its planes.  A row is gathered as a slice of the gradient
-plane extended by the kernel radius under reflect indexing (one np.take
-through a flat index); the adjoint adds each row into a padded plane at the
-same slice, as one contiguous run, and folds the border back onto the
-samples it mirrors.  Per-pixel Gram sums run over the rows axis of the
-planes.
+its (H, W, L*C, 2) view; dual_field allocates such a view.  A row is
+gathered as a slice of the gradient plane extended by the kernel radius
+under reflect indexing (one np.take through a flat index); the adjoint adds
+each row into a padded plane at the same slice, as one contiguous run, and
+folds the border back onto the samples it mirrors.  Per-pixel Gram sums run
+over the rows axis of the planes.  Given a step, jacobian_apply adds
+J / step into an existing field instead, row by row, which is the dual
+ascent step of the solver.
 
 A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products and the scratch planes.
@@ -34,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import GradientField, div_backward, grad_forward, reflect_index
+from .diffops import (
+    GradientField,
+    div_backward,
+    forward_difference,
+    grad_forward,
+    reflect_index,
+)
 
 __all__ = [
     "DirectionalParams",
@@ -46,7 +53,6 @@ __all__ = [
     "jacobian_apply",
     "jacobian_adjoint_apply",
     "dual_field",
-    "dual_planes",
 ]
 
 
@@ -178,13 +184,6 @@ def dual_field(rows, h, w):
     return np.zeros((2, rows, h, w)).transpose(2, 3, 1, 0)
 
 
-def dual_planes(field):
-    """The 2*rows C-contiguous H x W planes of a dual_field, as one
-    (2*rows, H, W) view."""
-    h, w = field.shape[:2]
-    return _planar(field).reshape(-1, h, w, copy=False)
-
-
 def _gram(field, out=(None, None, None)):
     """Per-pixel Gram entries (gxx, gxy, gyy) of an (..., rows, 2) field,
     written to the three planes of out when given."""
@@ -223,31 +222,59 @@ def _gradient(ws, channel, gx, gy, tmp):
     gy *= ws.dp.alpha_minus
 
 
-def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None):
+def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=None):
     """Raw forward operator: (C, H, W) samples -> (H, W, L*C, 2) field.
 
     The result is the (H, W, L*C, 2) view of a planar (2, L*C, H, W)
     buffer.  out, when given, is such a view (an earlier result) and is
     filled and returned instead of a new one.  workspace is the solve's
     Workspace for these operands; without one the call builds its own.
+
+    step, valid only with out, makes this the dual ascent step: J(channels)
+    / step is added into out instead of overwriting it, one row at a time
+    through a scratch plane.  step is a scalar or an (H, W) plane.
     """
     nch, h, w = channels.shape
     ws = _workspace(workspace, kernel, nch, h, w, dp)
     L = len(ws.taps)
     if out is None:
+        if step is not None:
+            raise ValueError("step is valid only with out")
         out = np.empty((2, L * nch, h, w)).transpose(2, 3, 1, 0)
     elif out.shape != (h, w, L * nch, 2) or not _planar(out).flags.c_contiguous:
         raise ValueError("out must be the planar view for this image, kernel and channels")
+    if np.ndim(step) and np.shape(step) != (h, w):
+        raise ValueError("step must be a scalar or an (H, W) plane")
     planar = _planar(out)
     r = kernel.radius
     steered = dp is not None
-    if r == 0 and ws.taps[0][1] == 1.0:
-        # one unit tap: row c is the channel's (steered) gradient itself
-        _, tmp = ws.scratch(planes=2 if steered else 0)
+    ascent = step is not None
+    if r == 0 and ws.taps[0][1] == 1.0 and not steered:
+        # one unit tap, unsteered: row c holds the two forward differences
+        # of channel c; a step adds each through one scratch plane
+        _, scratch = ws.scratch(planes=1 if ascent else 0)
         for c in range(nch):
-            _gradient(ws, channels[c], planar[0, c], planar[1, c], tmp)
+            for k in range(2):
+                row = scratch[0] if ascent else planar[k, c]
+                forward_difference(channels[c], 1 - k, row)
+                if ascent:
+                    row /= step
+                    planar[k, c] += row
         return out
-    pads, planes = ws.scratch(1 if r else 0, 4 if steered else 2)
+    if r == 0 and ws.taps[0][1] == 1.0:
+        # one unit tap, steered: row c is the channel's steered gradient
+        _, planes = ws.scratch(planes=4 if ascent else 2)
+        for c in range(nch):
+            grads = planes[2:] if ascent else (planar[0, c], planar[1, c])
+            _gradient(ws, channels[c], *grads, planes[:2])
+            if ascent:
+                for k in range(2):
+                    grads[k] /= step
+                    planar[k, c] += grads[k]
+        return out
+    # planes[2] takes the row being added; when steering it is free once
+    # the gradient is taken
+    pads, planes = ws.scratch(1 if r else 0, 4 if steered else 2 + ascent)
     for c in range(nch):
         _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
         for k in range(2):
@@ -257,12 +284,17 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None):
             for l, ((dy, dx), sw) in enumerate(ws.taps):
                 dst = planar[k, c * L + l]
                 if sw == 0.0:
-                    dst[...] = 0.0
+                    if not ascent:
+                        dst[...] = 0.0
                     continue
                 # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                dst[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
+                row = planes[2] if ascent else dst
+                row[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
                 if sw != 1.0:
-                    dst *= sw
+                    row *= sw
+                if ascent:
+                    row /= step
+                    dst += row
     return out
 
 

@@ -92,6 +92,31 @@ def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatc
     assert solves == []
 
 
+@pytest.mark.parametrize("regs, taus, alphas, says", [
+    pytest.param(["eadtv"], [0.05], [], "alpha grid", id="eadtv-no-alpha"),
+    pytest.param(["tv", "adstv"], [0.05], [], "alpha grid", id="tv-adstv-no-alpha"),
+    pytest.param(["tv"], [], [2.0], "tau grid", id="tv-no-tau"),
+    pytest.param(["stv", "eadtv"], [], [2.0], "tau grid", id="stv-eadtv-no-tau"),
+])
+def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, regs, taus,
+                                                   alphas, says):
+    path = tmp_path / "stripe.pgm"
+    clean = stripe_image(16, 16, 0.5)
+    save_image(clean, path)
+    solves = counting(monkeypatch, bench, "solve")
+    with pytest.raises(ValueError, match=says):
+        bench.bench([(path, "stripe")], [0.1], regs, taus, alphas)
+    for reg in regs:
+        if taus and reg not in ("eadtv", "adstv"):
+            continue  # this tuple alone has a grid to sweep
+        with pytest.raises(ValueError, match=says):
+            bench.run_tuple(clean, "stripe", 0.1, reg, taus, alphas, 0)
+    assert solves == []
+    # an unsteered regularizer needs no alpha grid
+    assert bench.bench([(path, "stripe")], [0.1], ["tv"], [0.05], [])[0].regularizer == "tv"
+    assert len(solves) == 1
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process, so no worker is ever started."""

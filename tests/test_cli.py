@@ -77,6 +77,13 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err
         assert not dst.exists()
+    # noise beyond float32 range is rejected before a PFM is written
+    big = tmp_path / "big.pfm"
+    assert main(["add-noise", "--input", str(src), "--output", str(big),
+                 "--sigma", "1e39"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float32" in err
+    assert not big.exists()
     # a non-finite sample is rejected when the file is loaded
     data = rng.random((1, 8, 8))
     data[0, 3, 4] = np.nan

@@ -7,7 +7,6 @@ from adstv.dpe import (
     DpeConfig,
     DpeFields,
     analyze,
-    coherence_at_scale,
     eadtv_angles,
     estimate,
     fuse_scales,
@@ -47,13 +46,13 @@ def test_coherence_constant_image_is_zero():
     cfg = DpeConfig(alpha_plus=3.0)
     g = Image(np.full((1, 16, 16), 0.5))
     for k in (1, 2):
-        np.testing.assert_array_equal(coherence_at_scale(g, k, cfg), 0.0)
+        np.testing.assert_array_equal(analyze(g, cfg).coherence_raw[k - 1], 0.0)
 
 
 def test_coherence_stripes_near_one():
     cfg = DpeConfig(alpha_plus=3.0)
     g = stripe_image(32, 32, np.pi / 2)
-    c = coherence_at_scale(g, 1, cfg)
+    c = analyze(g, cfg).coherence_raw[0]
     assert c.shape == (32, 32)
     assert c[8:-8, 8:-8].min() > 0.99
 
@@ -74,30 +73,18 @@ def test_coherence_matches_dense_eigendecomposition():
     )
     lm, lp = np.linalg.eigvalsh(mats)[..., 0], np.linalg.eigvalsh(mats)[..., 1]
     expected = np.clip((lp - lm) / np.maximum(lp, 1e-12), 0.0, 1.0)
-    np.testing.assert_allclose(coherence_at_scale(g, 1, cfg), expected, atol=1e-9)
+    np.testing.assert_allclose(analyze(g, cfg).coherence_raw[0], expected, atol=1e-9)
 
 
 def test_coherence_presmoothing_reduces_noise_response():
     rng = np.random.default_rng(21)
     cfg = DpeConfig(alpha_plus=3.0)
     g = Image(np.clip(rng.normal(0.5, 0.15, (1, 32, 32)), 0, 1))
-    c1 = coherence_at_scale(g, 1, cfg)
-    c2 = coherence_at_scale(g, 2, cfg)
+    c1, c2 = analyze(g, cfg).coherence_raw
     assert not np.allclose(c1, c2)
     # pure noise has no true orientation; smoothing damps spurious gradients,
     # and the wide window then sees more balanced energy
     assert c2.mean() != c1.mean()
-
-
-def test_coherence_validation():
-    cfg = DpeConfig(alpha_plus=3.0)
-    rng = np.random.default_rng(22)
-    with pytest.raises(ValueError):
-        coherence_at_scale(rand_image(rng, 8, 8, 3), 1, cfg)
-    with pytest.raises(ValueError):
-        coherence_at_scale(rand_image(rng, 8, 8), 3, cfg)
-    with pytest.raises(ValueError):
-        coherence_at_scale(rand_image(rng, 8, 8), 0, cfg)
 
 
 def test_tv_regularize_field_trivial_cases():

@@ -9,7 +9,6 @@ from adstv import (
     add_gaussian_noise,
     load_image,
     psnr,
-    quality,
     save_image,
     ssim,
     to_luminance,
@@ -91,6 +90,20 @@ def test_pfm_roundtrip_lossless(tmp_path):
     save_image(img, path)
     back = load_image(path)
     np.testing.assert_array_equal(back.data, img.data)
+
+
+def test_pfm_save_rejects_samples_beyond_float32(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    path = tmp_path / "t.pfm"
+    for bad in (1e39, -1e39, np.inf, -np.inf):
+        data = np.full((1, 4, 5), 0.5)
+        data[0, 2, 3] = bad
+        with pytest.raises(ValueError, match="float32"):
+            save_image(Image(data), path)
+        assert not path.exists()
+    # the largest float32 itself still round-trips
+    save_image(Image(np.full((1, 4, 5), big)), path)
+    np.testing.assert_array_equal(load_image(path).data, big)
 
 
 def test_pgm_roundtrip_of_quantized(tmp_path):
@@ -178,12 +191,3 @@ def test_ssim_matches_reference_implementation():
             for i in range(c)
         ])
         assert abs(ssim(a, b) - expected) < 1e-10
-
-
-def test_quality_report():
-    rng = np.random.default_rng(9)
-    a = rand_image(rng, 16, 16)
-    b = Image(np.clip(a.data + 0.05, 0, 1))
-    rep = quality(a, b)
-    assert rep.psnr_db == psnr(a, b)
-    assert rep.ssim == ssim(a, b)

@@ -388,7 +388,7 @@ def reference_solve(g, dp, cfg):
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (1, 4)])
-@pytest.mark.parametrize("case", ["tv", "steered-1", "steered-3"])
+@pytest.mark.parametrize("case", ["tv", "steered-1", "steered-3", "stv", "steered-3-5x5"])
 def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
     rng = np.random.default_rng(23)
     h, w = shape
@@ -396,6 +396,16 @@ def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
         g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
         dp = None
         cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=60, rel_tol=1e-3)
+    elif case == "stv":
+        # a scalar step with a kernel radius above 0
+        g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
+        dp = None
+        cfg = SolverConfig(tau=0.1, q=1, max_iters=60, rel_tol=1e-3)
+    elif case == "steered-3-5x5":
+        g = Image(rng.random((3, h, w)) * 1.4 - 0.2)
+        dp = rand_params(rng, h, w)
+        cfg = SolverConfig(tau=0.1, q=1, kernel=gaussian_kernel(1.0, 5), max_iters=60,
+                           rel_tol=1e-3)
     else:
         g = Image(rng.random((int(case[-1]), h, w)) * 1.4 - 0.2)
         dp = rand_params(rng, h, w)
@@ -436,6 +446,31 @@ def test_iterations_after_the_second_allocate_less_than_a_plane(case):
     assert sorted(growth) == list(range(2, 9))
     plane = h * w * 8
     assert all(growth[it] < plane for it in range(3, 9)), growth
+
+
+def test_steered_solve_peaks_below_two_dual_fields_and_the_workspace():
+    # The bound is counted from the shapes: two dual fields of 2 * 9 planes,
+    # the workspace block (eight extension-sized planes, the demand of the
+    # q=1 projection and of J*) and twelve planes for the rest: z, z_prev,
+    # the Lipschitz plane, cos and sin of theta, the four steering products,
+    # the extension index and the masks.  A third dual field (18 planes)
+    # does not fit.
+    rng = np.random.default_rng(25)
+    h = w = 64
+    g = Image(rng.random((1, h, w)))
+    dp = rand_params(rng, h, w)
+    cfg = SolverConfig(tau=0.1, q=1, max_iters=4, rel_tol=1e-15)
+    plane = h * w * 8
+    fields = 2 * (2 * 9) * plane
+    block = 8 * (h + 2) * (w + 2) * 8
+    bound = fields + block + 12 * plane
+    tracemalloc.start()
+    try:
+        solve(g, dp, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_overflow_in_a_finite_input_raises():

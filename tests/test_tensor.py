@@ -10,7 +10,6 @@ from adstv.tensor import (
     apply_direction,
     coherence,
     dual_field,
-    dual_planes,
     eig2x2,
     jacobian_adjoint_apply,
     jacobian_apply,
@@ -148,11 +147,9 @@ def test_dual_field_is_planar_and_its_planes_are_views():
     field = dual_field(27, 6, 5)
     assert field.shape == (6, 5, 27, 2) and not field.any()
     assert jacobian_apply(f.data, k, out=field) is field
-    planes = dual_planes(field)
-    assert planes.shape == (54, 6, 5) and np.shares_memory(planes, field)
+    planes = field.transpose(3, 2, 0, 1).reshape(54, 6, 5, copy=False)
+    assert np.shares_memory(planes, field)
     np.testing.assert_array_equal(planes[27 + 4], field[:, :, 4, 1])
-    with pytest.raises(ValueError):
-        dual_planes(np.zeros((6, 5, 27, 2)))
 
 
 def test_single_tap_weight_scales_the_rows():
@@ -204,6 +201,52 @@ def test_workspace_and_out_change_no_value(support):
                 jacobian_apply(f, k, other, workspace=ws)
             with pytest.raises(ValueError):
                 jacobian_adjoint_apply(psi, k, c, other, workspace=ws)
+
+
+STEP_KERNELS = {
+    "1": delta_kernel(),
+    "1-nonunit": Kernel(np.array([[1.0 - 1e-12]])),
+    "3": gaussian_kernel(0.5, 3),
+    "5": gaussian_kernel(1.0, 5),
+    "7": gaussian_kernel(1.2, 7),
+    "3-zero-taps": Kernel(np.array([[0.0, 0.2, 0.0], [0.2, 0.2, 0.2], [0.0, 0.2, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(STEP_KERNELS))
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 3), (3, 2), (7, 5)])
+def test_step_mode_adds_j_over_step_into_out(kernel, shape):
+    # jacobian_apply(z, k, dp, out=psi, step=L) leaves psi0 + J z / L in
+    # psi, exactly, through a reused workspace whose scratch is NaN-filled
+    # before every call
+    k = STEP_KERNELS[kernel]
+    h, w = shape
+    rng = np.random.default_rng([h, w, k.support, len(kernel)])
+    for c in (1, 3):
+        for dp in (None, rand_params(rng, h, w)):
+            ws = Workspace(k, c, h, w, dp)
+            rows = k.support**2 * c
+            for step in (16.0 * np.sqrt(2.0) * 0.07, 1.0 + 30.0 * rng.random((h, w))):
+                z = rand_image(rng, h, w, c).data
+                expected_step = step if np.ndim(step) == 0 else step[:, :, None, None]
+                psi0 = rng.standard_normal((h, w, rows, 2))
+                expected = psi0 + jacobian_apply(z, k, dp) / expected_step
+                psi = dual_field(rows, h, w)
+                psi[...] = psi0
+                for plane in sum(ws.scratch(3, 8), []):
+                    plane[...] = np.nan
+                assert jacobian_apply(z, k, dp, out=psi, workspace=ws, step=step) is psi
+                assert np.array_equal(psi, expected)
+
+
+def test_step_mode_needs_out_and_a_scalar_or_plane_step():
+    rng = np.random.default_rng(31)
+    f = rand_image(rng, 6, 5, 1).data
+    k = gaussian_kernel(0.5, 3)
+    with pytest.raises(ValueError, match="only with out"):
+        jacobian_apply(f, k, step=2.0)
+    with pytest.raises(ValueError, match="step"):
+        jacobian_apply(f, k, out=dual_field(9, 6, 5), step=np.ones((6, 1)))
 
 
 def test_gram_equals_convolution_structure_tensor():
