@@ -221,7 +221,12 @@ def _run_tuple_from_path(args):
 
 def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
           master_seed=0, jobs=1, opts=None):
-    """Sweep all tuples; returns RunRecords in deterministic order."""
+    """Sweep all tuples; returns RunRecords in deterministic order.
+
+    jobs is the number of worker processes, at least 1 (1 runs every tuple
+    in this process)."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1, got %r" % jobs)
     for reg in regularizers:
         if reg not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % reg)

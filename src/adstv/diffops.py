@@ -5,6 +5,9 @@ across the last column/row is zero).  The divergence is the exact negative
 adjoint of that gradient, so <grad f, p> == <f, -div p> holds to machine
 precision.  All smoothing is correlation with mirror (edge-duplicating)
 extension.
+
+The gradient and the divergence keep a float32 plane in float32 and take
+anything else as float64 (see as_float); the smoothing runs in float64.
 """
 
 import math
@@ -14,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 __all__ = [
+    "as_float",
     "GradientField",
     "Kernel",
     "delta_kernel",
@@ -27,6 +31,13 @@ __all__ = [
 ]
 
 
+def as_float(a):
+    """a as a float array without a copy where none is needed: float32 data
+    stays float32, anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
+
+
 @dataclass
 class GradientField:
     """Per-pixel x and y derivative planes, each shaped (H, W)."""
@@ -35,8 +46,8 @@ class GradientField:
     gy: np.ndarray
 
     def __post_init__(self):
-        self.gx = np.asarray(self.gx, dtype=np.float64)
-        self.gy = np.asarray(self.gy, dtype=np.float64)
+        self.gx = as_float(self.gx)
+        self.gy = as_float(self.gy)
         if self.gx.shape != self.gy.shape or self.gx.ndim != 2:
             raise ValueError("gx and gy must be matching 2-D arrays")
 
@@ -108,12 +119,12 @@ def grad_forward(channel, out=None):
     """Forward-difference gradient of a single channel with Neumann edges.
 
     out, when given, is a pair of C-contiguous planes (gx, gy) of the
-    channel's shape that receive the result.
+    channel's shape and dtype that receive the result.
     """
-    f = np.ascontiguousarray(channel, dtype=np.float64)
+    f = np.ascontiguousarray(as_float(channel))
     if out is None:
         out = (np.empty_like(f), np.empty_like(f))
-    gx, gy = _planes(out, f.shape)
+    gx, gy = _planes(out, f.shape, f.dtype)
     forward_difference(f, 1, gx)
     forward_difference(f, 0, gy)
     return GradientField(gx=gx, gy=gy)
@@ -123,8 +134,8 @@ def forward_difference(channel, axis, out):
     """One component of grad_forward: the forward difference of a single
     channel along axis (1 for x, 0 for y), written to the C-contiguous
     plane out and returned."""
-    f = np.ascontiguousarray(channel, dtype=np.float64)
-    _planes((out,), f.shape)
+    f = np.ascontiguousarray(as_float(channel))
+    _planes((out,), f.shape, f.dtype)
     # Differences of the flattened plane: the one that wraps across a row
     # end lands in the last column (last row for y), which is then zeroed.
     flat = f.reshape(-1)
@@ -141,16 +152,16 @@ def div_backward(p, out=None, scratch=None):
     """Backward-difference divergence, the exact negative adjoint of
     grad_forward.
 
-    out, when given, is a C-contiguous plane that receives the result;
-    scratch, when given, is a C-contiguous plane of the same shape that
-    the call may overwrite.
+    out, when given, is a C-contiguous plane of p's shape and dtype that
+    receives the result; scratch, when given, is a C-contiguous plane of
+    the same shape that the call may overwrite.
     """
     px = np.ascontiguousarray(p.gx)
     py = np.ascontiguousarray(p.gy)
     h, w = px.shape
     if out is None:
         out = np.empty_like(px)
-    _planes((out,), px.shape)
+    _planes((out,), px.shape, px.dtype)
     # First column copies, interior differences, last column closes the
     # telescope so that the adjoint identity holds exactly.  A size-1 axis
     # has an identically zero forward difference, hence no contribution.
@@ -166,19 +177,19 @@ def div_backward(p, out=None, scratch=None):
     if h > 1:
         out[0] += py[0]
         if h > 2:
-            inner = np.empty((h - 2, w)) if scratch is None else scratch[: h - 2]
+            inner = np.empty((h - 2, w), px.dtype) if scratch is None else scratch[: h - 2]
             np.subtract(py[1:-1], py[:-2], out=inner)
             out[1:-1] += inner
         out[-1] -= py[-2]
     return out
 
 
-def _planes(planes, shape):
-    """Check that every output plane has the given shape and is C-contiguous,
-    so the flat views above write through to it."""
+def _planes(planes, shape, dtype):
+    """Check that every output plane has the given shape and dtype and is
+    C-contiguous, so the flat views above write through to it."""
     for plane in planes:
-        if plane.shape != shape or not plane.flags.c_contiguous:
-            raise ValueError("output planes must be C-contiguous with the input's shape")
+        if plane.shape != shape or plane.dtype != dtype or not plane.flags.c_contiguous:
+            raise ValueError("output planes must be C-contiguous with the input's shape and dtype")
     return planes
 
 

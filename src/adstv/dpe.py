@@ -20,6 +20,11 @@ alpha_minus is the affine map sending the largest enhanced coherence to 1
 (isotropic smoothing).  theta takes the minor eigenvector angle at the scale
 with the strongest kappa_hat per pixel, then gets its own light TV cleanup
 (half fidelity, weight 0.02) and is folded back into [0, pi).
+
+The TV cleanups run in float32 and return float64 fields.  The cleaned
+fields only steer a float64 solve, and float32 resolution (6e-8) lies far
+below the error a cleanup still carries at its iteration cap; the
+structure tensors and everything after the cleanups stay float64.
 """
 
 import math
@@ -92,12 +97,15 @@ def tv_regularize_field(field, fidelity_half, tau, box):
 
     fidelity_half selects 1/2 ||x - field||^2 + tau TV(x); otherwise the
     fidelity is the full squared norm, equivalent to halving the TV weight.
+    A solve (tau > 0) runs on a float32 copy of the field; tau = 0 is the
+    float64 clip onto the box.  The result is float64 either way.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     eff = tau if fidelity_half else 0.5 * tau
-    out = tv_denoise(Image(np.asarray(field, dtype=np.float64)[None]), eff, box)
-    return out.data[0]
+    dtype = np.float32 if eff > 0 else np.float64
+    out = tv_denoise(Image(np.asarray(field, dtype=dtype)[None]), eff, box)
+    return np.asarray(out.data[0], dtype=np.float64)
 
 
 def fuse_scales(prev, new):

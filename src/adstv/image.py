@@ -1,10 +1,13 @@
 """Image container, file formats, synthetic noise, and quality metrics.
 
-Pixel data lives in float64 arrays of shape (channels, height, width) with
-the nominal intensity range [0, 1].  Supported container formats are binary
-PGM (P5), binary PPM (P6), and PFM (Pf/PF).  Integer formats are scaled by
-their maxval on load; PFM samples are kept verbatim, so values outside
-[0, 1] survive a round trip (useful for storing noisy inputs exactly).
+Pixel data lives in float arrays of shape (channels, height, width) with
+the nominal intensity range [0, 1]: float32 data stays float32, so that a
+solve on it runs in single precision, and every other input becomes
+float64.  Supported container formats are binary PGM (P5), binary PPM (P6),
+and PFM (Pf/PF).  load_image always returns float64.  Integer formats are
+scaled by their maxval on load; PFM samples are kept verbatim, so values
+outside [0, 1] survive a round trip (useful for storing noisy inputs
+exactly).
 """
 
 import math
@@ -12,6 +15,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from .diffops import as_float
 
 __all__ = [
     "FormatError",
@@ -32,12 +37,15 @@ class FormatError(ValueError):
 
 @dataclass
 class Image:
-    """A float64 raster with explicit channel axis, shape (C, H, W)."""
+    """A float raster with explicit channel axis, shape (C, H, W).
+
+    float32 data stays float32; every other input becomes float64.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = as_float(self.data)
         if arr.ndim == 2:
             arr = arr[None]
         if arr.ndim != 3:
@@ -174,7 +182,7 @@ def _load_pfm(buf):
 
 
 def load_image(path):
-    """Load a PGM (P5), PPM (P6), or PFM (Pf/PF) file.
+    """Load a PGM (P5), PPM (P6), or PFM (Pf/PF) file as float64 samples.
 
     A PFM sample that is NaN or infinite is rejected like any other
     invalid image (ValueError)."""

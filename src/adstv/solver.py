@@ -18,6 +18,10 @@ without an extra tau factor, so the effective step respects the tau^2
 curvature bound of the dual.  The primal iterate z = P_C(w) doubles as the
 convergence monitor: iteration stops when its relative l2 change drops below
 rel_tol, or after max_iters.
+
+A solve follows the dtype of its input image: a float32 g is solved in
+float32 throughout (dual fields, iterates, scratch planes and result), and
+a float64 g in float64.  Both run the same code.
 """
 
 import math
@@ -126,7 +130,7 @@ def _project_ball(data, p, workspace=None):
     count = 1 if rescale else 8
     if workspace is None:
         shape = data.shape[:-2]
-        block = np.empty((count,) + shape)
+        block = np.empty((count,) + shape, data.dtype)
         planes = [block[i, ...] for i in range(count)]
         mask = np.empty(shape, dtype=bool)
     else:
@@ -229,11 +233,13 @@ def primal_energy(f, g, dp, cfg):
 def solve(g, dp, cfg, monitor=None):
     """Run the dual ascent; returns the restored image and iteration count.
 
-    dp may be None for the unsteered regularizer.  monitor, when given, is
-    called after every iteration as monitor(iteration, z, psi_accepted) and
-    exists for diagnostics and tests.  z and psi_accepted are reused
-    buffers, valid until the next call; the last psi_accepted stays intact
-    after solve returns.
+    The solve follows g's dtype: a float32 g gives float32 dual fields,
+    iterates and result, anything else float64.  dp may be None for the
+    unsteered regularizer.  monitor, when given, is called after every
+    iteration as monitor(iteration, z, psi_accepted) and exists for
+    diagnostics and tests.  z and psi_accepted are reused buffers, valid
+    until the next call; the last psi_accepted stays intact after solve
+    returns.
 
     One Workspace, built here, serves every J, J* and projection of the
     solve, and the iteration tail (w, the clip, the finiteness check and
@@ -244,14 +250,18 @@ def solve(g, dp, cfg, monitor=None):
     tau = cfg.tau
     p = cfg.dual_p
     nch, h, w_ = g.shape
+    dtype = g.data.dtype
     rows = kernel.support**2 * nch
-    ws = Workspace(kernel, nch, h, w_, dp)
-    lip = 16.0 * math.sqrt(2.0) * tau if dp is None else lipschitz_field(dp, tau)
+    ws = Workspace(kernel, nch, h, w_, dp, dtype)
+    if dp is None:
+        lip = 16.0 * math.sqrt(2.0) * tau
+    else:
+        lip = np.asarray(lipschitz_field(dp, tau), dtype)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
     # becomes the accepted point, and the last accepted point prev.
-    psi, prev = dual_field(rows, h, w_), dual_field(rows, h, w_)
-    z, z_prev = np.empty(g.shape), np.empty(g.shape)
+    psi, prev = dual_field(rows, h, w_, dtype), dual_field(rows, h, w_, dtype)
+    z, z_prev = np.empty(g.shape, dtype), np.empty(g.shape, dtype)
     t = 1.0
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
@@ -299,7 +309,8 @@ def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5):
     """Classical TV denoising of a single-channel image over a box.
 
     Realized as the delta-kernel, q = 2, unsteered special case of the same
-    dual machinery.  tau = 0 short-circuits to the box projection.
+    dual machinery, in g's dtype.  tau = 0 short-circuits to the box
+    projection.
     """
     if g.channels != 1:
         raise ValueError("tv_denoise expects a single channel")

@@ -29,6 +29,11 @@ A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products and the scratch planes.
 The solver builds one per solve and passes it to every J and J*, which then
 allocate nothing; a call without one builds its own.
+
+Both operators follow the dtype of their input: float32 samples or fields
+give float32 results, computed through float32 scratch planes and steering
+products, and anything else is taken as float64.  The arithmetic is the
+same for both dtypes.
 """
 
 from dataclasses import dataclass
@@ -37,6 +42,7 @@ import numpy as np
 
 from .diffops import (
     GradientField,
+    as_float,
     div_backward,
     forward_difference,
     grad_forward,
@@ -111,10 +117,12 @@ class DirectionalParams:
 class Workspace:
     """Constants and scratch memory shared by the operator calls of one solve.
 
-    Built once from (kernel, channels, H, W, dp).  It holds the taps as
-    offsets and square-root weights, the flat index of the reflect
-    extension by the kernel radius, the steering products that the adjoint
-    needs, a boolean mask per channel and one block of scratch planes.
+    Built once from (kernel, channels, H, W, dp, dtype).  It holds the taps
+    as offsets and square-root weights, the flat index of the reflect
+    extension by the kernel radius, the steering fields and the products
+    that the adjoint needs, a boolean mask per channel and one block of
+    scratch planes.  The steering arrays and the block are in dtype, the
+    dtype of the samples and fields the workspace serves.
     J, J* and the ball projection each draw their planes from the start of
     that block and never hold them past their own call, so the block is as
     large as the largest single demand; it grows only on a demand larger
@@ -123,14 +131,16 @@ class Workspace:
     its own: strided two-dimensional windows are only copied.
     """
 
-    def __init__(self, kernel, channels, h, w, dp=None):
+    def __init__(self, kernel, channels, h, w, dp=None, dtype=np.float64):
         if dp is not None and dp.shape != (h, w):
             raise ValueError("direction fields do not match image dimensions")
         self.kernel = kernel
         self.channels = channels
         self.shape = (h, w)
         self.dp = dp
-        self.taps = [(offset, np.sqrt(weight)) for offset, weight in kernel.taps()]
+        self.dtype = np.dtype(dtype)
+        # Python floats, so that they scale a float32 plane in float32
+        self.taps = [(offset, float(np.sqrt(weight))) for offset, weight in kernel.taps()]
         r = kernel.radius
         self.padded_shape = (h + 2 * r, w + 2 * r)
         self.ys, self.xs = _extension(r, h, w)
@@ -140,18 +150,18 @@ class Workspace:
             ct, st = dp.trig()
             ap = dp.alpha_plus
             am = dp.alpha_minus
-            self.cos, self.sin = ct, st
             # transpose of diag(ap, am) R(-th) is R(th) diag(ap, am)
-            self.cos_ap, self.sin_am = ct * ap, st * am
-            self.sin_ap, self.cos_am = st * ap, ct * am
+            steering = (ct, st, am, ct * ap, st * am, st * ap, ct * am)
+            (self.cos, self.sin, self.am, self.cos_ap, self.sin_am,
+             self.sin_ap, self.cos_am) = (np.asarray(a, self.dtype) for a in steering)
         self.mask = np.empty((channels, h, w), dtype=bool)
         self._slot = self.padded_shape[0] * self.padded_shape[1]
-        self._block = np.empty(0)
+        self._block = np.empty(0, self.dtype)
 
     def _reserve(self, slots):
         if self._block.size < slots * self._slot:
             self._block = None  # release the old block before the new one
-            self._block = np.empty(slots * self._slot)
+            self._block = np.empty(slots * self._slot, self.dtype)
 
     def scratch(self, padded=0, planes=0):
         """Lists of `padded` extension-sized and then `planes` image-sized
@@ -163,12 +173,13 @@ class Workspace:
                 [slot[: h * w].reshape(h, w) for slot in slots[padded:]])
 
 
-def _workspace(workspace, kernel, channels, h, w, dp):
+def _workspace(workspace, kernel, channels, h, w, dp, dtype):
     """workspace, checked against the call's operands, or a new one."""
     if workspace is None:
-        return Workspace(kernel, channels, h, w, dp)
+        return Workspace(kernel, channels, h, w, dp, dtype)
     if (workspace.kernel is not kernel or workspace.dp is not dp
-            or workspace.channels != channels or workspace.shape != (h, w)):
+            or workspace.channels != channels or workspace.shape != (h, w)
+            or workspace.dtype != dtype):
         raise ValueError("workspace was built for other operands")
     return workspace
 
@@ -178,10 +189,11 @@ def _planar(field):
     return field.transpose(3, 2, 0, 1)
 
 
-def dual_field(rows, h, w):
-    """A zeroed (H, W, rows, 2) field over a planar (2, rows, H, W) buffer,
-    the layout jacobian_apply fills and both operators read fastest."""
-    return np.zeros((2, rows, h, w)).transpose(2, 3, 1, 0)
+def dual_field(rows, h, w, dtype=np.float64):
+    """A zeroed (H, W, rows, 2) field of dtype over a planar (2, rows, H, W)
+    buffer, the layout jacobian_apply fills and both operators read
+    fastest."""
+    return np.zeros((2, rows, h, w), dtype).transpose(2, 3, 1, 0)
 
 
 def _gram(field, out=(None, None, None)):
@@ -219,14 +231,15 @@ def _gradient(ws, channel, gx, gy, tmp):
     np.multiply(ws.cos, fy, out=gy)
     fx *= ws.sin
     gy -= fx
-    gy *= ws.dp.alpha_minus
+    gy *= ws.am
 
 
 def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=None):
     """Raw forward operator: (C, H, W) samples -> (H, W, L*C, 2) field.
 
     The result is the (H, W, L*C, 2) view of a planar (2, L*C, H, W)
-    buffer.  out, when given, is such a view (an earlier result) and is
+    buffer in the samples' dtype (float32 stays float32, anything else is
+    float64).  out, when given, is such a view (an earlier result) and is
     filled and returned instead of a new one.  workspace is the solve's
     Workspace for these operands; without one the call builds its own.
 
@@ -234,14 +247,16 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     / step is added into out instead of overwriting it, one row at a time
     through a scratch plane.  step is a scalar or an (H, W) plane.
     """
+    channels = as_float(channels)
     nch, h, w = channels.shape
-    ws = _workspace(workspace, kernel, nch, h, w, dp)
+    ws = _workspace(workspace, kernel, nch, h, w, dp, channels.dtype)
     L = len(ws.taps)
     if out is None:
         if step is not None:
             raise ValueError("step is valid only with out")
-        out = np.empty((2, L * nch, h, w)).transpose(2, 3, 1, 0)
-    elif out.shape != (h, w, L * nch, 2) or not _planar(out).flags.c_contiguous:
+        out = np.empty((2, L * nch, h, w), channels.dtype).transpose(2, 3, 1, 0)
+    elif (out.shape != (h, w, L * nch, 2) or out.dtype != channels.dtype
+            or not _planar(out).flags.c_contiguous):
         raise ValueError("out must be the planar view for this image, kernel and channels")
     if np.ndim(step) and np.shape(step) != (h, w):
         raise ValueError("step must be a scalar or an (H, W) plane")
@@ -301,18 +316,21 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
 def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=None):
     """Raw adjoint operator: (H, W, L*C, 2) field -> (C, H, W) samples.
 
-    out, when given, is a C-contiguous (C, H, W) array that is filled and
-    returned.  workspace is as for jacobian_apply.
+    The result is in the field's dtype (float32 stays float32, anything
+    else is float64).  out, when given, is a C-contiguous (C, H, W) array
+    of that dtype that is filled and returned.  workspace is as for
+    jacobian_apply.
     """
+    data = as_float(data)
     h, w, rows, _ = data.shape
-    ws = _workspace(workspace, kernel, channels, h, w, dp)
+    ws = _workspace(workspace, kernel, channels, h, w, dp, data.dtype)
     L = len(ws.taps)
     if rows != L * channels:
         raise ValueError("field row count does not match kernel and channels")
     if out is None:
-        out = np.empty((channels, h, w))
-    elif out.shape != (channels, h, w):
-        raise ValueError("out does not match image and channels")
+        out = np.empty((channels, h, w), data.dtype)
+    elif out.shape != (channels, h, w) or out.dtype != data.dtype:
+        raise ValueError("out does not match image, channels and dtype")
     planar = _planar(data)
     r = kernel.radius
     steered = dp is not None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adstv import bench
+from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import DpeConfig, eadtv_angles, estimate
 from adstv.image import save_image
@@ -150,3 +151,20 @@ def test_bench_pool_is_capped_at_task_count(monkeypatch, jobs, regs, workers):
     assert out == regs
     assert FakePool.made == workers
 
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_bench_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch, capsys, jobs):
+    tasks = []
+    monkeypatch.setattr(bench, "_run_tuple_from_path", tasks.append)
+    with pytest.raises(ValueError, match="jobs"):
+        bench.bench([("unused.pgm", "x")], [0.1], ["tv"], [0.05], [], jobs=jobs)
+    assert tasks == []
+    # the CLI reports it as a validation error and writes no CSV
+    save_image(stripe_image(16, 16, 0.5), tmp_path / "stripe.pgm")
+    out = tmp_path / "out.csv"
+    assert main(["bench", "--corpus", str(tmp_path), "--out", str(out),
+                 "--sigmas", "0.1", "--regularizers", "tv", "--tau-grid", "0.05",
+                 "--jobs", str(jobs)]) == 1
+    assert tasks == [] and not out.exists()
+    assert capsys.readouterr().err.startswith("error: jobs must be >= 1")

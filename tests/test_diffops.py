@@ -188,3 +188,28 @@ def test_reflect_index_rule():
     padded = np.pad(np.arange(n), 6, mode="symmetric")
     np.testing.assert_array_equal(out, padded[idx + 6])
     assert reflect_index(np.array([0]), 1) == 0
+
+
+def test_grad_and_div_keep_float32_planes():
+    rng = np.random.default_rng(12)
+    f = rng.random((6, 7)).astype(np.float32)
+    gf = grad_forward(f)
+    assert gf.gx.dtype == gf.gy.dtype == np.float32
+    # a difference of two float32 samples rounds once either way
+    ref = grad_forward(f.astype(np.float64))
+    np.testing.assert_array_equal(gf.gx, ref.gx.astype(np.float32))
+    np.testing.assert_array_equal(gf.gy, ref.gy.astype(np.float32))
+    planes = (np.empty((6, 7), np.float32), np.empty((6, 7), np.float32))
+    assert grad_forward(f, out=planes).gx is planes[0]
+    kept = GradientField(gx=planes[0], gy=planes[1])
+    assert kept.gx is planes[0] and kept.gy is planes[1]
+    d = div_backward(gf)
+    assert d.dtype == np.float32
+    np.testing.assert_allclose(d, div_backward(ref), rtol=1e-6, atol=1e-6)
+    out = np.empty((6, 7), np.float32)
+    assert div_backward(gf, out=out) is out
+    # an output plane of another dtype is refused, not silently converted
+    with pytest.raises(ValueError, match="dtype"):
+        grad_forward(f, out=(np.empty((6, 7)), np.empty((6, 7))))
+    with pytest.raises(ValueError, match="dtype"):
+        div_backward(gf, out=np.empty((6, 7)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adstv import Image
+from adstv import Image, dpe
 from adstv.diffops import convolve_channel, gaussian_kernel, sobel_grad
 from adstv.dpe import (
     DpeConfig,
@@ -13,6 +13,7 @@ from adstv.dpe import (
     skew_enhance,
     tv_regularize_field,
 )
+from adstv.solver import tv_denoise
 
 from conftest import rand_image, stripe_image
 
@@ -106,6 +107,26 @@ def test_tv_regularize_field_fidelity_conventions_agree():
     a = tv_regularize_field(field, False, 0.4, (0.0, 1.0))
     b = tv_regularize_field(field, True, 0.2, (0.0, 1.0))
     np.testing.assert_array_equal(a, b)
+
+
+def test_tv_regularize_field_solves_in_float32_and_returns_float64(monkeypatch):
+    rng = np.random.default_rng(26)
+    field = rng.random((24, 24)) * 1.2 - 0.1
+    solved = []
+
+    def recording(g, *args):
+        solved.append(g.data.dtype)
+        return tv_denoise(g, *args)
+
+    monkeypatch.setattr(dpe, "tv_denoise", recording)
+    out = tv_regularize_field(field, True, 0.2, (0.0, 1.0))
+    assert solved == [np.float32] and out.dtype == np.float64
+    ref = tv_denoise(Image(field[None]), 0.2, (0.0, 1.0)).data[0]
+    assert np.abs(out - ref).max() <= 1e-5
+    # tau = 0 is the float64 clip, exactly
+    clipped = tv_regularize_field(field, False, 0.0, (0.0, 1.0))
+    assert solved[1:] == [np.float64] and clipped.dtype == np.float64
+    np.testing.assert_array_equal(clipped, np.clip(field, 0.0, 1.0))
 
 
 def test_tv_regularize_field_flattens_noisy_step():

@@ -191,3 +191,15 @@ def test_ssim_matches_reference_implementation():
             for i in range(c)
         ])
         assert abs(ssim(a, b) - expected) < 1e-10
+
+
+def test_float32_data_stays_float32_and_loads_are_float64(tmp_path):
+    f32 = np.random.default_rng(5).random((4, 5)).astype(np.float32)
+    img = Image(f32)
+    assert img.data.dtype == np.float32 and np.shares_memory(img.data, f32)
+    for other in (f32.astype(np.float16), np.zeros((4, 5), dtype=int), [[0, 1]],
+                  f32.astype(np.longdouble)):
+        assert Image(other).data.dtype == np.float64
+    for name in ("a.pfm", "a.pgm"):
+        save_image(img, tmp_path / name)
+        assert load_image(tmp_path / name).data.dtype == np.float64

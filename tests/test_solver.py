@@ -473,6 +473,26 @@ def test_steered_solve_peaks_below_two_dual_fields_and_the_workspace():
     assert peak < bound, (peak, bound)
 
 
+@pytest.mark.parametrize("tau", [0.02, 0.25, 1.0])
+def test_float32_tv_denoise_tracks_float64(tau):
+    rng = np.random.default_rng(47)
+    g = Image(rng.uniform(-0.1, 1.1, (1, 64, 64)))
+    out = tv_denoise(Image(g.data.astype(np.float32)), tau)
+    assert out.data.dtype == np.float32
+    assert np.abs(out.data - tv_denoise(g, tau).data).max() <= 1e-5
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.1])
+def test_float32_steered_solve_tracks_float64(tau):
+    rng = np.random.default_rng(53)
+    g = rand_image(rng, 32, 32)
+    dp = rand_params(rng, 32, 32, alpha_plus=20.0)
+    cfg = SolverConfig(tau=tau, q=1, kernel=gaussian_kernel(0.5, 3))
+    out = solve(Image(g.data.astype(np.float32)), dp, cfg).image
+    assert out.data.dtype == np.float32
+    assert np.abs(out.data - solve(g, dp, cfg).image.data).max() <= 1e-5
+
+
 def test_overflow_in_a_finite_input_raises():
     # J of columns alternating +-1e308 overflows; the next iterate is NaN
     data = np.empty((1, 6, 6))

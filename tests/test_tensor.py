@@ -514,3 +514,49 @@ def test_regularizer_rotation_invariance_with_constant_theta():
             assert regularizer_value(f, k, dp, q) == pytest.approx(
                 regularizer_value(f, k, None, q), rel=1e-10
             )
+
+
+@pytest.mark.parametrize("support", [1, 3])
+def test_float32_operands_keep_float32_buffers(support):
+    # J, J*, dual_field and a workspace's scratch follow the operands'
+    # dtype, and a float32 J agrees with the float64 one on the same samples
+    rng = np.random.default_rng(37 + support)
+    k = delta_kernel() if support == 1 else gaussian_kernel(0.5, 3)
+    h, w = 7, 5
+    for c in (1, 3):
+        for dp in (None, rand_params(rng, h, w)):
+            f = rand_image(rng, h, w, c).data.astype(np.float32)
+            rows = support**2 * c
+            ws = Workspace(k, c, h, w, dp, np.float32)
+            jf = jacobian_apply(f, k, dp)
+            assert jf.dtype == np.float32
+            np.testing.assert_allclose(jf, jacobian_apply(f.astype(np.float64), k, dp),
+                                       rtol=1e-5, atol=1e-5)
+            field = dual_field(rows, h, w, np.float32)
+            assert field.dtype == np.float32 and field.shape == (h, w, rows, 2)
+            assert jacobian_apply(f, k, dp, out=field, workspace=ws) is field
+            assert jacobian_apply(f, k, dp, out=field, workspace=ws, step=3.0) is field
+            assert field.dtype == np.float32
+            assert jacobian_adjoint_apply(field, k, c, dp).dtype == np.float32
+            into = np.empty((c, h, w), np.float32)
+            assert jacobian_adjoint_apply(field, k, c, dp, out=into, workspace=ws) is into
+            assert all(plane.dtype == np.float32 for plane in sum(ws.scratch(3, 8), []))
+
+
+def test_mixing_dtypes_with_a_workspace_or_out_raises():
+    rng = np.random.default_rng(39)
+    h, w = 6, 5
+    k = gaussian_kernel(0.5, 3)
+    for dp in (None, rand_params(rng, h, w)):
+        f = rand_image(rng, h, w).data
+        for ws_dtype, dtype in ((np.float64, np.float32), (np.float32, np.float64)):
+            ws = Workspace(k, 1, h, w, dp, ws_dtype)
+            field = dual_field(9, h, w, dtype)
+            with pytest.raises(ValueError, match="workspace"):
+                jacobian_apply(f.astype(dtype), k, dp, workspace=ws)
+            with pytest.raises(ValueError, match="workspace"):
+                jacobian_adjoint_apply(field, k, 1, dp, workspace=ws)
+            with pytest.raises(ValueError, match="out"):
+                jacobian_apply(f.astype(dtype), k, dp, out=dual_field(9, h, w, ws_dtype))
+            with pytest.raises(ValueError, match="out"):
+                jacobian_adjoint_apply(field, k, 1, dp, out=np.empty((1, h, w), ws_dtype))
