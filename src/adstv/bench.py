@@ -128,6 +128,9 @@ def derive_seed(image_id, sigma_eta, master_seed):
 
 def default_num_scales(sigma_eta):
     """Two analysis scales below sigma 0.2, three at or above."""
+    # written so that NaN fails it
+    if not 0.0 <= sigma_eta < np.inf:
+        raise ValueError("noise sigma must be finite and nonnegative, got %r" % sigma_eta)
     return 2 if sigma_eta < 0.2 else 3
 
 

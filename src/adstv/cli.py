@@ -56,9 +56,14 @@ def _add_dpe_flags(p):
 
 
 def _num_scales(args):
-    if args.scales is not None:
-        return args.scales
-    return default_num_scales(args.noise_sigma) if args.noise_sigma is not None else 2
+    # --noise-sigma is checked even when --scales overrides its rule
+    by_noise = 2
+    if args.noise_sigma is not None:
+        try:
+            by_noise = default_num_scales(args.noise_sigma)
+        except ValueError as exc:
+            raise ValueError("--noise-sigma: %s" % exc) from None
+    return by_noise if args.scales is None else args.scales
 
 
 def _dpe_config(args, img):

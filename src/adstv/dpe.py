@@ -7,7 +7,8 @@ scale k = 1..K with pre-smoothing variance 2k - 1:
 
   1. smooth the luminance, take Sobel gradients, build the structure tensor
      with a wide Gaussian (std sqrt(st_support), support st_support), and
-     measure the eigenvalue coherence c in [0, 1];
+     measure the eigenvalue coherence c in [0, 1]; every smoothing and both
+     Sobel derivatives run as one 1-D correlation pass per axis;
   2. clean c with a TV solve (full squared fidelity, unit TV weight) on the
      [0, 1] box, giving kappa_hat;
   3. fuse across scales: keep the previous value where the new one is not
@@ -19,7 +20,12 @@ alpha_minus is the affine map sending the largest enhanced coherence to 1
 (strong orientation, full anisotropic dose) and the smallest to alpha_plus
 (isotropic smoothing).  theta takes the minor eigenvector angle at the scale
 with the strongest kappa_hat per pixel, then gets its own light TV cleanup
-(half fidelity, weight 0.02) and is folded back into [0, pi).
+(half fidelity, weight 0.02) and is folded back into [0, pi).  The angle
+comes from the tensor entries alone, as half the double angle
+atan2(2 sxy, sxx - syy) turned by pi/2, with no eigenvectors.  Where the
+coherence is 0 (an isotropic tensor, or lambda_plus <= 1e-12, as in flat
+regions) the angle is pi/2: a tie rule that does not depend on the rounding
+of a tensor that is zero up to a few ulps.
 
 The TV cleanups run in float32 and return float64 fields.  The cleaned
 fields only steer a float64 solve, and float32 resolution (6e-8) lies far
@@ -70,26 +76,51 @@ class DpeConfig:
 
 
 def _fold_angle(a):
-    out = np.mod(a, np.pi)
+    """Fold the float array a into [0, pi), in place, and return it."""
+    out = np.mod(a, np.pi, out=a)
     # mod of a tiny negative can round up to pi exactly
-    return np.where(out >= np.pi, 0.0, out)
+    out[out >= np.pi] = 0.0
+    return out
+
+
+def _minor_angle(sxx, sxy, syy, c):
+    """Angle of the minor eigenvector of [[sxx, sxy], [sxy, syy]] in [0, pi).
+
+    The major eigenvector lies at half the angle of (sxx - syy, 2 sxy), and
+    the minor one a quarter turn from it.  Where the coherence c is 0 the
+    tensor carries no orientation, and the angle is pi/2 there whatever
+    the rounding of its entries.
+    """
+    angle = np.subtract(sxx, syy)
+    np.arctan2(2.0 * sxy, angle, out=angle)
+    angle *= 0.5
+    angle += 0.5 * np.pi
+    angle = _fold_angle(angle)
+    angle[c == 0.0] = 0.5 * np.pi
+    return angle
 
 
 def _scale_fields(gl, k_index, cfg):
-    """Coherence and minor-eigenvector angle of the scale-k structure tensor."""
+    """Coherence and minor-eigenvector angle of the scale-k structure tensor.
+
+    Each plane is dropped once the next stage no longer reads it, so a call
+    holds at most six float64 planes (and a boolean mask) beyond gl.
+    """
     var = 2 * k_index - 1
     if var > 1:
         pre = gaussian_kernel(np.sqrt(var), var)
         gl = convolve_channel(gl, pre)
     gf = sobel_grad(gl)
+    del gl
     st_kernel = gaussian_kernel(np.sqrt(cfg.st_support), cfg.st_support)
     sxx = convolve_channel(gf.gx * gf.gx, st_kernel)
     sxy = convolve_channel(gf.gx * gf.gy, st_kernel)
     syy = convolve_channel(gf.gy * gf.gy, st_kernel)
-    lp, lm, _, vm = eig2x2(sxx, sxy, syy)
+    del gf
+    lp, lm = eig2x2(sxx, sxy, syy)
     c = coherence(lp, lm)
-    angle = _fold_angle(np.arctan2(vm[..., 1], vm[..., 0]))
-    return c, angle
+    del lp, lm
+    return c, _minor_angle(sxx, sxy, syy, c)
 
 
 def tv_regularize_field(field, fidelity_half, tau, box):

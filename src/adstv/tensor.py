@@ -1,4 +1,4 @@
-"""The patch-based Jacobian operator, its adjoint, and 2x2 eigensystems.
+"""The patch-based Jacobian operator, its adjoint, and 2x2 eigenvalues.
 
 The patch-based Jacobian attaches to every pixel i an (L*C) x 2 matrix whose
 rows are kernel-weighted gradients gathered from the neighborhood:
@@ -7,7 +7,7 @@ rows are kernel-weighted gradients gathered from the neighborhood:
 
 with L = support^2 taps in row-major order and reflect indexing at borders.
 The per-pixel Gram matrix of this stack is the classical structure tensor of
-the image smoothed by K, which is what makes 2x2 eigendecompositions
+the image smoothed by K, which is what makes closed-form 2x2 eigenvalues
 sufficient for every singular-value computation in this package.
 
 The directional variant transforms each gradient by diag(a+, a-[j]) R(-th[j])
@@ -411,59 +411,32 @@ def apply_direction(g, ap, am, th):
 
 
 def eig2x2(sxx, sxy, syy):
-    """Closed-form eigendecomposition of symmetric 2x2 matrices.
+    """Closed-form eigenvalues of symmetric 2x2 matrices.
 
-    Returns (lambda_plus, lambda_minus, v_plus, v_minus) with lambda_plus >=
-    lambda_minus, unit eigenvectors stacked on the last axis, and a sign
-    convention making the first nonzero component nonnegative.  Works on
-    scalars or arrays of matching shape.
+    Returns (lambda_plus, lambda_minus) = mean +- hypot(half, sxy), with
+    mean and half the half-sum and half-difference of the diagonal, so
+    lambda_plus >= lambda_minus.  Works on scalars or arrays of matching
+    shape; an array call holds at most three planes besides its inputs.
     """
     sxx = np.asarray(sxx, dtype=np.float64)
     sxy = np.asarray(sxy, dtype=np.float64)
     syy = np.asarray(syy, dtype=np.float64)
-    mean = 0.5 * (sxx + syy)
-    half = 0.5 * (sxx - syy)
-    rad = np.hypot(half, sxy)
-    lp = mean + rad
-    lm = mean - rad
-    # Columns of (A - lm I) span the lambda_plus eigenspace; both are free of
-    # cancellation (entries half+rad and rad-half are nonnegative).  Pick the
-    # larger one; when both vanish the matrix is isotropic and the coordinate
-    # axes serve as eigenvectors.
-    c1x = half + rad
-    c1y = sxy
-    c2x = sxy
-    c2y = rad - half
-    n1 = np.hypot(c1x, c1y)
-    n2 = np.hypot(c2x, c2y)
-    use1 = n1 >= n2
-    vx = np.where(use1, c1x, c2x)
-    vy = np.where(use1, c1y, c2y)
-    n = np.hypot(vx, vy)
-    safe = np.where(n == 0.0, 1.0, n)
-    vx = np.where(n == 0.0, 1.0, vx / safe)
-    vy = np.where(n == 0.0, 0.0, vy / safe)
-    flip = (vx < 0.0) | ((vx == 0.0) & (vy < 0.0))
-    sgn = np.where(flip, -1.0, 1.0)
-    vx = sgn * vx
-    vy = sgn * vy
-    # v_minus is the perpendicular, re-signed under the same convention.
-    wx = -vy
-    wy = vx
-    flip = (wx < 0.0) | ((wx == 0.0) & (wy < 0.0))
-    sgn = np.where(flip, -1.0, 1.0)
-    wx = sgn * wx
-    wy = sgn * wy
-    return lp, lm, np.stack([vx, vy], axis=-1), np.stack([wx, wy], axis=-1)
+    lp = 0.5 * (sxx + syy)
+    rad = np.hypot(0.5 * (sxx - syy), sxy)
+    lm = lp - rad
+    lp += rad
+    return lp, lm
 
 
 def coherence(lambda_plus, lambda_minus, eps=1e-12):
     """Anisotropy measure (l+ - l-) / l+ in [0, 1]; 0 where l+ <= eps."""
     lp = np.asarray(lambda_plus, dtype=np.float64)
     lm = np.asarray(lambda_minus, dtype=np.float64)
-    safe = np.where(lp > eps, lp, 1.0)
-    c = np.where(lp > eps, (lp - lm) / safe, 0.0)
-    return np.clip(c, 0.0, 1.0)
+    live = lp > eps
+    c = np.zeros(np.broadcast_shapes(lp.shape, lm.shape))
+    np.subtract(lp, lm, out=c, where=live)
+    np.divide(c, lp, out=c, where=live)
+    return np.clip(c, 0.0, 1.0, out=c)
 
 
 def regularizer_value(f, k, dp=None, q=1):
@@ -474,7 +447,7 @@ def regularizer_value(f, k, dp=None, q=1):
     """
     if q not in (1, 2):
         raise ValueError("q must be 1 or 2")
-    lp, lm, _, _ = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
+    lp, lm = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
     lp = np.maximum(lp, 0.0)
     lm = np.maximum(lm, 0.0)
     if q == 1:

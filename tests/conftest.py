@@ -1,10 +1,12 @@
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import ndimage
 
 from adstv import Image
-from adstv.diffops import convolve_channel, grad_forward
-from adstv.tensor import DirectionalParams, eig2x2
+from adstv.diffops import grad_forward
+from adstv.dpe import _minor_angle
+from adstv.tensor import DirectionalParams, coherence, eig2x2
 
 
 def rand_image(rng, h, w, c=1):
@@ -27,10 +29,18 @@ def stripe_image(h, w, tangent_angle, period=8.0, contrast=0.4):
     return Image((0.5 + contrast * np.sin(2.0 * np.pi * phase / period))[None])
 
 
+def minor_angle(sxx, sxy, syy):
+    """The minor-eigenvector angle analyze takes from 2x2 tensors with
+    these entries (scalars or 1-D arrays)."""
+    sxx, sxy, syy = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (sxx, sxy, syy))
+    return _minor_angle(sxx, sxy, syy, coherence(*eig2x2(sxx, sxy, syy)))
+
+
 def structure_tensor(f, k):
     """Oracle for the Gram matrices of the patch Jacobian: channel-summed
-    gradient outer products smoothed by k (the convolution route), with
-    their eigensystem."""
+    gradient outer products smoothed by k (a 2-D correlation, not the
+    package's separable passes), with their eigensystem from LAPACK's
+    eigh (eigenvectors signed as eigh returns them)."""
     sxx = np.zeros((f.height, f.width))
     sxy = np.zeros_like(sxx)
     syy = np.zeros_like(sxx)
@@ -39,9 +49,11 @@ def structure_tensor(f, k):
         sxx += gf.gx * gf.gx
         sxy += gf.gx * gf.gy
         syy += gf.gy * gf.gy
-    sxx = convolve_channel(sxx, k)
-    sxy = convolve_channel(sxy, k)
-    syy = convolve_channel(syy, k)
-    lp, lm, vp, vm = eig2x2(sxx, sxy, syy)
-    return SimpleNamespace(sxx=sxx, sxy=sxy, syy=syy, lambda_plus=lp,
-                           lambda_minus=lm, v_plus=vp, v_minus=vm)
+    sxx = ndimage.correlate(sxx, k.weights, mode="reflect")
+    sxy = ndimage.correlate(sxy, k.weights, mode="reflect")
+    syy = ndimage.correlate(syy, k.weights, mode="reflect")
+    mats = np.stack([np.stack([sxx, sxy], -1), np.stack([sxy, syy], -1)], -2)
+    lam, vec = np.linalg.eigh(mats)
+    return SimpleNamespace(sxx=sxx, sxy=sxy, syy=syy, lambda_plus=lam[..., 1],
+                           lambda_minus=lam[..., 0], v_plus=vec[..., :, 1],
+                           v_minus=vec[..., :, 0])

@@ -77,6 +77,18 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err
         assert not dst.exists()
+    # a non-finite or negative declared noise level is rejected before the
+    # direction fields are estimated, with --scales given or not
+    out_dir = tmp_path / "fields"
+    for argv in (["estimate", "--input", str(src), "--out-dir", str(out_dir)],
+                 ["estimate", "--input", str(src), "--out-dir", str(out_dir), "--scales", "2"],
+                 ["denoise"] + io + ["--regularizer", "adstv", "--tau", "0.1"],
+                 ["denoise"] + io + ["--regularizer", "tv", "--tau", "0.1"]):
+        for sigma in ("nan", "inf", "-inf", "-1"):
+            assert main(argv + ["--noise-sigma=" + sigma]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --noise-sigma") and err.count("\n") == 1
+            assert not dst.exists() and not out_dir.exists()
     # noise beyond float32 range is rejected before a PFM is written
     big = tmp_path / "big.pfm"
     assert main(["add-noise", "--input", str(src), "--output", str(big),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from adstv import Image
 from adstv.diffops import (
@@ -175,6 +176,46 @@ def test_convolve_matches_naive_oracle():
     k = gaussian_kernel(1.0, 3)
     out = convolve_channel(f, k)
     np.testing.assert_allclose(out, naive_correlate_reflect(f, k.weights), atol=1e-13)
+
+
+# planes wider and narrower than the kernels below; across a narrow one the
+# mirror extension wraps more than once
+SEPARABLE_SHAPES = [(1, 1), (1, 5), (5, 1), (7, 3), (33, 20)]
+
+
+@pytest.mark.parametrize("support", [1, 3, 5, 7, 11, 15])
+def test_convolve_matches_2d_correlate(support):
+    rng = np.random.default_rng(support)
+    for sigma in (np.sqrt(support), 1.5):
+        k = gaussian_kernel(sigma, support)
+        for shape in SEPARABLE_SHAPES:
+            f = 3.0 * rng.standard_normal(shape)
+            ref = ndimage.correlate(f, k.weights, mode="reflect")
+            out = convolve_channel(f, k)
+            assert out.shape == shape and out.dtype == np.float64
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(f).max()
+
+
+def test_convolve_rejects_non_separable_kernel():
+    f = np.ones((6, 5))
+    cross = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 0.0]]) / 6.0
+    # rank one, but its rows and columns have different factors
+    lopsided = np.outer([1.0, 2.0, 1.0], [1.0, 1.0, 2.0])
+    for weights in (cross, lopsided / lopsided.sum()):
+        with pytest.raises(ValueError, match="outer product"):
+            convolve_channel(f, Kernel(weights))
+
+
+def test_sobel_matches_2d_correlate():
+    rng = np.random.default_rng(7)
+    sx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+    for shape in SEPARABLE_SHAPES:
+        f = 3.0 * rng.standard_normal(shape)
+        gf = sobel_grad(f)
+        for got, k in ((gf.gx, sx), (gf.gy, sx.T)):
+            ref = ndimage.correlate(f, k, mode="reflect")
+            assert got.shape == shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(f).max()
 
 
 def test_reflect_index_rule():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from adstv.dpe import (
     tv_regularize_field,
 )
 from adstv.solver import tv_denoise
+from adstv.tensor import coherence, eig2x2
 
-from conftest import rand_image, stripe_image
+from conftest import minor_angle, rand_image, stripe_image
 
 
 def angle_dist(a, b):
@@ -75,6 +78,69 @@ def test_coherence_matches_dense_eigendecomposition():
     lm, lp = np.linalg.eigvalsh(mats)[..., 0], np.linalg.eigvalsh(mats)[..., 1]
     expected = np.clip((lp - lm) / np.maximum(lp, 1e-12), 0.0, 1.0)
     np.testing.assert_allclose(analyze(g, cfg).coherence_raw[0], expected, atol=1e-9)
+
+
+def test_minor_angle_matches_eigh_eigenvector():
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((400, 2, 2))
+    u = rng.standard_normal((200, 2)) * rng.uniform(0.01, 100.0, (200, 1))
+    mats = np.concatenate([a @ a.transpose(0, 2, 1),        # random PSD
+                           u[:, :, None] * u[:, None, :]])  # rank one
+    theta = minor_angle(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+    assert ((theta >= 0.0) & (theta < np.pi)).all()
+    vec = np.linalg.eigh(mats)[1][..., 0]
+    assert angle_dist(theta, np.arctan2(vec[:, 1], vec[:, 0])).max() <= 1e-12
+    # zero and isotropic tensors: every unit vector is a minor eigenvector
+    # (eigh returns the x axis), and the tie rule gives pi/2
+    flat = np.stack([s * np.eye(2) for s in (0.0, 1e-20, 1e-13, 1.0, 3.5, 1e5)])
+    theta = minor_angle(flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 1])
+    np.testing.assert_array_equal(theta, np.pi / 2)
+
+
+def test_minor_angle_is_half_pi_where_coherence_is_zero():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((300, 2, 2))
+    mats = a @ a.transpose(0, 2, 1)
+    # rescaled so that 0 < lambda_plus <= 1e-12, where coherence is 0
+    top = np.linalg.eigvalsh(mats)[:, 1]
+    tiny = mats * (rng.uniform(0.01, 0.99, 300) * 1e-12 / top)[:, None, None]
+    entries = tiny[:, 0, 0], tiny[:, 0, 1], tiny[:, 1, 1]
+    lp, lm = eig2x2(*entries)
+    assert ((lp > 0.0) & (lp <= 1e-12)).all()
+    assert not coherence(lp, lm).any()
+    np.testing.assert_array_equal(minor_angle(*entries), np.pi / 2)
+    # through the pipeline: the flat half of a gray image and of its
+    # three-channel copy have zero coherence and the same angle
+    cfg = DpeConfig(alpha_plus=3.0, num_scales=3)
+    mono = striped_and_flat(48, 48, np.pi / 2)
+    for g in (mono, Image(np.repeat(mono.data, 3, axis=0))):
+        fields = analyze(g, cfg)
+        for c, angle in zip(fields.coherence_raw, fields.angle_at_scale):
+            assert (c[:, 30:] == 0.0).any()
+            np.testing.assert_array_equal(angle[c == 0.0], np.pi / 2)
+
+
+def test_scale_fields_memory_bound():
+    # The planes a 256^2 call holds at once beyond its input, stage by
+    # stage: the pre-smoothed plane and the Sobel pair (3); the Sobel pair,
+    # two smoothed products, a product and its smoothing (6); the three
+    # smoothed products and the three eig2x2 planes (6); the products,
+    # both eigenvalues and the coherence (6); the products, the coherence,
+    # the angle and 2 sxy (6).  One more plane covers the boolean masks
+    # (1/8 plane each) and the kernels.
+    rng = np.random.default_rng(42)
+    gl = rng.random((256, 256))
+    cfg = DpeConfig(alpha_plus=3.0, num_scales=3, st_support=15)
+    plane = gl.nbytes
+    bound = 7 * plane
+    tracemalloc.start()
+    try:
+        c, angle = dpe._scale_fields(gl, 3, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.shape == angle.shape == gl.shape
+    assert peak <= bound, (peak / plane, bound / plane)
 
 
 def test_coherence_presmoothing_reduces_noise_response():

@@ -16,7 +16,7 @@ from adstv.tensor import (
     regularizer_value,
 )
 
-from conftest import rand_image, rand_params, structure_tensor
+from conftest import minor_angle, rand_image, rand_params, structure_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,8 @@ def test_constant_rotation_preserves_gram_eigenvalues():
     k = gaussian_kernel(0.5, 3)
     h, w = 8, 8
     dp = DirectionalParams(1.0, np.ones((h, w)), np.full((h, w), 0.9))
-    lp0, lm0, _, _ = eig2x2(*_gram(jacobian_apply(f.data, k)))
-    lp1, lm1, _, _ = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
+    lp0, lm0 = eig2x2(*_gram(jacobian_apply(f.data, k)))
+    lp1, lm1 = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
     np.testing.assert_allclose(lp0, lp1, atol=1e-10)
     np.testing.assert_allclose(lm0, lm1, atol=1e-10)
 
@@ -410,18 +410,17 @@ def test_structure_tensor_psd_and_orthonormal():
 
 
 def test_eig2x2_diagonal_and_rank1():
-    lp, lm, vp, vm = eig2x2(4.0, 0.0, 1.0)
+    lp, lm = eig2x2(4.0, 0.0, 1.0)
     assert lp == 4.0 and lm == 1.0
-    np.testing.assert_allclose(vp, [1.0, 0.0])
-    np.testing.assert_allclose(vm, [0.0, 1.0])
-    lp, lm, vp, vm = eig2x2(1.0, 1.0, 1.0)
+    # minor vector (0, 1)
+    np.testing.assert_allclose(minor_angle(4.0, 0.0, 1.0), [np.pi / 2])
+    lp, lm = eig2x2(1.0, 1.0, 1.0)
     assert lp == pytest.approx(2.0, abs=1e-14)
     assert lm == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_allclose(vp, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-14)
-    # isotropic: coordinate axes by convention
-    _, _, vp, vm = eig2x2(2.0, 0.0, 2.0)
-    np.testing.assert_array_equal(vp, [1.0, 0.0])
-    np.testing.assert_array_equal(vm, [0.0, 1.0])
+    # major vector (1, 1) / sqrt(2), minor vector at 3 pi / 4
+    np.testing.assert_allclose(minor_angle(1.0, 1.0, 1.0), [0.75 * np.pi], atol=1e-14)
+    # isotropic: no orientation, so the tie rule's pi/2
+    np.testing.assert_array_equal(minor_angle(2.0, 0.0, 2.0), [np.pi / 2])
 
 
 def test_eig2x2_characteristic_polynomial_oracle():
@@ -429,23 +428,27 @@ def test_eig2x2_characteristic_polynomial_oracle():
     a = rng.standard_normal((200, 2, 2))
     mats = a @ a.transpose(0, 2, 1)  # random PSD
     sxx, sxy, syy = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-    lp, lm, vp, vm = eig2x2(sxx, sxy, syy)
+    lp, lm = eig2x2(sxx, sxy, syy)
     for lam in (lp, lm):
         residual = lam**2 - (sxx + syy) * lam + (sxx * syy - sxy**2)
         assert np.all(np.abs(residual) <= 1e-12 * np.maximum(1.0, lp**2))
-    # eigenvector equations
+    # eigenvector equations for the unit vectors at the minor angle and a
+    # quarter turn from it
+    theta = minor_angle(sxx, sxy, syy)
+    vm = np.stack([np.cos(theta), np.sin(theta)], -1)
+    vp = np.stack([-np.sin(theta), np.cos(theta)], -1)
     np.testing.assert_allclose(sxx * vp[:, 0] + sxy * vp[:, 1], lp * vp[:, 0], atol=1e-10)
     np.testing.assert_allclose(sxy * vp[:, 0] + syy * vp[:, 1], lp * vp[:, 1], atol=1e-10)
     np.testing.assert_allclose(sxy * vm[:, 0] + syy * vm[:, 1], lm * vm[:, 1], atol=1e-10)
-    # sign convention: first nonzero component nonnegative
-    assert ((vp[:, 0] > 0) | ((vp[:, 0] == 0) & (vp[:, 1] >= 0))).all()
+    # the angle is folded into [0, pi)
+    assert ((theta >= 0.0) & (theta < np.pi)).all()
 
 
 def test_eig2x2_matches_lapack():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((100, 2, 2))
     mats = a @ a.transpose(0, 2, 1)
-    lp, lm, _, _ = eig2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+    lp, lm = eig2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
     ref = np.linalg.eigvalsh(mats)
     np.testing.assert_allclose(lm, ref[:, 0], atol=1e-11)
     np.testing.assert_allclose(lp, ref[:, 1], atol=1e-11)
