@@ -156,13 +156,26 @@ def default_alpha_grid():
     return [float(a) for a in np.arange(2, 31)]
 
 
-def _check_grids(regularizers, tau_grid, alpha_grid):
-    """Reject a grid that would leave a tuple without a single solve."""
+def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
+    """Reject a grid that would leave a tuple without a single solve, or
+    whose values a solve would refuse."""
+    for sigma in sigmas:
+        # refuses the sigmas NoiseSpec refuses: NaN, infinite or negative
+        default_num_scales(sigma)
     if not tau_grid:
         raise ValueError("the tau grid is empty")
+    for tau in tau_grid:
+        # written so that NaN fails it
+        if not 0.0 < tau < np.inf:
+            raise ValueError("tau grid values must be positive and finite, got %r" % tau)
     steered = [reg for reg in regularizers if reg in ("eadtv", "adstv")]
-    if steered and not alpha_grid:
+    if not steered:
+        return
+    if not alpha_grid:
         raise ValueError("the alpha grid is empty, and %s needs one" % steered[0])
+    for alpha in alpha_grid:
+        if not 1.0 <= alpha < np.inf:  # NaN fails it too
+            raise ValueError("alpha grid values must be finite and >= 1, got %r" % alpha)
 
 
 def _solver_kwargs(opts):
@@ -177,7 +190,7 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
               master_seed, opts=None):
     """Best-PSNR record for one (image, sigma, regularizer) tuple."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
-    _check_grids([reg], tau_grid, alpha_grid)
+    _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts = opts or {}
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
@@ -234,7 +247,7 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
         if reg not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % reg)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
-    _check_grids(regularizers, tau_grid, alpha_grid)
+    _check_grids(regularizers, sigmas, tau_grid, alpha_grid)
     tasks = []
     for path, image_id in image_paths:
         for sigma in sigmas:

@@ -26,7 +26,6 @@ __all__ = [
     "delta_kernel",
     "gaussian_kernel",
     "grad_forward",
-    "forward_difference",
     "div_backward",
     "sobel_grad",
     "convolve_channel",
@@ -128,27 +127,14 @@ def grad_forward(channel, out=None):
     if out is None:
         out = (np.empty_like(f), np.empty_like(f))
     gx, gy = _planes(out, f.shape, f.dtype)
-    forward_difference(f, 1, gx)
-    forward_difference(f, 0, gy)
-    return GradientField(gx=gx, gy=gy)
-
-
-def forward_difference(channel, axis, out):
-    """One component of grad_forward: the forward difference of a single
-    channel along axis (1 for x, 0 for y), written to the C-contiguous
-    plane out and returned."""
-    f = np.ascontiguousarray(as_float(channel))
-    _planes((out,), f.shape, f.dtype)
     # Differences of the flattened plane: the one that wraps across a row
     # end lands in the last column (last row for y), which is then zeroed.
     flat = f.reshape(-1)
-    lag = 1 if axis == 1 else f.shape[1]
-    np.subtract(flat[lag:], flat[:-lag], out=out.reshape(-1)[:-lag])
-    if axis == 1:
-        out[:, -1] = 0.0
-    else:
-        out[-1] = 0.0
-    return out
+    for plane, lag in ((gx, 1), (gy, f.shape[1])):
+        np.subtract(flat[lag:], flat[:-lag], out=plane.reshape(-1)[:-lag])
+    gx[:, -1] = 0.0
+    gy[-1] = 0.0
+    return GradientField(gx=gx, gy=gy)
 
 
 def div_backward(p, out=None, scratch=None):

@@ -12,16 +12,20 @@ scale k = 1..K with pre-smoothing variance 2k - 1:
   2. clean c with a TV solve (full squared fidelity, unit TV weight) on the
      [0, 1] box, giving kappa_hat;
   3. fuse across scales: keep the previous value where the new one is not
-     larger, otherwise average;
-  4. if the fused field is strongly skewed (|skewness| > 1), push its mass
-     toward the appropriate end through the square/fourth-root rule.
+     larger, otherwise average.
 
-alpha_minus is the affine map sending the largest enhanced coherence to 1
-(strong orientation, full anisotropic dose) and the smallest to alpha_plus
-(isotropic smoothing).  theta takes the minor eigenvector angle at the scale
-with the strongest kappa_hat per pixel, then gets its own light TV cleanup
-(half fidelity, weight 0.02) and is folded back into [0, pi).  The angle
-comes from the tensor entries alone, as half the double angle
+After the last scale, if the fused field is strongly skewed (|skewness| >
+1), its mass is pushed toward the appropriate end through the
+square/fourth-root rule.  alpha_minus is the affine map sending the largest
+enhanced coherence to 1 (strong orientation, full anisotropic dose) and the
+smallest to alpha_plus (isotropic smoothing).  theta takes the minor
+eigenvector angle at the scale with the strongest kappa_hat per pixel (the
+first such scale on a tie), then gets its own light TV cleanup (half
+fidelity, weight 0.02) and is folded back into [0, pi).  The scales are
+streamed: analyze keeps only the running fusion, the largest kappa_hat so
+far and its angle from one scale to the next.
+
+The angle comes from the tensor entries alone, as half the double angle
 atan2(2 sxy, sxx - syy) turned by pi/2, with no eigenvectors.  Where the
 coherence is 0 (an isotropic tensor, or lambda_plus <= 1e-12, as in flat
 regions) the angle is pi/2: a tie rule that does not depend on the rounding
@@ -177,24 +181,18 @@ def skew_enhance(field):
 
 @dataclass
 class DpeFields:
-    """All intermediate fields of one analysis, for reuse and diagnostics.
+    """The two fields one analysis leaves: the skew-enhanced fusion of the
+    cleaned coherences, and the cleaned orientation theta.
 
-    The per-scale lists hold, in order: raw coherence, its TV-regularized
-    version (kappa_hat), the running fusion, and the skew-enhanced fusion.
-    directional_params() applies only the final affine range map, so one
-    analysis serves any number of alpha_plus values.
+    directional_params() applies only the final affine range map to the
+    coherence, so one analysis serves any number of alpha_plus values.
     """
 
-    coherence_raw: list
-    coherence_tv: list
-    coherence_fused: list
-    coherence_enhanced: list
-    angle_at_scale: list
-    theta_raw: np.ndarray
+    coherence: np.ndarray
     theta: np.ndarray
 
     def alpha_minus(self, alpha_plus):
-        phi = self.coherence_enhanced[-1]
+        phi = self.coherence
         lo = float(phi.min())
         hi = float(phi.max())
         if hi - lo <= 1e-12:
@@ -208,24 +206,32 @@ class DpeFields:
 
 
 def analyze(g, cfg):
-    """Run the full multi-scale pipeline once; alpha_plus-independent."""
+    """Run the full multi-scale pipeline once; alpha_plus-independent.
+
+    Each scale updates three planes and drops the rest: the running fusion,
+    the largest kappa_hat so far, and the angle at the scale that gave it.
+    The last two change only where the new kappa_hat is strictly larger,
+    so ties keep the earliest scale.
+    """
     gl = to_luminance(g).data[0]
-    raw, tv, fused_list, enhanced, angles = [], [], [], [], []
-    fused = None
+    fused = strongest = theta = None
     for k in range(1, cfg.num_scales + 1):
         c, angle = _scale_fields(gl, k, cfg)
         khat = tv_regularize_field(c, False, cfg.coherence_tv_weight, (0.0, 1.0))
-        fused = khat if fused is None else fuse_scales(fused, khat)
-        raw.append(c)
-        tv.append(khat)
-        fused_list.append(fused)
-        enhanced.append(skew_enhance(fused))
-        angles.append(angle)
-    strongest = np.argmax(np.stack(tv), axis=0)
-    theta_raw = np.take_along_axis(np.stack(angles), strongest[None], axis=0)[0]
-    theta = tv_regularize_field(theta_raw, True, cfg.theta_tv_tau, (0.0, np.pi))
-    theta = _fold_angle(theta)
-    return DpeFields(raw, tv, fused_list, enhanced, angles, theta_raw, theta)
+        del c
+        if fused is None:
+            fused, strongest, theta = khat, khat, angle
+            continue
+        stronger = khat > strongest
+        fused = fuse_scales(fused, khat)
+        # strongest no longer aliases fused, which is a new plane
+        np.copyto(strongest, khat, where=stronger)
+        np.copyto(theta, angle, where=stronger)
+        # released before the next scale's structure tensor is built
+        del khat, angle, stronger
+    del strongest
+    theta = tv_regularize_field(theta, True, cfg.theta_tv_tau, (0.0, np.pi))
+    return DpeFields(skew_enhance(fused), _fold_angle(theta))
 
 
 def estimate(g, cfg):

@@ -23,7 +23,9 @@ each row into a padded plane at the same slice, as one contiguous run, and
 folds the border back onto the samples it mirrors.  Per-pixel Gram sums run
 over the rows axis of the planes.  Given a step, jacobian_apply adds
 J / step into an existing field instead, row by row, which is the dual
-ascent step of the solver.
+ascent step of the solver.  Every kernel, steered or not, runs the same
+tap loop; a 1x1 kernel (TV, EADTV) has no extension, and its ascent adds
+the gradient plane itself.
 
 A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products and the scratch planes.
@@ -44,7 +46,6 @@ from .diffops import (
     GradientField,
     as_float,
     div_backward,
-    forward_difference,
     grad_forward,
     reflect_index,
 )
@@ -264,32 +265,10 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     r = kernel.radius
     steered = dp is not None
     ascent = step is not None
-    if r == 0 and ws.taps[0][1] == 1.0 and not steered:
-        # one unit tap, unsteered: row c holds the two forward differences
-        # of channel c; a step adds each through one scratch plane
-        _, scratch = ws.scratch(planes=1 if ascent else 0)
-        for c in range(nch):
-            for k in range(2):
-                row = scratch[0] if ascent else planar[k, c]
-                forward_difference(channels[c], 1 - k, row)
-                if ascent:
-                    row /= step
-                    planar[k, c] += row
-        return out
-    if r == 0 and ws.taps[0][1] == 1.0:
-        # one unit tap, steered: row c is the channel's steered gradient
-        _, planes = ws.scratch(planes=4 if ascent else 2)
-        for c in range(nch):
-            grads = planes[2:] if ascent else (planar[0, c], planar[1, c])
-            _gradient(ws, channels[c], *grads, planes[:2])
-            if ascent:
-                for k in range(2):
-                    grads[k] /= step
-                    planar[k, c] += grads[k]
-        return out
-    # planes[2] takes the row being added; when steering it is free once
-    # the gradient is taken
-    pads, planes = ws.scratch(1 if r else 0, 4 if steered else 2 + ascent)
+    # planes[2] takes the row being added (when steering it is free once
+    # the gradient is taken); with one tap the ascent adds the gradient
+    # plane itself, which no other row reads
+    pads, planes = ws.scratch(1 if r else 0, 4 if steered else 2 + (ascent and r > 0))
     for c in range(nch):
         _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
         for k in range(2):
@@ -303,8 +282,11 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
                         dst[...] = 0.0
                     continue
                 # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                row = planes[2] if ascent else dst
-                row[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
+                if ascent and not r:
+                    row = ext
+                else:
+                    row = planes[2] if ascent else dst
+                    row[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
                 if sw != 1.0:
                     row *= sw
                 if ascent:

@@ -3,9 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import ndimage
 
-from adstv import Image
+from adstv import Image, dpe
 from adstv.diffops import grad_forward
 from adstv.dpe import _minor_angle
+from adstv.image import to_luminance
 from adstv.tensor import DirectionalParams, coherence, eig2x2
 
 
@@ -57,3 +58,28 @@ def structure_tensor(f, k):
     return SimpleNamespace(sxx=sxx, sxy=sxy, syy=syy, lambda_plus=lam[..., 1],
                            lambda_minus=lam[..., 0], v_plus=vec[..., :, 1],
                            v_minus=vec[..., :, 0])
+
+
+def analyze_stages(g, cfg):
+    """Oracle for dpe.analyze that keeps every stage of every scale: the
+    raw coherence, its TV cleanup kappa_hat, the running fusion, its skew
+    enhancement and the angle, as lists over scales.  theta_raw takes the
+    angle at the first scale of largest kappa_hat (np.argmax over the
+    stack).  The cleanups go through the module attribute
+    dpe.tv_regularize_field, so a test that patches it patches both."""
+    gl = to_luminance(g).data[0]
+    raw, tv, fused, enhanced, angles = [], [], [], [], []
+    for k in range(1, cfg.num_scales + 1):
+        c, angle = dpe._scale_fields(gl, k, cfg)
+        khat = dpe.tv_regularize_field(c, False, cfg.coherence_tv_weight, (0.0, 1.0))
+        fused.append(khat if not fused else dpe.fuse_scales(fused[-1], khat))
+        enhanced.append(dpe.skew_enhance(fused[-1]))
+        raw.append(c)
+        tv.append(khat)
+        angles.append(angle)
+    strongest = np.argmax(np.stack(tv), axis=0)
+    theta_raw = np.take_along_axis(np.stack(angles), strongest[None], axis=0)[0]
+    theta = dpe.tv_regularize_field(theta_raw, True, cfg.theta_tv_tau, (0.0, np.pi))
+    return SimpleNamespace(coherence_raw=raw, coherence_tv=tv, coherence_fused=fused,
+                           coherence_enhanced=enhanced, angle_at_scale=angles,
+                           theta_raw=theta_raw, theta=dpe._fold_angle(theta))

@@ -39,7 +39,7 @@ from adstv.tensor import (
     jacobian_apply,
 )
 
-from conftest import rand_image, rand_params, stripe_image, structure_tensor
+from conftest import analyze_stages, rand_image, rand_params, stripe_image, structure_tensor
 
 
 def report(name, ok, detail):
@@ -345,8 +345,11 @@ def test_criterion07_dpe_contracts():
         ok &= bool(dp.alpha_minus.min() >= 1.0 - 1e-12
                    and dp.alpha_minus.max() <= alpha + 1e-12)
         ok &= bool(dp.theta.min() >= 0.0 and dp.theta.max() < np.pi)
-        for stage in (fields.coherence_raw + fields.coherence_tv
-                      + fields.coherence_fused + fields.coherence_enhanced):
+        stages = analyze_stages(img, cfg)
+        ok &= bool(np.array_equal(fields.coherence, stages.coherence_enhanced[-1])
+                   and np.array_equal(fields.theta, stages.theta))
+        for stage in (stages.coherence_raw + stages.coherence_tv
+                      + stages.coherence_fused + stages.coherence_enhanced):
             ok &= bool(stage.min() >= 0.0 and stage.max() <= 1.0)
     # a 30-degree grating next to a flat region: the oriented interior must
     # get the right tangent and nearly the full anisotropic dose
@@ -358,7 +361,8 @@ def test_criterion07_dpe_contracts():
     err = float(np.minimum(err, np.pi - err).max())
     am_max = float(dp.alpha_minus[interior].max())
     ok &= err <= 0.1 and am_max <= 1.2
-    detail.append("55 images in range, stripe theta err %.3f rad, interior dose %.3f"
+    detail.append("55 images in range and equal to the per-scale oracle, "
+                  "stripe theta err %.3f rad, interior dose %.3f"
                   % (err, am_max))
     report("7 dpe-contracts", ok, "; ".join(detail))
 

@@ -93,26 +93,49 @@ def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatc
     assert solves == []
 
 
-@pytest.mark.parametrize("regs, taus, alphas, says", [
-    pytest.param(["eadtv"], [0.05], [], "alpha grid", id="eadtv-no-alpha"),
-    pytest.param(["tv", "adstv"], [0.05], [], "alpha grid", id="tv-adstv-no-alpha"),
-    pytest.param(["tv"], [], [2.0], "tau grid", id="tv-no-tau"),
-    pytest.param(["stv", "eadtv"], [], [2.0], "tau grid", id="stv-eadtv-no-tau"),
+@pytest.mark.parametrize("sigmas, regs, taus, alphas, says", [
+    pytest.param([0.1], ["eadtv"], [0.05], [], "alpha grid", id="eadtv-no-alpha"),
+    pytest.param([0.1], ["tv", "adstv"], [0.05], [], "alpha grid", id="tv-adstv-no-alpha"),
+    pytest.param([0.1], ["tv"], [], [2.0], "tau grid", id="tv-no-tau"),
+    pytest.param([0.1], ["stv", "eadtv"], [], [2.0], "tau grid", id="stv-eadtv-no-tau"),
+    pytest.param([0.1, np.nan], ["tv"], [0.05], [], "noise sigma", id="tv-nan-sigma"),
+    pytest.param([0.1, -0.5], ["tv", "stv"], [0.05], [], "noise sigma",
+                 id="tv-stv-negative-sigma"),
+    pytest.param([np.inf], ["adstv"], [0.05], [2.0], "noise sigma", id="adstv-inf-sigma"),
+    pytest.param([0.1], ["tv"], [0.05, -1.0], [], "tau grid", id="tv-negative-tau"),
+    pytest.param([0.1], ["stv"], [0.05, 0.0], [], "tau grid", id="stv-zero-tau"),
+    pytest.param([0.1], ["eadtv"], [np.nan], [2.0], "tau grid", id="eadtv-nan-tau"),
+    pytest.param([0.1], ["adstv"], [0.05, np.inf], [2.0], "tau grid", id="adstv-inf-tau"),
+    pytest.param([0.1], ["adstv"], [0.05], [2.0, 0.5], "alpha grid", id="adstv-alpha-below-1"),
+    pytest.param([0.1], ["tv", "eadtv"], [0.05], [np.nan], "alpha grid",
+                 id="tv-eadtv-nan-alpha"),
+    pytest.param([0.1], ["adstv"], [0.05], [np.inf], "alpha grid", id="adstv-inf-alpha"),
 ])
-def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, regs, taus,
-                                                   alphas, says):
+def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, sigmas, regs,
+                                                   taus, alphas, says):
     path = tmp_path / "stripe.pgm"
     clean = stripe_image(16, 16, 0.5)
     save_image(clean, path)
     solves = counting(monkeypatch, bench, "solve")
+    analyses = counting(monkeypatch, bench, "analyze")
     with pytest.raises(ValueError, match=says):
-        bench.bench([(path, "stripe")], [0.1], regs, taus, alphas)
+        bench.bench([(path, "stripe")], sigmas, regs, taus, alphas)
+    # the last sigma is the one a sigma case makes bad
     for reg in regs:
-        if taus and reg not in ("eadtv", "adstv"):
-            continue  # this tuple alone has a grid to sweep
+        if says == "alpha grid" and reg not in ("eadtv", "adstv"):
+            continue  # an unsteered tuple reads no alpha grid
         with pytest.raises(ValueError, match=says):
-            bench.run_tuple(clean, "stripe", 0.1, reg, taus, alphas, 0)
-    assert solves == []
+            bench.run_tuple(clean, "stripe", sigmas[-1], reg, taus, alphas, 0)
+    if taus and (alphas or says != "alpha grid"):
+        # the same grids through the CLI, where a list cannot be empty
+        def listed(values):
+            return ",".join(repr(float(v)) for v in values) if values else "auto"
+
+        args = ["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "out.csv"),
+                "--sigmas", listed(sigmas), "--regularizers", ",".join(regs),
+                "--tau-grid", listed(taus), "--alpha-grid", listed(alphas)]
+        assert main(args) == 1
+    assert solves == [] and analyses == []
     # an unsteered regularizer needs no alpha grid
     assert bench.bench([(path, "stripe")], [0.1], ["tv"], [0.05], [])[0].regularizer == "tv"
     assert len(solves) == 1

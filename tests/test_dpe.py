@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,10 +16,17 @@ from adstv.dpe import (
     skew_enhance,
     tv_regularize_field,
 )
+from adstv.image import to_luminance
 from adstv.solver import tv_denoise
 from adstv.tensor import coherence, eig2x2
 
-from conftest import minor_angle, rand_image, stripe_image
+from conftest import analyze_stages, minor_angle, rand_image, stripe_image
+
+
+def scale_fields(g, cfg, k):
+    """Raw coherence and angle of g's luminance at scale k, as analyze
+    takes them."""
+    return dpe._scale_fields(to_luminance(g).data[0], k, cfg)
 
 
 def angle_dist(a, b):
@@ -50,13 +58,13 @@ def test_coherence_constant_image_is_zero():
     cfg = DpeConfig(alpha_plus=3.0)
     g = Image(np.full((1, 16, 16), 0.5))
     for k in (1, 2):
-        np.testing.assert_array_equal(analyze(g, cfg).coherence_raw[k - 1], 0.0)
+        np.testing.assert_array_equal(scale_fields(g, cfg, k)[0], 0.0)
 
 
 def test_coherence_stripes_near_one():
     cfg = DpeConfig(alpha_plus=3.0)
     g = stripe_image(32, 32, np.pi / 2)
-    c = analyze(g, cfg).coherence_raw[0]
+    c = scale_fields(g, cfg, 1)[0]
     assert c.shape == (32, 32)
     assert c[8:-8, 8:-8].min() > 0.99
 
@@ -77,7 +85,7 @@ def test_coherence_matches_dense_eigendecomposition():
     )
     lm, lp = np.linalg.eigvalsh(mats)[..., 0], np.linalg.eigvalsh(mats)[..., 1]
     expected = np.clip((lp - lm) / np.maximum(lp, 1e-12), 0.0, 1.0)
-    np.testing.assert_allclose(analyze(g, cfg).coherence_raw[0], expected, atol=1e-9)
+    np.testing.assert_allclose(scale_fields(g, cfg, 1)[0], expected, atol=1e-9)
 
 
 def test_minor_angle_matches_eigh_eigenvector():
@@ -114,8 +122,8 @@ def test_minor_angle_is_half_pi_where_coherence_is_zero():
     cfg = DpeConfig(alpha_plus=3.0, num_scales=3)
     mono = striped_and_flat(48, 48, np.pi / 2)
     for g in (mono, Image(np.repeat(mono.data, 3, axis=0))):
-        fields = analyze(g, cfg)
-        for c, angle in zip(fields.coherence_raw, fields.angle_at_scale):
+        for k in (1, 2, 3):
+            c, angle = scale_fields(g, cfg, k)
             assert (c[:, 30:] == 0.0).any()
             np.testing.assert_array_equal(angle[c == 0.0], np.pi / 2)
 
@@ -147,7 +155,7 @@ def test_coherence_presmoothing_reduces_noise_response():
     rng = np.random.default_rng(21)
     cfg = DpeConfig(alpha_plus=3.0)
     g = Image(np.clip(rng.normal(0.5, 0.15, (1, 32, 32)), 0, 1))
-    c1, c2 = analyze(g, cfg).coherence_raw
+    c1, c2 = (scale_fields(g, cfg, k)[0] for k in (1, 2))
     assert not np.allclose(c1, c2)
     # pure noise has no true orientation; smoothing damps spurious gradients,
     # and the wide window then sees more balanced energy
@@ -284,11 +292,11 @@ def test_skew_enhance_symmetric_passthrough():
 
 def test_alpha_minus_range_map():
     phi = np.array([[0.0, 0.5], [1.0, 0.25]])
-    fields = DpeFields([], [], [], [phi], [], np.zeros((2, 2)), np.zeros((2, 2)))
+    fields = DpeFields(phi, np.zeros((2, 2)))
     am = fields.alpha_minus(5.0)
     np.testing.assert_allclose(am, [[5.0, 3.0], [1.0, 4.0]])
     # constant coherence carries no evidence: fall back to isotropic dose
-    flat = DpeFields([], [], [], [np.full((2, 2), 0.4)], [], np.zeros((2, 2)), np.zeros((2, 2)))
+    flat = DpeFields(np.full((2, 2), 0.4), np.zeros((2, 2)))
     np.testing.assert_array_equal(flat.alpha_minus(3.0), 3.0)
     dp = fields.directional_params(5.0)
     assert dp.alpha_plus == 5.0
@@ -365,28 +373,104 @@ def test_analyze_field_shapes_ranges_and_determinism():
     rng = np.random.default_rng(27)
     cfg = DpeConfig(alpha_plus=3.0, num_scales=3)
     g = rand_image(rng, 20, 20, 3)
-    fields = analyze(g, cfg)
-    for group in (fields.coherence_raw, fields.coherence_tv,
-                  fields.coherence_fused, fields.coherence_enhanced,
-                  fields.angle_at_scale):
+    stages = analyze_stages(g, cfg)
+    for group in (stages.coherence_raw, stages.coherence_tv,
+                  stages.coherence_fused, stages.coherence_enhanced,
+                  stages.angle_at_scale):
         assert len(group) == 3
         for arr in group:
             assert arr.shape == (20, 20)
-    for arr in fields.coherence_raw + fields.coherence_tv + fields.coherence_fused:
+    for arr in stages.coherence_raw + stages.coherence_tv + stages.coherence_fused:
         assert arr.min() >= 0.0 and arr.max() <= 1.0
+    fields = analyze(g, cfg)
+    assert fields.coherence.shape == fields.theta.shape == (20, 20)
     assert fields.theta.min() >= 0.0 and fields.theta.max() < np.pi
     again = analyze(g, cfg)
     np.testing.assert_array_equal(fields.theta, again.theta)
-    np.testing.assert_array_equal(fields.coherence_enhanced[-1], again.coherence_enhanced[-1])
+    np.testing.assert_array_equal(fields.coherence, again.coherence)
 
 
 def test_analyze_fusion_never_decreases():
     rng = np.random.default_rng(28)
     cfg = DpeConfig(alpha_plus=3.0, num_scales=3)
     g = rand_image(rng, 16, 16)
+    fused = analyze_stages(g, cfg).coherence_fused
+    assert (fused[1] >= fused[0] - 1e-12).all()
+    assert (fused[2] >= fused[1] - 1e-12).all()
+
+
+def assert_analyze_matches_oracle(g, cfg):
     fields = analyze(g, cfg)
-    assert (fields.coherence_fused[1] >= fields.coherence_fused[0] - 1e-12).all()
-    assert (fields.coherence_fused[2] >= fields.coherence_fused[1] - 1e-12).all()
+    stages = analyze_stages(g, cfg)
+    np.testing.assert_array_equal(fields.coherence, stages.coherence_enhanced[-1])
+    np.testing.assert_array_equal(fields.theta, stages.theta)
+    return stages
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (7, 3), (48, 40)], ids=["1x1", "7x3", "48x40"])
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+@pytest.mark.parametrize("scales", [2, 3], ids=["2scales", "3scales"])
+def test_analyze_matches_list_keeping_oracle(h, w, channels, scales):
+    assert [f.name for f in dataclasses.fields(DpeFields)] == ["coherence", "theta"]
+    rng = np.random.default_rng(1000 * h + 10 * channels + scales)
+    g = striped_and_flat(h, w, np.pi / 3) if w > 1 else rand_image(rng, h, w)
+    noisy = np.clip(g.data + rng.normal(0.0, 0.1, g.data.shape), 0.0, 1.0)
+    g = Image(np.repeat(noisy, channels, axis=0) * rng.uniform(0.8, 1.0, (channels, 1, 1)))
+    assert_analyze_matches_oracle(g, DpeConfig(alpha_plus=3.0, num_scales=scales))
+
+
+def test_analyze_ties_keep_the_first_scale(monkeypatch, capsys):
+    # kappa_hat rounded to eighths ties between scales at many pixels; the
+    # angle must come from the first scale of the largest value, as
+    # np.argmax over the stacked kappa_hat takes it
+    cleanup = dpe.tv_regularize_field
+
+    def coarse(field, fidelity_half, tau, box):
+        out = cleanup(field, fidelity_half, tau, box)
+        return np.round(out * 8.0) / 8.0 if box == (0.0, 1.0) else out
+
+    monkeypatch.setattr(dpe, "tv_regularize_field", coarse)
+    rng = np.random.default_rng(29)
+    g = Image(np.clip(striped_and_flat(48, 40, np.pi / 4).data
+                      + rng.normal(0.0, 0.1, (1, 48, 40)), 0.0, 1.0))
+    stages = assert_analyze_matches_oracle(g, DpeConfig(alpha_plus=3.0, num_scales=3))
+    khat = np.stack(stages.coherence_tv)
+    angles = np.stack(stages.angle_at_scale)
+    top = khat.max(axis=0)
+    at_top = khat == top
+    # pixels where two or more scales reach the maximum with different angles
+    tied = (at_top.sum(axis=0) > 1) & (
+        np.where(at_top, angles, np.inf).min(axis=0)
+        != np.where(at_top, angles, -np.inf).max(axis=0))
+    with capsys.disabled():
+        print("\nanalyze tie case: %d of %d pixels tie between scales with "
+              "different angles" % (tied.sum(), tied.size))
+    assert tied.sum() > 0
+
+
+def test_analyze_memory_bound():
+    # The planes a 256^2 three-scale call holds at once: from one scale to
+    # the next, the luminance copy, the running fusion, the largest
+    # kappa_hat and its angle (4).  Inside a scale the larger demand is
+    # _scale_fields, at most 7 planes beyond its input
+    # (test_scale_fields_memory_bound); the coherence cleanup holds c and
+    # the angle (2) and its float32 solve 4.6 more: the copy of c (0.5),
+    # two dual fields (2), two iterates (1), two scratch planes (1) and a
+    # mask (1/8).  Fusing needs 2 planes and a mask, and the theta cleanup
+    # and skew_enhance run with 2 planes held.
+    rng = np.random.default_rng(43)
+    g = Image(rng.random((1, 256, 256)))
+    cfg = DpeConfig(alpha_plus=3.0, num_scales=3, st_support=15)
+    plane = g.data.nbytes
+    bound = (4 + 7) * plane
+    tracemalloc.start()
+    try:
+        fields = analyze(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fields.theta.shape == (256, 256)
+    assert peak <= bound, (peak / plane, bound / plane)
 
 
 def test_eadtv_angles_axis_aligned_ramps():
