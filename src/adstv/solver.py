@@ -11,13 +11,22 @@ Schatten-p balls (1/p + 1/q = 1), where
     d(Psi) = 1/2 ||w - P_C(w)||^2 + 1/2 (||g||^2 - ||w||^2),
     w = g - tau * J~* Psi,
 
-by projected gradient ascent with FISTA momentum.  Each per-pixel block of
-the ascent step is scaled by 1/L[i] with L[i] = 8 sqrt(2) tau ((a+)^2 +
-(a-[i])^2); this single-tau form pairs with an ascent step that applies J~ z
-without an extra tau factor, so the effective step respects the tau^2
-curvature bound of the dual.  The primal iterate z = P_C(w) doubles as the
-convergence monitor: iteration stops when its relative l2 change drops below
-rel_tol, or after max_iters.
+by projected gradient ascent with FISTA momentum.  The ascent step is
+scaled by 1/L with one scalar L = 8 tau (a+)^2, or 8 tau unsteered; this
+single-tau form pairs with an ascent step that applies J~ z without an
+extra tau factor, so the effective step respects the tau^2 curvature bound
+of the dual.  L rests on ||J~||^2 <= 8 (a+)^2: the forward-difference
+gradient has squared norm below 8 (Chambolle, JMIV 2004; Beck and
+Teboulle, IEEE TIP 2009), the steering scales a gradient by at most a+
+(a- lies in [1, a+]), and the kernel weights sum to 1.  The reflect
+extension can repeat a border gradient, so the tests check the exact norm
+on small shapes for kernel supports 1 to 7, where it peaks at 7.84 (a+)^2.
+The paper's per-pixel 8 sqrt(2) tau ((a+)^2 + (a-[i])^2) is looser than L
+by sqrt(2) to 2 sqrt(2) at every pixel, and FISTA's gap falls as L / k^2.
+
+The primal iterate z = P_C(w) doubles as the convergence monitor: iteration
+stops when its relative l2 change drops below rel_tol (stop_reason "tol"),
+or after max_iters (stop_reason "max_iters").
 
 A solve follows the dtype of its input image: a float32 g is solved in
 float32 throughout (dual fields, iterates, scratch planes and result), and
@@ -47,7 +56,6 @@ from .tensor import eig2x2  # noqa: F401
 __all__ = [
     "SolverConfig",
     "SolveResult",
-    "lipschitz_field",
     "project_box",
     "dual_gradient",
     "dual_objective",
@@ -93,15 +101,13 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """The restored image, the iterations run, and why the loop stopped:
+    "tol" when the relative change of z fell below rel_tol, "max_iters"
+    when the cap ran out first."""
+
     image: Image
     iterations: int
-
-
-def lipschitz_field(dp, tau):
-    """Per-pixel step bound 8 sqrt(2) tau ((a+)^2 + (a-[i])^2)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return 8.0 * math.sqrt(2.0) * tau * (dp.alpha_plus**2 + dp.alpha_minus**2)
+    stop_reason: str = "max_iters"
 
 
 def _clip(data, constraint):
@@ -231,7 +237,8 @@ def primal_energy(f, g, dp, cfg):
 
 
 def solve(g, dp, cfg, monitor=None):
-    """Run the dual ascent; returns the restored image and iteration count.
+    """Run the dual ascent; returns a SolveResult: the restored image, the
+    iteration count and the stop reason.
 
     The solve follows g's dtype: a float32 g gives float32 dual fields,
     iterates and result, anything else float64.  dp may be None for the
@@ -253,10 +260,7 @@ def solve(g, dp, cfg, monitor=None):
     dtype = g.data.dtype
     rows = kernel.support**2 * nch
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
-    if dp is None:
-        lip = 16.0 * math.sqrt(2.0) * tau
-    else:
-        lip = np.asarray(lipschitz_field(dp, tau), dtype)
+    lip = 8.0 * tau * (1.0 if dp is None else dp.alpha_plus**2)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
     # becomes the accepted point, and the last accepted point prev.
@@ -264,6 +268,7 @@ def solve(g, dp, cfg, monitor=None):
     z, z_prev = np.empty(g.shape, dtype), np.empty(g.shape, dtype)
     t = 1.0
     iterations = 0
+    stop_reason = "max_iters"
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         # z = P_C(g - tau J* psi), written in place
@@ -292,6 +297,7 @@ def solve(g, dp, cfg, monitor=None):
             base = float(np.linalg.norm(z_prev))
             delta = float(np.linalg.norm(np.subtract(z, z_prev, out=z_prev)))
             if delta <= cfg.rel_tol * max(base, 1e-30):
+                stop_reason = "tol"
                 break
         z, z_prev = z_prev, z
     # only prev is read from here on: release psi before the result is
@@ -302,7 +308,7 @@ def solve(g, dp, cfg, monitor=None):
     np.subtract(g.data, final, out=final)
     if cfg.constraint is not None:
         np.clip(final, cfg.constraint[0], cfg.constraint[1], out=final)
-    return SolveResult(Image(final), iterations)
+    return SolveResult(Image(final), iterations, stop_reason)
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5):

@@ -246,7 +246,7 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
 
     step, valid only with out, makes this the dual ascent step: J(channels)
     / step is added into out instead of overwriting it, one row at a time
-    through a scratch plane.  step is a scalar or an (H, W) plane.
+    through a scratch plane.  step is a scalar, the solver's one step bound.
     """
     channels = as_float(channels)
     nch, h, w = channels.shape
@@ -259,8 +259,8 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     elif (out.shape != (h, w, L * nch, 2) or out.dtype != channels.dtype
             or not _planar(out).flags.c_contiguous):
         raise ValueError("out must be the planar view for this image, kernel and channels")
-    if np.ndim(step) and np.shape(step) != (h, w):
-        raise ValueError("step must be a scalar or an (H, W) plane")
+    if np.ndim(step):
+        raise ValueError("step must be a scalar")
     planar = _planar(out)
     r = kernel.radius
     steered = dp is not None

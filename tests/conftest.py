@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,14 @@ from adstv import Image, dpe
 from adstv.diffops import grad_forward
 from adstv.dpe import _minor_angle
 from adstv.image import to_luminance
-from adstv.tensor import DirectionalParams, coherence, eig2x2
+from adstv.solver import _project_ball
+from adstv.tensor import (
+    DirectionalParams,
+    coherence,
+    eig2x2,
+    jacobian_adjoint_apply,
+    jacobian_apply,
+)
 
 
 def rand_image(rng, h, w, c=1):
@@ -83,3 +91,36 @@ def analyze_stages(g, cfg):
     return SimpleNamespace(coherence_raw=raw, coherence_tv=tv, coherence_fused=fused,
                            coherence_enhanced=enhanced, angle_at_scale=angles,
                            theta_raw=theta_raw, theta=dpe._fold_angle(theta))
+
+
+def reference_solve(g, dp, cfg, lip=None, monitor=None):
+    """Dual FISTA in the solver's iteration order, with fresh arrays for
+    every intermediate and no workspace, in g's dtype.  lip is the scalar
+    step bound, by default the solver's 8 tau (alpha_plus)^2 (8 tau
+    unsteered); monitor is called as solve calls it.  Returns the restored
+    samples and the iteration count."""
+    k, tau, c = cfg.kernel, cfg.tau, g.channels
+    if lip is None:
+        lip = 8.0 * tau * (1.0 if dp is None else dp.alpha_plus**2)
+    jf = jacobian_apply(g.data, k, dp)
+    psi = np.zeros(jf.shape, jf.dtype)
+    prev = psi.copy()
+    t = 1.0
+    z_prev = None
+
+    def clip(w):
+        return w if cfg.constraint is None else np.clip(w, *cfg.constraint)
+
+    for it in range(1, cfg.max_iters + 1):
+        z = clip(g.data - tau * jacobian_adjoint_apply(psi, k, c, dp))
+        accepted = _project_ball(jacobian_apply(z, k, dp) / lip + psi, cfg.dual_p)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        psi = accepted + (t - 1.0) / t_next * (accepted - prev)
+        prev, t = accepted, t_next
+        if monitor is not None:
+            monitor(it, z, prev)
+        if z_prev is not None and (np.linalg.norm(z - z_prev)
+                                   <= cfg.rel_tol * max(np.linalg.norm(z_prev), 1e-30)):
+            break
+        z_prev = z
+    return clip(g.data - tau * jacobian_adjoint_apply(prev, k, c, dp)), it

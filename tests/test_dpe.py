@@ -1,11 +1,13 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from adstv import Image, dpe
-from adstv.diffops import convolve_channel, gaussian_kernel, sobel_grad
+from adstv.bench import derive_seed
+from adstv.diffops import convolve_channel, delta_kernel, gaussian_kernel, sobel_grad
 from adstv.dpe import (
     DpeConfig,
     DpeFields,
@@ -16,11 +18,12 @@ from adstv.dpe import (
     skew_enhance,
     tv_regularize_field,
 )
-from adstv.image import to_luminance
-from adstv.solver import tv_denoise
+from adstv.image import NoiseSpec, add_gaussian_noise, to_luminance
+from adstv.solver import SolverConfig, dual_objective, primal_energy, solve, tv_denoise
 from adstv.tensor import coherence, eig2x2
 
-from conftest import analyze_stages, minor_angle, rand_image, stripe_image
+from conftest import analyze_stages, minor_angle, rand_image, reference_solve, stripe_image
+from test_acceptance import synthetic_images
 
 
 def scale_fields(g, cfg, k):
@@ -188,18 +191,19 @@ def test_tv_regularize_field_solves_in_float32_and_returns_float64(monkeypatch):
     field = rng.random((24, 24)) * 1.2 - 0.1
     solved = []
 
-    def recording(g, *args):
-        solved.append(g.data.dtype)
-        return tv_denoise(g, *args)
+    def recording(g, *args, **kwargs):
+        solved.append((g.data.dtype, kwargs.get("max_iters")))
+        return tv_denoise(g, *args, **kwargs)
 
     monkeypatch.setattr(dpe, "tv_denoise", recording)
     out = tv_regularize_field(field, True, 0.2, (0.0, 1.0))
-    assert solved == [np.float32] and out.dtype == np.float64
-    ref = tv_denoise(Image(field[None]), 0.2, (0.0, 1.0)).data[0]
+    cap = dpe.CLEANUP_MAX_ITERS
+    assert solved == [(np.float32, cap)] and out.dtype == np.float64
+    ref = tv_denoise(Image(field[None]), 0.2, (0.0, 1.0), max_iters=cap).data[0]
     assert np.abs(out - ref).max() <= 1e-5
     # tau = 0 is the float64 clip, exactly
     clipped = tv_regularize_field(field, False, 0.0, (0.0, 1.0))
-    assert solved[1:] == [np.float64] and clipped.dtype == np.float64
+    assert solved[1:] == [(np.float64, cap)] and clipped.dtype == np.float64
     np.testing.assert_array_equal(clipped, np.clip(field, 0.0, 1.0))
 
 
@@ -448,29 +452,94 @@ def test_analyze_ties_keep_the_first_scale(monkeypatch, capsys):
     assert tied.sum() > 0
 
 
-def test_analyze_memory_bound():
-    # The planes a 256^2 three-scale call holds at once: from one scale to
-    # the next, the luminance copy, the running fusion, the largest
-    # kappa_hat and its angle (4).  Inside a scale the larger demand is
-    # _scale_fields, at most 7 planes beyond its input
-    # (test_scale_fields_memory_bound); the coherence cleanup holds c and
-    # the angle (2) and its float32 solve 4.6 more: the copy of c (0.5),
-    # two dual fields (2), two iterates (1), two scratch planes (1) and a
-    # mask (1/8).  Fusing needs 2 planes and a mask, and the theta cleanup
-    # and skew_enhance run with 2 planes held.
+def test_analyze_memory_bound(monkeypatch):
+    # The planes a 256^2 three-scale call on a gray image holds at once:
+    # from one scale to the next, the running fusion, the largest kappa_hat
+    # and its angle (3); the luminance is the image's own plane.  Inside a
+    # scale the largest demand is _scale_fields, at most 7 planes beyond
+    # its input (test_scale_fields_memory_bound).  A coherence cleanup
+    # starts with those 3, the angle and the float32 c held (4.5; 1/8 more
+    # covers kernels and small objects), and its solve takes 4.6 more: two
+    # dual fields (2), two iterates (1), two scratch planes (1), a mask
+    # (1/8) and its result (0.5).  Fusing needs 2 planes and a mask, and
+    # the theta cleanup and skew_enhance run with 2 planes held.
     rng = np.random.default_rng(43)
     g = Image(rng.random((1, 256, 256)))
     cfg = DpeConfig(alpha_plus=3.0, num_scales=3, st_support=15)
     plane = g.data.nbytes
-    bound = (4 + 7) * plane
+    bound = (3 + 7) * plane
+    held = []
+    cleanup = dpe.tv_regularize_field
+
+    def measured(field, fidelity_half, tau, box):
+        if not fidelity_half:
+            held.append(tracemalloc.get_traced_memory()[0])
+        return cleanup(field, fidelity_half, tau, box)
+
+    monkeypatch.setattr(dpe, "tv_regularize_field", measured)
     tracemalloc.start()
     try:
         fields = analyze(g, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fields.theta.shape == (256, 256)
+    assert fields.theta.shape == (256, 256) and len(held) == 3
     assert peak <= bound, (peak / plane, bound / plane)
+    assert max(held) <= 4.625 * plane, [h / plane for h in held]
+
+
+def cleanup_gap(g, cfg, lip=None):
+    """Relative duality gap (P - D) / P of a TV cleanup of the float32
+    image g, run by solve, or by the fresh-array reference at the scalar
+    step lip when given.  P and D are taken in float64 from the float32
+    iterate and dual field."""
+    last = {}
+
+    def keep(it, z, psi):
+        last["psi"] = psi
+
+    if lip is None:
+        z = solve(g, None, cfg, monitor=keep).image.data
+    else:
+        z = reference_solve(g, None, cfg, lip=lip, monitor=keep)[0]
+    g64 = Image(g.data.astype(np.float64))
+    primal = primal_energy(Image(z.astype(np.float64)), g64, None, cfg)
+    return (primal - dual_objective(last["psi"].astype(np.float64), g64, None, cfg)) / primal
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.2])
+def test_cleanups_keep_their_certified_gap_at_the_lower_cap(monkeypatch, capsys, sigma):
+    # Every TV cleanup of analyze on the three 96^2 synthetics, at the
+    # settings of the acceptance sweep: CLEANUP_MAX_ITERS iterations at the
+    # solver's step must leave a relative duality gap no larger than 100
+    # iterations at the former step 16 sqrt(2) tau left
+    calls = []
+
+    def recording(g, tau, box, **kwargs):
+        calls.append((g, tau, box, kwargs["max_iters"]))
+        return tv_denoise(g, tau, box, **kwargs)
+
+    monkeypatch.setattr(dpe, "tv_denoise", recording)
+    lines = []
+    for name, arr in synthetic_images().items():
+        noisy = add_gaussian_noise(Image(arr[None]), NoiseSpec(sigma, derive_seed(name, sigma, 0)))
+        cfg = DpeConfig(alpha_plus=2.0, num_scales=2 if sigma < 0.2 else 3, st_support=7)
+        calls.clear()
+        analyze(noisy, cfg)
+        assert [box for _, _, box, _ in calls] == [(0.0, 1.0)] * cfg.num_scales + [(0.0, np.pi)]
+        for g, tau, box, cap in calls:
+            assert cap == dpe.CLEANUP_MAX_ITERS and g.data.dtype == np.float32
+            solver_cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), constraint=box,
+                                      max_iters=cap)
+            new = cleanup_gap(g, solver_cfg)
+            old = cleanup_gap(g, dataclasses.replace(solver_cfg, max_iters=100),
+                              lip=16.0 * math.sqrt(2.0) * tau)
+            lines.append("%s %s: %.3e -> %.3e" % (name, "theta" if box[1] > 1 else "coherence",
+                                                  old, new))
+            assert 0.0 <= new <= old, lines[-1]
+    with capsys.disabled():
+        print("\ncleanup gaps at sigma %.1f, 100 iterations at 16 sqrt(2) tau -> %d at 8 tau:\n  %s"
+              % (sigma, dpe.CLEANUP_MAX_ITERS, "\n  ".join(lines)))
 
 
 def test_eadtv_angles_axis_aligned_ramps():

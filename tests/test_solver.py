@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from adstv.solver import (
     _project_ball,
     dual_gradient,
     dual_objective,
-    lipschitz_field,
     primal_energy,
     project_box,
     solve,
@@ -24,7 +24,7 @@ from adstv.tensor import (
     regularizer_value,
 )
 
-from conftest import rand_image, rand_params
+from conftest import rand_image, rand_params, reference_solve
 
 
 def project_block(m, p):
@@ -57,22 +57,38 @@ def test_config_rejects_non_finite():
                 SolverConfig(**bad)
 
 
-def test_lipschitz_field_reference_values():
-    h = w = 4
-    unit = DirectionalParams.identity((h, w))
-    np.testing.assert_allclose(lipschitz_field(unit, 1.0), 16.0 * np.sqrt(2.0))
-    assert lipschitz_field(unit, 1.0)[0, 0] == pytest.approx(22.6274, abs=1e-4)
-    dp = DirectionalParams(2.0, np.ones((h, w)), np.zeros((h, w)))
-    assert lipschitz_field(dp, 0.1)[0, 0] == pytest.approx(5.6569, abs=1e-4)
-    # pointwise monotone in alpha_minus
-    rng = np.random.default_rng(0)
-    a = 1.0 + rng.random((h, w))
-    b = a + 0.5
-    dpa = DirectionalParams(3.0, a, np.zeros((h, w)))
-    dpb = DirectionalParams(3.0, b, np.zeros((h, w)))
-    assert (lipschitz_field(dpb, 0.3) > lipschitz_field(dpa, 0.3)).all()
-    with pytest.raises(ValueError):
-        lipschitz_field(unit, 0.0)
+def dense_jacobian(h, w, kernel, dp):
+    """J of one (h, w) channel as a (taps * 2 * h * w, h * w) matrix, from
+    one call on the identity stacked as h * w channels."""
+    n = h * w
+    basis = np.eye(n).reshape(n, h, w)
+    field = jacobian_apply(basis, kernel, dp)
+    taps = kernel.support**2
+    return field.reshape(h, w, n, taps, 2).transpose(0, 1, 3, 4, 2).reshape(-1, n)
+
+
+NORM_SHAPES = [(1, 2), (2, 1), (1, 7), (2, 3), (3, 3), (4, 6), (5, 5), (7, 4), (9, 8), (16, 9)]
+
+
+@pytest.mark.parametrize("support", [1, 3, 5, 7])
+def test_patch_jacobian_norm_is_within_the_scalar_step_bound(support, capsys):
+    # The solver's step L = 8 tau (alpha_plus)^2 rests on ||J||^2 <= 8
+    # (alpha_plus)^2 for every kernel (its weights sum to 1), steered or
+    # not; 8 bounds the forward-difference gradient with Neumann edges
+    rng = np.random.default_rng(60 + support)
+    kernel = delta_kernel() if support == 1 else gaussian_kernel(0.4 * support, support)
+    worst = 0.0
+    for h, w in NORM_SHAPES:
+        cases = [None, DirectionalParams.identity((h, w))]
+        cases += [rand_params(rng, h, w, alpha_plus=ap) for ap in (1.5, 4.0, 30.0)]
+        for dp in cases:
+            ap = 1.0 if dp is None else dp.alpha_plus
+            sigma = np.linalg.norm(dense_jacobian(h, w, kernel, dp), 2)
+            ratio = sigma**2 / ap**2
+            worst = max(worst, ratio)
+            assert ratio <= 8.0, ((h, w), ap, ratio)
+    with capsys.disabled():
+        print("\nsupport %d: largest ||J||^2 / alpha_plus^2 = %.4f" % (support, worst))
 
 
 def test_project_box():
@@ -360,44 +376,21 @@ def test_steered_solve_matches_convex_solver():
     assert np.abs(ours.data.ravel() - fv.value).max() < 1e-6
 
 
-def reference_solve(g, dp, cfg):
-    """Dual FISTA in the solver's iteration order, with fresh arrays for
-    every intermediate and no workspace."""
-    k, tau, c = cfg.kernel, cfg.tau, g.channels
-    lip = (16.0 * math.sqrt(2.0) * tau if dp is None
-           else lipschitz_field(dp, tau)[:, :, None, None])
-    psi = np.zeros(jacobian_apply(g.data, k, dp).shape)
-    prev = psi.copy()
-    t = 1.0
-    z_prev = None
-
-    def clip(w):
-        return w if cfg.constraint is None else np.clip(w, *cfg.constraint)
-
-    for it in range(1, cfg.max_iters + 1):
-        z = clip(g.data - tau * jacobian_adjoint_apply(psi, k, c, dp))
-        accepted = _project_ball(jacobian_apply(z, k, dp) / lip + psi, cfg.dual_p)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        psi = accepted + (t - 1.0) / t_next * (accepted - prev)
-        prev, t = accepted, t_next
-        if z_prev is not None and (np.linalg.norm(z - z_prev)
-                                   <= cfg.rel_tol * max(np.linalg.norm(z_prev), 1e-30)):
-            break
-        z_prev = z
-    return clip(g.data - tau * jacobian_adjoint_apply(prev, k, c, dp)), it
-
-
 @pytest.mark.parametrize("shape", [(7, 5), (1, 4)])
-@pytest.mark.parametrize("case", ["tv", "steered-1", "steered-3", "stv", "steered-3-5x5"])
+@pytest.mark.parametrize("case", ["tv", "tv-float32", "steered-1", "steered-3", "stv",
+                                  "steered-3-5x5"])
 def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
     rng = np.random.default_rng(23)
     h, w = shape
-    if case == "tv":
+    if case.startswith("tv"):
         g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
+        if case == "tv-float32":
+            # the dtype of analyze's cleanups
+            g = Image(g.data.astype(np.float32))
         dp = None
         cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=60, rel_tol=1e-3)
     elif case == "stv":
-        # a scalar step with a kernel radius above 0
+        # unsteered, with a kernel radius above 0
         g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
         dp = None
         cfg = SolverConfig(tau=0.1, q=1, max_iters=60, rel_tol=1e-3)
@@ -413,7 +406,26 @@ def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
     res = solve(g, dp, cfg)
     expected, iterations = reference_solve(g, dp, cfg)
     assert res.iterations == iterations
+    assert res.image.data.dtype == expected.dtype == g.data.dtype
     assert np.array_equal(res.image.data, expected)
+
+
+@pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
+def test_stop_reason_tells_tol_from_the_cap(steered):
+    rng = np.random.default_rng(27)
+    g = rand_image(rng, 12, 10)
+    dp = rand_params(rng, 12, 10) if steered else None
+    kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=1000, rel_tol=1e-4)
+    res = solve(g, dp, cfg)
+    assert res.stop_reason == "tol" and 1 < res.iterations < 1000
+    assert res.iterations == reference_solve(g, dp, cfg)[1]
+    # the test fires at the last allowed iteration: still "tol"
+    assert solve(g, dp, replace(cfg, max_iters=res.iterations)).stop_reason == "tol"
+    capped = solve(g, dp, replace(cfg, max_iters=res.iterations - 1))
+    assert capped.stop_reason == "max_iters" and capped.iterations == res.iterations - 1
+    one = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=1)
+    assert solve(g, dp, one).stop_reason == "max_iters"
 
 
 @pytest.mark.parametrize("case", ["tv", "steered"])
@@ -451,9 +463,9 @@ def test_iterations_after_the_second_allocate_less_than_a_plane(case):
 def test_steered_solve_peaks_below_two_dual_fields_and_the_workspace():
     # The bound is counted from the shapes: two dual fields of 2 * 9 planes,
     # the workspace block (eight extension-sized planes, the demand of the
-    # q=1 projection and of J*) and twelve planes for the rest: z, z_prev,
-    # the Lipschitz plane, cos and sin of theta, the four steering products,
-    # the extension index and the masks.  A third dual field (18 planes)
+    # q=1 projection and of J*) and eleven planes for the rest: z, z_prev,
+    # cos and sin of theta, the four steering products, the extension index
+    # and the masks; the step is a scalar.  A third dual field (18 planes)
     # does not fit.
     rng = np.random.default_rng(25)
     h = w = 64
@@ -463,7 +475,7 @@ def test_steered_solve_peaks_below_two_dual_fields_and_the_workspace():
     plane = h * w * 8
     fields = 2 * (2 * 9) * plane
     block = 8 * (h + 2) * (w + 2) * 8
-    bound = fields + block + 12 * plane
+    bound = fields + block + 11 * plane
     tracemalloc.start()
     try:
         solve(g, dp, cfg)
