@@ -3,8 +3,17 @@
 For every (image, sigma, regularizer) tuple the harness adds Gaussian noise
 with a seed derived from the tuple itself (so all regularizers see the same
 noisy realization), sweeps the tau grid (and the alpha_plus grid for the
-steered regularizers), and keeps the best-PSNR run.  wall_seconds records
-the solve time of the winning run only, excluding parameter estimation.
+steered regularizers), and keeps the best-PSNR run.
+
+The direction fields are estimated from the float64 noisy image; every
+solve runs on one float32 copy of it, and PSNR and SSIM compare each result
+with the float64 clean image.  A float32 solve cannot resolve a rel_tol
+below about 1e-7, so such a tol runs to max_iters.
+
+Each CSV row is one RunRecord: wall_seconds is the solve time of the
+winning run, stop_reason why that solve stopped ("tol" or "max_iters"),
+and estimate_seconds the time of the tuple's direction estimation (0 for
+tv and stv, which estimate nothing).
 """
 
 import hashlib
@@ -16,7 +25,7 @@ import numpy as np
 
 from .diffops import delta_kernel, gaussian_kernel
 from .dpe import DpeConfig, analyze, eadtv_angles
-from .image import NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
+from .image import Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
 from .solver import SolverConfig, solve
 from .tensor import DirectionalParams
 
@@ -81,7 +90,8 @@ def regularizer(name, g, kernel, q, smooth_sigma=1.5, num_scales=2, st_support=N
     return kernel, q, steering
 
 
-CSV_HEADER = "image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,ssim,iters,wall_seconds,seed"
+CSV_HEADER = ("image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,ssim,iters,"
+              "wall_seconds,seed,stop_reason,estimate_seconds")
 
 
 @dataclass
@@ -96,16 +106,19 @@ class RunRecord:
     iters: int
     wall_seconds: float
     seed: int
+    stop_reason: str = "max_iters"
+    estimate_seconds: float = 0.0
 
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % self.regularizer)
-        for name in ("sigma_eta", "tau", "alpha_plus", "psnr_db", "ssim", "wall_seconds"):
+        for name in ("sigma_eta", "tau", "alpha_plus", "psnr_db", "ssim", "wall_seconds",
+                     "estimate_seconds"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("non-finite %s" % name)
 
     def csv_row(self):
-        return "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f,%d" % (
+        return "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f,%d,%s,%.6f" % (
             self.image_id,
             self.regularizer,
             self.sigma_eta,
@@ -116,6 +129,8 @@ class RunRecord:
             self.iters,
             self.wall_seconds,
             self.seed,
+            self.stop_reason,
+            self.estimate_seconds,
         )
 
 
@@ -188,20 +203,29 @@ def _solver_kwargs(opts):
 
 def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
               master_seed, opts=None):
-    """Best-PSNR record for one (image, sigma, regularizer) tuple."""
+    """Best-PSNR record for one (image, sigma, regularizer) tuple.
+
+    The fields are estimated from the float64 noisy image, and every solve
+    runs on its float32 copy."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts = opts or {}
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
+    noisy32 = Image(noisy.data.astype(np.float32))
     kernel, q, steering = regularizer(
         reg, noisy, opts.get("kernel") or gaussian_kernel(0.5, 3), opts.get("q", 1),
         smooth_sigma=opts.get("smooth_sigma", 1.5),
         num_scales=opts.get("num_scales") or default_num_scales(sigma_eta),
         st_support=opts.get("st_support"))
+    estimate_seconds = 0.0
     if steering is None:
         runs = [(1.0, None)]
     else:
+        # the first call estimates the fields, which later calls reuse
+        t0 = time.perf_counter()
+        steering(alpha_grid[0])
+        estimate_seconds = time.perf_counter() - t0
         runs = ((a, steering(a)) for a in alpha_grid)
 
     best = None
@@ -210,7 +234,7 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
             cfg = SolverConfig(tau=float(tau), q=q, kernel=kernel,
                                **_solver_kwargs(opts))
             t0 = time.perf_counter()
-            result = solve(noisy, dp, cfg)
+            result = solve(noisy32, dp, cfg)
             wall = time.perf_counter() - t0
             p = psnr(clean, result.image)
             if best is None or p > best.psnr_db:
@@ -225,6 +249,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
                     iters=result.iterations,
                     wall_seconds=wall,
                     seed=seed,
+                    stop_reason=result.stop_reason,
+                    estimate_seconds=estimate_seconds,
                 )
     return best
 

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .diffops import as_float
 
@@ -265,43 +266,51 @@ def add_gaussian_noise(img, spec):
 
 
 def psnr(ref, test):
-    """Peak signal-to-noise ratio in dB with peak 1.0 (inf for identical)."""
+    """Peak signal-to-noise ratio in dB with peak 1.0 (inf for identical).
+
+    The difference is taken in float64 whatever the samples' dtype."""
     if ref.shape != test.shape:
         raise ValueError("shape mismatch")
-    mse = np.mean((ref.data - test.data) ** 2)
+    mse = np.mean(np.subtract(ref.data, test.data, dtype=np.float64) ** 2)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
 
 
+# 11-tap Gaussian, sigma 1.5, normalized: the 1-D factor of SSIM's window
+_SSIM_HALF = 5
+_SSIM_TAPS = np.exp(-(np.arange(-_SSIM_HALF, _SSIM_HALF + 1) ** 2) / (2.0 * 1.5**2))
+_SSIM_TAPS /= _SSIM_TAPS.sum()
+
+
+def _ssim_filter(a):
+    """The 11x11 Gaussian window in valid mode, as two 1-D passes cropped
+    by the window radius."""
+    out = ndimage.correlate1d(ndimage.correlate1d(a, _SSIM_TAPS, axis=0), _SSIM_TAPS, axis=1)
+    h = _SSIM_HALF
+    return out[h:-h, h:-h]
+
+
 def _ssim_channel(x, y):
     # 11x11 Gaussian window, sigma 1.5, applied in valid mode; population
     # statistics; stabilizers C1=(0.01)^2, C2=(0.03)^2 for unit dynamic range.
-    half = 5
-    t = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-(t**2) / (2.0 * 1.5**2))
-    g /= g.sum()
-    win = np.outer(g, g)
-
-    from scipy.signal import convolve2d
-
-    def filt(a):
-        return convolve2d(a, win, mode="valid")
-
+    x = np.asarray(x, np.float64)
+    y = np.asarray(y, np.float64)
     c1 = 0.01**2
     c2 = 0.03**2
-    mx = filt(x)
-    my = filt(y)
-    vx = filt(x * x) - mx * mx
-    vy = filt(y * y) - my * my
-    cov = filt(x * y) - mx * my
+    mx = _ssim_filter(x)
+    my = _ssim_filter(y)
+    vx = _ssim_filter(x * x) - mx * mx
+    vy = _ssim_filter(y * y) - my * my
+    cov = _ssim_filter(x * y) - mx * my
     num = (2 * mx * my + c1) * (2 * cov + c2)
     den = (mx * mx + my * my + c1) * (vx + vy + c2)
     return float(np.mean(num / den))
 
 
 def ssim(ref, test):
-    """Mean structural similarity; color images average per-channel scores."""
+    """Mean structural similarity, computed in float64; color images
+    average per-channel scores."""
     if ref.shape != test.shape:
         raise ValueError("shape mismatch")
     if ref.height < 11 or ref.width < 11:

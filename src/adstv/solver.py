@@ -220,19 +220,24 @@ def dual_gradient(psi, g, dp, cfg):
 
 def dual_objective(psi, g, dp, cfg):
     """The dual value at the (H, W, rows, 2) field psi; diagnostic
-    companion of dual_gradient."""
-    w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)
+    companion of dual_gradient.  It is computed in float64 whatever the
+    dtype of psi and g: the duality gap P - D cancels most of the digits
+    of either energy."""
+    g64 = np.asarray(g.data, np.float64)
+    w = g64 - cfg.tau * jacobian_adjoint_apply(
+        np.asarray(psi, np.float64), cfg.kernel, g.channels, dp)
     pc = _clip(w, cfg.constraint)
     return float(
-        0.5 * np.sum((w - pc) ** 2) + 0.5 * (np.sum(g.data**2) - np.sum(w * w))
+        0.5 * np.sum((w - pc) ** 2) + 0.5 * (np.sum(g64**2) - np.sum(w * w))
     )
 
 
 def primal_energy(f, g, dp, cfg):
-    """1/2 ||g - f||^2 + tau * (regularizer of f)."""
+    """1/2 ||g - f||^2 + tau * (regularizer of f), in float64 whatever the
+    dtype of f and g."""
     if f.shape != g.shape:
         raise ValueError("shape mismatch")
-    fidelity = 0.5 * float(np.sum((g.data - f.data) ** 2))
+    fidelity = 0.5 * float(np.sum(np.subtract(g.data, f.data, dtype=np.float64) ** 2))
     return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 

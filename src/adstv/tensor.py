@@ -425,11 +425,12 @@ def regularizer_value(f, k, dp=None, q=1):
     """Sum over pixels of the Schatten-q norm of the (steered) patch Jacobian.
 
     Singular values come from the per-pixel 2x2 Gram eigenvalues, which is
-    exact for matrices with two columns.
+    exact for matrices with two columns.  The value is computed in float64
+    whatever f's dtype.
     """
     if q not in (1, 2):
         raise ValueError("q must be 1 or 2")
-    lp, lm = eig2x2(*_gram(jacobian_apply(f.data, k, dp)))
+    lp, lm = eig2x2(*_gram(jacobian_apply(np.asarray(f.data, np.float64), k, dp)))
     lp = np.maximum(lp, 0.0)
     lm = np.maximum(lm, 0.0)
     if q == 1:

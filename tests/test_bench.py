@@ -5,10 +5,12 @@ from adstv import bench
 from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import DpeConfig, eadtv_angles, estimate
-from adstv.image import save_image
+from adstv.image import Image, add_gaussian_noise, save_image
+from adstv.solver import solve
 from adstv.tensor import DirectionalParams
 
 from conftest import stripe_image
+from test_acceptance import synth_half_oriented
 
 
 def counting(monkeypatch, module, name):
@@ -81,6 +83,86 @@ def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
         assert seen == expected
         assert rec.regularizer == reg
         assert rec.alpha_plus in ((1.0,) if expected[0][0] else (3.0, 6.0))
+
+
+def capture_noisy(monkeypatch):
+    """Wrap bench.add_gaussian_noise; the list gets every noisy image it
+    returns."""
+    drawn = []
+
+    def noise(img, spec):
+        drawn.append(add_gaussian_noise(img, spec))
+        return drawn[-1]
+
+    monkeypatch.setattr(bench, "add_gaussian_noise", noise)
+    return drawn
+
+
+def test_solves_run_in_float32_on_fields_from_the_float64_noisy_image(monkeypatch):
+    clean = stripe_image(24, 24, 0.5)
+    drawn = capture_noisy(monkeypatch)
+    solves = counting(monkeypatch, bench, "solve")
+    angles = counting(monkeypatch, bench, "eadtv_angles")
+    analyses = counting(monkeypatch, bench, "analyze")
+    for reg in bench.REGULARIZERS:
+        for calls in (solves, angles, analyses):
+            calls.clear()
+        bench.run_tuple(clean, "s", 0.1, reg, [0.02, 0.05], [3.0], 0)
+        estimates = angles + analyses
+        noisy = drawn[-1].data
+        assert noisy.dtype == np.float64
+        assert len(solves) == 2
+        for g, _, _ in solves:
+            assert g.data.dtype == np.float32
+            np.testing.assert_array_equal(g.data, noisy.astype(np.float32))
+        assert len(estimates) == (reg in ("eadtv", "adstv"))
+        for args in estimates:
+            assert args[0].data is noisy
+
+
+def test_records_report_stop_reason_and_estimate_seconds():
+    clean = stripe_image(16, 16, 0.5)
+    assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds")
+    for reg in bench.REGULARIZERS:
+        steered = reg in ("eadtv", "adstv")
+        # a loose tol stops before the cap, a tight one runs to it
+        early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
+                                {"max_iters": 100, "rel_tol": 1e-2})
+        capped = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
+                                 {"max_iters": 5, "rel_tol": 1e-9})
+        assert early.iters < 100 and early.stop_reason == "tol"
+        assert capped.iters == 5 and capped.stop_reason == "max_iters"
+        for rec in (early, capped):
+            assert (rec.estimate_seconds > 0) if steered else (rec.estimate_seconds == 0.0)
+            row = rec.csv_row().split(",")
+            assert len(row) == len(bench.CSV_HEADER.split(","))
+            assert row[-2] == rec.stop_reason
+            assert float(row[-1]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
+
+
+# the grids of the sweep-96 benchmark workload
+SWEEP_GRID = {
+    "tv": ([0.04, 0.08, 0.16], []),
+    "stv": ([0.040, 0.069, 0.119], []),
+    "eadtv": ([0.008, 0.014, 0.024], [10.0, 20.0]),
+    "adstv": ([0.004, 0.008, 0.014], [10.0, 20.0]),
+}
+
+
+def test_float32_sweep_picks_the_float64_choices(monkeypatch):
+    # Every record of the sweep grids on synth_half at sigma 0.1 must pick
+    # the (tau, alpha) of the same sweep with float64 solves, with its PSNR
+    # within 1e-5 dB
+    clean = Image(synth_half_oriented()[None])
+    records = {reg: bench.run_tuple(clean, "synth_half", 0.1, reg, taus, alphas, 1)
+               for reg, (taus, alphas) in SWEEP_GRID.items()}
+    drawn = capture_noisy(monkeypatch)
+    monkeypatch.setattr(bench, "solve", lambda g, dp, cfg: solve(drawn[-1], dp, cfg))
+    for reg, (taus, alphas) in SWEEP_GRID.items():
+        rec64 = bench.run_tuple(clean, "synth_half", 0.1, reg, taus, alphas, 1)
+        rec = records[reg]
+        assert (rec.tau, rec.alpha_plus) == (rec64.tau, rec64.alpha_plus), reg
+        assert abs(rec.psnr_db - rec64.psnr_db) <= 1e-5, reg
 
 
 def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatch):

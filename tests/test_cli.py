@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from adstv import Image, load_image, psnr, save_image, ssim
+from adstv import Image, cli, load_image, psnr, save_image, ssim
+from adstv.bench import regularizer
 from adstv.cli import main
+from adstv.diffops import gaussian_kernel
 from adstv.image import NoiseSpec, add_gaussian_noise
+from adstv.solver import SolverConfig, solve
 
 from conftest import rand_image, stripe_image
 
@@ -161,6 +164,29 @@ def test_denoise_eadtv_and_adstv_improve_noisy_stripes(noisy_stripes, tmp_path):
         assert psnr(clean, load_image(out)) > base + 1.0
 
 
+def test_denoise_writes_the_float64_solve_within_1e6(noisy_stripes, tmp_path, monkeypatch):
+    # the CLI solves a float32 copy of its input; its PFM must stay within
+    # 1e-6 of the float64 solve on fields from the float64 samples
+    _, noisy = noisy_stripes
+    img = load_image(noisy)
+    seen = []
+
+    def spy(g, dp, cfg):
+        seen.append(g.data.dtype)
+        return solve(g, dp, cfg)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    for reg in ("tv", "stv", "eadtv", "adstv"):
+        out = tmp_path / ("%s.pfm" % reg)
+        assert main(["denoise", "--input", str(noisy), "--output", str(out),
+                     "--regularizer", reg, "--tau", "0.02", "--alpha-plus", "4"]) == 0
+        kernel, q, steering = regularizer(reg, img, gaussian_kernel(0.5, 3), 1)
+        dp = None if steering is None else steering(4.0)
+        expected = solve(img, dp, SolverConfig(tau=0.02, q=q, kernel=kernel)).image
+        np.testing.assert_allclose(load_image(out).data, expected.data, rtol=0, atol=1e-6)
+    assert seen == [np.float32] * 4
+
+
 def test_denoise_dump_fields(noisy_stripes, tmp_path):
     _, noisy = noisy_stripes
     d = tmp_path / "fields"
@@ -289,7 +315,8 @@ def test_bench_writes_expected_csv(tmp_path):
     assert main(args) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == ("image_id,regularizer,sigma_eta,tau,alpha_plus,"
-                        "psnr_db,ssim,iters,wall_seconds,seed")
+                        "psnr_db,ssim,iters,wall_seconds,seed,stop_reason,"
+                        "estimate_seconds")
     assert len(lines) == 4
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[1] for r in rows] == ["tv", "stv", "adstv"]
@@ -299,13 +326,17 @@ def test_bench_writes_expected_csv(tmp_path):
     assert float(by_reg["adstv"][5]) >= float(by_reg["stv"][5])
     assert float(by_reg["tv"][4]) == 1.0  # alpha unused for tv
     assert all(1 <= int(r[7]) <= 100 for r in rows)
+    assert all(r[10] == ("tol" if int(r[7]) < 100 else "max_iters") for r in rows)
+    # only the steered regularizer estimates fields
+    assert by_reg["tv"][11] == by_reg["stv"][11] == "0.000000"
+    assert float(by_reg["adstv"][11]) > 0
     # reproducibility modulo timing
     out2 = tmp_path / "bench2.csv"
     assert main(args[:4] + [str(out2)] + args[5:]) == 0
 
     def strip_wall(text):
-        return [ln.rsplit(",", 2)[0] + "," + ln.rsplit(",", 1)[1]
-                for ln in text.splitlines()]
+        # drop the two timing columns, wall_seconds and estimate_seconds
+        return [ln.split(",")[:8] + ln.split(",")[9:11] for ln in text.splitlines()]
 
     assert strip_wall(out.read_text()) == strip_wall(out2.read_text())
 

@@ -193,6 +193,47 @@ def test_ssim_matches_reference_implementation():
         assert abs(ssim(a, b) - expected) < 1e-10
 
 
+def ssim_convolve2d(x, y):
+    """SSIM of one channel pair with the full 11x11 window (sigma 1.5) as a
+    2-D valid-mode convolution, the textbook form."""
+    from scipy.signal import convolve2d
+
+    t = np.arange(-5, 6, dtype=np.float64)
+    g = np.exp(-(t**2) / (2.0 * 1.5**2))
+    win = np.outer(g, g) / g.sum() ** 2
+
+    def filt(a):
+        return convolve2d(a, win, mode="valid")
+
+    mx, my = filt(x), filt(y)
+    vx, vy, cov = filt(x * x) - mx * mx, filt(y * y) - my * my, filt(x * y) - mx * my
+    num = (2 * mx * my + 0.01**2) * (2 * cov + 0.03**2)
+    den = (mx * mx + my * my + 0.01**2) * (vx + vy + 0.03**2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("c, h, w", [(1, 32, 24), (3, 32, 24), (1, 11, 11), (1, 11, 40)])
+def test_ssim_matches_the_2d_window(c, h, w):
+    rng = np.random.default_rng(9)
+    a = rand_image(rng, h, w, c)
+    b = Image(np.clip(a.data + rng.normal(0, 0.08, a.data.shape), 0, 1))
+    expected = np.mean([ssim_convolve2d(a.data[i], b.data[i]) for i in range(c)])
+    assert abs(ssim(a, b) - expected) <= 1e-12
+
+
+def test_metrics_of_float32_pairs_are_those_of_their_float64_upcasts():
+    rng = np.random.default_rng(10)
+    for c in (1, 3):
+        a = Image(rng.random((c, 20, 17)).astype(np.float32))
+        b = Image(np.clip(a.data + rng.normal(0, 0.05, a.data.shape), 0, 1).astype(np.float32))
+        a64, b64 = Image(a.data.astype(np.float64)), Image(b.data.astype(np.float64))
+        assert ssim(a, b) == ssim(a64, b64)
+        assert psnr(a, b) == psnr(a64, b64)
+        # a mixed pair, as bench scores a float32 result against float64 clean
+        assert ssim(a64, b) == ssim(a64, b64)
+        assert psnr(a64, b) == psnr(a64, b64)
+
+
 def test_float32_data_stays_float32_and_loads_are_float64(tmp_path):
     f32 = np.random.default_rng(5).random((4, 5)).astype(np.float32)
     img = Image(f32)

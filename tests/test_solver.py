@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adstv import Image
+from adstv.bench import derive_seed
 from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
     SolverConfig,
@@ -17,6 +18,7 @@ from adstv.solver import (
     solve,
     tv_denoise,
 )
+from adstv.image import NoiseSpec, add_gaussian_noise
 from adstv.tensor import (
     DirectionalParams,
     jacobian_adjoint_apply,
@@ -25,6 +27,7 @@ from adstv.tensor import (
 )
 
 from conftest import rand_image, rand_params, reference_solve
+from test_acceptance import synth_half_oriented
 
 
 def project_block(m, p):
@@ -244,6 +247,33 @@ def test_primal_energy():
     assert primal_energy(f, g, dp, cfg) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         primal_energy(rand_image(rng, 3, 3), g, None, cfg)
+
+
+def test_energies_of_float32_inputs_are_taken_in_float64():
+    # A float32 STV solve on the synth_half texture: its energies must be
+    # those of the float64 upcasts of its iterate, dual field and data,
+    # and so certify a positive gap
+    clean = Image(synth_half_oriented()[None])
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.1, derive_seed("synth_half", 0.1, 1)))
+    g = Image(noisy.data.astype(np.float32))
+    cfg = SolverConfig(tau=0.04)
+    last = {}
+
+    def keep(it, z, psi):
+        last["psi"] = psi
+
+    f = solve(g, None, cfg, monitor=keep).image
+    psi = last["psi"]
+    assert f.data.dtype == psi.dtype == np.float32
+    g64, f64 = Image(g.data.astype(np.float64)), Image(f.data.astype(np.float64))
+    primal = primal_energy(f, g, None, cfg)
+    dual = dual_objective(psi, g, None, cfg)
+    assert primal == pytest.approx(primal_energy(f64, g64, None, cfg), rel=1e-12)
+    assert dual == pytest.approx(dual_objective(psi.astype(np.float64), g64, None, cfg),
+                                 rel=1e-12)
+    assert regularizer_value(f, cfg.kernel, None, 1) == pytest.approx(
+        regularizer_value(f64, cfg.kernel, None, 1), rel=1e-12)
+    assert primal - dual > 0
 
 
 def test_solve_vanishing_regularization():
