@@ -34,10 +34,22 @@ of a tensor that is zero up to a few ulps.
 The TV cleanups run in float32 and return float64 fields.  The cleaned
 fields only steer a float64 solve, and float32 resolution (6e-8) lies far
 below the error a cleanup still carries at its iteration cap; the
-structure tensors and everything after the cleanups stay float64.  Each
-cleanup stops after CLEANUP_MAX_ITERS iterations (60) of the solver's sharp
-scalar step, which leaves its duality gap no larger than 100 iterations of
-the former, looser step left it.
+structure tensors and everything after the cleanups stay float64.
+
+A coherence cleanup starts on a grid 2x coarser (after Chan and Chen,
+"An optimization-based multilevel algorithm for total variation image
+denoising", Multiscale Model. Simul. 2006): CLEANUP_COARSE_ITERS (40)
+iterations on the 2x2 means of the field at half the TV weight, then
+CLEANUP_FINE_ITERS (25) on the field itself from the coarse dual,
+upsampled by nearest neighbour.  The dual feasible set is a product of
+per-pixel balls, so the upsampled dual is feasible; TV scales with the grid
+step and the fidelity with its square, so the coarse problem has half the
+weight.  That costs about 35 fine iterations and leaves a smaller duality
+gap than 60 cold ones.  The theta cleanup, and a coherence cleanup of a
+field shorter than COARSE_MIN_SIDE on a side, run CLEANUP_MAX_ITERS (60)
+cold iterations: the 2x2 mean of theta is wrong near the 0/pi seam, and
+started from a coarse grid its gap on the 96^2 synthetics rose 1.5 to 3.7
+times.
 """
 
 import math
@@ -47,7 +59,7 @@ import numpy as np
 
 from .diffops import convolve_channel, gaussian_kernel, grad_forward, sobel_grad
 from .image import Image, to_luminance
-from .tensor import DirectionalParams, coherence, eig2x2
+from .tensor import DirectionalParams, coherence, dual_field, eig2x2, upsample_dual
 from .solver import tv_denoise
 
 __all__ = [
@@ -62,16 +74,35 @@ __all__ = [
 ]
 
 
-# Iteration cap of every TV cleanup.  With the step L = 8 tau, 60
-# iterations leave each cleanup's relative duality gap (P - D) / P at or
+# Iteration cap of a cold TV cleanup: the theta cleanup, and a coherence
+# cleanup of a field too small for a coarse level.  With the step L = 8 tau,
+# 60 iterations leave each cleanup's relative duality gap (P - D) / P at or
 # below that of 100 iterations at the former 16 sqrt(2) tau step: on the
-# noisy 512^2 benchmark scene at sigma 0.2 the three coherence cleanups
-# read 0.160, 0.127 and 0.105 against 0.183, 0.146 and 0.123, and the theta
-# cleanup 1.3e-4 against 2.0e-4; tests/test_dpe.py checks the same on the
-# three 96^2 synthetics at sigma 0.1 and 0.2.  At 50 iterations the first
-# coherence cleanup of that scene read 0.214, above the former 0.183.
+# noisy 512^2 benchmark scene at sigma 0.2 the theta cleanup read 1.3e-4
+# against 2.0e-4.  tests/test_dpe.py checks the same on the three 96^2
+# synthetics at sigma 0.1 and 0.2.
 CLEANUP_MAX_ITERS = 60
 
+# Iterations of the two levels of a coherence cleanup, and the shortest
+# side a field needs for the coarse level.  A coarse iteration costs a
+# quarter of a fine one, so 40 + 25 cost about 35 fine iterations.  The
+# relative gaps of the three coherence cleanups of the 512^2 scene at
+# sigma 0.2 (seed 1), against 60 cold iterations:
+#
+#     coarse + fine    scale 1   scale 2   scale 3
+#     0 + 60 (cold)    0.160     0.127     0.105
+#     30 + 30          0.079     0.066     0.057
+#     40 + 25          0.071     0.061     0.053
+#     50 + 20          0.081     0.069     0.061
+#
+# On the 96^2 synthetics (15 coherence cleanups, sigma 0.1 and 0.2) 40 + 25
+# leaves 0.44 to 0.65 times the cold gap.  Below 32 pixels a side the
+# coarse grid carries too little: on noisy gratings 4 of 12 cleanups at
+# 16^2 ended above their cold gap (up to 1.6 times), and none of 36 at 24^2
+# to 48^2.
+CLEANUP_COARSE_ITERS = 40
+CLEANUP_FINE_ITERS = 25
+COARSE_MIN_SIDE = 32
 
 @dataclass
 class DpeConfig:
@@ -153,16 +184,37 @@ def tv_regularize_field(field, fidelity_half, tau, box):
     fidelity_half selects 1/2 ||x - field||^2 + tau TV(x); otherwise the
     fidelity is the full squared norm, equivalent to halving the TV weight.
     A solve (tau > 0) runs on the field in float32 (a copy unless it is
-    float32 already) and stops after CLEANUP_MAX_ITERS iterations or on
-    tv_denoise's rel_tol; tau = 0 is the float64 clip onto the box.  The
-    result is float64 either way.
+    float32 already); tau = 0 is the float64 clip onto the box.  The result
+    is float64 either way.
+
+    A half-fidelity solve (the theta cleanup) stops after CLEANUP_MAX_ITERS
+    iterations or on tv_denoise's rel_tol.  A full-fidelity solve (a
+    coherence cleanup) on a field whose sides are all COARSE_MIN_SIDE or
+    longer runs on two grids: CLEANUP_COARSE_ITERS iterations on the 2x2
+    means of the field at half the TV weight, then CLEANUP_FINE_ITERS on
+    the field itself from the coarse dual upsampled; a smaller field gets
+    the CLEANUP_MAX_ITERS iterations of the theta cleanup.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     eff = tau if fidelity_half else 0.5 * tau
     dtype = np.float32 if eff > 0 else np.float64
-    out = tv_denoise(Image(np.asarray(field, dtype=dtype)[None]), eff, box,
-                     max_iters=CLEANUP_MAX_ITERS)
+    field = np.asarray(field, dtype=dtype)
+    dual = None
+    iters = CLEANUP_MAX_ITERS
+    if not fidelity_half and eff > 0 and min(field.shape) >= COARSE_MIN_SIDE:
+        # TV scales with the grid step and the fidelity with its square, so
+        # the same problem on a grid 2x coarser has half the weight; an odd
+        # last row or column is left out of the 2x2 means
+        hc, wc = field.shape[0] // 2, field.shape[1] // 2
+        means = field[: 2 * hc, : 2 * wc].reshape(hc, 2, wc, 2).mean(axis=(1, 3))
+        coarse = dual_field(1, hc, wc, dtype)
+        tv_denoise(Image(means[None]), 0.5 * eff, box, max_iters=CLEANUP_COARSE_ITERS,
+                   dual=coarse)
+        dual = upsample_dual(coarse, *field.shape)
+        del means, coarse
+        iters = CLEANUP_FINE_ITERS
+    out = tv_denoise(Image(field[None]), eff, box, max_iters=iters, dual=dual)
     return np.asarray(out.data[0], dtype=np.float64)
 
 

@@ -24,6 +24,11 @@ on small shapes for kernel supports 1 to 7, where it peaks at 7.84 (a+)^2.
 The paper's per-pixel 8 sqrt(2) tau ((a+)^2 + (a-[i])^2) is looser than L
 by sqrt(2) to 2 sqrt(2) at every pixel, and FISTA's gap falls as L / k^2.
 
+The ascent starts from the zero field, or from a dual the caller passes
+(solve's dual=), into which the last accepted dual is also written back:
+any point of the balls is a valid start, so a dual from a related problem
+(a coarser grid, a nearby tau) can warm-start the solve.
+
 The primal iterate z = P_C(w) doubles as the convergence monitor: iteration
 stops when its relative l2 change drops below rel_tol (stop_reason "tol"),
 or after max_iters (stop_reason "max_iters").
@@ -43,6 +48,7 @@ from .image import Image
 from .tensor import (
     Workspace,
     _gram,
+    _planar,
     dual_field,
     jacobian_adjoint_apply,
     jacobian_apply,
@@ -57,7 +63,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "project_box",
-    "dual_gradient",
     "dual_objective",
     "primal_energy",
     "solve",
@@ -210,19 +215,10 @@ def _project_ball(data, p, workspace=None):
     return data
 
 
-def dual_gradient(psi, g, dp, cfg):
-    """tau * J~ P_C(g - tau J~* Psi), the ascent direction of the dual at
-    the (H, W, rows, 2) field psi, as a field of the same shape."""
-    w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)
-    z = _clip(w, cfg.constraint)
-    return cfg.tau * jacobian_apply(z, cfg.kernel, dp)
-
-
 def dual_objective(psi, g, dp, cfg):
-    """The dual value at the (H, W, rows, 2) field psi; diagnostic
-    companion of dual_gradient.  It is computed in float64 whatever the
-    dtype of psi and g: the duality gap P - D cancels most of the digits
-    of either energy."""
+    """The dual value at the (H, W, rows, 2) field psi, for the duality
+    gap.  It is computed in float64 whatever the dtype of psi and g: the
+    duality gap P - D cancels most of the digits of either energy."""
     g64 = np.asarray(g.data, np.float64)
     w = g64 - cfg.tau * jacobian_adjoint_apply(
         np.asarray(psi, np.float64), cfg.kernel, g.channels, dp)
@@ -241,17 +237,41 @@ def primal_energy(f, g, dp, cfg):
     return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
-def solve(g, dp, cfg, monitor=None):
+def _check_dual(dual, rows, h, w, dtype):
+    """Raise ValueError unless dual can start a solve and take its final
+    dual: a writeable, finite (H, W, rows, 2) field of the solve's dtype
+    over a planar buffer, as dual_field makes."""
+    if not isinstance(dual, np.ndarray) or dual.shape != (h, w, rows, 2):
+        raise ValueError("dual must be an (H, W, rows, 2) field for this image and kernel")
+    if dual.dtype != dtype:
+        raise ValueError("dual must have the image's dtype")
+    if not _planar(dual).flags.c_contiguous:
+        raise ValueError("dual must be the planar view dual_field makes")
+    if not dual.flags.writeable:
+        raise ValueError("dual must be writeable")
+    if not np.isfinite(dual).all():
+        raise ValueError("dual samples must be finite")
+
+
+def solve(g, dp, cfg, *, dual=None, monitor=None):
     """Run the dual ascent; returns a SolveResult: the restored image, the
     iteration count and the stop reason.
 
     The solve follows g's dtype: a float32 g gives float32 dual fields,
     iterates and result, anything else float64.  dp may be None for the
-    unsteered regularizer.  monitor, when given, is called after every
-    iteration as monitor(iteration, z, psi_accepted) and exists for
-    diagnostics and tests.  z and psi_accepted are reused buffers, valid
-    until the next call; the last psi_accepted stays intact after solve
-    returns.
+    unsteered regularizer.
+
+    dual, when given, is both the start point and the output of the dual:
+    a finite (H, W, rows, 2) field of g's dtype over a planar buffer (as
+    dual_field makes, rows = support^2 * channels).  The ascent starts from
+    it in place of the zero field, and the last accepted dual is written
+    back into it.  A dual that does not fit raises ValueError before it is
+    touched.  The result itself keeps no dual field.
+
+    monitor, when given, is called after every iteration as
+    monitor(iteration, z, psi_accepted) and exists for diagnostics and
+    tests.  z and psi_accepted are reused buffers, valid until the next
+    call; the last psi_accepted stays intact after solve returns.
 
     One Workspace, built here, serves every J, J* and projection of the
     solve, and the iteration tail (w, the clip, the finiteness check and
@@ -264,12 +284,21 @@ def solve(g, dp, cfg, monitor=None):
     nch, h, w_ = g.shape
     dtype = g.data.dtype
     rows = kernel.support**2 * nch
+    if dual is not None:
+        _check_dual(dual, rows, h, w_, dtype)
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
     lip = 8.0 * tau * (1.0 if dp is None else dp.alpha_plus**2)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
-    # becomes the accepted point, and the last accepted point prev.
-    psi, prev = dual_field(rows, h, w_, dtype), dual_field(rows, h, w_, dtype)
+    # becomes the accepted point, and the last accepted point prev.  A
+    # given dual starts as prev, and psi as its copy: the first
+    # extrapolated point is the start point itself.
+    psi = dual_field(rows, h, w_, dtype)
+    if dual is None:
+        prev = dual_field(rows, h, w_, dtype)
+    else:
+        prev = dual
+        np.copyto(psi, dual)
     z, z_prev = np.empty(g.shape, dtype), np.empty(g.shape, dtype)
     t = 1.0
     iterations = 0
@@ -305,6 +334,9 @@ def solve(g, dp, cfg, monitor=None):
                 stop_reason = "tol"
                 break
         z, z_prev = z_prev, z
+    if dual is not None and prev is not dual:
+        np.copyto(dual, prev)
+        prev = dual
     # only prev is read from here on: release psi before the result is
     # allocated
     del psi
@@ -316,12 +348,13 @@ def solve(g, dp, cfg, monitor=None):
     return SolveResult(Image(final), iterations, stop_reason)
 
 
-def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5):
+def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5, dual=None):
     """Classical TV denoising of a single-channel image over a box.
 
     Realized as the delta-kernel, q = 2, unsteered special case of the same
-    dual machinery, in g's dtype.  tau = 0 short-circuits to the box
-    projection.
+    dual machinery, in g's dtype.  dual, an (H, W, 1, 2) field, starts the
+    solve and takes its final dual, as in solve.  tau = 0 short-circuits to
+    the box projection and leaves dual as it is.
     """
     if g.channels != 1:
         raise ValueError("tv_denoise expects a single channel")
@@ -331,4 +364,4 @@ def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5):
         return project_box(g, box)
     cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), constraint=box,
                        max_iters=max_iters, rel_tol=rel_tol)
-    return solve(g, None, cfg).image
+    return solve(g, None, cfg, dual=dual).image

@@ -53,13 +53,13 @@ from .diffops import (
 __all__ = [
     "DirectionalParams",
     "Workspace",
-    "apply_direction",
     "eig2x2",
     "coherence",
     "regularizer_value",
     "jacobian_apply",
     "jacobian_adjoint_apply",
     "dual_field",
+    "upsample_dual",
 ]
 
 
@@ -91,12 +91,6 @@ class DirectionalParams:
         if not np.all((self.theta >= 0.0) & (self.theta < np.pi)):
             raise ValueError("theta must lie in [0, pi)")
         self.alpha_minus = np.clip(self.alpha_minus, 1.0, self.alpha_plus)
-
-    @classmethod
-    def identity(cls, shape):
-        """alpha_plus = alpha_minus = 1, theta = 0: the untransformed case."""
-        h, w = shape
-        return cls(1.0, np.ones((h, w)), np.zeros((h, w)))
 
     @property
     def shape(self):
@@ -195,6 +189,20 @@ def dual_field(rows, h, w, dtype=np.float64):
     buffer, the layout jacobian_apply fills and both operators read
     fastest."""
     return np.zeros((2, rows, h, w), dtype).transpose(2, 3, 1, 0)
+
+
+def upsample_dual(coarse, h, w):
+    """The (h, w, rows, 2) nearest-neighbour 2x upsampling of the dual
+    field coarse, of shape (h // 2, w // 2, rows, 2), over a new planar
+    buffer: every coarse block is repeated on a 2 x 2 patch, and an odd
+    last row or column repeats its neighbour.  Each block of the result is
+    a block of coarse, so a coarse field on the unit balls gives a fine one
+    on them."""
+    up = np.repeat(np.repeat(_planar(coarse), 2, axis=2), 2, axis=3)
+    pad_h, pad_w = h - up.shape[2], w - up.shape[3]
+    if pad_h or pad_w:
+        up = np.pad(up, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="edge")
+    return up.transpose(2, 3, 1, 0)
 
 
 def _gram(field, out=(None, None, None)):
@@ -375,21 +383,7 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
 
 
 # ---------------------------------------------------------------------------
-# Steering, eigensystems and the regularizer
-
-
-def apply_direction(g, ap, am, th):
-    """diag(ap, am) R(-th) g for a gradient vector (or array of vectors).
-
-    R(th) = [[cos th, -sin th], [sin th, cos th]]; the last axis of g holds
-    the (x, y) components.  Scalars and broadcastable arrays are accepted.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    ct = np.cos(th)
-    st = np.sin(th)
-    gx = g[..., 0]
-    gy = g[..., 1]
-    return np.stack([ap * (ct * gx + st * gy), am * (ct * gy - st * gx)], axis=-1)
+# Eigenvalues and the regularizer
 
 
 def eig2x2(sxx, sxy, syy):

@@ -22,6 +22,36 @@ def rand_image(rng, h, w, c=1):
     return Image(rng.random((c, h, w)))
 
 
+def identity_params(shape):
+    """alpha_plus = alpha_minus = 1, theta = 0: the untransformed case."""
+    h, w = shape
+    return DirectionalParams(1.0, np.ones((h, w)), np.zeros((h, w)))
+
+
+def apply_direction(g, ap, am, th):
+    """Oracle for the steering: diag(ap, am) R(-th) g for a gradient vector
+    (or array of vectors).
+
+    R(th) = [[cos th, -sin th], [sin th, cos th]]; the last axis of g holds
+    the (x, y) components.  Scalars and broadcastable arrays are accepted.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    ct = np.cos(th)
+    st = np.sin(th)
+    gx = g[..., 0]
+    gy = g[..., 1]
+    return np.stack([ap * (ct * gx + st * gy), am * (ct * gy - st * gx)], axis=-1)
+
+
+def dual_gradient(psi, g, dp, cfg):
+    """Oracle for the ascent direction of the dual at the (H, W, rows, 2)
+    field psi: tau * J~ P_C(g - tau J~* Psi), as a field of the same
+    shape."""
+    w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)
+    z = w if cfg.constraint is None else np.clip(w, *cfg.constraint)
+    return cfg.tau * jacobian_apply(z, cfg.kernel, dp)
+
+
 def rand_params(rng, h, w, alpha_plus=None):
     """Random valid steering fields for adjoint/reduction exercises."""
     ap = float(alpha_plus) if alpha_plus is not None else float(1.0 + 9.0 * rng.random())
@@ -93,17 +123,22 @@ def analyze_stages(g, cfg):
                            theta_raw=theta_raw, theta=dpe._fold_angle(theta))
 
 
-def reference_solve(g, dp, cfg, lip=None, monitor=None):
+def reference_solve(g, dp, cfg, lip=None, monitor=None, dual=None):
     """Dual FISTA in the solver's iteration order, with fresh arrays for
     every intermediate and no workspace, in g's dtype.  lip is the scalar
     step bound, by default the solver's 8 tau (alpha_plus)^2 (8 tau
-    unsteered); monitor is called as solve calls it.  Returns the restored
-    samples and the iteration count."""
+    unsteered); monitor is called as solve calls it.  dual, when given, is
+    the start point in place of the zero field, and takes the last accepted
+    dual at the end, as in solve.  Returns the restored samples and the
+    iteration count."""
     k, tau, c = cfg.kernel, cfg.tau, g.channels
     if lip is None:
         lip = 8.0 * tau * (1.0 if dp is None else dp.alpha_plus**2)
-    jf = jacobian_apply(g.data, k, dp)
-    psi = np.zeros(jf.shape, jf.dtype)
+    if dual is None:
+        jf = jacobian_apply(g.data, k, dp)
+        psi = np.zeros(jf.shape, jf.dtype)
+    else:
+        psi = np.array(dual)
     prev = psi.copy()
     t = 1.0
     z_prev = None
@@ -123,4 +158,6 @@ def reference_solve(g, dp, cfg, lip=None, monitor=None):
                                    <= cfg.rel_tol * max(np.linalg.norm(z_prev), 1e-30)):
             break
         z_prev = z
+    if dual is not None:
+        dual[...] = prev
     return clip(g.data - tau * jacobian_adjoint_apply(prev, k, c, dp)), it

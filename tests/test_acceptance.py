@@ -25,7 +25,6 @@ from adstv.image import Image, NoiseSpec, add_gaussian_noise, psnr
 from adstv.solver import (
     SolverConfig,
     _project_ball,
-    dual_gradient,
     dual_objective,
     primal_energy,
     project_box,
@@ -39,7 +38,14 @@ from adstv.tensor import (
     jacobian_apply,
 )
 
-from conftest import analyze_stages, rand_image, rand_params, stripe_image, structure_tensor
+from conftest import (
+    analyze_stages,
+    dual_gradient,
+    rand_image,
+    rand_params,
+    stripe_image,
+    structure_tensor,
+)
 
 
 def report(name, ok, detail):

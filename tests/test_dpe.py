@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adstv import Image, dpe
+from adstv import Image, dpe, solver
 from adstv.bench import derive_seed
 from adstv.diffops import convolve_channel, delta_kernel, gaussian_kernel, sobel_grad
 from adstv.dpe import (
@@ -20,7 +20,7 @@ from adstv.dpe import (
 )
 from adstv.image import NoiseSpec, add_gaussian_noise, to_luminance
 from adstv.solver import SolverConfig, dual_objective, primal_energy, solve, tv_denoise
-from adstv.tensor import coherence, eig2x2
+from adstv.tensor import coherence, dual_field, eig2x2
 
 from conftest import analyze_stages, minor_angle, rand_image, reference_solve, stripe_image
 from test_acceptance import synthetic_images
@@ -178,9 +178,11 @@ def test_tv_regularize_field_trivial_cases():
 
 def test_tv_regularize_field_fidelity_conventions_agree():
     # full squared fidelity with weight t is the same problem as half
-    # fidelity with weight t/2, so both paths must coincide exactly
+    # fidelity with weight t/2, so both paths must coincide exactly on a
+    # field too small for the coherence cleanup's coarse level
     rng = np.random.default_rng(24)
     field = rng.random((12, 12))
+    assert min(field.shape) < dpe.COARSE_MIN_SIDE
     a = tv_regularize_field(field, False, 0.4, (0.0, 1.0))
     b = tv_regularize_field(field, True, 0.2, (0.0, 1.0))
     np.testing.assert_array_equal(a, b)
@@ -459,10 +461,12 @@ def test_analyze_memory_bound(monkeypatch):
     # scale the largest demand is _scale_fields, at most 7 planes beyond
     # its input (test_scale_fields_memory_bound).  A coherence cleanup
     # starts with those 3, the angle and the float32 c held (4.5; 1/8 more
-    # covers kernels and small objects), and its solve takes 4.6 more: two
-    # dual fields (2), two iterates (1), two scratch planes (1), a mask
-    # (1/8) and its result (0.5).  Fusing needs 2 planes and a mask, and
-    # the theta cleanup and skew_enhance run with 2 planes held.
+    # covers kernels and small objects), and its fine solve takes 4.6 more:
+    # two dual fields (2, the upsampled coarse dual among them), two
+    # iterates (1), two scratch planes (1), a mask (1/8) and its result
+    # (0.5); the coarse solve before it takes a quarter of that.  Fusing
+    # needs 2 planes and a mask, and the theta cleanup and skew_enhance run
+    # with 2 planes held.
     rng = np.random.default_rng(43)
     g = Image(rng.random((1, 256, 256)))
     cfg = DpeConfig(alpha_plus=3.0, num_scales=3, st_support=15)
@@ -488,58 +492,136 @@ def test_analyze_memory_bound(monkeypatch):
     assert max(held) <= 4.625 * plane, [h / plane for h in held]
 
 
-def cleanup_gap(g, cfg, lip=None):
+def relative_gap(g, z, psi, cfg):
     """Relative duality gap (P - D) / P of a TV cleanup of the float32
-    image g, run by solve, or by the fresh-array reference at the scalar
-    step lip when given.  P and D are taken in float64 from the float32
-    iterate and dual field."""
-    last = {}
-
-    def keep(it, z, psi):
-        last["psi"] = psi
-
-    if lip is None:
-        z = solve(g, None, cfg, monitor=keep).image.data
-    else:
-        z = reference_solve(g, None, cfg, lip=lip, monitor=keep)[0]
+    image g at the iterate z and the dual field psi, both taken in
+    float64."""
     g64 = Image(g.data.astype(np.float64))
-    primal = primal_energy(Image(z.astype(np.float64)), g64, None, cfg)
-    return (primal - dual_objective(last["psi"].astype(np.float64), g64, None, cfg)) / primal
+    primal = primal_energy(Image(np.asarray(z, np.float64).reshape(g.shape)), g64, None, cfg)
+    return (primal - dual_objective(np.asarray(psi, np.float64), g64, None, cfg)) / primal
+
+
+def cold_gap(g, cfg, lip=None):
+    """The relative gap a cold cleanup of g leaves: run by solve, or by the
+    fresh-array reference at the scalar step lip when given."""
+    dual = dual_field(1, g.height, g.width, g.data.dtype)
+    if lip is None:
+        z = solve(g, None, cfg, dual=dual).image.data
+    else:
+        z = reference_solve(g, None, cfg, lip=lip, dual=dual)[0]
+    return relative_gap(g, z, dual, cfg)
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.2])
 def test_cleanups_keep_their_certified_gap_at_the_lower_cap(monkeypatch, capsys, sigma):
     # Every TV cleanup of analyze on the three 96^2 synthetics, at the
-    # settings of the acceptance sweep: CLEANUP_MAX_ITERS iterations at the
-    # solver's step must leave a relative duality gap no larger than 100
-    # iterations at the former step 16 sqrt(2) tau left
-    calls = []
+    # settings of the acceptance sweep, certified from the field it returned
+    # and its own final dual.  Each must leave a relative duality gap no
+    # larger than 100 iterations at the former step 16 sqrt(2) tau left; a
+    # coherence cleanup (coarse and fine level) no larger than a cold
+    # CLEANUP_MAX_ITERS solve leaves; and the theta cleanup is that cold
+    # solve, bit for bit.
+    solves, cleanups = [], []
+    denoise = dpe.tv_denoise
+    cleanup = dpe.tv_regularize_field
 
-    def recording(g, tau, box, **kwargs):
-        calls.append((g, tau, box, kwargs["max_iters"]))
-        return tv_denoise(g, tau, box, **kwargs)
+    def recording_denoise(g, tau, box, max_iters, dual=None):
+        if dual is None:
+            # the zero start is the cold start; the buffer keeps the final dual
+            dual = dual_field(1, g.height, g.width, g.data.dtype)
+        solves.append((g, tau, max_iters, dual))
+        return denoise(g, tau, box, max_iters=max_iters, dual=dual)
 
-    monkeypatch.setattr(dpe, "tv_denoise", recording)
+    def recording_cleanup(field, fidelity_half, tau, box):
+        out = cleanup(field, fidelity_half, tau, box)
+        # a copy: analyze updates its largest kappa_hat in place
+        cleanups.append((box, out.copy(), solves[:]))
+        solves.clear()
+        return out
+
+    monkeypatch.setattr(dpe, "tv_denoise", recording_denoise)
+    monkeypatch.setattr(dpe, "tv_regularize_field", recording_cleanup)
     lines = []
     for name, arr in synthetic_images().items():
         noisy = add_gaussian_noise(Image(arr[None]), NoiseSpec(sigma, derive_seed(name, sigma, 0)))
         cfg = DpeConfig(alpha_plus=2.0, num_scales=2 if sigma < 0.2 else 3, st_support=7)
-        calls.clear()
+        cleanups.clear()
         analyze(noisy, cfg)
-        assert [box for _, _, box, _ in calls] == [(0.0, 1.0)] * cfg.num_scales + [(0.0, np.pi)]
-        for g, tau, box, cap in calls:
-            assert cap == dpe.CLEANUP_MAX_ITERS and g.data.dtype == np.float32
+        assert [box for box, _, _ in cleanups] == [(0.0, 1.0)] * cfg.num_scales + [(0.0, np.pi)]
+        for box, out, calls in cleanups:
+            g, tau, cap, dual = calls[-1]
+            assert g.data.dtype == np.float32
             solver_cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), constraint=box,
-                                      max_iters=cap)
-            new = cleanup_gap(g, solver_cfg)
-            old = cleanup_gap(g, dataclasses.replace(solver_cfg, max_iters=100),
-                              lip=16.0 * math.sqrt(2.0) * tau)
-            lines.append("%s %s: %.3e -> %.3e" % (name, "theta" if box[1] > 1 else "coherence",
-                                                  old, new))
+                                      max_iters=dpe.CLEANUP_MAX_ITERS)
+            new = relative_gap(g, out, dual, solver_cfg)
+            old = cold_gap(g, dataclasses.replace(solver_cfg, max_iters=100),
+                           lip=16.0 * math.sqrt(2.0) * tau)
+            cold = cold_gap(g, solver_cfg)
+            theta = box[1] > 1
+            lines.append("%s %s: %.3e, %.3e -> %.3e" % (name, "theta" if theta else "coherence",
+                                                        old, cold, new))
             assert 0.0 <= new <= old, lines[-1]
+            if theta:
+                assert len(calls) == 1 and cap == dpe.CLEANUP_MAX_ITERS
+                ref = tv_denoise(g, tau, box, max_iters=dpe.CLEANUP_MAX_ITERS)
+                assert np.array_equal(out, ref.data[0])
+            else:
+                (coarse, coarse_tau, coarse_cap, _), = calls[:-1]
+                assert coarse.shape == (1, g.height // 2, g.width // 2)
+                assert (coarse_tau, coarse_cap, cap) == (
+                    0.5 * tau, dpe.CLEANUP_COARSE_ITERS, dpe.CLEANUP_FINE_ITERS)
+                assert new <= cold, lines[-1]
     with capsys.disabled():
-        print("\ncleanup gaps at sigma %.1f, 100 iterations at 16 sqrt(2) tau -> %d at 8 tau:\n  %s"
+        print("\ncleanup gaps at sigma %.1f, 100 iterations at 16 sqrt(2) tau, %d cold at "
+              "8 tau -> analyze's cleanup:\n  %s"
               % (sigma, dpe.CLEANUP_MAX_ITERS, "\n  ".join(lines)))
+
+
+def test_analyze_sends_every_cleanup_solve_through_solver_solve(monkeypatch):
+    # perfbench's traced run counts solves and iterations at solver.solve:
+    # a coarse and a fine solve per coherence cleanup, one for theta
+    calls = []
+    real = solver.solve
+
+    def counting(g, dp, cfg, **kwargs):
+        calls.append((g.shape[1:], cfg.tau, cfg.max_iters))
+        return real(g, dp, cfg, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counting)
+    rng = np.random.default_rng(44)
+    g = Image(rng.random((1, 65, 47)))
+    cfg = DpeConfig(alpha_plus=3.0, num_scales=3)
+    analyze(g, cfg)
+    coherence_cleanup = [((32, 23), 0.25, dpe.CLEANUP_COARSE_ITERS),
+                         ((65, 47), 0.5, dpe.CLEANUP_FINE_ITERS)]
+    theta_cleanup = [((65, 47), cfg.theta_tv_tau, dpe.CLEANUP_MAX_ITERS)]
+    assert calls == coherence_cleanup * 3 + theta_cleanup
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (2, 40), (31, 64), (97, 95)])
+def test_cleanups_of_small_and_odd_fields_are_finite_and_in_the_box(monkeypatch, shape):
+    rng = np.random.default_rng(45)
+    field = rng.uniform(-0.3, 1.3, shape)
+    upsampled = []
+    upsample = dpe.upsample_dual
+
+    def recording(coarse, h, w):
+        dual = upsample(coarse, h, w)
+        # a copy: the fine solve writes its final dual over this one
+        upsampled.append(dual.copy())
+        return dual
+
+    monkeypatch.setattr(dpe, "upsample_dual", recording)
+    for fidelity_half, tau, box in ((False, 1.0, (0.0, 1.0)), (True, 0.02, (0.0, np.pi))):
+        out = tv_regularize_field(field, fidelity_half, tau, box)
+        assert out.shape == shape and out.dtype == np.float64
+        assert np.isfinite(out).all() and out.min() >= box[0] and out.max() <= box[1]
+    # only a coherence cleanup of a field at least COARSE_MIN_SIDE on a side
+    # starts from a coarse dual, which lies on the unit balls
+    assert len(upsampled) == (min(shape) >= dpe.COARSE_MIN_SIDE)
+    for dual in upsampled:
+        assert dual.shape == shape + (1, 2)
+        assert np.sqrt(np.sum(dual.astype(np.float64) ** 2, axis=(2, 3))).max() <= 1.0 + 1e-6
 
 
 def test_eadtv_angles_axis_aligned_ramps():

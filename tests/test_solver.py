@@ -11,7 +11,6 @@ from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
     SolverConfig,
     _project_ball,
-    dual_gradient,
     dual_objective,
     primal_energy,
     project_box,
@@ -21,12 +20,13 @@ from adstv.solver import (
 from adstv.image import NoiseSpec, add_gaussian_noise
 from adstv.tensor import (
     DirectionalParams,
+    dual_field,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
 )
 
-from conftest import rand_image, rand_params, reference_solve
+from conftest import dual_gradient, identity_params, rand_image, rand_params, reference_solve
 from test_acceptance import synth_half_oriented
 
 
@@ -82,7 +82,7 @@ def test_patch_jacobian_norm_is_within_the_scalar_step_bound(support, capsys):
     kernel = delta_kernel() if support == 1 else gaussian_kernel(0.4 * support, support)
     worst = 0.0
     for h, w in NORM_SHAPES:
-        cases = [None, DirectionalParams.identity((h, w))]
+        cases = [None, identity_params((h, w))]
         cases += [rand_params(rng, h, w, alpha_plus=ap) for ap in (1.5, 4.0, 30.0)]
         for dp in cases:
             ap = 1.0 if dp is None else dp.alpha_plus
@@ -408,13 +408,14 @@ def test_steered_solve_matches_convex_solver():
 
 @pytest.mark.parametrize("shape", [(7, 5), (1, 4)])
 @pytest.mark.parametrize("case", ["tv", "tv-float32", "steered-1", "steered-3", "stv",
-                                  "steered-3-5x5"])
+                                  "steered-3-5x5", "tv-warm", "tv-float32-warm",
+                                  "steered-3-warm"])
 def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
     rng = np.random.default_rng(23)
     h, w = shape
     if case.startswith("tv"):
         g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
-        if case == "tv-float32":
+        if "float32" in case:
             # the dtype of analyze's cleanups
             g = Image(g.data.astype(np.float32))
         dp = None
@@ -430,14 +431,83 @@ def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
         cfg = SolverConfig(tau=0.1, q=1, kernel=gaussian_kernel(1.0, 5), max_iters=60,
                            rel_tol=1e-3)
     else:
-        g = Image(rng.random((int(case[-1]), h, w)) * 1.4 - 0.2)
+        g = Image(rng.random((int(case.split("-")[1]), h, w)) * 1.4 - 0.2)
         dp = rand_params(rng, h, w)
         cfg = SolverConfig(tau=0.1, q=1, max_iters=60, rel_tol=1e-3)
-    res = solve(g, dp, cfg)
-    expected, iterations = reference_solve(g, dp, cfg)
+    dual = ref_dual = None
+    if case.endswith("-warm"):
+        # a start on the balls, as a coarser grid or a nearby tau leaves one
+        rows = cfg.kernel.support**2 * g.channels
+        dual = dual_field(rows, h, w, g.data.dtype)
+        dual[...] = rng.standard_normal(dual.shape)
+        _project_ball(dual, cfg.dual_p)
+        ref_dual = dual_field(rows, h, w, g.data.dtype)
+        np.copyto(ref_dual, dual)
+    res = solve(g, dp, cfg, dual=dual)
+    expected, iterations = reference_solve(g, dp, cfg, dual=ref_dual)
     assert res.iterations == iterations
     assert res.image.data.dtype == expected.dtype == g.data.dtype
     assert np.array_equal(res.image.data, expected)
+    if dual is not None:
+        # both wrote their last accepted dual back into the start field
+        assert np.array_equal(dual, ref_dual)
+
+
+def test_a_zero_start_is_the_cold_start_and_returns_the_last_dual():
+    rng = np.random.default_rng(28)
+    g = Image(rng.random((1, 9, 8)).astype(np.float32))
+    cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=40, rel_tol=1e-15)
+    last = {}
+
+    def keep(it, z, psi):
+        last["psi"] = psi.copy()
+
+    cold = solve(g, None, cfg, monitor=keep)
+    dual = dual_field(1, 9, 8, np.float32)
+    warm = solve(g, None, cfg, dual=dual)
+    assert np.array_equal(cold.image.data, warm.image.data)
+    assert cold.iterations == warm.iterations == 40
+    assert np.array_equal(dual, last["psi"])
+    # a result keeps no dual field alive: the caller's buffer is the only
+    # way out for the dual
+    assert sorted(vars(cold)) == ["image", "iterations", "stop_reason"]
+    assert not np.shares_memory(dual, warm.image.data)
+
+
+def test_bad_initial_duals_raise_and_are_left_untouched():
+    rng = np.random.default_rng(29)
+    h, w = 6, 5
+    g = Image(rng.random((1, h, w)))
+    cfg = SolverConfig(tau=0.1, q=2, kernel=delta_kernel())
+
+    def filled(field):
+        field[...] = rng.uniform(-0.5, 0.5, field.shape)
+        return field
+
+    nan = filled(dual_field(1, h, w))
+    nan[2, 3, 0, 1] = np.nan
+    inf = filled(dual_field(1, h, w))
+    inf[0, 0, 0, 0] = -np.inf
+    frozen = filled(dual_field(1, h, w))
+    frozen.flags.writeable = False
+    bad = {
+        "shape": filled(dual_field(1, w, h)),
+        "rows": filled(dual_field(9, h, w)),
+        "dtype": filled(dual_field(1, h, w, np.float32)),
+        "layout": filled(np.empty((h, w, 1, 2))),
+        "nan": nan,
+        "inf": inf,
+        "read-only": frozen,
+    }
+    for name, dual in bad.items():
+        before = dual.copy()
+        with pytest.raises(ValueError, match="dual"):
+            solve(g, None, cfg, dual=dual)
+        with pytest.raises(ValueError, match="dual"):
+            tv_denoise(g, 0.1, dual=dual)
+        assert np.array_equal(dual, before, equal_nan=True), name
+    with pytest.raises(ValueError, match="dual"):
+        solve(g, None, cfg, dual=[[0.0]])
 
 
 @pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])

@@ -7,16 +7,24 @@ from adstv.tensor import (
     DirectionalParams,
     Workspace,
     _gram,
-    apply_direction,
     coherence,
     dual_field,
     eig2x2,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
+    upsample_dual,
 )
+from adstv.solver import _project_ball
 
-from conftest import minor_angle, rand_image, rand_params, structure_tensor
+from conftest import (
+    apply_direction,
+    identity_params,
+    minor_angle,
+    rand_image,
+    rand_params,
+    structure_tensor,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +34,7 @@ from conftest import minor_angle, rand_image, rand_params, structure_tensor
 def test_params_validation():
     ones = np.ones((3, 3))
     zeros = np.zeros((3, 3))
-    dp = DirectionalParams.identity((3, 3))
+    dp = identity_params((3, 3))
     assert dp.alpha_plus == 1.0
     with pytest.raises(ValueError):
         DirectionalParams(0.5, ones, zeros)
@@ -150,6 +158,31 @@ def test_dual_field_is_planar_and_its_planes_are_views():
     planes = field.transpose(3, 2, 0, 1).reshape(54, 6, 5, copy=False)
     assert np.shares_memory(planes, field)
     np.testing.assert_array_equal(planes[27 + 4], field[:, :, 4, 1])
+
+
+@pytest.mark.parametrize("rows, p", [(1, 2), (9, np.inf)])
+@pytest.mark.parametrize("shape", [(8, 6), (9, 7), (97, 95), (2, 40)])
+def test_upsample_dual_repeats_blocks_and_stays_on_the_balls(shape, rows, p):
+    rng = np.random.default_rng(31)
+    h, w = shape
+    hc, wc = h // 2, w // 2
+    coarse = dual_field(rows, hc, wc, np.float32)
+    coarse[...] = 3.0 * rng.standard_normal(coarse.shape)
+    _project_ball(coarse, p)
+    fine = upsample_dual(coarse, h, w)
+    assert fine.shape == (h, w, rows, 2) and fine.dtype == np.float32
+    assert fine.transpose(3, 2, 0, 1).flags.c_contiguous
+    # nearest neighbour, with an odd last row or column repeating the one
+    # before it
+    ys = np.minimum(np.arange(h) // 2, hc - 1)
+    xs = np.minimum(np.arange(w) // 2, wc - 1)
+    np.testing.assert_array_equal(fine, coarse[np.ix_(ys, xs)])
+    blocks = fine.reshape(-1, rows, 2).astype(np.float64)
+    if p == 2:
+        norms = np.sqrt(np.sum(blocks**2, axis=(1, 2)))
+    else:
+        norms = np.linalg.svd(blocks, compute_uv=False).max(axis=1)
+    assert norms.max() <= 1.0 + 1e-6
 
 
 def test_single_tap_weight_scales_the_rows():
@@ -313,7 +346,7 @@ def test_directional_reduces_to_plain_under_identity_params():
     rng = np.random.default_rng(6)
     f = rand_image(rng, 6, 5, 3)
     k = gaussian_kernel(0.5, 3)
-    dp = DirectionalParams.identity((6, 5))
+    dp = identity_params((6, 5))
     np.testing.assert_array_equal(
         jacobian_apply(f.data, k, dp), jacobian_apply(f.data, k)
     )
@@ -332,7 +365,7 @@ def test_directional_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# apply_direction
+# apply_direction, the steering oracle of conftest
 
 
 def test_apply_direction_identity_and_rotation():
