@@ -194,11 +194,9 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
 
 
 def _solver_kwargs(opts):
-    return dict(
-        max_iters=opts.get("max_iters", 100),
-        rel_tol=opts.get("rel_tol", 1e-5),
-        constraint=opts.get("constraint", (0.0, 1.0)),
-    )
+    """The SolverConfig settings that opts sets; SolverConfig's defaults
+    fill the rest."""
+    return {key: opts[key] for key in ("max_iters", "rel_tol", "constraint") if key in opts}
 
 
 def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,

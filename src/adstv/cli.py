@@ -30,13 +30,11 @@ from .bench import (
     bench,
     default_alpha_grid,
     default_num_scales,
-    default_st_support,
     default_tau_grid,
     regularizer,
     write_csv,
 )
 from .diffops import gaussian_kernel
-from .dpe import DpeConfig, estimate
 from .image import Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, psnr, save_image, ssim
 from .solver import SolverConfig, project_box, solve
 from .tensor import DirectionalParams
@@ -80,12 +78,12 @@ def _num_scales(args):
     return by_noise if args.scales is None else args.scales
 
 
-def _dpe_config(args, img):
-    support = args.st_support
-    if support is None:
-        support = default_st_support(img.height, img.width)
-    return DpeConfig(alpha_plus=args.alpha_plus, num_scales=_num_scales(args),
-                     st_support=support)
+def _check_alpha_plus(args):
+    """Refuse an --alpha-plus that estimated adstv fields cannot take,
+    before they are estimated."""
+    # written so that NaN fails it too
+    if not 1.0 < args.alpha_plus < math.inf:
+        raise ValueError("adstv's estimated fields need a finite --alpha-plus > 1")
 
 
 def _dump_fields(dirpath, dp):
@@ -112,10 +110,8 @@ def cmd_denoise(args):
             folded = 0.0
         dp = DirectionalParams(args.alpha_plus, np.ones(shape), np.full(shape, folded))
     elif steering is not None:
-        # written so that NaN fails it too
-        if reg == "adstv" and not 1.0 < args.alpha_plus < math.inf:
-            raise ValueError("adstv needs a finite --alpha-plus > 1 unless "
-                             "--theta-override is given")
+        if reg == "adstv":
+            _check_alpha_plus(args)
         dp = steering(args.alpha_plus)
     if args.dump_fields:
         if dp is None:
@@ -149,8 +145,11 @@ def cmd_metrics(args):
 
 def cmd_estimate(args):
     img = load_image(args.input)
-    dp = estimate(img, _dpe_config(args, img))
-    _dump_fields(args.out_dir, dp)
+    # adstv's steering, whose kernel and q go unused here
+    _, _, steering = regularizer("adstv", img, None, 1, num_scales=_num_scales(args),
+                                 st_support=args.st_support)
+    _check_alpha_plus(args)
+    _dump_fields(args.out_dir, steering(args.alpha_plus))
     return 0
 
 

@@ -15,9 +15,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .diffops import as_float
+from .diffops import _correlate_separable, as_float
 
 __all__ = [
     "FormatError",
@@ -72,12 +71,6 @@ class Image:
     @property
     def shape(self):
         return self.data.shape
-
-    def channel(self, c):
-        return self.data[c]
-
-    def copy(self):
-        return Image(self.data.copy())
 
 
 @dataclass
@@ -286,9 +279,8 @@ _SSIM_TAPS /= _SSIM_TAPS.sum()
 def _ssim_filter(a):
     """The 11x11 Gaussian window in valid mode, as two 1-D passes cropped
     by the window radius."""
-    out = ndimage.correlate1d(ndimage.correlate1d(a, _SSIM_TAPS, axis=0), _SSIM_TAPS, axis=1)
     h = _SSIM_HALF
-    return out[h:-h, h:-h]
+    return _correlate_separable(a, _SSIM_TAPS, _SSIM_TAPS)[h:-h, h:-h]
 
 
 def _ssim_channel(x, y):

@@ -31,7 +31,10 @@ any point of the balls is a valid start, so a dual from a related problem
 
 The primal iterate z = P_C(w) doubles as the convergence monitor: iteration
 stops when its relative l2 change drops below rel_tol (stop_reason "tol"),
-or after max_iters (stop_reason "max_iters").
+or after max_iters (stop_reason "max_iters").  One helper computes z, for
+every iteration and for the final image, and one clip serves it, the box
+projection and the dual objective.  The ball projection takes its Gram
+eigenvalues from tensor.eig2x2, the helper analyze uses.
 
 A solve follows the dtype of its input image: a float32 g is solved in
 float32 throughout (dual fields, iterates, scratch planes and result), and
@@ -50,14 +53,11 @@ from .tensor import (
     _gram,
     _planar,
     dual_field,
+    eig2x2,
     jacobian_adjoint_apply,
     jacobian_apply,
     regularizer_value,
 )
-
-# The solver makes no eigendecomposition; the name stays because perfbench's
-# traced run wraps solver.eig2x2 (its span now reads 0).
-from .tensor import eig2x2  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -115,17 +115,19 @@ class SolveResult:
     stop_reason: str = "max_iters"
 
 
-def _clip(data, constraint):
+def _clip(data, constraint, out=None):
+    """data clamped into the box constraint, written to out when given;
+    data itself when unconstrained."""
     if constraint is None:
         return data
-    return np.clip(data, constraint[0], constraint[1])
+    return np.clip(data, constraint[0], constraint[1], out=out)
 
 
 def project_box(img, constraint):
-    """Clamp every sample into the box; identity when unconstrained."""
-    if constraint is None:
-        return Image(img.data.copy())
-    return Image(np.clip(img.data, constraint[0], constraint[1]))
+    """Clamp every sample into the box; identity when unconstrained.  The
+    result never shares img's samples."""
+    data = img.data.copy()
+    return Image(_clip(data, constraint, out=data))
 
 
 def _project_ball(data, p, workspace=None):
@@ -165,14 +167,10 @@ def _project_ball(data, p, workspace=None):
     # holds at that point.
     gxx, gxy, gyy, half, sp, fp, fm, quot = planes
     _gram(data, out=(gxx, gxy, gyy))
-    np.subtract(gxx, gyy, out=half)
-    half *= 0.5
-    mean = np.add(gxx, gyy, out=gxx)
-    mean *= 0.5
-    rad = np.hypot(half, gxy, out=gyy)
-    np.add(mean, rad, out=sp)
+    # l+ into sp, l- over gxx and the radius hypot(half, gxy) over gyy
+    sp, sm = eig2x2(gxx, gxy, gyy, out=(sp, gxx, half, gyy))
+    rad = gyy
     np.sqrt(sp, out=sp)
-    sm = np.subtract(mean, rad, out=mean)
     np.maximum(sm, 0.0, out=sm)
     np.sqrt(sm, out=sm)
     np.maximum(sp, 1.0, out=fp)
@@ -237,6 +235,15 @@ def primal_energy(f, g, dp, cfg):
     return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
+def _primal_step(psi, g, dp, cfg, workspace, out=None):
+    """z = P_C(g - tau J* psi) for the (H, W, rows, 2) field psi, written
+    to out when given (a (C, H, W) array of g's dtype)."""
+    z = jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp, out=out, workspace=workspace)
+    z *= cfg.tau
+    np.subtract(g.data, z, out=z)
+    return _clip(z, cfg.constraint, out=z)
+
+
 def _check_dual(dual, rows, h, w, dtype):
     """Raise ValueError unless dual can start a solve and take its final
     dual: a writeable, finite (H, W, rows, 2) field of the solve's dtype
@@ -279,7 +286,6 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
     second iteration on an iteration allocates no image-sized array.
     """
     kernel = cfg.kernel
-    tau = cfg.tau
     p = cfg.dual_p
     nch, h, w_ = g.shape
     dtype = g.data.dtype
@@ -287,7 +293,7 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
     if dual is not None:
         _check_dual(dual, rows, h, w_, dtype)
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
-    lip = 8.0 * tau * (1.0 if dp is None else dp.alpha_plus**2)
+    lip = 8.0 * cfg.tau * (1.0 if dp is None else dp.alpha_plus**2)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
     # becomes the accepted point, and the last accepted point prev.  A
@@ -305,12 +311,7 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
     stop_reason = "max_iters"
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        # z = P_C(g - tau J* psi), written in place
-        jacobian_adjoint_apply(psi, kernel, nch, dp, out=z, workspace=ws)
-        z *= tau
-        np.subtract(g.data, z, out=z)
-        if cfg.constraint is not None:
-            np.clip(z, cfg.constraint[0], cfg.constraint[1], out=z)
+        _primal_step(psi, g, dp, cfg, ws, out=z)
         if not np.isfinite(z, out=ws.mask).all():
             raise FloatingPointError("non-finite values in solver iterate")
         # psi += J z / L, then onto the balls: psi is the accepted point
@@ -340,12 +341,7 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
     # only prev is read from here on: release psi before the result is
     # allocated
     del psi
-    final = jacobian_adjoint_apply(prev, kernel, nch, dp, workspace=ws)
-    final *= tau
-    np.subtract(g.data, final, out=final)
-    if cfg.constraint is not None:
-        np.clip(final, cfg.constraint[0], cfg.constraint[1], out=final)
-    return SolveResult(Image(final), iterations, stop_reason)
+    return SolveResult(Image(_primal_step(prev, g, dp, cfg, ws)), iterations, stop_reason)
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5, dual=None):

@@ -21,11 +21,11 @@ gathered as a slice of the gradient plane extended by the kernel radius
 under reflect indexing (one np.take through a flat index); the adjoint adds
 each row into a padded plane at the same slice, as one contiguous run, and
 folds the border back onto the samples it mirrors.  Per-pixel Gram sums run
-over the rows axis of the planes.  Given a step, jacobian_apply adds
-J / step into an existing field instead, row by row, which is the dual
-ascent step of the solver.  Every kernel, steered or not, runs the same
-tap loop; a 1x1 kernel (TV, EADTV) has no extension, and its ascent adds
-the gradient plane itself.
+over the rows axis of the planes.  jacobian_apply has one tap loop, which
+adds every row into the field: plain J adds into a zeroed field, and the
+solver's dual ascent step adds J / step into its dual.  Every kernel,
+steered or not, runs that loop; a 1x1 kernel (TV, EADTV) has no extension,
+and its one row is the gradient plane itself.
 
 A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products and the scratch planes.
@@ -96,14 +96,6 @@ class DirectionalParams:
     def shape(self):
         return self.theta.shape
 
-    def trig(self):
-        # cos/sin of theta, computed once; theta is treated as immutable.
-        cached = getattr(self, "_trig", None)
-        if cached is None:
-            cached = (np.cos(self.theta), np.sin(self.theta))
-            self._trig = cached
-        return cached
-
 
 # ---------------------------------------------------------------------------
 # Gather/scatter plumbing
@@ -142,7 +134,7 @@ class Workspace:
         # the extension of a plane is plane.flat[extension]
         self.extension = self.ys[:, None] * w + self.xs[None, :] if r else None
         if dp is not None:
-            ct, st = dp.trig()
+            ct, st = np.cos(dp.theta), np.sin(dp.theta)
             ap = dp.alpha_plus
             am = dp.alpha_minus
             # transpose of diag(ap, am) R(-th) is R(th) diag(ap, am)
@@ -252,10 +244,15 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     filled and returned instead of a new one.  workspace is the solve's
     Workspace for these operands; without one the call builds its own.
 
-    step, valid only with out, makes this the dual ascent step: J(channels)
-    / step is added into out instead of overwriting it, one row at a time
-    through a scratch plane.  step is a scalar, the solver's one step bound.
+    Every row is added into the field through a scratch plane: plain J
+    adds into a zeroed out (a new dual_field when out is not given).
+    step, valid only with out, makes this the dual ascent step: out is not
+    zeroed, and each row is divided by step before it is added, so out
+    gains J(channels) / step.  step is a scalar, the solver's one step
+    bound.
     """
+    if np.ndim(step):
+        raise ValueError("step must be a scalar")
     channels = as_float(channels)
     nch, h, w = channels.shape
     ws = _workspace(workspace, kernel, nch, h, w, dp, channels.dtype)
@@ -263,20 +260,18 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     if out is None:
         if step is not None:
             raise ValueError("step is valid only with out")
-        out = np.empty((2, L * nch, h, w), channels.dtype).transpose(2, 3, 1, 0)
+        out = dual_field(L * nch, h, w, channels.dtype)
     elif (out.shape != (h, w, L * nch, 2) or out.dtype != channels.dtype
             or not _planar(out).flags.c_contiguous):
         raise ValueError("out must be the planar view for this image, kernel and channels")
-    if np.ndim(step):
-        raise ValueError("step must be a scalar")
+    elif step is None:
+        _planar(out)[...] = 0.0
     planar = _planar(out)
     r = kernel.radius
-    steered = dp is not None
-    ascent = step is not None
     # planes[2] takes the row being added (when steering it is free once
-    # the gradient is taken); with one tap the ascent adds the gradient
-    # plane itself, which no other row reads
-    pads, planes = ws.scratch(1 if r else 0, 4 if steered else 2 + (ascent and r > 0))
+    # the gradient is taken); with one tap the row is the gradient plane
+    # itself, which no other row reads
+    pads, planes = ws.scratch(1 if r else 0, 4 if dp is not None else 2 + (r > 0))
     for c in range(nch):
         _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
         for k in range(2):
@@ -284,22 +279,18 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
             if r:
                 ext = np.take(ext, ws.extension, out=pads[0], mode="clip")
             for l, ((dy, dx), sw) in enumerate(ws.taps):
-                dst = planar[k, c * L + l]
                 if sw == 0.0:
-                    if not ascent:
-                        dst[...] = 0.0
                     continue
                 # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                if ascent and not r:
-                    row = ext
-                else:
-                    row = planes[2] if ascent else dst
+                row = ext
+                if r:
+                    row = planes[2]
                     row[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
                 if sw != 1.0:
                     row *= sw
-                if ascent:
+                if step is not None:
                     row /= step
-                    dst += row
+                planar[k, c * L + l] += row
     return out
 
 
@@ -386,20 +377,29 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
 # Eigenvalues and the regularizer
 
 
-def eig2x2(sxx, sxy, syy):
+def eig2x2(sxx, sxy, syy, out=None):
     """Closed-form eigenvalues of symmetric 2x2 matrices.
 
-    Returns (lambda_plus, lambda_minus) = mean +- hypot(half, sxy), with
-    mean and half the half-sum and half-difference of the diagonal, so
-    lambda_plus >= lambda_minus.  Works on scalars or arrays of matching
-    shape; an array call holds at most three planes besides its inputs.
+    Returns (lambda_plus, lambda_minus) = mean +- rad, rad = hypot(half,
+    sxy), with mean and half the half-sum and half-difference of the
+    diagonal, so lambda_plus >= lambda_minus.  Works on scalars or arrays
+    of matching shape, in the entries' dtype (float32 stays float32,
+    anything else is float64).
+
+    out, when given, is four planes (lp, lm, half, rad) that receive
+    lambda_plus, lambda_minus, half and rad; lm may be sxx's plane and rad
+    syy's, which are read before those are written.  Without out an array
+    call holds at most three planes besides its inputs.
     """
-    sxx = np.asarray(sxx, dtype=np.float64)
-    sxy = np.asarray(sxy, dtype=np.float64)
-    syy = np.asarray(syy, dtype=np.float64)
-    lp = 0.5 * (sxx + syy)
-    rad = np.hypot(0.5 * (sxx - syy), sxy)
-    lm = lp - rad
+    sxx, sxy, syy = as_float(sxx), as_float(sxy), as_float(syy)
+    lp, lm, half, rad = (None,) * 4 if out is None else out
+    half = np.subtract(sxx, syy, out=half)
+    half *= 0.5
+    lp = np.add(sxx, syy, out=lp)
+    lp *= 0.5
+    rad = np.hypot(half, sxy, out=rad)
+    del half  # without out, its plane is freed before lm takes one
+    lm = np.subtract(lp, rad, out=lm)
     lp += rad
     return lp, lm
 

@@ -6,7 +6,7 @@ from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import DpeConfig, eadtv_angles, estimate
 from adstv.image import Image, add_gaussian_noise, save_image
-from adstv.solver import solve
+from adstv.solver import SolverConfig, solve
 from adstv.tensor import DirectionalParams
 
 from conftest import stripe_image
@@ -83,6 +83,26 @@ def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
         assert seen == expected
         assert rec.regularizer == reg
         assert rec.alpha_plus in ((1.0,) if expected[0][0] else (3.0, 6.0))
+
+
+def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
+    clean = stripe_image(12, 12, 0.5)
+    seen = []
+    solve = bench.solve
+
+    def spy(g, dp, cfg):
+        seen.append((cfg.max_iters, cfg.rel_tol, cfg.constraint))
+        return solve(g, dp, cfg)
+
+    monkeypatch.setattr(bench, "solve", spy)
+    default = SolverConfig(tau=0.02)
+    for opts, expected in (
+            ({}, (default.max_iters, default.rel_tol, default.constraint)),
+            ({"max_iters": 7}, (7, default.rel_tol, default.constraint)),
+            ({"rel_tol": 1e-3, "constraint": None}, (default.max_iters, 1e-3, None))):
+        seen.clear()
+        bench.run_tuple(clean, "s", 0.1, "tv", [0.02], [3.0], 0, opts)
+        assert seen == [expected]
 
 
 def capture_noisy(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adstv import Image, cli, load_image, psnr, save_image, ssim
+from adstv import Image, bench, cli, load_image, psnr, save_image, ssim
 from adstv.bench import regularizer
 from adstv.cli import main
 from adstv.diffops import gaussian_kernel
@@ -301,6 +301,25 @@ def test_estimate_exports_match_api(tmp_path):
                                dp.alpha_minus, atol=1e-4)
     np.testing.assert_allclose(load_image(d / "theta.pfm").data[0],
                                dp.theta, atol=1e-4)
+
+
+def test_estimate_refuses_alpha_plus_before_estimating(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(43)
+    src = tmp_path / "src.pfm"
+    save_image(rand_image(rng, 16, 16), src)
+    d = tmp_path / "fields"
+
+    def no_analysis(*args):
+        raise AssertionError("the fields were estimated")
+
+    monkeypatch.setattr(bench, "analyze", no_analysis)
+    for alpha in ("1", "0.5", "nan", "inf"):
+        assert main(["estimate", "--input", str(src), "--out-dir", str(d),
+                     "--alpha-plus", alpha]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--alpha-plus" in err
+        assert not d.exists()
 
 
 def test_bench_writes_expected_csv(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -488,6 +490,41 @@ def test_eig2x2_matches_lapack():
     ref = np.linalg.eigvalsh(mats)
     np.testing.assert_allclose(lm, ref[:, 0], atol=1e-11)
     np.testing.assert_allclose(lp, ref[:, 1], atol=1e-11)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eig2x2_out_planes_change_no_value_and_allocate_nothing(dtype):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((64, 64, 2, 2)).astype(dtype)
+    mats = a @ a.transpose(0, 1, 3, 2)
+    entries = [np.ascontiguousarray(mats[..., i, j]) for i, j in ((0, 0), (0, 1), (1, 1))]
+    lp, lm = eig2x2(*entries)
+    assert lp.dtype == lm.dtype == dtype
+    # into four planes of their own: the same bits, and half and rad too
+    out = tuple(np.full((64, 64), np.nan, dtype) for _ in range(4))
+    got = eig2x2(*entries, out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert np.array_equal(out[0], lp) and np.array_equal(out[1], lm)
+    sxx, sxy, syy = (e.astype(np.float64) for e in entries)
+    half = 0.5 * (sxx - syy)
+    np.testing.assert_allclose(out[2], half, rtol=1e-6 if dtype == np.float32 else 1e-15)
+    np.testing.assert_allclose(out[3], np.hypot(half, sxy),
+                               rtol=1e-5 if dtype == np.float32 else 1e-15)
+    # lm written over sxx and rad over syy, as the ball projection does
+    sxx, sxy, syy = (e.copy() for e in entries)
+    lp2, half2 = np.empty_like(sxx), np.empty_like(sxx)
+    got = eig2x2(sxx, sxy, syy, out=(lp2, sxx, half2, syy))
+    assert got[0] is lp2 and got[1] is sxx
+    assert np.array_equal(lp2, lp) and np.array_equal(sxx, lm)
+    assert np.array_equal(half2, out[2]) and np.array_equal(syy, out[3])
+    # with out the call allocates no plane, nor any part of one
+    tracemalloc.start()
+    try:
+        eig2x2(*entries, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < entries[0].nbytes // 8, peak
 
 
 def test_coherence_values():
