@@ -9,13 +9,9 @@ The direction fields are estimated from the float64 noisy image; every
 solve runs on one float32 copy of it, and PSNR and SSIM compare each result
 with the float64 clean image.  A float32 solve cannot resolve a rel_tol
 below about 1e-7, so such a tol runs to max_iters.
-
-Each CSV row is one RunRecord: wall_seconds is the solve time of the
-winning run, stop_reason why that solve stopped ("tol" or "max_iters"),
-and estimate_seconds the time of the tuple's direction estimation (0 for
-tv and stv, which estimate nothing).
 """
 
+import dataclasses
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import delta_kernel, gaussian_kernel
+from .diffops import delta_kernel
 from .dpe import DpeConfig, analyze, eadtv_angles
 from .image import Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
 from .solver import SolverConfig, solve
@@ -90,12 +86,13 @@ def regularizer(name, g, kernel, q, smooth_sigma=1.5, num_scales=2, st_support=N
     return kernel, q, steering
 
 
-CSV_HEADER = ("image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,ssim,iters,"
-              "wall_seconds,seed,stop_reason,estimate_seconds")
-
-
 @dataclass
 class RunRecord:
+    """One CSV row, its fields in order (CSV_HEADER holds their names): the
+    best-PSNR run of one tuple.  wall_seconds is that run's solve time,
+    stop_reason why it stopped ("tol" or "max_iters"), and estimate_seconds
+    the time of the tuple's direction estimation (0 for tv and stv)."""
+
     image_id: str
     regularizer: str
     sigma_eta: float
@@ -118,20 +115,12 @@ class RunRecord:
                 raise ValueError("non-finite %s" % name)
 
     def csv_row(self):
-        return "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f,%d,%s,%.6f" % (
-            self.image_id,
-            self.regularizer,
-            self.sigma_eta,
-            self.tau,
-            self.alpha_plus,
-            self.psnr_db,
-            self.ssim,
-            self.iters,
-            self.wall_seconds,
-            self.seed,
-            self.stop_reason,
-            self.estimate_seconds,
-        )
+        return ",".join(_CSV_FORMATS[f.type] % getattr(self, f.name)
+                        for f in dataclasses.fields(self))
+
+
+_CSV_FORMATS = {str: "%s", int: "%d", float: "%.6f"}
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
 
 
 def derive_seed(image_id, sigma_eta, master_seed):
@@ -196,7 +185,7 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
 def _solver_kwargs(opts):
     """The SolverConfig settings that opts sets; SolverConfig's defaults
     fill the rest."""
-    return {key: opts[key] for key in ("max_iters", "rel_tol", "constraint") if key in opts}
+    return {key: opts[key] for key in ("max_iters", "rel_tol", "q", "kernel") if key in opts}
 
 
 def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
@@ -204,16 +193,20 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     """Best-PSNR record for one (image, sigma, regularizer) tuple.
 
     The fields are estimated from the float64 noisy image, and every solve
-    runs on its float32 copy."""
+    runs on its float32 copy.  opts may set the solve's max_iters, rel_tol,
+    q and kernel (SolverConfig's defaults fill the rest) and the analysis'
+    num_scales and st_support (by default from sigma_eta and the image
+    size)."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts = opts or {}
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
     noisy32 = Image(noisy.data.astype(np.float32))
+    # every solve replaces the tau and the regularizer's kernel and q
+    settings = SolverConfig(tau=1.0, **_solver_kwargs(opts))
     kernel, q, steering = regularizer(
-        reg, noisy, opts.get("kernel") or gaussian_kernel(0.5, 3), opts.get("q", 1),
-        smooth_sigma=opts.get("smooth_sigma", 1.5),
+        reg, noisy, settings.kernel, settings.q,
         num_scales=opts.get("num_scales") or default_num_scales(sigma_eta),
         st_support=opts.get("st_support"))
     estimate_seconds = 0.0
@@ -229,8 +222,7 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     best = None
     for alpha, dp in runs:
         for tau in tau_grid:
-            cfg = SolverConfig(tau=float(tau), q=q, kernel=kernel,
-                               **_solver_kwargs(opts))
+            cfg = dataclasses.replace(settings, tau=float(tau), q=q, kernel=kernel)
             t0 = time.perf_counter()
             result = solve(noisy32, dp, cfg)
             wall = time.perf_counter() - t0

@@ -8,10 +8,7 @@ about 1e-7 is finer than a float32 solve resolves, so such a solve runs to
 --iters.
 
 The bench CSV has one row per (image, sigma, regularizer), the best-PSNR
-run: image_id, regularizer, sigma_eta, tau, alpha_plus, psnr_db, ssim,
-iters, wall_seconds (the solve time of that run), seed, stop_reason ("tol"
-or "max_iters") and estimate_seconds (the direction estimation of the
-tuple, 0 for tv and stv).
+run; its columns are the fields of bench.RunRecord.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 inconsistent dimensions, a solve that left the finite range), 2
@@ -42,27 +39,28 @@ from .tensor import DirectionalParams
 __all__ = ["main"]
 
 
-def _add_solver_flags(p):
-    p.add_argument("--tau", type=float, required=True, help="regularization weight")
-    p.add_argument("--alpha-plus", type=float, default=10.0,
-                   help="anisotropy scale for eadtv/adstv (default 10)")
+def _add_solve_flags(p):
     p.add_argument("--kernel-sigma", type=float, default=0.5)
     p.add_argument("--kernel-support", type=int, default=3)
-    p.add_argument("--q", type=int, default=1, choices=(1, 2),
+    p.add_argument("--q", type=int, default=SolverConfig.q, choices=(1, 2),
                    help="Schatten order of the per-pixel penalty")
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-5,
-                   help="relative-change stop (default 1e-5); the float32 solve "
-                        "resolves no tol below about 1e-7")
-    p.add_argument("--unconstrained", action="store_true",
-                   help="drop the [0,1] box constraint")
+    p.add_argument("--iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--tol", type=float, default=SolverConfig.rel_tol,
+                   help="relative-change stop (default %(default)g); the float32 "
+                        "solve resolves no tol below about 1e-7")
 
 
-def _add_dpe_flags(p):
+def _add_analysis_flags(p):
     p.add_argument("--scales", type=int, default=None, choices=(2, 3),
-                   help="coherence analysis scales (default by --noise-sigma rule)")
+                   help="coherence analysis scales (default by the noise level)")
     p.add_argument("--st-support", type=int, default=None,
                    help="structure tensor kernel support (default by image size)")
+
+
+def _add_field_flags(p):
+    # bench takes these from its sigma and alpha grids
+    p.add_argument("--alpha-plus", type=float, default=10.0,
+                   help="anisotropy scale for eadtv/adstv (default 10)")
     p.add_argument("--noise-sigma", type=float, default=None,
                    help="declared noise level; only sets the default scale count")
 
@@ -94,15 +92,17 @@ def _dump_fields(dirpath, dp):
 
 
 def cmd_denoise(args):
+    reg = args.regularizer
+    if args.theta_override is not None and reg != "adstv":
+        raise ValueError("--theta-override applies to adstv only, not %s" % reg)
     img = load_image(args.input)
     box = None if args.unconstrained else (0.0, 1.0)
-    reg = args.regularizer
     kernel, q, steering = regularizer(
         reg, img, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,
-        smooth_sigma=args.smooth_sigma, num_scales=_num_scales(args),
-        st_support=args.st_support)
+        smooth_sigma=args.smooth_sigma,
+        num_scales=_num_scales(args), st_support=args.st_support)
     dp = None
-    if reg == "adstv" and args.theta_override is not None:
+    if args.theta_override is not None:
         # fixed global direction: no estimation, unit dose everywhere
         shape = (img.height, img.width)
         folded = args.theta_override % math.pi
@@ -200,12 +200,16 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--regularizer", required=True, choices=REGULARIZERS)
-    _add_solver_flags(p)
-    _add_dpe_flags(p)
+    p.add_argument("--tau", type=float, required=True, help="regularization weight")
+    p.add_argument("--unconstrained", action="store_true",
+                   help="drop the [0,1] box constraint")
+    _add_solve_flags(p)
+    _add_analysis_flags(p)
+    _add_field_flags(p)
     p.add_argument("--smooth-sigma", type=float, default=1.5,
                    help="gradient pre-smoothing for eadtv angles")
     p.add_argument("--theta-override", type=float, default=None,
-                   help="use one global direction (radians) instead of estimation")
+                   help="adstv only: one global direction (radians), no estimation")
     p.add_argument("--dump-fields", default=None, metavar="DIR",
                    help="write alpha_minus.pfm and theta.pfm to DIR")
     p.set_defaults(func=cmd_denoise)
@@ -225,8 +229,8 @@ def _build_parser():
     p = sub.add_parser("estimate", help="export the estimated direction fields")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--alpha-plus", type=float, default=10.0)
-    _add_dpe_flags(p)
+    _add_analysis_flags(p)
+    _add_field_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bench", help="parameter sweep over a corpus, CSV out")
@@ -240,13 +244,8 @@ def _build_parser():
                    help="comma list, or 'auto' for 2..30 step 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--q", type=int, default=1, choices=(1, 2))
-    p.add_argument("--kernel-sigma", type=float, default=0.5)
-    p.add_argument("--kernel-support", type=int, default=3)
-    p.add_argument("--scales", type=int, default=None, choices=(2, 3))
-    p.add_argument("--st-support", type=int, default=None)
+    _add_solve_flags(p)
+    _add_analysis_flags(p)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -9,8 +9,8 @@ scale k = 1..K with pre-smoothing variance 2k - 1:
      with a wide Gaussian (std sqrt(st_support), support st_support), and
      measure the eigenvalue coherence c in [0, 1]; every smoothing and both
      Sobel derivatives run as one 1-D correlation pass per axis;
-  2. clean c with a TV solve (full squared fidelity, unit TV weight) on the
-     [0, 1] box, giving kappa_hat;
+  2. clean c with a TV solve (full squared fidelity, TV weight
+     COHERENCE_TV_WEIGHT = 1) on the [0, 1] box, giving kappa_hat;
   3. fuse across scales: keep the previous value where the new one is not
      larger, otherwise average.
 
@@ -21,9 +21,9 @@ enhanced coherence to 1 (strong orientation, full anisotropic dose) and the
 smallest to alpha_plus (isotropic smoothing).  theta takes the minor
 eigenvector angle at the scale with the strongest kappa_hat per pixel (the
 first such scale on a tie), then gets its own light TV cleanup (half
-fidelity, weight 0.02) and is folded back into [0, pi).  The scales are
-streamed: analyze keeps only the running fusion, the largest kappa_hat so
-far and its angle from one scale to the next.
+fidelity, weight THETA_TV_TAU = 0.02) and is folded back into [0, pi).
+The scales are streamed: analyze keeps only the running fusion, the
+largest kappa_hat so far and its angle from one scale to the next.
 
 The angle comes from the tensor entries alone, as half the double angle
 atan2(2 sxy, sxx - syy) turned by pi/2, with no eigenvectors.  Where the
@@ -104,13 +104,17 @@ CLEANUP_COARSE_ITERS = 40
 CLEANUP_FINE_ITERS = 25
 COARSE_MIN_SIDE = 32
 
+# TV weights of the two cleanups: the coherence cleanup's under the full
+# squared fidelity, and the theta cleanup's under the half fidelity.
+COHERENCE_TV_WEIGHT = 1.0
+THETA_TV_TAU = 0.02
+
+
 @dataclass
 class DpeConfig:
     alpha_plus: float
     num_scales: int = 2
     st_support: int = 7
-    theta_tv_tau: float = 0.02
-    coherence_tv_weight: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_plus) and self.alpha_plus > 1.0):
@@ -119,9 +123,6 @@ class DpeConfig:
             raise ValueError("num_scales must be 2 or 3")
         if self.st_support < 3 or self.st_support % 2 == 0:
             raise ValueError("st_support must be odd and >= 3")
-        for weight in (self.theta_tv_tau, self.coherence_tv_weight):
-            if not (math.isfinite(weight) and weight >= 0):
-                raise ValueError("regularization weights must be finite and nonnegative")
 
 
 def _fold_angle(a):
@@ -292,11 +293,10 @@ def analyze(g, cfg):
     fused = strongest = theta = None
     for k in range(1, cfg.num_scales + 1):
         c, angle = _scale_fields(gl, k, cfg)
-        if cfg.coherence_tv_weight > 0:
-            # the cleanup solves in float32: cast here, so that the float64
-            # plane is released before the solve runs
-            c = c.astype(np.float32)
-        khat = tv_regularize_field(c, False, cfg.coherence_tv_weight, (0.0, 1.0))
+        # the cleanup solves in float32: cast here, so that the float64
+        # plane is released before the solve runs
+        c = c.astype(np.float32)
+        khat = tv_regularize_field(c, False, COHERENCE_TV_WEIGHT, (0.0, 1.0))
         del c
         if fused is None:
             fused, strongest, theta = khat, khat, angle
@@ -309,7 +309,7 @@ def analyze(g, cfg):
         # released before the next scale's structure tensor is built
         del khat, angle, stronger
     del strongest
-    theta = tv_regularize_field(theta, True, cfg.theta_tv_tau, (0.0, np.pi))
+    theta = tv_regularize_field(theta, True, THETA_TV_TAU, (0.0, np.pi))
     return DpeFields(skew_enhance(fused), _fold_angle(theta))
 
 

@@ -158,8 +158,9 @@ def _load_pfm(buf):
         raise FormatError("non-numeric header field") from None
     if width <= 0 or height <= 0:
         raise FormatError("bad dimensions")
-    if scale == 0:
-        raise FormatError("zero scale")
+    # written so that NaN fails it; its sign picks the byte order
+    if not (0 < abs(scale) < math.inf):
+        raise FormatError("scale must be finite and nonzero")
     nchan = 3 if magic == b"PF" else 1
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     need = width * height * nchan * 4

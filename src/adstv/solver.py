@@ -50,8 +50,8 @@ from .diffops import Kernel, delta_kernel, gaussian_kernel
 from .image import Image
 from .tensor import (
     Workspace,
+    _check_planar,
     _gram,
-    _planar,
     dual_field,
     eig2x2,
     jacobian_adjoint_apply,
@@ -248,12 +248,7 @@ def _check_dual(dual, rows, h, w, dtype):
     """Raise ValueError unless dual can start a solve and take its final
     dual: a writeable, finite (H, W, rows, 2) field of the solve's dtype
     over a planar buffer, as dual_field makes."""
-    if not isinstance(dual, np.ndarray) or dual.shape != (h, w, rows, 2):
-        raise ValueError("dual must be an (H, W, rows, 2) field for this image and kernel")
-    if dual.dtype != dtype:
-        raise ValueError("dual must have the image's dtype")
-    if not _planar(dual).flags.c_contiguous:
-        raise ValueError("dual must be the planar view dual_field makes")
+    _check_planar(dual, "dual", (h, w, rows, 2), dtype)
     if not dual.flags.writeable:
         raise ValueError("dual must be writeable")
     if not np.isfinite(dual).all():
@@ -344,7 +339,8 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
     return SolveResult(Image(_primal_step(prev, g, dp, cfg, ws)), iterations, stop_reason)
 
 
-def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=100, rel_tol=1e-5, dual=None):
+def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters,
+               rel_tol=SolverConfig.rel_tol, dual=None):
     """Classical TV denoising of a single-channel image over a box.
 
     Realized as the delta-kernel, q = 2, unsteered special case of the same

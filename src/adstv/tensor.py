@@ -176,6 +176,15 @@ def _planar(field):
     return field.transpose(3, 2, 0, 1)
 
 
+def _check_planar(field, name, shape, dtype):
+    """Raise ValueError, naming the field name, unless field is an array of
+    this shape and dtype over a planar buffer, as dual_field makes."""
+    if (not isinstance(field, np.ndarray) or field.shape != shape or field.dtype != dtype
+            or not _planar(field).flags.c_contiguous):
+        raise ValueError("%s must be the planar (H, W, rows, 2) view dual_field makes, "
+                         "for this image and kernel, in the samples' dtype" % name)
+
+
 def dual_field(rows, h, w, dtype=np.float64):
     """A zeroed (H, W, rows, 2) field of dtype over a planar (2, rows, H, W)
     buffer, the layout jacobian_apply fills and both operators read
@@ -261,11 +270,10 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
         if step is not None:
             raise ValueError("step is valid only with out")
         out = dual_field(L * nch, h, w, channels.dtype)
-    elif (out.shape != (h, w, L * nch, 2) or out.dtype != channels.dtype
-            or not _planar(out).flags.c_contiguous):
-        raise ValueError("out must be the planar view for this image, kernel and channels")
-    elif step is None:
-        _planar(out)[...] = 0.0
+    else:
+        _check_planar(out, "out", (h, w, L * nch, 2), channels.dtype)
+        if step is None:
+            _planar(out)[...] = 0.0
     planar = _planar(out)
     r = kernel.radius
     # planes[2] takes the row being added (when steering it is free once

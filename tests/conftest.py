@@ -109,7 +109,7 @@ def analyze_stages(g, cfg):
     raw, tv, fused, enhanced, angles = [], [], [], [], []
     for k in range(1, cfg.num_scales + 1):
         c, angle = dpe._scale_fields(gl, k, cfg)
-        khat = dpe.tv_regularize_field(c, False, cfg.coherence_tv_weight, (0.0, 1.0))
+        khat = dpe.tv_regularize_field(c, False, dpe.COHERENCE_TV_WEIGHT, (0.0, 1.0))
         fused.append(khat if not fused else dpe.fuse_scales(fused[-1], khat))
         enhanced.append(dpe.skew_enhance(fused[-1]))
         raw.append(c)
@@ -117,7 +117,7 @@ def analyze_stages(g, cfg):
         angles.append(angle)
     strongest = np.argmax(np.stack(tv), axis=0)
     theta_raw = np.take_along_axis(np.stack(angles), strongest[None], axis=0)[0]
-    theta = dpe.tv_regularize_field(theta_raw, True, cfg.theta_tv_tau, (0.0, np.pi))
+    theta = dpe.tv_regularize_field(theta_raw, True, dpe.THETA_TV_TAU, (0.0, np.pi))
     return SimpleNamespace(coherence_raw=raw, coherence_tv=tv, coherence_fused=fused,
                            coherence_enhanced=enhanced, angle_at_scale=angles,
                            theta_raw=theta_raw, theta=dpe._fold_angle(theta))

@@ -91,18 +91,21 @@ def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
     solve = bench.solve
 
     def spy(g, dp, cfg):
-        seen.append((cfg.max_iters, cfg.rel_tol, cfg.constraint))
+        seen.append((cfg.max_iters, cfg.rel_tol, cfg.q, cfg.kernel, cfg.constraint))
         return solve(g, dp, cfg)
 
     monkeypatch.setattr(bench, "solve", spy)
     default = SolverConfig(tau=0.02)
+    wide = gaussian_kernel(1.0, 5)
     for opts, expected in (
-            ({}, (default.max_iters, default.rel_tol, default.constraint)),
-            ({"max_iters": 7}, (7, default.rel_tol, default.constraint)),
-            ({"rel_tol": 1e-3, "constraint": None}, (default.max_iters, 1e-3, None))):
+            ({}, (default.max_iters, default.rel_tol, default.q, default.kernel)),
+            ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel)),
+            ({"rel_tol": 1e-3, "q": 2, "kernel": wide}, (default.max_iters, 1e-3, 2, wide))):
         seen.clear()
-        bench.run_tuple(clean, "s", 0.1, "tv", [0.02], [3.0], 0, opts)
-        assert seen == [expected]
+        bench.run_tuple(clean, "s", 0.1, "stv", [0.02], [3.0], 0, opts)
+        (got,) = seen
+        assert got[:3] == expected[:3] and got[4] == default.constraint
+        np.testing.assert_array_equal(got[3].weights, expected[3].weights)
 
 
 def capture_noisy(monkeypatch):
@@ -158,6 +161,17 @@ def test_records_report_stop_reason_and_estimate_seconds():
             assert len(row) == len(bench.CSV_HEADER.split(","))
             assert row[-2] == rec.stop_reason
             assert float(row[-1]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
+
+
+def test_csv_row_formats_each_field_by_its_type():
+    rec = bench.RunRecord(image_id="a", regularizer="stv", sigma_eta=0.1, tau=0.25,
+                          alpha_plus=1.0, psnr_db=30.1234567, ssim=0.5, iters=17,
+                          wall_seconds=4e-7, seed=123, stop_reason="tol",
+                          estimate_seconds=2.0)
+    assert bench.CSV_HEADER == ("image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,"
+                                "ssim,iters,wall_seconds,seed,stop_reason,estimate_seconds")
+    assert rec.csv_row() == ("a,stv,0.100000,0.250000,1.000000,30.123457,0.500000,17,"
+                             "0.000000,123,tol,2.000000")
 
 
 # the grids of the sweep-96 benchmark workload

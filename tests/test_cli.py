@@ -152,6 +152,50 @@ def test_adstv_alpha_one_override_matches_stv(noisy_stripes, tmp_path):
     assert out_ad0.read_bytes() == out_stv.read_bytes()
 
 
+def test_theta_override_is_refused_for_every_regularizer_but_adstv(noisy_stripes, tmp_path,
+                                                                    capsys):
+    _, noisy = noisy_stripes
+    out = tmp_path / "out.pfm"
+    for reg in ("eadtv", "stv", "tv"):
+        assert main(["denoise", "--input", str(noisy), "--output", str(out),
+                     "--regularizer", reg, "--tau", "0.05", "--theta-override", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--theta-override" in err
+        assert not out.exists()
+
+
+def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
+    default = SolverConfig(tau=1.0)
+    parser = cli._build_parser()
+    for argv in (["denoise", "--input", "a", "--output", "b", "--regularizer", "stv",
+                  "--tau", "0.1"],
+                 ["bench", "--corpus", "a", "--out", "b"]):
+        args = parser.parse_args(argv)
+        assert (args.iters, args.tol, args.q) == (default.max_iters, default.rel_tol, default.q)
+        kernel = gaussian_kernel(args.kernel_sigma, args.kernel_support)
+        np.testing.assert_array_equal(kernel.weights, default.kernel.weights)
+    # and cmd_bench hands exactly those settings to every solve
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "a.pgm")
+    seen = []
+
+    def spy(g, dp, cfg):
+        seen.append(cfg)
+        return solve(g, dp, cfg)
+
+    monkeypatch.setattr(bench, "solve", spy)
+    assert main(["bench", "--corpus", str(corpus), "--out", str(tmp_path / "out.csv"),
+                 "--sigmas", "0.1", "--regularizers", "stv,adstv", "--tau-grid", "0.02,0.05",
+                 "--alpha-grid", "3"]) == 0
+    assert len(seen) == 4
+    for cfg in seen:
+        assert (cfg.max_iters, cfg.rel_tol, cfg.q, cfg.constraint) == (
+            default.max_iters, default.rel_tol, default.q, default.constraint)
+        np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
+
+
 def test_denoise_eadtv_and_adstv_improve_noisy_stripes(noisy_stripes, tmp_path):
     clean_path, noisy = noisy_stripes
     clean = load_image(clean_path)

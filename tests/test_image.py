@@ -67,12 +67,26 @@ def test_load_rejects_bad_files(tmp_path):
         b"P5\n2 2\n255\n\x00\x00",                  # truncated payload
         b"P5\n2 2\n200\n" + bytes(4),               # bad maxval
         b"P5\n2 2\n",                               # truncated header
+        b"Pf\n1 1\n0\n" + bytes(4),                 # zero scale
     ]
     for payload in cases:
         path = tmp_path / "bad.pgm"
         path.write_bytes(payload)
         with pytest.raises(FormatError):
             load_image(path)
+
+
+def test_pfm_scale_must_be_finite(tmp_path):
+    # the sign of the scale picks the byte order; NaN has no sign to read,
+    # and a little-endian 0.5 read as big-endian would load as 8.8e-44
+    payload = np.full(4, 0.5, dtype="<f4").tobytes()
+    path = tmp_path / "bad.pfm"
+    for scale in (b"nan", b"-nan", b"inf", b"-inf"):
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + payload)
+        with pytest.raises(FormatError, match="scale"):
+            load_image(path)
+    path.write_bytes(b"Pf\n2 2\n-1.0\n" + payload)
+    np.testing.assert_array_equal(load_image(path).data, 0.5)
 
 
 def test_save_pgm_quantization(tmp_path):
