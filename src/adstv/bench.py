@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import delta_kernel
-from .dpe import DpeConfig, analyze, eadtv_angles
+from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, analyze, eadtv_angles
 from .image import Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
 from .solver import SolverConfig, solve
 from .tensor import DirectionalParams
@@ -42,7 +42,8 @@ __all__ = [
 REGULARIZERS = ("tv", "eadtv", "stv", "adstv")
 
 
-def regularizer(name, g, kernel, q, smooth_sigma=1.5, num_scales=2, st_support=None):
+def regularizer(name, g, kernel, q, smooth_sigma=EADTV_SMOOTH_SIGMA,
+                num_scales=DpeConfig.num_scales, st_support=None):
     """The (kernel, q, steering) that the regularizer name denoises g with.
 
     tv is the delta kernel at q = 2 and stv the given kernel at q; neither
@@ -182,10 +183,20 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
             raise ValueError("alpha grid values must be finite and >= 1, got %r" % alpha)
 
 
-def _solver_kwargs(opts):
-    """The SolverConfig settings that opts sets; SolverConfig's defaults
-    fill the rest."""
-    return {key: opts[key] for key in ("max_iters", "rel_tol", "q", "kernel") if key in opts}
+# the opts keys of run_tuple: the solve's settings, then the analysis'
+_SOLVER_OPTS = ("max_iters", "rel_tol", "q", "kernel")
+_OPTS = _SOLVER_OPTS + ("num_scales", "st_support")
+
+
+def _given_opts(opts):
+    """The keys that opts sets, to anything but None; a key outside _OPTS
+    raises ValueError."""
+    opts = opts or {}
+    unknown = sorted(set(opts) - set(_OPTS))
+    if unknown:
+        raise ValueError("unknown opts key(s) %s; run_tuple reads %s"
+                         % (", ".join(map(repr, unknown)), ", ".join(_OPTS)))
+    return {key: value for key, value in opts.items() if value is not None}
 
 
 def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
@@ -196,18 +207,19 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     runs on its float32 copy.  opts may set the solve's max_iters, rel_tol,
     q and kernel (SolverConfig's defaults fill the rest) and the analysis'
     num_scales and st_support (by default from sigma_eta and the image
-    size)."""
+    size); a key that is missing or None is unset, and any other key raises
+    ValueError."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
-    opts = opts or {}
+    opts = _given_opts(opts)
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
     noisy32 = Image(noisy.data.astype(np.float32))
     # every solve replaces the tau and the regularizer's kernel and q
-    settings = SolverConfig(tau=1.0, **_solver_kwargs(opts))
+    settings = SolverConfig(tau=1.0, **{k: opts[k] for k in _SOLVER_OPTS if k in opts})
     kernel, q, steering = regularizer(
         reg, noisy, settings.kernel, settings.q,
-        num_scales=opts.get("num_scales") or default_num_scales(sigma_eta),
+        num_scales=opts.get("num_scales", default_num_scales(sigma_eta)),
         st_support=opts.get("st_support"))
     estimate_seconds = 0.0
     if steering is None:
@@ -256,7 +268,7 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     """Sweep all tuples; returns RunRecords in deterministic order.
 
     jobs is the number of worker processes, at least 1 (1 runs every tuple
-    in this process)."""
+    in this process).  opts is run_tuple's, checked before any tuple runs."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % jobs)
     for reg in regularizers:
@@ -264,13 +276,13 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
             raise ValueError("unknown regularizer %r" % reg)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids(regularizers, sigmas, tau_grid, alpha_grid)
+    opts = _given_opts(opts)
     tasks = []
     for path, image_id in image_paths:
         for sigma in sigmas:
             for reg in regularizers:
                 tasks.append((str(path), image_id, float(sigma), reg,
-                              tau_grid, alpha_grid, master_seed,
-                              opts or {}))
+                              tau_grid, alpha_grid, master_seed, opts))
     # a pool starts all its workers at once, so it gets no more than tasks
     workers = min(jobs, len(tasks))
     if workers > 1:

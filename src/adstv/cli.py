@@ -32,16 +32,17 @@ from .bench import (
     write_csv,
 )
 from .diffops import gaussian_kernel
+from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig
 from .image import Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, psnr, save_image, ssim
-from .solver import SolverConfig, project_box, solve
+from .solver import KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, project_box, solve
 from .tensor import DirectionalParams
 
 __all__ = ["main"]
 
 
 def _add_solve_flags(p):
-    p.add_argument("--kernel-sigma", type=float, default=0.5)
-    p.add_argument("--kernel-support", type=int, default=3)
+    p.add_argument("--kernel-sigma", type=float, default=KERNEL_SIGMA)
+    p.add_argument("--kernel-support", type=int, default=KERNEL_SUPPORT)
     p.add_argument("--q", type=int, default=SolverConfig.q, choices=(1, 2),
                    help="Schatten order of the per-pixel penalty")
     p.add_argument("--iters", type=int, default=SolverConfig.max_iters)
@@ -60,14 +61,20 @@ def _add_analysis_flags(p):
 def _add_field_flags(p):
     # bench takes these from its sigma and alpha grids
     p.add_argument("--alpha-plus", type=float, default=10.0,
-                   help="anisotropy scale for eadtv/adstv (default 10)")
+                   help="anisotropy scale for eadtv/adstv (default %(default)g)")
     p.add_argument("--noise-sigma", type=float, default=None,
                    help="declared noise level; only sets the default scale count")
 
 
+def _auto_grid_help(grid_fn):
+    grid = grid_fn()
+    return "comma list, or 'auto' for bench.%s(): %d values from %g to %g" % (
+        grid_fn.__name__, len(grid), grid[0], grid[-1])
+
+
 def _num_scales(args):
     # --noise-sigma is checked even when --scales overrides its rule
-    by_noise = 2
+    by_noise = DpeConfig.num_scales
     if args.noise_sigma is not None:
         try:
             by_noise = default_num_scales(args.noise_sigma)
@@ -206,7 +213,7 @@ def _build_parser():
     _add_solve_flags(p)
     _add_analysis_flags(p)
     _add_field_flags(p)
-    p.add_argument("--smooth-sigma", type=float, default=1.5,
+    p.add_argument("--smooth-sigma", type=float, default=EADTV_SMOOTH_SIGMA,
                    help="gradient pre-smoothing for eadtv angles")
     p.add_argument("--theta-override", type=float, default=None,
                    help="adstv only: one global direction (radians), no estimation")
@@ -238,10 +245,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--sigmas", default="0.05,0.1,0.15,0.2,0.25")
     p.add_argument("--regularizers", default="tv,eadtv,stv,adstv")
-    p.add_argument("--tau-grid", default="auto",
-                   help="comma list, or 'auto' for 20 log points in [0.01, 0.5]")
-    p.add_argument("--alpha-grid", default="auto",
-                   help="comma list, or 'auto' for 2..30 step 1")
+    p.add_argument("--tau-grid", default="auto", help=_auto_grid_help(default_tau_grid))
+    p.add_argument("--alpha-grid", default="auto", help=_auto_grid_help(default_alpha_grid))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     _add_solve_flags(p)

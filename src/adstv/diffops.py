@@ -21,7 +21,6 @@ from scipy import ndimage
 
 __all__ = [
     "as_float",
-    "GradientField",
     "Kernel",
     "delta_kernel",
     "gaussian_kernel",
@@ -38,20 +37,6 @@ def as_float(a):
     stays float32, anything else becomes float64."""
     a = np.asarray(a)
     return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
-
-
-@dataclass
-class GradientField:
-    """Per-pixel x and y derivative planes, each shaped (H, W)."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-
-    def __post_init__(self):
-        self.gx = as_float(self.gx)
-        self.gy = as_float(self.gy)
-        if self.gx.shape != self.gy.shape or self.gx.ndim != 2:
-            raise ValueError("gx and gy must be matching 2-D arrays")
 
 
 @dataclass
@@ -118,7 +103,8 @@ def gaussian_kernel(sigma, support):
 
 
 def grad_forward(channel, out=None):
-    """Forward-difference gradient of a single channel with Neumann edges.
+    """Forward-difference gradient (gx, gy) of a single channel with Neumann
+    edges.
 
     out, when given, is a pair of C-contiguous planes (gx, gy) of the
     channel's shape and dtype that receive the result.
@@ -134,19 +120,21 @@ def grad_forward(channel, out=None):
         np.subtract(flat[lag:], flat[:-lag], out=plane.reshape(-1)[:-lag])
     gx[:, -1] = 0.0
     gy[-1] = 0.0
-    return GradientField(gx=gx, gy=gy)
+    return gx, gy
 
 
-def div_backward(p, out=None, scratch=None):
-    """Backward-difference divergence, the exact negative adjoint of
-    grad_forward.
+def div_backward(gx, gy, out=None, scratch=None):
+    """Backward-difference divergence of the field (gx, gy), the exact
+    negative adjoint of grad_forward.
 
-    out, when given, is a C-contiguous plane of p's shape and dtype that
+    out, when given, is a C-contiguous plane of gx's shape and dtype that
     receives the result; scratch, when given, is a C-contiguous plane of
     the same shape that the call may overwrite.
     """
-    px = np.ascontiguousarray(p.gx)
-    py = np.ascontiguousarray(p.gy)
+    px = np.ascontiguousarray(as_float(gx))
+    py = np.ascontiguousarray(as_float(gy))
+    if px.shape != py.shape or px.ndim != 2:
+        raise ValueError("gx and gy must be matching 2-D arrays")
     h, w = px.shape
     if out is None:
         out = np.empty_like(px)
@@ -189,12 +177,11 @@ _SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
 
 
 def sobel_grad(channel):
-    """Unnormalized Sobel derivatives with mirror extension, each taken as
-    two one-dimensional passes."""
+    """Unnormalized Sobel derivatives (gx, gy) with mirror extension, each
+    taken as two one-dimensional passes."""
     f = np.asarray(channel, dtype=np.float64)
-    gx = _correlate_separable(f, _SOBEL_SMOOTH, _SOBEL_DIFF)
-    gy = _correlate_separable(f, _SOBEL_DIFF, _SOBEL_SMOOTH)
-    return GradientField(gx=gx, gy=gy)
+    return (_correlate_separable(f, _SOBEL_SMOOTH, _SOBEL_DIFF),
+            _correlate_separable(f, _SOBEL_DIFF, _SOBEL_SMOOTH))
 
 
 def convolve_channel(channel, kernel):

@@ -109,6 +109,9 @@ COARSE_MIN_SIDE = 32
 COHERENCE_TV_WEIGHT = 1.0
 THETA_TV_TAU = 0.02
 
+# Gaussian sigma of the luminance smoothing of eadtv_angles, bench and the CLI.
+EADTV_SMOOTH_SIGMA = 1.5
+
 
 @dataclass
 class DpeConfig:
@@ -166,13 +169,13 @@ def _scale_fields(gl, k_index, cfg):
     if var > 1:
         pre = gaussian_kernel(np.sqrt(var), var)
         gl = convolve_channel(gl, pre)
-    gf = sobel_grad(gl)
+    gx, gy = sobel_grad(gl)
     del gl
     st_kernel = gaussian_kernel(np.sqrt(cfg.st_support), cfg.st_support)
-    sxx = convolve_channel(gf.gx * gf.gx, st_kernel)
-    sxy = convolve_channel(gf.gx * gf.gy, st_kernel)
-    syy = convolve_channel(gf.gy * gf.gy, st_kernel)
-    del gf
+    sxx = convolve_channel(gx * gx, st_kernel)
+    sxy = convolve_channel(gx * gy, st_kernel)
+    syy = convolve_channel(gy * gy, st_kernel)
+    del gx, gy
     lp, lm = eig2x2(sxx, sxy, syy)
     c = coherence(lp, lm)
     del lp, lm
@@ -318,7 +321,7 @@ def estimate(g, cfg):
     return analyze(g, cfg).directional_params(cfg.alpha_plus)
 
 
-def eadtv_angles(g, smooth_sigma=1.5):
+def eadtv_angles(g, smooth_sigma=EADTV_SMOOTH_SIGMA):
     """Edge-tangent orientation field: the angle perpendicular to the
     smoothed luminance gradient, folded into [0, pi); 0 where the gradient
     vanishes."""
@@ -327,5 +330,5 @@ def eadtv_angles(g, smooth_sigma=1.5):
     gl = _luminance_plane(g)
     support = 2 * int(np.ceil(3.0 * smooth_sigma)) + 1
     gl = convolve_channel(gl, gaussian_kernel(smooth_sigma, support))
-    gf = grad_forward(gl)
-    return _fold_angle(np.arctan2(gf.gx, -gf.gy))
+    gx, gy = grad_forward(gl)
+    return _fold_angle(np.arctan2(gx, -gy))

@@ -70,8 +70,13 @@ __all__ = [
 ]
 
 
+# The Gaussian patch window of SolverConfig and of the CLI's kernel flags.
+KERNEL_SIGMA = 0.5
+KERNEL_SUPPORT = 3
+
+
 def _default_kernel():
-    return gaussian_kernel(0.5, 3)
+    return gaussian_kernel(KERNEL_SIGMA, KERNEL_SUPPORT)
 
 
 @dataclass

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import (
-    GradientField,
     as_float,
     div_backward,
     grad_forward,
@@ -376,7 +375,7 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
             np.multiply(ws.cos_am, ay, out=tmp)
             by += tmp
             ax, ay = bx, by
-        div_backward(GradientField(gx=ax, gy=ay), out=out[c], scratch=planes[-1])
+        div_backward(ax, ay, out=out[c], scratch=planes[-1])
         np.negative(out[c], out=out[c])
     return out
 

@@ -84,10 +84,10 @@ def structure_tensor(f, k):
     sxy = np.zeros_like(sxx)
     syy = np.zeros_like(sxx)
     for c in range(f.channels):
-        gf = grad_forward(f.data[c])
-        sxx += gf.gx * gf.gx
-        sxy += gf.gx * gf.gy
-        syy += gf.gy * gf.gy
+        gx, gy = grad_forward(f.data[c])
+        sxx += gx * gx
+        sxy += gx * gy
+        syy += gy * gy
     sxx = ndimage.correlate(sxx, k.weights, mode="reflect")
     sxy = ndimage.correlate(sxy, k.weights, mode="reflect")
     syy = ndimage.correlate(syy, k.weights, mode="reflect")

@@ -108,6 +108,43 @@ def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
         np.testing.assert_array_equal(got[3].weights, expected[3].weights)
 
 
+def test_unknown_opts_keys_are_refused_before_any_tuple_runs(tmp_path, monkeypatch):
+    # a misspelt key used to be ignored: {"max_iter": 3} ran under the cap of 100
+    clean = stripe_image(16, 16, 0.5)
+    path = tmp_path / "stripe.pgm"
+    save_image(clean, path)
+    tuples = counting(monkeypatch, bench, "run_tuple")
+    solves = counting(monkeypatch, bench, "solve")
+    with pytest.raises(ValueError, match="'max_iter'"):
+        bench.bench([(path, "stripe")], [0.1], ["stv"], [0.05], [4.0], opts={"max_iter": 3})
+    assert tuples == []
+    with pytest.raises(ValueError, match="'max_iter'"):
+        bench.run_tuple(clean, "stripe", 0.1, "stv", [0.05], [4.0], 0, {"max_iter": 3})
+    assert solves == []
+
+
+def test_only_a_missing_or_none_option_is_unset(monkeypatch):
+    clean = stripe_image(16, 16, 0.5)
+    # a zero is a setting, and the analysis refuses it: num_scales 0 used
+    # to fall back to the noise rule
+    for opts, says in (({"num_scales": 0}, "num_scales"), ({"st_support": 0}, "st_support")):
+        with pytest.raises(ValueError, match=says):
+            bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
+    analyses = counting(monkeypatch, bench, "analyze")
+    solves = counting(monkeypatch, bench, "solve")
+    unset = dict.fromkeys(("max_iters", "rel_tol", "q", "kernel", "num_scales", "st_support"))
+    for opts in ({}, unset):
+        bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
+    # sigma 0.2 takes three scales, a 16-pixel image support 7, and the
+    # solve SolverConfig's settings
+    assert [(cfg.num_scales, cfg.st_support) for _, cfg in analyses] == [(3, 7), (3, 7)]
+    default = SolverConfig(tau=0.02)
+    for _, _, cfg in solves:
+        assert (cfg.max_iters, cfg.rel_tol, cfg.q) == (default.max_iters, default.rel_tol,
+                                                       default.q)
+        np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
+
+
 def capture_noisy(monkeypatch):
     """Wrap bench.add_gaussian_noise; the list gets every noisy image it
     returns."""

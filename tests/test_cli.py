@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ from adstv import Image, bench, cli, load_image, psnr, save_image, ssim
 from adstv.bench import regularizer
 from adstv.cli import main
 from adstv.diffops import gaussian_kernel
+from adstv.dpe import EADTV_SMOOTH_SIGMA, DpeConfig, eadtv_angles
 from adstv.image import NoiseSpec, add_gaussian_noise
-from adstv.solver import SolverConfig, solve
+from adstv.solver import KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, solve
 
 from conftest import rand_image, stripe_image
 
@@ -173,6 +175,7 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
                  ["bench", "--corpus", "a", "--out", "b"]):
         args = parser.parse_args(argv)
         assert (args.iters, args.tol, args.q) == (default.max_iters, default.rel_tol, default.q)
+        assert (args.kernel_sigma, args.kernel_support) == (KERNEL_SIGMA, KERNEL_SUPPORT)
         kernel = gaussian_kernel(args.kernel_sigma, args.kernel_support)
         np.testing.assert_array_equal(kernel.weights, default.kernel.weights)
     # and cmd_bench hands exactly those settings to every solve
@@ -194,6 +197,20 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
         assert (cfg.max_iters, cfg.rel_tol, cfg.q, cfg.constraint) == (
             default.max_iters, default.rel_tol, default.q, default.constraint)
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
+
+
+def test_analysis_flags_default_to_the_library_defaults():
+    parser = cli._build_parser()
+    denoise = parser.parse_args(["denoise", "--input", "a", "--output", "b",
+                                 "--regularizer", "eadtv", "--tau", "0.1"])
+    estimate = parser.parse_args(["estimate", "--input", "a", "--out-dir", "d"])
+    defaults = inspect.signature(regularizer).parameters
+    assert (denoise.smooth_sigma == defaults["smooth_sigma"].default
+            == inspect.signature(eadtv_angles).parameters["smooth_sigma"].default
+            == EADTV_SMOOTH_SIGMA)
+    # neither --scales nor --noise-sigma given
+    for args in (denoise, estimate):
+        assert cli._num_scales(args) == defaults["num_scales"].default == DpeConfig.num_scales
 
 
 def test_denoise_eadtv_and_adstv_improve_noisy_stripes(noisy_stripes, tmp_path):

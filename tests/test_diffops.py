@@ -4,7 +4,6 @@ from scipy import ndimage
 
 from adstv import Image
 from adstv.diffops import (
-    GradientField,
     Kernel,
     convolve_channel,
     delta_kernel,
@@ -49,13 +48,13 @@ def naive_correlate_reflect(f, k):
 
 
 def test_grad_trivial_cases():
-    gf = grad_forward(np.full((4, 5), 0.3))
-    assert not gf.gx.any() and not gf.gy.any()
+    gx, gy = grad_forward(np.full((4, 5), 0.3))
+    assert not gx.any() and not gy.any()
     w = 6
     ramp = np.tile(np.arange(w) / (w - 1), (4, 1))
-    gf = grad_forward(ramp)
-    np.testing.assert_allclose(gf.gx[:, :-1], 1.0 / (w - 1))
-    assert not gf.gx[:, -1].any() and not gf.gy.any()
+    gx, gy = grad_forward(ramp)
+    np.testing.assert_allclose(gx[:, :-1], 1.0 / (w - 1))
+    assert not gx[:, -1].any() and not gy.any()
 
 
 def test_grad_matches_dense_matrix():
@@ -63,9 +62,9 @@ def test_grad_matches_dense_matrix():
     f = rng.random((5, 5))
     m = grad_matrix(5, 5)
     flat = m @ f.ravel()
-    gf = grad_forward(f)
-    np.testing.assert_allclose(gf.gx.ravel(), flat[:25], atol=1e-14)
-    np.testing.assert_allclose(gf.gy.ravel(), flat[25:], atol=1e-14)
+    gx, gy = grad_forward(f)
+    np.testing.assert_allclose(gx.ravel(), flat[:25], atol=1e-14)
+    np.testing.assert_allclose(gy.ravel(), flat[25:], atol=1e-14)
 
 
 def test_div_is_negative_adjoint_dense():
@@ -73,7 +72,7 @@ def test_div_is_negative_adjoint_dense():
     m = grad_matrix(4, 7)
     p = rng.standard_normal((2, 4, 7))
     via_matrix = -(m.T @ np.concatenate([p[0].ravel(), p[1].ravel()]))
-    out = div_backward(GradientField(gx=p[0], gy=p[1]))
+    out = div_backward(p[0], p[1])
     np.testing.assert_allclose(out.ravel(), via_matrix, atol=1e-13)
 
 
@@ -83,35 +82,35 @@ def test_adjoint_identity_many_sizes():
         u = rng.standard_normal((h, w))
         px = rng.standard_normal((h, w))
         py = rng.standard_normal((h, w))
-        gf = grad_forward(u)
-        lhs = np.sum(gf.gx * px + gf.gy * py)
-        rhs = -np.sum(u * div_backward(GradientField(gx=px, gy=py)))
+        gx, gy = grad_forward(u)
+        lhs = np.sum(gx * px + gy * py)
+        rhs = -np.sum(u * div_backward(px, py))
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_div_of_grad_of_constant():
     u = np.full((5, 5), 0.42)
-    out = div_backward(grad_forward(u))
+    out = div_backward(*grad_forward(u))
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_sobel_cases():
-    assert not sobel_grad(np.full((4, 4), 0.9)).gx.any()
+    assert not sobel_grad(np.full((4, 4), 0.9))[0].any()
     step = np.zeros((6, 6))
     step[:, 3:] = 1.0
-    gf = sobel_grad(step)
-    np.testing.assert_allclose(gf.gx[:, 2], 4.0)
-    np.testing.assert_allclose(gf.gx[:, 3], 4.0)
-    np.testing.assert_allclose(gf.gy, 0.0, atol=1e-14)
+    gx, gy = sobel_grad(step)
+    np.testing.assert_allclose(gx[:, 2], 4.0)
+    np.testing.assert_allclose(gx[:, 3], 4.0)
+    np.testing.assert_allclose(gy, 0.0, atol=1e-14)
 
 
 def test_sobel_matches_naive_oracle():
     rng = np.random.default_rng(3)
     f = rng.random((6, 6))
     sx = np.array([[-1.0, 0, 1], [-2, 0, 2], [-1, 0, 1]])
-    gf = sobel_grad(f)
-    np.testing.assert_allclose(gf.gx, naive_correlate_reflect(f, sx), atol=1e-12)
-    np.testing.assert_allclose(gf.gy, naive_correlate_reflect(f, sx.T), atol=1e-12)
+    gx, gy = sobel_grad(f)
+    np.testing.assert_allclose(gx, naive_correlate_reflect(f, sx), atol=1e-12)
+    np.testing.assert_allclose(gy, naive_correlate_reflect(f, sx.T), atol=1e-12)
 
 
 def test_kernel_validation():
@@ -211,8 +210,8 @@ def test_sobel_matches_2d_correlate():
     sx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
     for shape in SEPARABLE_SHAPES:
         f = 3.0 * rng.standard_normal(shape)
-        gf = sobel_grad(f)
-        for got, k in ((gf.gx, sx), (gf.gy, sx.T)):
+        gx, gy = sobel_grad(f)
+        for got, k in ((gx, sx), (gy, sx.T)):
             ref = ndimage.correlate(f, k, mode="reflect")
             assert got.shape == shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(f).max()
@@ -234,23 +233,27 @@ def test_reflect_index_rule():
 def test_grad_and_div_keep_float32_planes():
     rng = np.random.default_rng(12)
     f = rng.random((6, 7)).astype(np.float32)
-    gf = grad_forward(f)
-    assert gf.gx.dtype == gf.gy.dtype == np.float32
+    gx, gy = grad_forward(f)
+    assert gx.dtype == gy.dtype == np.float32
     # a difference of two float32 samples rounds once either way
     ref = grad_forward(f.astype(np.float64))
-    np.testing.assert_array_equal(gf.gx, ref.gx.astype(np.float32))
-    np.testing.assert_array_equal(gf.gy, ref.gy.astype(np.float32))
+    np.testing.assert_array_equal(gx, ref[0].astype(np.float32))
+    np.testing.assert_array_equal(gy, ref[1].astype(np.float32))
     planes = (np.empty((6, 7), np.float32), np.empty((6, 7), np.float32))
-    assert grad_forward(f, out=planes).gx is planes[0]
-    kept = GradientField(gx=planes[0], gy=planes[1])
-    assert kept.gx is planes[0] and kept.gy is planes[1]
-    d = div_backward(gf)
+    got = grad_forward(f, out=planes)
+    assert got[0] is planes[0] and got[1] is planes[1]
+    d = div_backward(gx, gy)
     assert d.dtype == np.float32
-    np.testing.assert_allclose(d, div_backward(ref), rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(d, div_backward(*ref), rtol=1e-6, atol=1e-6)
     out = np.empty((6, 7), np.float32)
-    assert div_backward(gf, out=out) is out
+    assert div_backward(gx, gy, out=out) is out
     # an output plane of another dtype is refused, not silently converted
     with pytest.raises(ValueError, match="dtype"):
         grad_forward(f, out=(np.empty((6, 7)), np.empty((6, 7))))
     with pytest.raises(ValueError, match="dtype"):
-        div_backward(gf, out=np.empty((6, 7)))
+        div_backward(gx, gy, out=np.empty((6, 7)))
+    # and so are fields whose planes do not match, or are not 2-D
+    with pytest.raises(ValueError, match="matching 2-D arrays"):
+        div_backward(gx, gy[:, :-1])
+    with pytest.raises(ValueError, match="matching 2-D arrays"):
+        div_backward(gx[0], gy[0])

@@ -75,11 +75,11 @@ def test_coherence_matches_dense_eigendecomposition():
     rng = np.random.default_rng(20)
     cfg = DpeConfig(alpha_plus=3.0)
     g = rand_image(rng, 14, 14)
-    gf = sobel_grad(g.data[0])
+    gx, gy = sobel_grad(g.data[0])
     kst = gaussian_kernel(np.sqrt(cfg.st_support), cfg.st_support)
-    sxx = convolve_channel(gf.gx * gf.gx, kst)
-    sxy = convolve_channel(gf.gx * gf.gy, kst)
-    syy = convolve_channel(gf.gy * gf.gy, kst)
+    sxx = convolve_channel(gx * gx, kst)
+    sxy = convolve_channel(gx * gy, kst)
+    syy = convolve_channel(gy * gy, kst)
     mats = np.stack(
         [np.stack([sxx, sxy], -1), np.stack([sxy, syy], -1)], -2
     )

@@ -257,13 +257,9 @@ def test_energies_of_float32_inputs_are_taken_in_float64():
     noisy = add_gaussian_noise(clean, NoiseSpec(0.1, derive_seed("synth_half", 0.1, 1)))
     g = Image(noisy.data.astype(np.float32))
     cfg = SolverConfig(tau=0.04)
-    last = {}
-
-    def keep(it, z, psi):
-        last["psi"] = psi
-
-    f = solve(g, None, cfg, monitor=keep).image
-    psi = last["psi"]
+    # a zero start is the cold start, and receives the last accepted dual
+    psi = dual_field(cfg.kernel.support**2, g.height, g.width, np.float32)
+    f = solve(g, None, cfg, dual=psi).image
     assert f.data.dtype == psi.dtype == np.float32
     g64, f64 = Image(g.data.astype(np.float64)), Image(f.data.astype(np.float64))
     primal = primal_energy(f, g, None, cfg)
@@ -348,13 +344,10 @@ def test_tv_denoise_duality_gap_certificate():
     g = rand_image(rng, 4, 4)
     tau = 0.2
     cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), max_iters=10000, rel_tol=1e-15)
-    last = {}
-
-    def mon(it, z, acc):
-        last["psi"] = acc
-
-    res = solve(g, None, cfg, monitor=mon)
-    gap = primal_energy(res.image, g, None, cfg) - dual_objective(last["psi"], g, None, cfg)
+    # a zero start is the cold start, and receives the last accepted dual
+    psi = dual_field(1, 4, 4, g.data.dtype)
+    res = solve(g, None, cfg, dual=psi)
+    gap = primal_energy(res.image, g, None, cfg) - dual_objective(psi, g, None, cfg)
     assert 0 <= gap < 1e-4
 
 

@@ -68,9 +68,9 @@ def test_patch_jacobian_delta_kernel_rows_are_gradients():
     rng = np.random.default_rng(0)
     f = rand_image(rng, 6, 6)
     jf = jacobian_apply(f.data, delta_kernel())
-    gf = grad_forward(f.data[0])
-    np.testing.assert_array_equal(jf[:, :, 0, 0], gf.gx)
-    np.testing.assert_array_equal(jf[:, :, 0, 1], gf.gy)
+    gx, gy = grad_forward(f.data[0])
+    np.testing.assert_array_equal(jf[:, :, 0, 0], gx)
+    np.testing.assert_array_equal(jf[:, :, 0, 1], gy)
 
 
 def test_patch_jacobian_row_layout():
@@ -95,8 +95,8 @@ def test_patch_jacobian_row_layout():
                     sy = mirror(y - dy, 5)
                     sx = mirror(x - dx, 4)
                     row = jf[y, x, c * 9 + l]
-                    assert row[0] == pytest.approx(np.sqrt(wt) * grads[c].gx[sy, sx], abs=1e-15)
-                    assert row[1] == pytest.approx(np.sqrt(wt) * grads[c].gy[sy, sx], abs=1e-15)
+                    assert row[0] == pytest.approx(np.sqrt(wt) * grads[c][0][sy, sx], abs=1e-15)
+                    assert row[1] == pytest.approx(np.sqrt(wt) * grads[c][1][sy, sx], abs=1e-15)
 
 
 def gather_oracle(f, k, dp):
@@ -106,8 +106,7 @@ def gather_oracle(f, k, dp):
     taps = k.taps()
     out = np.empty((h, w, len(taps) * c, 2))
     for ch in range(c):
-        gf = grad_forward(f.data[ch])
-        g = np.stack([gf.gx, gf.gy], axis=-1)
+        g = np.stack(grad_forward(f.data[ch]), axis=-1)
         if dp is not None:
             g = apply_direction(g, dp.alpha_plus, dp.alpha_minus, dp.theta)
         for l, ((dy, dx), wt) in enumerate(taps):
@@ -310,10 +309,10 @@ def test_adjoint_zero_and_delta_reduction():
     assert out.shape == (1, 4, 4)
     assert not jacobian_adjoint_apply(np.zeros(jf.shape), k, 1).any()
     # single-tap case: adjoint is minus the divergence of the row field
-    from adstv.diffops import GradientField, div_backward
+    from adstv.diffops import div_backward
 
     psi = rng.standard_normal(jacobian_apply(rand_image(rng, 4, 4).data, delta_kernel()).shape)
-    expected = -div_backward(GradientField(gx=psi[:, :, 0, 0], gy=psi[:, :, 0, 1]))
+    expected = -div_backward(psi[:, :, 0, 0], psi[:, :, 0, 1])
     np.testing.assert_array_equal(jacobian_adjoint_apply(psi, delta_kernel(), 1)[0], expected)
 
 
@@ -549,8 +548,8 @@ def test_regularizer_trivial_cases():
     assert regularizer_value(const, gaussian_kernel(0.5, 3), None, 1) == 0.0
     rng = np.random.default_rng(15)
     f = rand_image(rng, 6, 6)
-    gf = grad_forward(f.data[0])
-    tv = np.sum(np.sqrt(gf.gx**2 + gf.gy**2))
+    gx, gy = grad_forward(f.data[0])
+    tv = np.sum(np.sqrt(gx**2 + gy**2))
     assert regularizer_value(f, delta_kernel(), None, 2) == pytest.approx(tv, rel=1e-12)
     with pytest.raises(ValueError):
         regularizer_value(f, delta_kernel(), None, 3)
