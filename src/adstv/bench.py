@@ -185,18 +185,29 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
 
 # the opts keys of run_tuple: the solve's settings, then the analysis'
 _SOLVER_OPTS = ("max_iters", "rel_tol", "q", "kernel")
-_OPTS = _SOLVER_OPTS + ("num_scales", "st_support")
+_ANALYSIS_OPTS = ("num_scales", "st_support")
+_OPTS = _SOLVER_OPTS + _ANALYSIS_OPTS
 
 
 def _given_opts(opts):
-    """The keys that opts sets, to anything but None; a key outside _OPTS
-    raises ValueError."""
+    """The keys that opts sets, to anything but None, and the SolverConfig
+    of its solver keys at a placeholder tau of 1 (every solve replaces the
+    tau and the regularizer's kernel and q).  A key outside _OPTS, or a
+    value that SolverConfig or DpeConfig refuses, raises ValueError,
+    whether or not a steered regularizer would read it."""
     opts = opts or {}
     unknown = sorted(set(opts) - set(_OPTS))
     if unknown:
         raise ValueError("unknown opts key(s) %s; run_tuple reads %s"
                          % (", ".join(map(repr, unknown)), ", ".join(_OPTS)))
-    return {key: value for key, value in opts.items() if value is not None}
+    given = {key: value for key, value in opts.items() if value is not None}
+    settings = SolverConfig(tau=1.0, **{k: given[k] for k in _SOLVER_OPTS if k in given})
+    analysis = {k: given[k] for k in _ANALYSIS_OPTS if k in given}
+    if analysis:
+        # DpeConfig's defaults fill an unset analysis key, and alpha_plus
+        # is a placeholder, as in regularizer
+        DpeConfig(alpha_plus=2.0, **analysis)
+    return given, settings
 
 
 def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
@@ -207,16 +218,15 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     runs on its float32 copy.  opts may set the solve's max_iters, rel_tol,
     q and kernel (SolverConfig's defaults fill the rest) and the analysis'
     num_scales and st_support (by default from sigma_eta and the image
-    size); a key that is missing or None is unset, and any other key raises
-    ValueError."""
+    size); a key that is missing or None is unset, and any other key, or a
+    value SolverConfig or DpeConfig refuses, raises ValueError before the
+    first solve."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
-    opts = _given_opts(opts)
+    opts, settings = _given_opts(opts)
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
     noisy32 = Image(noisy.data.astype(np.float32))
-    # every solve replaces the tau and the regularizer's kernel and q
-    settings = SolverConfig(tau=1.0, **{k: opts[k] for k in _SOLVER_OPTS if k in opts})
     kernel, q, steering = regularizer(
         reg, noisy, settings.kernel, settings.q,
         num_scales=opts.get("num_scales", default_num_scales(sigma_eta)),
@@ -276,7 +286,7 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
             raise ValueError("unknown regularizer %r" % reg)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids(regularizers, sigmas, tau_grid, alpha_grid)
-    opts = _given_opts(opts)
+    opts, _ = _given_opts(opts)
     tasks = []
     for path, image_id in image_paths:
         for sigma in sigmas:

@@ -32,7 +32,7 @@ from .bench import (
     write_csv,
 )
 from .diffops import gaussian_kernel
-from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig
+from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, _fold_angle
 from .image import Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, psnr, save_image, ssim
 from .solver import KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, project_box, solve
 from .tensor import DirectionalParams
@@ -102,6 +102,8 @@ def cmd_denoise(args):
     reg = args.regularizer
     if args.theta_override is not None and reg != "adstv":
         raise ValueError("--theta-override applies to adstv only, not %s" % reg)
+    if args.theta_override is not None and not math.isfinite(args.theta_override):
+        raise ValueError("--theta-override must be finite")
     img = load_image(args.input)
     box = None if args.unconstrained else (0.0, 1.0)
     kernel, q, steering = regularizer(
@@ -112,10 +114,8 @@ def cmd_denoise(args):
     if args.theta_override is not None:
         # fixed global direction: no estimation, unit dose everywhere
         shape = (img.height, img.width)
-        folded = args.theta_override % math.pi
-        if folded >= math.pi:
-            folded = 0.0
-        dp = DirectionalParams(args.alpha_plus, np.ones(shape), np.full(shape, folded))
+        theta = _fold_angle(np.full(shape, args.theta_override))
+        dp = DirectionalParams(args.alpha_plus, np.ones(shape), theta)
     elif steering is not None:
         if reg == "adstv":
             _check_alpha_plus(args)

@@ -112,8 +112,7 @@ def _read_pnm_tokens(buf, count):
 
 
 def _load_pnm(buf, magic):
-    want = 4 if magic in (b"P5", b"P6") else 0
-    tokens, pos = _read_pnm_tokens(buf, want)
+    tokens, pos = _read_pnm_tokens(buf, 4)
     if tokens[0] != magic:
         raise FormatError("magic mismatch")
     try:

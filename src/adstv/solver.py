@@ -29,7 +29,7 @@ The ascent starts from the zero field, or from a dual the caller passes
 any point of the balls is a valid start, so a dual from a related problem
 (a coarser grid, a nearby tau) can warm-start the solve.
 
-The primal iterate z = P_C(w) doubles as the convergence monitor: iteration
+The primal iterate z = P_C(w) doubles as the convergence test: iteration
 stops when its relative l2 change drops below rel_tol (stop_reason "tol"),
 or after max_iters (stop_reason "max_iters").  One helper computes z, for
 every iteration and for the final image, and one clip serves it, the box
@@ -260,7 +260,7 @@ def _check_dual(dual, rows, h, w, dtype):
         raise ValueError("dual samples must be finite")
 
 
-def solve(g, dp, cfg, *, dual=None, monitor=None):
+def solve(g, dp, cfg, *, dual=None):
     """Run the dual ascent; returns a SolveResult: the restored image, the
     iteration count and the stop reason.
 
@@ -274,11 +274,6 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
     it in place of the zero field, and the last accepted dual is written
     back into it.  A dual that does not fit raises ValueError before it is
     touched.  The result itself keeps no dual field.
-
-    monitor, when given, is called after every iteration as
-    monitor(iteration, z, psi_accepted) and exists for diagnostics and
-    tests.  z and psi_accepted are reused buffers, valid until the next
-    call; the last psi_accepted stays intact after solve returns.
 
     One Workspace, built here, serves every J, J* and projection of the
     solve, and the iteration tail (w, the clip, the finiteness check and
@@ -325,8 +320,6 @@ def solve(g, dp, cfg, *, dual=None, monitor=None):
         prev += psi
         psi, prev = prev, psi
         t = t_next
-        if monitor is not None:
-            monitor(it, z, prev)
         if it > 1:
             # z_prev is spent after this test: the next J* overwrites it
             base = float(np.linalg.norm(z_prev))

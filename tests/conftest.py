@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import ndimage
 
-from adstv import Image, dpe
+from adstv import Image, dpe, solver
 from adstv.diffops import grad_forward
 from adstv.dpe import _minor_angle
 from adstv.image import to_luminance
@@ -123,14 +123,13 @@ def analyze_stages(g, cfg):
                            theta_raw=theta_raw, theta=dpe._fold_angle(theta))
 
 
-def reference_solve(g, dp, cfg, lip=None, monitor=None, dual=None):
+def reference_solve(g, dp, cfg, lip=None, dual=None):
     """Dual FISTA in the solver's iteration order, with fresh arrays for
     every intermediate and no workspace, in g's dtype.  lip is the scalar
     step bound, by default the solver's 8 tau (alpha_plus)^2 (8 tau
-    unsteered); monitor is called as solve calls it.  dual, when given, is
-    the start point in place of the zero field, and takes the last accepted
-    dual at the end, as in solve.  Returns the restored samples and the
-    iteration count."""
+    unsteered).  dual, when given, is the start point in place of the zero
+    field, and takes the last accepted dual at the end, as in solve.
+    Returns the restored samples and the iteration count."""
     k, tau, c = cfg.kernel, cfg.tau, g.channels
     if lip is None:
         lip = 8.0 * tau * (1.0 if dp is None else dp.alpha_plus**2)
@@ -152,8 +151,6 @@ def reference_solve(g, dp, cfg, lip=None, monitor=None, dual=None):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         psi = accepted + (t - 1.0) / t_next * (accepted - prev)
         prev, t = accepted, t_next
-        if monitor is not None:
-            monitor(it, z, prev)
         if z_prev is not None and (np.linalg.norm(z - z_prev)
                                    <= cfg.rel_tol * max(np.linalg.norm(z_prev), 1e-30)):
             break
@@ -161,3 +158,30 @@ def reference_solve(g, dp, cfg, lip=None, monitor=None, dual=None):
     if dual is not None:
         dual[...] = prev
     return clip(g.data - tau * jacobian_adjoint_apply(prev, k, c, dp)), it
+
+
+def iteration_probe(monkeypatch, on_iterate=None, on_accepted=None):
+    """Watch solve's loop from outside, through monkeypatch.
+
+    on_iterate(z) sees each iteration's primal iterate z, the first
+    argument solve hands to jacobian_apply; on_accepted(psi) sees each
+    iteration's accepted dual, the field _project_ball returns.  Both are
+    solve's reused buffers, valid until the next iteration; the last
+    accepted dual stays intact after solve returns.  Both wraps go through
+    monkeypatch.setattr on adstv.solver, which fails if either attribute
+    is renamed."""
+    apply, project = solver.jacobian_apply, solver._project_ball
+
+    def jacobian_apply(z, *args, **kwargs):
+        if on_iterate is not None:
+            on_iterate(z)
+        return apply(z, *args, **kwargs)
+
+    def project_ball(*args, **kwargs):
+        accepted = project(*args, **kwargs)
+        if on_accepted is not None:
+            on_accepted(accepted)
+        return accepted
+
+    monkeypatch.setattr(solver, "jacobian_apply", jacobian_apply)
+    monkeypatch.setattr(solver, "_project_ball", project_ball)

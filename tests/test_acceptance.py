@@ -41,6 +41,7 @@ from adstv.tensor import (
 from conftest import (
     analyze_stages,
     dual_gradient,
+    iteration_probe,
     rand_image,
     rand_params,
     stripe_image,
@@ -330,10 +331,12 @@ def test_criterion06b_dual_trace_monotone():
                            max_iters=100, rel_tol=1e-12)
         trace = []
 
-        def mon(it, z, acc, trace=trace, g=g, dp=dp, cfg=cfg):
+        def dual_value(acc, trace=trace, g=g, dp=dp, cfg=cfg):
             trace.append(dual_objective(acc, g, dp, cfg))
 
-        solve(g, dp, cfg, monitor=mon)
+        with pytest.MonkeyPatch.context() as mp:
+            iteration_probe(mp, on_accepted=dual_value)
+            solve(g, dp, cfg)
         d = np.asarray(trace)
         dips = np.diff(d)
         scale = max(abs(d[-1]), 1e-30)
@@ -501,12 +504,19 @@ def test_criterion10_step_sanity():
         g = rand_image(rng, 24, 24, int(rng.choice([1, 3])))
         dp = rand_params(rng, 24, 24, alpha_plus=alpha)
         cfg = SolverConfig(tau=tau, q=q, max_iters=100, rel_tol=1e-300)
-        finite = []
+        z_finite, acc_finite = [], []
 
-        def mon(it, z, acc, finite=finite):
-            finite.append(bool(np.all(np.isfinite(z)) and np.all(np.isfinite(acc))))
+        def check_z(z, finite=z_finite):
+            finite.append(bool(np.all(np.isfinite(z))))
 
-        res = solve(g, dp, cfg, monitor=mon)
-        ok &= res.iterations == 100 and all(finite) and np.all(np.isfinite(res.image.data))
-        checked += len(finite)
+        def check_acc(acc, finite=acc_finite):
+            finite.append(bool(np.all(np.isfinite(acc))))
+
+        with pytest.MonkeyPatch.context() as mp:
+            iteration_probe(mp, on_iterate=check_z, on_accepted=check_acc)
+            res = solve(g, dp, cfg)
+        # the probe saw every iteration, so all() has something to check
+        ok &= (res.iterations == 100 == len(z_finite) == len(acc_finite)
+               and all(z_finite) and all(acc_finite) and np.all(np.isfinite(res.image.data)))
+        checked += len(z_finite)
     report("10 step-sanity", ok, "%d iterations finite across extreme configs" % checked)

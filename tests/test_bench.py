@@ -123,6 +123,25 @@ def test_unknown_opts_keys_are_refused_before_any_tuple_runs(tmp_path, monkeypat
     assert solves == []
 
 
+def test_bad_opts_values_are_refused_before_any_solve(tmp_path, monkeypatch):
+    # an analysis value used to be checked only when the first steered
+    # tuple estimated its fields: {"st_support": 0} ran 4 solves first
+    path = tmp_path / "stripe.pgm"
+    save_image(stripe_image(16, 16, 0.5), path)
+    solves = counting(monkeypatch, bench, "solve")
+    bad = (({"st_support": 0}, "st_support"), ({"st_support": 4}, "st_support"),
+           ({"num_scales": 5}, "num_scales"), ({"num_scales": 0}, "num_scales"),
+           ({"max_iters": 0}, "max_iters"), ({"q": 3}, "q must"),
+           ({"rel_tol": -1.0}, "rel_tol"))
+    for opts, says in bad:
+        # a value that is never valid is refused even where no regularizer
+        # would read it
+        for regs in (["tv", "stv", "adstv"], ["tv"]):
+            with pytest.raises(ValueError, match=says):
+                bench.bench([(path, "stripe")], [0.1], regs, [0.05, 0.1], [4.0], opts=opts)
+    assert solves == []
+
+
 def test_only_a_missing_or_none_option_is_unset(monkeypatch):
     clean = stripe_image(16, 16, 0.5)
     # a zero is a setting, and the analysis refuses it: num_scales 0 used

@@ -167,6 +167,39 @@ def test_theta_override_is_refused_for_every_regularizer_but_adstv(noisy_stripes
         assert not out.exists()
 
 
+def test_theta_override_must_be_finite(noisy_stripes, tmp_path, capsys):
+    _, noisy = noisy_stripes
+    out = tmp_path / "out.pfm"
+    for value in ("nan", "inf", "-inf"):
+        assert main(["denoise", "--input", str(noisy), "--output", str(out),
+                     "--regularizer", "adstv", "--tau", "0.05",
+                     "--theta-override=" + value]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --theta-override must be finite\n"
+        assert not out.exists()
+
+
+def test_theta_override_folds_like_the_estimated_angles(noisy_stripes, tmp_path, monkeypatch):
+    # the override takes dpe's fold into [0, pi): pi folds to 0, and so
+    # does a tiny negative whose mod rounds up to pi
+    _, noisy = noisy_stripes
+    seen = []
+    original = cli.solve
+
+    def solve(g, dp, cfg, **kwargs):
+        seen.append(dp.theta)
+        return original(g, dp, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    for value in (0.0, 1.0, math.pi, -1e-17, -1.0, 7.0, 100.0):
+        assert main(["denoise", "--input", str(noisy), "--output", str(tmp_path / "o.pfm"),
+                     "--regularizer", "adstv", "--tau", "0.05", "--iters", "2",
+                     "--theta-override=%r" % value]) == 0
+        folded = value % math.pi
+        assert np.all(seen[-1] == (0.0 if folded >= math.pi else folded)), value
+    assert [float(t[0, 0]) for t in seen[:4]] == [0.0, 1.0, 0.0, 0.0]
+
+
 def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
     default = SolverConfig(tau=1.0)
     parser = cli._build_parser()

@@ -26,7 +26,14 @@ from adstv.tensor import (
     regularizer_value,
 )
 
-from conftest import dual_gradient, identity_params, rand_image, rand_params, reference_solve
+from conftest import (
+    dual_gradient,
+    identity_params,
+    iteration_probe,
+    rand_image,
+    rand_params,
+    reference_solve,
+)
 from test_acceptance import synth_half_oriented
 
 
@@ -300,14 +307,18 @@ def test_solve_dual_feasible_every_iteration():
         cfg = SolverConfig(tau=0.2, q=q)
         worst = []
 
-        def mon(it, z, acc, worst=worst, q=q):
+        def largest_norm(acc, worst=worst, q=q):
             if q == 1:
                 s = np.linalg.svd(acc.reshape(-1, acc.shape[2], 2), compute_uv=False)
                 worst.append(s.max())
             else:
                 worst.append(np.sqrt(np.sum(acc**2, axis=(2, 3))).max())
 
-        solve(g, dp, cfg, monitor=mon)
+        with pytest.MonkeyPatch.context() as mp:
+            iteration_probe(mp, on_accepted=largest_norm)
+            res = solve(g, dp, cfg)
+        # every iteration's dual was seen, none skipped
+        assert len(worst) == res.iterations
         assert max(worst) <= 1.0 + 1e-9
 
 
@@ -452,10 +463,13 @@ def test_a_zero_start_is_the_cold_start_and_returns_the_last_dual():
     cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=40, rel_tol=1e-15)
     last = {}
 
-    def keep(it, z, psi):
+    def keep(psi):
         last["psi"] = psi.copy()
 
-    cold = solve(g, None, cfg, monitor=keep)
+    # the probe watches the cold solve only
+    with pytest.MonkeyPatch.context() as mp:
+        iteration_probe(mp, on_accepted=keep)
+        cold = solve(g, None, cfg)
     dual = dual_field(1, 9, 8, np.float32)
     warm = solve(g, None, cfg, dual=dual)
     assert np.array_equal(cold.image.data, warm.image.data)
@@ -522,9 +536,9 @@ def test_stop_reason_tells_tol_from_the_cap(steered):
 
 
 @pytest.mark.parametrize("case", ["tv", "steered"])
-def test_iterations_after_the_second_allocate_less_than_a_plane(case):
-    # peak traced memory between consecutive monitor calls, above what
-    # was held at the earlier call
+def test_iterations_after_the_second_allocate_less_than_a_plane(case, monkeypatch):
+    # peak traced memory between consecutive projections (one whole
+    # iteration apart), above what was held at the earlier one
     rng = np.random.default_rng(24)
     h = w = 64
     g = Image(rng.random((1, h, w)))
@@ -537,15 +551,17 @@ def test_iterations_after_the_second_allocate_less_than_a_plane(case):
     growth = {}
     held = {}
 
-    def mon(it, z, acc):
+    def measure(acc):
+        it = held.get("it", 0) + 1
         if it > 1:
             growth[it] = tracemalloc.get_traced_memory()[1] - held["bytes"]
         tracemalloc.reset_peak()
-        held["bytes"] = tracemalloc.get_traced_memory()[0]
+        held.update(it=it, bytes=tracemalloc.get_traced_memory()[0])
 
+    iteration_probe(monkeypatch, on_accepted=measure)
     tracemalloc.start()
     try:
-        solve(g, dp, cfg, monitor=mon)
+        solve(g, dp, cfg)
     finally:
         tracemalloc.stop()
     assert sorted(growth) == list(range(2, 9))
