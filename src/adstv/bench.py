@@ -21,7 +21,7 @@ import numpy as np
 
 from .diffops import delta_kernel
 from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, analyze, eadtv_angles
-from .image import Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
+from .image import SSIM_WINDOW, Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
 from .solver import SolverConfig, solve
 from .tensor import DirectionalParams
 
@@ -90,9 +90,10 @@ def regularizer(name, g, kernel, q, smooth_sigma=EADTV_SMOOTH_SIGMA,
 @dataclass
 class RunRecord:
     """One CSV row, its fields in order (CSV_HEADER holds their names): the
-    best-PSNR run of one tuple.  wall_seconds is that run's solve time,
-    stop_reason why it stopped ("tol" or "max_iters"), and estimate_seconds
-    the time of the tuple's direction estimation (0 for tv and stv)."""
+    best-PSNR run of one tuple.  psnr_db is inf for an exact restoration,
+    wall_seconds is that run's solve time, stop_reason why it stopped
+    ("tol" or "max_iters"), and estimate_seconds the time of the tuple's
+    direction estimation (0 for tv and stv)."""
 
     image_id: str
     regularizer: str
@@ -110,10 +111,13 @@ class RunRecord:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % self.regularizer)
-        for name in ("sigma_eta", "tau", "alpha_plus", "psnr_db", "ssim", "wall_seconds",
+        for name in ("sigma_eta", "tau", "alpha_plus", "ssim", "wall_seconds",
                      "estimate_seconds"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("non-finite %s" % name)
+        # written so that NaN fails it
+        if not -np.inf < self.psnr_db <= np.inf:
+            raise ValueError("psnr_db must be a number or +inf, got %r" % self.psnr_db)
 
     def csv_row(self):
         return ",".join(_CSV_FORMATS[f.type] % getattr(self, f.name)
@@ -267,10 +271,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     return best
 
 
-def _run_tuple_from_path(args):
-    path, image_id, sigma, reg, tau_grid, alpha_grid, master_seed, opts = args
-    return run_tuple(load_image(path), image_id, sigma, reg, tau_grid,
-                     alpha_grid, master_seed, opts)
+def _run_task(task):
+    return run_tuple(*task)
 
 
 def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
@@ -278,7 +280,9 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     """Sweep all tuples; returns RunRecords in deterministic order.
 
     jobs is the number of worker processes, at least 1 (1 runs every tuple
-    in this process).  opts is run_tuple's, checked before any tuple runs."""
+    in this process).  opts is run_tuple's, checked before any tuple runs.
+    Each image is loaded once, before the first tuple, and one smaller
+    than SSIM's window on either side is refused."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % jobs)
     for reg in regularizers:
@@ -289,16 +293,20 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     opts, _ = _given_opts(opts)
     tasks = []
     for path, image_id in image_paths:
+        clean = load_image(path)
+        if min(clean.height, clean.width) < SSIM_WINDOW:
+            raise ValueError("%s is %dx%d, smaller than SSIM's %dx%d window"
+                             % (path, clean.width, clean.height, SSIM_WINDOW, SSIM_WINDOW))
         for sigma in sigmas:
             for reg in regularizers:
-                tasks.append((str(path), image_id, float(sigma), reg,
+                tasks.append((clean, image_id, float(sigma), reg,
                               tau_grid, alpha_grid, master_seed, opts))
     # a pool starts all its workers at once, so it gets no more than tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_tuple_from_path, tasks))
-    return [_run_tuple_from_path(t) for t in tasks]
+            return list(pool.map(_run_task, tasks))
+    return [_run_task(t) for t in tasks]
 
 
 def write_csv(records, path):

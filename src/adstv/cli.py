@@ -33,7 +33,8 @@ from .bench import (
 )
 from .diffops import gaussian_kernel
 from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, _fold_angle
-from .image import Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, psnr, save_image, ssim
+from .image import (Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, output_format,
+                    psnr, save_image, ssim)
 from .solver import KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, project_box, solve
 from .tensor import DirectionalParams
 
@@ -105,6 +106,9 @@ def cmd_denoise(args):
     if args.theta_override is not None and not math.isfinite(args.theta_override):
         raise ValueError("--theta-override must be finite")
     img = load_image(args.input)
+    # the result has the input's channels: refuse an output path that
+    # cannot take them before anything is estimated or solved
+    output_format(args.output, img.channels)
     box = None if args.unconstrained else (0.0, 1.0)
     kernel, q, steering = regularizer(
         reg, img, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,

@@ -23,6 +23,7 @@ __all__ = [
     "Image",
     "NoiseSpec",
     "load_image",
+    "output_format",
     "save_image",
     "to_luminance",
     "add_gaussian_noise",
@@ -196,28 +197,38 @@ def _quantize(img, maxval):
     return np.floor(clamped * maxval + 0.5).astype(np.uint32)
 
 
-def save_image(img, path):
-    """Write an image; the format follows the file extension.
-
-    ``.pgm`` expects one channel, ``.ppm`` expects three; both clamp to
-    [0, 1] and quantize with round-half-up at maxval 255.  ``.pfm`` stores
-    float32 samples without clamping.
-    """
+def output_format(path, channels):
+    """The format, "pgm", "ppm" or "pfm", in which save_image writes an
+    image of this many channels to path, from the file extension.  Raises
+    ValueError for any other extension, and for a channel count the format
+    cannot hold: ``.pgm`` holds one channel, ``.ppm`` three."""
     suffix = str(path).lower().rsplit(".", 1)
     ext = suffix[1] if len(suffix) == 2 else ""
+    if ext not in ("pgm", "ppm", "pfm"):
+        raise ValueError("unsupported output extension %r" % ext)
+    if ext == "pgm" and channels != 1:
+        raise ValueError("pgm requires a single channel")
+    if ext == "ppm" and channels != 3:
+        raise ValueError("ppm requires three channels")
+    return ext
+
+
+def save_image(img, path):
+    """Write an image in the format output_format names.
+
+    ``.pgm`` and ``.ppm`` clamp to [0, 1] and quantize with round-half-up
+    at maxval 255.  ``.pfm`` stores float32 samples without clamping.
+    """
+    ext = output_format(path, img.channels)
     if ext == "pgm":
-        if img.channels != 1:
-            raise ValueError("pgm requires a single channel")
         q = _quantize(img, 255)[0]
         header = b"P5\n%d %d\n255\n" % (img.width, img.height)
         body = q.astype(np.uint8).tobytes()
     elif ext == "ppm":
-        if img.channels != 3:
-            raise ValueError("ppm requires three channels")
         q = np.moveaxis(_quantize(img, 255), 0, 2)
         header = b"P6\n%d %d\n255\n" % (img.width, img.height)
         body = q.astype(np.uint8).tobytes()
-    elif ext == "pfm":
+    else:
         # a finite sample beyond float32 range would be written as inf,
         # which load_image rejects
         if np.any(np.abs(img.data) > np.finfo(np.float32).max):
@@ -226,8 +237,6 @@ def save_image(img, path):
         header = magic + b"\n%d %d\n-1.0\n" % (img.width, img.height)
         arr = np.moveaxis(img.data, 0, 2)[::-1]
         body = arr.astype("<f4").tobytes()
-    else:
-        raise ValueError("unsupported output extension %r" % ext)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
@@ -272,6 +281,7 @@ def psnr(ref, test):
 
 # 11-tap Gaussian, sigma 1.5, normalized: the 1-D factor of SSIM's window
 _SSIM_HALF = 5
+SSIM_WINDOW = 2 * _SSIM_HALF + 1
 _SSIM_TAPS = np.exp(-(np.arange(-_SSIM_HALF, _SSIM_HALF + 1) ** 2) / (2.0 * 1.5**2))
 _SSIM_TAPS /= _SSIM_TAPS.sum()
 
@@ -305,7 +315,7 @@ def ssim(ref, test):
     average per-channel scores."""
     if ref.shape != test.shape:
         raise ValueError("shape mismatch")
-    if ref.height < 11 or ref.width < 11:
-        raise ValueError("image too small for the 11x11 window")
+    if ref.height < SSIM_WINDOW or ref.width < SSIM_WINDOW:
+        raise ValueError("image too small for the %dx%d window" % (SSIM_WINDOW, SSIM_WINDOW))
     scores = [_ssim_channel(ref.data[c], test.data[c]) for c in range(ref.channels)]
     return float(np.mean(scores))

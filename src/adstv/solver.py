@@ -50,7 +50,7 @@ from .diffops import Kernel, delta_kernel, gaussian_kernel
 from .image import Image
 from .tensor import (
     Workspace,
-    _check_planar,
+    _check_field,
     _gram,
     dual_field,
     eig2x2,
@@ -136,34 +136,34 @@ def project_box(img, constraint):
 
 
 def _project_ball(data, p, workspace=None):
-    """Project each (rows, 2) block of the (..., rows, 2) field data onto
+    """Project each (rows, 2) block of the (2, rows, ...) field data onto
     the unit Schatten-p ball, in place; returns data.  The per-pixel
-    planes come from workspace when given (the solve's Workspace, for an
-    (H, W, rows, 2) field), else from a throwaway set."""
+    planes come from workspace when given (the solve's Workspace, for a
+    (2, rows, H, W) field), else from a throwaway set.  A single (rows, 2)
+    matrix M is projected as _project_ball(M.T, p).T."""
     if p != 2 and not math.isinf(p):
         raise ValueError("p must be 2 or inf")
-    rows = data.shape[-2]
+    rows = data.shape[1]
     # A single row has one singular value, its norm: both balls agree.
     rescale = p == 2 or rows == 1
     count = 1 if rescale else 8
     if workspace is None:
-        shape = data.shape[:-2]
+        shape = data.shape[2:]
         block = np.empty((count,) + shape, data.dtype)
         planes = [block[i, ...] for i in range(count)]
         mask = np.empty(shape, dtype=bool)
     else:
         _, planes = workspace.scratch(planes=count)
         mask = workspace.mask[0]
-    # row r of component k is planar[k, r, ...], a view even when 0-d
-    planar = np.moveaxis(data, (-1, -2), (0, 1))
+    # row r of component k is data[k, r, ...], a view even when 0-d
     if rescale:
         n = planes[0]
-        np.einsum("...rk,...rk->...", data, data, out=n)
+        np.einsum("kr...,kr...->...", data, data, out=n)
         np.sqrt(n, out=n)
         np.maximum(n, 1.0, out=n)
         for k in range(2):
             for r in range(rows):
-                np.divide(planar[k, r, ...], n, out=planar[k, r, ...])
+                np.divide(data[k, r, ...], n, out=data[k, r, ...])
         return data
     # M -> M F with F = V diag(f+, f-) V^T, f = 1/max(1, sigma), built from
     # the Gram matrix G = M^T M without its eigenvectors:
@@ -208,7 +208,7 @@ def _project_ball(data, p, workspace=None):
     f01 = np.multiply(gxy, c, out=gxy)
     bf, af = sm, rad
     for r in range(rows):
-        ar, br = planar[0, r, ...], planar[1, r, ...]
+        ar, br = data[0, r, ...], data[1, r, ...]
         np.multiply(br, f01, out=bf)
         np.multiply(ar, f01, out=af)
         ar *= f00
@@ -219,7 +219,7 @@ def _project_ball(data, p, workspace=None):
 
 
 def dual_objective(psi, g, dp, cfg):
-    """The dual value at the (H, W, rows, 2) field psi, for the duality
+    """The dual value at the (2, rows, H, W) field psi, for the duality
     gap.  It is computed in float64 whatever the dtype of psi and g: the
     duality gap P - D cancels most of the digits of either energy."""
     g64 = np.asarray(g.data, np.float64)
@@ -241,7 +241,7 @@ def primal_energy(f, g, dp, cfg):
 
 
 def _primal_step(psi, g, dp, cfg, workspace, out=None):
-    """z = P_C(g - tau J* psi) for the (H, W, rows, 2) field psi, written
+    """z = P_C(g - tau J* psi) for the (2, rows, H, W) field psi, written
     to out when given (a (C, H, W) array of g's dtype)."""
     z = jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp, out=out, workspace=workspace)
     z *= cfg.tau
@@ -251,9 +251,9 @@ def _primal_step(psi, g, dp, cfg, workspace, out=None):
 
 def _check_dual(dual, rows, h, w, dtype):
     """Raise ValueError unless dual can start a solve and take its final
-    dual: a writeable, finite (H, W, rows, 2) field of the solve's dtype
-    over a planar buffer, as dual_field makes."""
-    _check_planar(dual, "dual", (h, w, rows, 2), dtype)
+    dual: a writeable, finite, C-contiguous (2, rows, H, W) field of the
+    solve's dtype, as dual_field makes."""
+    _check_field(dual, "dual", (2, rows, h, w), dtype)
     if not dual.flags.writeable:
         raise ValueError("dual must be writeable")
     if not np.isfinite(dual).all():
@@ -269,7 +269,7 @@ def solve(g, dp, cfg, *, dual=None):
     unsteered regularizer.
 
     dual, when given, is both the start point and the output of the dual:
-    a finite (H, W, rows, 2) field of g's dtype over a planar buffer (as
+    a finite, C-contiguous (2, rows, H, W) field of g's dtype (as
     dual_field makes, rows = support^2 * channels).  The ascent starts from
     it in place of the zero field, and the last accepted dual is written
     back into it.  A dual that does not fit raises ValueError before it is
@@ -342,7 +342,7 @@ def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters,
     """Classical TV denoising of a single-channel image over a box.
 
     Realized as the delta-kernel, q = 2, unsteered special case of the same
-    dual machinery, in g's dtype.  dual, an (H, W, 1, 2) field, starts the
+    dual machinery, in g's dtype.  dual, a (2, 1, H, W) field, starts the
     solve and takes its final dual, as in solve.  tau = 0 short-circuits to
     the box projection and leaves dual as it is.
     """

@@ -14,14 +14,14 @@ The directional variant transforms each gradient by diag(a+, a-[j]) R(-th[j])
 at its source pixel j before gathering, steering the penalty toward the
 direction th and modulating its strength through a-.
 
-Storage is planar: jacobian_apply fills a (2, L*C, H, W) buffer, so every
-row of every gradient component is one contiguous H x W plane, and returns
-its (H, W, L*C, 2) view; dual_field allocates such a view.  A row is
-gathered as a slice of the gradient plane extended by the kernel radius
-under reflect indexing (one np.take through a flat index); the adjoint adds
-each row into a padded plane at the same slice, as one contiguous run, and
-folds the border back onto the samples it mirrors.  Per-pixel Gram sums run
-over the rows axis of the planes.  jacobian_apply has one tap loop, which
+A dual field is a C-contiguous (2, L*C, H, W) array, as dual_field
+allocates and jacobian_apply fills: field[k, r] is row r of gradient
+component k, one contiguous H x W plane.  A row is gathered as a slice of
+the gradient plane extended by the kernel radius under reflect indexing
+(one np.take through a flat index); the adjoint adds each row into a
+padded plane at the same slice, as one contiguous run, and folds the
+border back onto the samples it mirrors.  Per-pixel Gram sums run over the
+rows axis.  jacobian_apply has one tap loop, which
 adds every row into the field: plain J adds into a zeroed field, and the
 solver's dual ascent step adds J / step into its dual.  Every kernel,
 steered or not, runs that loop; a 1x1 kernel (TV, EADTV) has no extension,
@@ -136,7 +136,7 @@ class Workspace:
             ct, st = np.cos(dp.theta), np.sin(dp.theta)
             ap = dp.alpha_plus
             am = dp.alpha_minus
-            # transpose of diag(ap, am) R(-th) is R(th) diag(ap, am)
+            # the adjoint of diag(ap, am) R(-th) is R(th) diag(ap, am)
             steering = (ct, st, am, ct * ap, st * am, st * ap, ct * am)
             (self.cos, self.sin, self.am, self.cos_ap, self.sin_am,
              self.sin_ap, self.cos_am) = (np.asarray(a, self.dtype) for a in steering)
@@ -170,51 +170,42 @@ def _workspace(workspace, kernel, channels, h, w, dp, dtype):
     return workspace
 
 
-def _planar(field):
-    """The (2, rows, H, W) view of an (H, W, rows, 2) field."""
-    return field.transpose(3, 2, 0, 1)
-
-
-def _check_planar(field, name, shape, dtype):
-    """Raise ValueError, naming the field name, unless field is an array of
-    this shape and dtype over a planar buffer, as dual_field makes."""
+def _check_field(field, name, shape, dtype):
+    """Raise ValueError, naming the field name, unless field is a
+    C-contiguous array of this shape and dtype, as dual_field makes."""
     if (not isinstance(field, np.ndarray) or field.shape != shape or field.dtype != dtype
-            or not _planar(field).flags.c_contiguous):
-        raise ValueError("%s must be the planar (H, W, rows, 2) view dual_field makes, "
-                         "for this image and kernel, in the samples' dtype" % name)
+            or not field.flags.c_contiguous):
+        raise ValueError("%s must be a C-contiguous (2, rows, H, W) field, as dual_field "
+                         "makes, for this image and kernel, in the samples' dtype" % name)
 
 
 def dual_field(rows, h, w, dtype=np.float64):
-    """A zeroed (H, W, rows, 2) field of dtype over a planar (2, rows, H, W)
-    buffer, the layout jacobian_apply fills and both operators read
-    fastest."""
-    return np.zeros((2, rows, h, w), dtype).transpose(2, 3, 1, 0)
+    """A zeroed (2, rows, H, W) field of dtype."""
+    return np.zeros((2, rows, h, w), dtype)
 
 
 def upsample_dual(coarse, h, w):
-    """The (h, w, rows, 2) nearest-neighbour 2x upsampling of the dual
-    field coarse, of shape (h // 2, w // 2, rows, 2), over a new planar
-    buffer: every coarse block is repeated on a 2 x 2 patch, and an odd
-    last row or column repeats its neighbour.  Each block of the result is
-    a block of coarse, so a coarse field on the unit balls gives a fine one
-    on them."""
-    up = np.repeat(np.repeat(_planar(coarse), 2, axis=2), 2, axis=3)
+    """The (2, rows, h, w) nearest-neighbour 2x upsampling of the dual
+    field coarse, of shape (2, rows, h // 2, w // 2): every coarse block is
+    repeated on a 2 x 2 patch, and an odd last row or column repeats its
+    neighbour.  Each block of the result is a block of coarse, so a coarse
+    field on the unit balls gives a fine one on them."""
+    up = np.repeat(np.repeat(coarse, 2, axis=2), 2, axis=3)
     pad_h, pad_w = h - up.shape[2], w - up.shape[3]
     if pad_h or pad_w:
         up = np.pad(up, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="edge")
-    return up.transpose(2, 3, 1, 0)
+    return up
 
 
 def _gram(field, out=(None, None, None)):
-    """Per-pixel Gram entries (gxx, gxy, gyy) of an (..., rows, 2) field,
+    """Per-pixel Gram entries (gxx, gxy, gyy) of a (2, rows, ...) field,
     written to the three planes of out when given."""
-    a = field[..., 0]
-    b = field[..., 1]
+    a, b = field
     gxx, gxy, gyy = out
     return (
-        np.einsum("...r,...r->...", a, a, out=gxx),
-        np.einsum("...r,...r->...", a, b, out=gxy),
-        np.einsum("...r,...r->...", b, b, out=gyy),
+        np.einsum("r...,r...->...", a, a, out=gxx),
+        np.einsum("r...,r...->...", a, b, out=gxy),
+        np.einsum("r...,r...->...", b, b, out=gyy),
     )
 
 
@@ -244,13 +235,13 @@ def _gradient(ws, channel, gx, gy, tmp):
 
 
 def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=None):
-    """Raw forward operator: (C, H, W) samples -> (H, W, L*C, 2) field.
+    """Raw forward operator: (C, H, W) samples -> (2, L*C, H, W) field.
 
-    The result is the (H, W, L*C, 2) view of a planar (2, L*C, H, W)
-    buffer in the samples' dtype (float32 stays float32, anything else is
-    float64).  out, when given, is such a view (an earlier result) and is
-    filled and returned instead of a new one.  workspace is the solve's
-    Workspace for these operands; without one the call builds its own.
+    The result is a C-contiguous field in the samples' dtype (float32 stays
+    float32, anything else is float64).  out, when given, is such a field
+    (an earlier result) and is filled and returned instead of a new one.
+    workspace is the solve's Workspace for these operands; without one the
+    call builds its own.
 
     Every row is added into the field through a scratch plane: plain J
     adds into a zeroed out (a new dual_field when out is not given).
@@ -270,10 +261,9 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
             raise ValueError("step is valid only with out")
         out = dual_field(L * nch, h, w, channels.dtype)
     else:
-        _check_planar(out, "out", (h, w, L * nch, 2), channels.dtype)
+        _check_field(out, "out", (2, L * nch, h, w), channels.dtype)
         if step is None:
-            _planar(out)[...] = 0.0
-    planar = _planar(out)
+            out[...] = 0.0
     r = kernel.radius
     # planes[2] takes the row being added (when steering it is free once
     # the gradient is taken); with one tap the row is the gradient plane
@@ -297,12 +287,12 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
                     row *= sw
                 if step is not None:
                     row /= step
-                planar[k, c * L + l] += row
+                out[k, c * L + l] += row
     return out
 
 
 def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=None):
-    """Raw adjoint operator: (H, W, L*C, 2) field -> (C, H, W) samples.
+    """Raw adjoint operator: (2, L*C, H, W) field -> (C, H, W) samples.
 
     The result is in the field's dtype (float32 stays float32, anything
     else is float64).  out, when given, is a C-contiguous (C, H, W) array
@@ -310,7 +300,9 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
     jacobian_apply.
     """
     data = as_float(data)
-    h, w, rows, _ = data.shape
+    if data.ndim != 4 or data.shape[0] != 2:
+        raise ValueError("the field must be (2, rows, H, W)")
+    _, rows, h, w = data.shape
     ws = _workspace(workspace, kernel, channels, h, w, dp, data.dtype)
     L = len(ws.taps)
     if rows != L * channels:
@@ -319,7 +311,6 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
         out = np.empty((channels, h, w), data.dtype)
     elif out.shape != (channels, h, w) or out.dtype != data.dtype:
         raise ValueError("out does not match image, channels and dtype")
-    planar = _planar(data)
     r = kernel.radius
     steered = dp is not None
     unit = r == 0 and ws.taps[0][1] == 1.0
@@ -339,7 +330,7 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
     for c in range(channels):
         if r == 0:
             # one tap: the rows are the channel's gradients, times sw
-            ax, ay = planar[0, c], planar[1, c]
+            ax, ay = data[0, c], data[1, c]
             sw = ws.taps[0][1]
             if sw != 1.0:
                 ax = np.multiply(sw, ax, out=planes[0])
@@ -354,7 +345,7 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
                 for l, ((dy, dx), sw) in enumerate(ws.taps):
                     if sw == 0.0:
                         continue
-                    grid[:, :w] = planar[k, c * L + l]
+                    grid[:, :w] = data[k, c * L + l]
                     if sw != 1.0:
                         term *= sw
                     start = (r - dy) * wp + (r - dx)
@@ -411,11 +402,14 @@ def eig2x2(sxx, sxy, syy, out=None):
     return lp, lm
 
 
-def coherence(lambda_plus, lambda_minus, eps=1e-12):
-    """Anisotropy measure (l+ - l-) / l+ in [0, 1]; 0 where l+ <= eps."""
+COHERENCE_EPS = 1e-12
+
+
+def coherence(lambda_plus, lambda_minus):
+    """Anisotropy measure (l+ - l-) / l+ in [0, 1]; 0 where l+ <= COHERENCE_EPS."""
     lp = np.asarray(lambda_plus, dtype=np.float64)
     lm = np.asarray(lambda_minus, dtype=np.float64)
-    live = lp > eps
+    live = lp > COHERENCE_EPS
     c = np.zeros(np.broadcast_shapes(lp.shape, lm.shape))
     np.subtract(lp, lm, out=c, where=live)
     np.divide(c, lp, out=c, where=live)

@@ -43,8 +43,14 @@ def apply_direction(g, ap, am, th):
     return np.stack([ap * (ct * gx + st * gy), am * (ct * gy - st * gx)], axis=-1)
 
 
+def pixel_blocks(field):
+    """The (H, W, rows, 2) view of a (2, rows, H, W) dual field: the
+    (rows, 2) matrix of every pixel, for the per-pixel oracles."""
+    return field.transpose(2, 3, 1, 0)
+
+
 def dual_gradient(psi, g, dp, cfg):
-    """Oracle for the ascent direction of the dual at the (H, W, rows, 2)
+    """Oracle for the ascent direction of the dual at the (2, rows, H, W)
     field psi: tau * J~ P_C(g - tau J~* Psi), as a field of the same
     shape."""
     w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)

@@ -232,7 +232,7 @@ def test_criterion03_dual_gradient():
     g = rand_image(rng, 4, 4)
     dp = rand_params(rng, 4, 4)
     cfg = SolverConfig(tau=0.3, constraint=None)
-    psi = 0.2 * rng.standard_normal((4, 4, 9, 2))
+    psi = 0.2 * rng.standard_normal((2, 9, 4, 4))
     grad = dual_gradient(psi, g, dp, cfg)
     eps = 1e-4
     worst = 0.0
@@ -257,7 +257,7 @@ def test_criterion04_projection_optimality():
     for _ in range(100):
         rows = int(rng.integers(1, 13))
         m = rng.standard_normal((rows, 2)) * float(rng.choice([0.3, 1.0, 3.0]))
-        proj = _project_ball(np.array(m, float), math.inf)
+        proj = _project_ball(np.array(m, float).T, math.inf).T
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         oracle = (u * np.minimum(s, 1.0)) @ vt
         worst_svd = max(worst_svd, float(np.abs(proj - oracle).max()))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,20 @@ def test_records_report_stop_reason_and_estimate_seconds():
             assert float(row[-1]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
 
 
+def test_an_exact_restoration_is_kept_with_psnr_inf(tmp_path):
+    # at sigma 0 a flat image is its own noisy copy, and TV leaves it as it
+    # is: the PSNR of that exact restoration is inf
+    rec = bench.run_tuple(Image(np.full((1, 16, 16), 0.5)), "flat", 0.0, "tv", [0.05], [], 0)
+    assert rec.psnr_db == np.inf and rec.ssim == pytest.approx(1.0)
+    path = tmp_path / "out.csv"
+    bench.write_csv([rec], path)
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[bench.CSV_HEADER.split(",").index("psnr_db")] == "inf"
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="psnr_db"):
+            dataclasses.replace(rec, psnr_db=bad)
+
+
 def test_csv_row_formats_each_field_by_its_type():
     rec = bench.RunRecord(image_id="a", regularizer="stv", sigma_eta=0.1, tau=0.25,
                           alpha_plus=1.0, psnr_db=30.1234567, ssim=0.5, iters=17,
@@ -341,7 +357,8 @@ class FakePool:
 def test_bench_pool_is_capped_at_task_count(monkeypatch, jobs, regs, workers):
     FakePool.made = []
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(bench, "_run_tuple_from_path", lambda task: task[3])
+    monkeypatch.setattr(bench, "load_image", lambda path: stripe_image(16, 16, 0.5))
+    monkeypatch.setattr(bench, "_run_task", lambda task: task[3])
     out = bench.bench([("unused.pgm", "x")], [0.1], regs, [0.05], [4.0], jobs=jobs)
     assert out == regs
     assert FakePool.made == workers
@@ -351,7 +368,7 @@ def test_bench_pool_is_capped_at_task_count(monkeypatch, jobs, regs, workers):
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_bench_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch, capsys, jobs):
     tasks = []
-    monkeypatch.setattr(bench, "_run_tuple_from_path", tasks.append)
+    monkeypatch.setattr(bench, "_run_task", tasks.append)
     with pytest.raises(ValueError, match="jobs"):
         bench.bench([("unused.pgm", "x")], [0.1], ["tv"], [0.05], [], jobs=jobs)
     assert tasks == []
@@ -363,3 +380,19 @@ def test_bench_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch, cap
                  "--jobs", str(jobs)]) == 1
     assert tasks == [] and not out.exists()
     assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+
+
+def test_an_image_below_the_ssim_window_is_refused_before_any_solve(tmp_path, monkeypatch):
+    # the small image comes last, after a tuple that could run
+    big, small = tmp_path / "big.pgm", tmp_path / "small.pgm"
+    save_image(stripe_image(16, 16, 0.5), big)
+    save_image(stripe_image(8, 8, 0.5), small)
+    solves = counting(monkeypatch, bench, "solve")
+    loads = counting(monkeypatch, bench, "load_image")
+    with pytest.raises(ValueError, match="small.pgm is 8x8, smaller than SSIM's 11x11 window"):
+        bench.bench([(big, "big"), (small, "small")], [0.1], ["tv", "stv"], [0.05, 0.1], [])
+    assert solves == []
+    # every image is loaded once, whatever the number of its tuples
+    records = bench.bench([(big, "big")], [0.05, 0.1], ["tv", "stv"], [0.05], [])
+    assert len(records) == 4 and len(solves) == 4
+    assert len(loads) == 3

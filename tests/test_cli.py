@@ -397,6 +397,28 @@ def test_estimate_exports_match_api(tmp_path):
                                dp.theta, atol=1e-4)
 
 
+@pytest.mark.parametrize("output, says", [
+    ("out.png", "unsupported output extension 'png'"),
+    ("out.pgm", "pgm requires a single channel"),
+])
+def test_denoise_refuses_an_unwritable_output_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              output, says):
+    rng = np.random.default_rng(47)
+    src = tmp_path / "src.ppm"
+    save_image(rand_image(rng, 16, 16, 3), src)
+    # save_image refuses the same path with the same message
+    with pytest.raises(ValueError) as refused:
+        save_image(rand_image(rng, 16, 16, 3), tmp_path / output)
+    assert str(refused.value) == says
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args: calls.append("solve"))
+    monkeypatch.setattr(bench, "analyze", lambda *args: calls.append("analyze"))
+    assert main(["denoise", "--input", str(src), "--output", str(tmp_path / output),
+                 "--regularizer", "adstv", "--tau", "0.05"]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % says
+    assert calls == [] and not (tmp_path / output).exists()
+
+
 def test_estimate_refuses_alpha_plus_before_estimating(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(43)
     src = tmp_path / "src.pfm"

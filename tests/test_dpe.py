@@ -618,8 +618,8 @@ def test_cleanups_of_small_and_odd_fields_are_finite_and_in_the_box(monkeypatch,
     # starts from a coarse dual, which lies on the unit balls
     assert len(upsampled) == (min(shape) >= dpe.COARSE_MIN_SIDE)
     for dual in upsampled:
-        assert dual.shape == shape + (1, 2)
-        assert np.sqrt(np.sum(dual.astype(np.float64) ** 2, axis=(2, 3))).max() <= 1.0 + 1e-6
+        assert dual.shape == (2, 1) + shape
+        assert np.sqrt(np.sum(dual.astype(np.float64) ** 2, axis=(0, 1))).max() <= 1.0 + 1e-6
 
 
 def test_eadtv_angles_axis_aligned_ramps():

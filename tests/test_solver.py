@@ -30,6 +30,7 @@ from conftest import (
     dual_gradient,
     identity_params,
     iteration_probe,
+    pixel_blocks,
     rand_image,
     rand_params,
     reference_solve,
@@ -39,7 +40,7 @@ from test_acceptance import synth_half_oriented
 
 def project_block(m, p):
     """The projection of one (rows, 2) block onto the unit Schatten-p ball."""
-    return _project_ball(np.array(m, float), p)
+    return _project_ball(np.array(m, float).T, p).T
 
 
 def svd_clamp(m):
@@ -74,7 +75,7 @@ def dense_jacobian(h, w, kernel, dp):
     basis = np.eye(n).reshape(n, h, w)
     field = jacobian_apply(basis, kernel, dp)
     taps = kernel.support**2
-    return field.reshape(h, w, n, taps, 2).transpose(0, 1, 3, 4, 2).reshape(-1, n)
+    return field.reshape(2, n, taps * h * w).transpose(0, 2, 1).reshape(-1, n)
 
 
 NORM_SHAPES = [(1, 2), (2, 1), (1, 7), (2, 3), (3, 3), (4, 6), (5, 5), (7, 4), (9, 8), (16, 9)]
@@ -179,7 +180,7 @@ def test_project_schatten_one_row_is_frobenius_rescale():
 
 
 def test_field_projection_matches_blockwise():
-    # the in-place projection of a planar field agrees with the one-block
+    # the in-place projection of a (2, rows, H, W) field agrees with the one-block
     # projection on a field that mixes every branch
     rng = np.random.default_rng(22)
     rows = 9
@@ -188,18 +189,17 @@ def test_field_projection_matches_blockwise():
     # zero rows leave the singular values, and the projection, unchanged
     field = np.stack([np.vstack([b, np.zeros((rows - len(b), 2))]) for b in blocks])[None]
     expected = np.stack([project_block(b, math.inf) for b in field[0]])
-    planar = np.ascontiguousarray(field.transpose(3, 2, 0, 1))
-    data = planar.transpose(2, 3, 1, 0)
+    data = np.ascontiguousarray(field.transpose(3, 2, 0, 1))
     out = _project_ball(data, math.inf)
     assert out is data
-    np.testing.assert_allclose(out[0], expected, atol=1e-14)
+    np.testing.assert_allclose(pixel_blocks(out)[0], expected, atol=1e-14)
 
 
 def test_dual_gradient_trivial_cases():
     rng = np.random.default_rng(2)
     g = rand_image(rng, 5, 5)
     cfg = SolverConfig(tau=0.3, constraint=None)
-    psi = np.zeros((5, 5, 9, 2))
+    psi = np.zeros((2, 9, 5, 5))
     grad = dual_gradient(psi, g, None, cfg)
     np.testing.assert_allclose(grad, 0.3 * jacobian_apply(g.data, cfg.kernel), atol=1e-14)
     const = Image(np.full((1, 5, 5), 0.6))
@@ -210,10 +210,10 @@ def test_dual_objective_trivial_cases():
     rng = np.random.default_rng(3)
     g = rand_image(rng, 5, 5)  # already inside the box
     cfg = SolverConfig(tau=0.2)
-    assert dual_objective(np.zeros((5, 5, 9, 2)), g, None, cfg) == 0.0
+    assert dual_objective(np.zeros((2, 9, 5, 5)), g, None, cfg) == 0.0
     # unconstrained: only the norm-difference term survives
     cfg2 = SolverConfig(tau=0.2, constraint=None)
-    psi = rng.standard_normal((5, 5, 9, 2))
+    psi = rng.standard_normal((2, 9, 5, 5))
     w = g.data - 0.2 * jacobian_adjoint_apply(psi, cfg2.kernel, 1)
     expected = 0.5 * (np.sum(g.data**2) - np.sum(w**2))
     assert dual_objective(psi, g, None, cfg2) == pytest.approx(expected, rel=1e-12)
@@ -224,7 +224,7 @@ def test_dual_gradient_finite_difference():
     g = rand_image(rng, 4, 4)
     dp = rand_params(rng, 4, 4)
     cfg = SolverConfig(tau=0.3, constraint=None)
-    psi = 0.3 * rng.standard_normal((4, 4, 9, 2))
+    psi = 0.3 * rng.standard_normal((2, 9, 4, 4))
     grad = dual_gradient(psi, g, dp, cfg)
     eps = 1e-4
     for _ in range(10):
@@ -309,10 +309,10 @@ def test_solve_dual_feasible_every_iteration():
 
         def largest_norm(acc, worst=worst, q=q):
             if q == 1:
-                s = np.linalg.svd(acc.reshape(-1, acc.shape[2], 2), compute_uv=False)
+                s = np.linalg.svd(pixel_blocks(acc), compute_uv=False)
                 worst.append(s.max())
             else:
-                worst.append(np.sqrt(np.sum(acc**2, axis=(2, 3))).max())
+                worst.append(np.sqrt(np.sum(acc**2, axis=(0, 1))).max())
 
         with pytest.MonkeyPatch.context() as mp:
             iteration_probe(mp, on_accepted=largest_norm)
@@ -394,7 +394,8 @@ def test_steered_solve_matches_convex_solver():
     for j in range(n):
         e = np.zeros((1, h, w))
         e.ravel()[j] = 1.0
-        cols.append(jacobian_apply(e, k, dp).ravel())
+        # one (rows, 2) block per pixel, rows first
+        cols.append(pixel_blocks(jacobian_apply(e, k, dp)).ravel())
     a = np.stack(cols, axis=1)
     fv = cp.Variable(n)
     jf = a @ fv
@@ -492,7 +493,7 @@ def test_bad_initial_duals_raise_and_are_left_untouched():
         return field
 
     nan = filled(dual_field(1, h, w))
-    nan[2, 3, 0, 1] = np.nan
+    nan[1, 0, 2, 3] = np.nan
     inf = filled(dual_field(1, h, w))
     inf[0, 0, 0, 0] = -np.inf
     frozen = filled(dual_field(1, h, w))
@@ -502,6 +503,7 @@ def test_bad_initial_duals_raise_and_are_left_untouched():
         "rows": filled(dual_field(9, h, w)),
         "dtype": filled(dual_field(1, h, w, np.float32)),
         "layout": filled(np.empty((h, w, 1, 2))),
+        "strided": filled(np.empty((2, 1, h, 2 * w)))[..., ::2],
         "nan": nan,
         "inf": inf,
         "read-only": frozen,

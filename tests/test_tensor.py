@@ -23,6 +23,7 @@ from conftest import (
     apply_direction,
     identity_params,
     minor_angle,
+    pixel_blocks,
     rand_image,
     rand_params,
     structure_tensor,
@@ -69,8 +70,8 @@ def test_patch_jacobian_delta_kernel_rows_are_gradients():
     f = rand_image(rng, 6, 6)
     jf = jacobian_apply(f.data, delta_kernel())
     gx, gy = grad_forward(f.data[0])
-    np.testing.assert_array_equal(jf[:, :, 0, 0], gx)
-    np.testing.assert_array_equal(jf[:, :, 0, 1], gy)
+    np.testing.assert_array_equal(jf[0, 0], gx)
+    np.testing.assert_array_equal(jf[1, 0], gy)
 
 
 def test_patch_jacobian_row_layout():
@@ -80,7 +81,7 @@ def test_patch_jacobian_row_layout():
     f = rand_image(rng, 5, 4, c=3)
     k = gaussian_kernel(1.0, 3)
     jf = jacobian_apply(f.data, k)
-    assert jf.shape[2] == 9 * 3
+    assert jf.shape[1] == 9 * 3
     taps = k.taps()
     grads = [grad_forward(f.data[c]) for c in range(3)]
 
@@ -94,7 +95,7 @@ def test_patch_jacobian_row_layout():
                 for x in (0, 3):
                     sy = mirror(y - dy, 5)
                     sx = mirror(x - dx, 4)
-                    row = jf[y, x, c * 9 + l]
+                    row = jf[:, c * 9 + l, y, x]
                     assert row[0] == pytest.approx(np.sqrt(wt) * grads[c][0][sy, sx], abs=1e-15)
                     assert row[1] == pytest.approx(np.sqrt(wt) * grads[c][1][sy, sx], abs=1e-15)
 
@@ -104,7 +105,8 @@ def gather_oracle(f, k, dp):
     at pixel (y, x) is sqrt(w_l) g[reflect(y - dy), reflect(x - dx)]."""
     c, h, w = f.data.shape
     taps = k.taps()
-    out = np.empty((h, w, len(taps) * c, 2))
+    out = np.empty((2, len(taps) * c, h, w))
+    blocks = pixel_blocks(out)
     for ch in range(c):
         g = np.stack(grad_forward(f.data[ch]), axis=-1)
         if dp is not None:
@@ -112,7 +114,7 @@ def gather_oracle(f, k, dp):
         for l, ((dy, dx), wt) in enumerate(taps):
             ys = reflect_index(np.arange(h) - dy, h)
             xs = reflect_index(np.arange(w) - dx, w)
-            out[:, :, ch * len(taps) + l] = np.sqrt(wt) * g[np.ix_(ys, xs)]
+            blocks[:, :, ch * len(taps) + l] = np.sqrt(wt) * g[np.ix_(ys, xs)]
     return out
 
 
@@ -134,31 +136,48 @@ def test_gather_scatter_on_images_smaller_than_the_kernel(support, shape):
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
-def test_jacobian_apply_is_planar_view_and_fills_out():
+def test_jacobian_apply_returns_a_contiguous_field_and_fills_out():
     rng = np.random.default_rng(19)
     f = rand_image(rng, 6, 5, 3)
     k = gaussian_kernel(0.5, 3)
     dp = rand_params(rng, 6, 5)
     jf = jacobian_apply(f.data, k, dp)
-    assert jf.shape == (6, 5, 27, 2)
-    assert jf.transpose(3, 2, 0, 1).flags.c_contiguous
-    out = np.zeros((2, 27, 6, 5)).transpose(2, 3, 1, 0)
+    assert jf.shape == (2, 27, 6, 5) and jf.flags.c_contiguous
+    out = np.zeros((2, 27, 6, 5))
     assert jacobian_apply(f.data, k, dp, out=out) is out
     np.testing.assert_array_equal(out, jf)
-    with pytest.raises(ValueError):
-        jacobian_apply(f.data, k, dp, out=np.zeros((6, 5, 9, 2)))
+    # too few rows, the (H, W, rows, 2) layout, and a strided field
+    for bad in (np.zeros((2, 9, 6, 5)), np.zeros((6, 5, 27, 2)),
+                np.zeros((2, 27, 6, 10))[..., ::2]):
+        with pytest.raises(ValueError, match="out"):
+            jacobian_apply(f.data, k, dp, out=bad)
 
 
-def test_dual_field_is_planar_and_its_planes_are_views():
+def test_adjoint_refuses_a_field_whose_leading_axis_is_not_two():
+    # the (H, W, rows, 2) layout of a 6 x 1 image has a fitting row count
+    # when read as (2, rows, H, W), and only its leading axis gives it away
+    rng = np.random.default_rng(41)
+    f = rand_image(rng, 6, 1)
+    jf = jacobian_apply(f.data, delta_kernel())
+    assert jf.shape == (2, 1, 6, 1)
+    jacobian_adjoint_apply(jf, delta_kernel(), 1)
+    for bad in (pixel_blocks(jf), jf[0], jf[None]):
+        with pytest.raises(ValueError, match="2, rows, H, W"):
+            jacobian_adjoint_apply(bad, delta_kernel(), 1)
+
+
+def test_dual_field_is_contiguous_and_its_planes_are_views():
     rng = np.random.default_rng(23)
     f = rand_image(rng, 6, 5, 3)
     k = gaussian_kernel(0.5, 3)
     field = dual_field(27, 6, 5)
-    assert field.shape == (6, 5, 27, 2) and not field.any()
+    assert field.shape == (2, 27, 6, 5) and field.flags.c_contiguous and not field.any()
     assert jacobian_apply(f.data, k, out=field) is field
-    planes = field.transpose(3, 2, 0, 1).reshape(54, 6, 5, copy=False)
-    assert np.shares_memory(planes, field)
-    np.testing.assert_array_equal(planes[27 + 4], field[:, :, 4, 1])
+    planes = field.reshape(54, 6, 5, copy=False)
+    for kk in range(2):
+        for r in range(27):
+            assert field[kk, r].base is field
+            np.testing.assert_array_equal(planes[27 * kk + r], field[kk, r])
 
 
 @pytest.mark.parametrize("rows, p", [(1, 2), (9, np.inf)])
@@ -171,14 +190,14 @@ def test_upsample_dual_repeats_blocks_and_stays_on_the_balls(shape, rows, p):
     coarse[...] = 3.0 * rng.standard_normal(coarse.shape)
     _project_ball(coarse, p)
     fine = upsample_dual(coarse, h, w)
-    assert fine.shape == (h, w, rows, 2) and fine.dtype == np.float32
-    assert fine.transpose(3, 2, 0, 1).flags.c_contiguous
+    assert fine.shape == (2, rows, h, w) and fine.dtype == np.float32
+    assert fine.flags.c_contiguous
     # nearest neighbour, with an odd last row or column repeating the one
     # before it
     ys = np.minimum(np.arange(h) // 2, hc - 1)
     xs = np.minimum(np.arange(w) // 2, wc - 1)
-    np.testing.assert_array_equal(fine, coarse[np.ix_(ys, xs)])
-    blocks = fine.reshape(-1, rows, 2).astype(np.float64)
+    np.testing.assert_array_equal(fine, coarse[:, :, ys][:, :, :, xs])
+    blocks = pixel_blocks(fine).reshape(-1, rows, 2).astype(np.float64)
     if p == 2:
         norms = np.sqrt(np.sum(blocks**2, axis=(1, 2)))
     else:
@@ -198,7 +217,7 @@ def test_single_tap_weight_scales_the_rows():
             f = rand_image(rng, 6, 5, c).data
             np.testing.assert_array_equal(
                 jacobian_apply(f, k, dp), sw * jacobian_apply(f, delta_kernel(), dp))
-            psi = rng.standard_normal((6, 5, c, 2))
+            psi = rng.standard_normal((2, c, 6, 5))
             np.testing.assert_array_equal(
                 jacobian_adjoint_apply(psi, k, c, dp),
                 jacobian_adjoint_apply(sw * psi, delta_kernel(), c, dp))
@@ -216,10 +235,9 @@ def test_workspace_and_out_change_no_value(support):
             f = rand_image(rng, h, w, c).data
             ws = Workspace(k, c, h, w, dp)
             jf = jacobian_apply(f, k, dp)
-            psi = np.ascontiguousarray(rng.standard_normal((2, support**2 * c, h, w)))
-            psi = psi.transpose(2, 3, 1, 0)
+            psi = rng.standard_normal((2, support**2 * c, h, w))
             adj = jacobian_adjoint_apply(psi, k, c, dp)
-            out = np.empty((2, support**2 * c, h, w)).transpose(2, 3, 1, 0)
+            out = np.empty((2, support**2 * c, h, w))
             into = np.empty((c, h, w))
             for _ in range(2):
                 for plane in sum(ws.scratch(3, 8), []):
@@ -262,7 +280,7 @@ def test_step_mode_adds_j_over_step_into_out(kernel, shape):
             rows = k.support**2 * c
             for step in (8.0 * 0.07, 1.0 + 30.0 * rng.random()):
                 z = rand_image(rng, h, w, c).data
-                psi0 = rng.standard_normal((h, w, rows, 2))
+                psi0 = rng.standard_normal((2, rows, h, w))
                 expected = psi0 + jacobian_apply(z, k, dp) / step
                 psi = dual_field(rows, h, w)
                 psi[...] = psi0
@@ -312,7 +330,7 @@ def test_adjoint_zero_and_delta_reduction():
     from adstv.diffops import div_backward
 
     psi = rng.standard_normal(jacobian_apply(rand_image(rng, 4, 4).data, delta_kernel()).shape)
-    expected = -div_backward(psi[:, :, 0, 0], psi[:, :, 0, 1])
+    expected = -div_backward(psi[0, 0], psi[1, 0])
     np.testing.assert_array_equal(jacobian_adjoint_apply(psi, delta_kernel(), 1)[0], expected)
 
 
@@ -574,7 +592,7 @@ def test_regularizer_singular_values_match_full_svd():
     k = gaussian_kernel(0.7, 3)
     dp = rand_params(rng, 5, 5)
     jf = jacobian_apply(f.data, k, dp)
-    svals = np.linalg.svd(jf.reshape(-1, jf.shape[2], 2), compute_uv=False)
+    svals = np.linalg.svd(pixel_blocks(jf), compute_uv=False)
     assert regularizer_value(f, k, dp, 1) == pytest.approx(svals.sum(), rel=1e-10)
 
 
@@ -608,7 +626,7 @@ def test_float32_operands_keep_float32_buffers(support):
             np.testing.assert_allclose(jf, jacobian_apply(f.astype(np.float64), k, dp),
                                        rtol=1e-5, atol=1e-5)
             field = dual_field(rows, h, w, np.float32)
-            assert field.dtype == np.float32 and field.shape == (h, w, rows, 2)
+            assert field.dtype == np.float32 and field.shape == (2, rows, h, w)
             assert jacobian_apply(f, k, dp, out=field, workspace=ws) is field
             assert jacobian_apply(f, k, dp, out=field, workspace=ws, step=3.0) is field
             assert field.dtype == np.float32
