@@ -3,7 +3,9 @@
 For every (image, sigma, regularizer) tuple the harness adds Gaussian noise
 with a seed derived from the tuple itself (so all regularizers see the same
 noisy realization), sweeps the tau grid (and the alpha_plus grid for the
-steered regularizers), and keeps the best-PSNR run.
+steered regularizers), and keeps the best-PSNR run.  regularizer is the one
+table from a regularizer name to its (kernel, q, fields): the sweep, its
+grid checks and the CLI all ask it, and it keeps no state.
 
 The direction fields are estimated from the float64 noisy image; every
 solve runs on one float32 copy of it, and PSNR and SSIM compare each result
@@ -42,49 +44,44 @@ __all__ = [
 REGULARIZERS = ("tv", "eadtv", "stv", "adstv")
 
 
-def regularizer(name, g, kernel, q, smooth_sigma=EADTV_SMOOTH_SIGMA,
+def regularizer(name, kernel, q, smooth_sigma=EADTV_SMOOTH_SIGMA,
                 num_scales=DpeConfig.num_scales, st_support=None):
-    """The (kernel, q, steering) that the regularizer name denoises g with.
+    """The (kernel, q, fields) that the regularizer name denoises with.
 
     tv is the delta kernel at q = 2 and stv the given kernel at q; neither
-    is steered, and steering is None.  eadtv (the delta kernel) and adstv
-    (the given kernel) are steered at q: steering maps alpha_plus to the
-    DirectionalParams of the solve.  Its first call estimates the fields
-    from g, with eadtv_angles (gradients smoothed by smooth_sigma) or with
-    analyze (num_scales scales, structure-tensor support st_support, by
-    default chosen from the image size), and later calls reuse them.
+    is steered, and fields is None.  eadtv (the delta kernel) and adstv
+    (the given kernel) are steered at q: fields(g) estimates the direction
+    fields of the image g, with eadtv_angles (gradients smoothed by
+    smooth_sigma) or with analyze (num_scales scales, structure-tensor
+    support st_support, by default chosen from g's size), and returns the
+    map from alpha_plus to the DirectionalParams of the solve.  The lookup
+    itself estimates nothing.
     """
     if name == "tv":
         return delta_kernel(), 2, None
     if name == "stv":
         return kernel, q, None
     if name == "eadtv":
-        kernel = delta_kernel()
 
-        def fields():
+        def fields(g):
             theta = eadtv_angles(g, smooth_sigma)
             ones = np.ones(theta.shape)
             return lambda alpha_plus: DirectionalParams(alpha_plus, ones, theta)
-    elif name == "adstv":
 
-        def fields():
+        return delta_kernel(), q, fields
+    if name == "adstv":
+
+        def fields(g):
             support = st_support
             if support is None:
                 support = default_st_support(g.height, g.width)
             # analyze() never reads alpha_plus; the value here only satisfies
-            # config validation, and the real alpha is steering's argument
+            # config validation, and the real alpha is the map's argument
             cfg = DpeConfig(alpha_plus=2.0, num_scales=num_scales, st_support=support)
             return analyze(g, cfg).directional_params
-    else:
-        raise ValueError("unknown regularizer %r" % name)
-    estimated = []
 
-    def steering(alpha_plus):
-        if not estimated:
-            estimated.append(fields())
-        return estimated[0](alpha_plus)
-
-    return kernel, q, steering
+        return kernel, q, fields
+    raise ValueError("unknown regularizer %r" % name)
 
 
 @dataclass
@@ -167,7 +164,9 @@ def default_alpha_grid():
 
 def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
     """Reject a grid that would leave a tuple without a single solve, or
-    whose values a solve would refuse."""
+    whose values a solve would refuse.  An unknown regularizer raises
+    regularizer's own error."""
+    steered = [reg for reg in regularizers if regularizer(reg, None, 1)[2] is not None]
     for sigma in sigmas:
         # refuses the sigmas NoiseSpec refuses: NaN, infinite or negative
         default_num_scales(sigma)
@@ -177,7 +176,6 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
         # written so that NaN fails it
         if not 0.0 < tau < np.inf:
             raise ValueError("tau grid values must be positive and finite, got %r" % tau)
-    steered = [reg for reg in regularizers if reg in ("eadtv", "adstv")]
     if not steered:
         return
     if not alpha_grid:
@@ -224,24 +222,27 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     num_scales and st_support (by default from sigma_eta and the image
     size); a key that is missing or None is unset, and any other key, or a
     value SolverConfig or DpeConfig refuses, raises ValueError before the
-    first solve."""
+    first solve, as does a noisy sample beyond the float32 range."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts, settings = _given_opts(opts)
     seed = derive_seed(image_id, sigma_eta, master_seed)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma_eta, seed))
+    # such a sample would be inf in the float32 copy
+    if np.abs(noisy.data).max() > np.finfo(np.float32).max:
+        raise ValueError("noisy samples of %s at sigma %g exceed the float32 range"
+                         % (image_id, sigma_eta))
     noisy32 = Image(noisy.data.astype(np.float32))
-    kernel, q, steering = regularizer(
-        reg, noisy, settings.kernel, settings.q,
+    kernel, q, fields = regularizer(
+        reg, settings.kernel, settings.q,
         num_scales=opts.get("num_scales", default_num_scales(sigma_eta)),
         st_support=opts.get("st_support"))
     estimate_seconds = 0.0
-    if steering is None:
+    if fields is None:
         runs = [(1.0, None)]
     else:
-        # the first call estimates the fields, which later calls reuse
         t0 = time.perf_counter()
-        steering(alpha_grid[0])
+        steering = fields(noisy)
         estimate_seconds = time.perf_counter() - t0
         runs = ((a, steering(a)) for a in alpha_grid)
 
@@ -281,16 +282,21 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
 
     jobs is the number of worker processes, at least 1 (1 runs every tuple
     in this process).  opts is run_tuple's, checked before any tuple runs.
+    Two images with the same id are refused before any image is loaded.
     Each image is loaded once, before the first tuple, and one smaller
     than SSIM's window on either side is refused."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % jobs)
-    for reg in regularizers:
-        if reg not in REGULARIZERS:
-            raise ValueError("unknown regularizer %r" % reg)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids(regularizers, sigmas, tau_grid, alpha_grid)
     opts, _ = _given_opts(opts)
+    image_paths = list(image_paths)
+    first_path = {}
+    for path, image_id in image_paths:
+        if image_id in first_path:
+            raise ValueError("%s and %s have the same image id %r"
+                             % (first_path[image_id], path, image_id))
+        first_path[image_id] = path
     tasks = []
     for path, image_id in image_paths:
         clean = load_image(path)

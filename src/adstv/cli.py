@@ -8,7 +8,9 @@ about 1e-7 is finer than a float32 solve resolves, so such a solve runs to
 --iters.
 
 The bench CSV has one row per (image, sigma, regularizer), the best-PSNR
-run; its columns are the fields of bench.RunRecord.
+run; its columns are the fields of bench.RunRecord.  bench refuses an --out
+that it cannot open before the first solve, and an existing --out keeps its
+contents until the sweep has finished.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 inconsistent dimensions, a solve that left the finite range), 2
@@ -110,8 +112,8 @@ def cmd_denoise(args):
     # cannot take them before anything is estimated or solved
     output_format(args.output, img.channels)
     box = None if args.unconstrained else (0.0, 1.0)
-    kernel, q, steering = regularizer(
-        reg, img, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,
+    kernel, q, fields = regularizer(
+        reg, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,
         smooth_sigma=args.smooth_sigma,
         num_scales=_num_scales(args), st_support=args.st_support)
     dp = None
@@ -120,10 +122,10 @@ def cmd_denoise(args):
         shape = (img.height, img.width)
         theta = _fold_angle(np.full(shape, args.theta_override))
         dp = DirectionalParams(args.alpha_plus, np.ones(shape), theta)
-    elif steering is not None:
+    elif fields is not None:
         if reg == "adstv":
             _check_alpha_plus(args)
-        dp = steering(args.alpha_plus)
+        dp = fields(img)(args.alpha_plus)
     if args.dump_fields:
         if dp is None:
             raise ValueError("--dump-fields requires a directional regularizer")
@@ -156,11 +158,11 @@ def cmd_metrics(args):
 
 def cmd_estimate(args):
     img = load_image(args.input)
-    # adstv's steering, whose kernel and q go unused here
-    _, _, steering = regularizer("adstv", img, None, 1, num_scales=_num_scales(args),
-                                 st_support=args.st_support)
+    # adstv's fields, whose kernel and q go unused here
+    _, _, fields = regularizer("adstv", None, 1, num_scales=_num_scales(args),
+                               st_support=args.st_support)
     _check_alpha_plus(args)
-    _dump_fields(args.out_dir, steering(args.alpha_plus))
+    _dump_fields(args.out_dir, fields(img)(args.alpha_plus))
     return 0
 
 
@@ -194,9 +196,19 @@ def cmd_bench(args):
         "num_scales": args.scales,
         "st_support": args.st_support,
     }
-    records = bench([(p, p.stem) for p in paths], sigmas, regs, tau_grid,
-                    alpha_grid, master_seed=args.seed, jobs=args.jobs, opts=opts)
-    write_csv(records, args.out)
+    out = Path(args.out)
+    created = not out.exists()
+    # an append-mode open leaves an existing file as it is: it refuses an
+    # unwritable --out before the first solve
+    open(out, "a").close()
+    try:
+        records = bench([(p, p.stem) for p in paths], sigmas, regs, tau_grid,
+                        alpha_grid, master_seed=args.seed, jobs=args.jobs, opts=opts)
+    except BaseException:
+        if created:
+            out.unlink()
+        raise
+    write_csv(records, out)
     return 0
 
 

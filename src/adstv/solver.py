@@ -242,10 +242,14 @@ def primal_energy(f, g, dp, cfg):
 
 def _primal_step(psi, g, dp, cfg, workspace, out=None):
     """z = P_C(g - tau J* psi) for the (2, rows, H, W) field psi, written
-    to out when given (a (C, H, W) array of g's dtype)."""
+    to out when given (a (C, H, W) array of g's dtype).  A non-finite
+    g - tau J* psi raises FloatingPointError: it is tested before the
+    clip, which would map an infinite sample into the box."""
     z = jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp, out=out, workspace=workspace)
     z *= cfg.tau
     np.subtract(g.data, z, out=z)
+    if not np.isfinite(z, out=workspace.mask).all():
+        raise FloatingPointError("non-finite values in solver iterate")
     return _clip(z, cfg.constraint, out=z)
 
 
@@ -275,8 +279,11 @@ def solve(g, dp, cfg, *, dual=None):
     back into it.  A dual that does not fit raises ValueError before it is
     touched.  The result itself keeps no dual field.
 
+    A step bound L = 8 tau (a+)^2 beyond the range of g's dtype raises
+    ValueError, and a non-finite iterate FloatingPointError.
+
     One Workspace, built here, serves every J, J* and projection of the
-    solve, and the iteration tail (w, the clip, the finiteness check and
+    solve, and the iteration tail (w, the finiteness check, the clip and
     the rel-change difference) runs in preallocated buffers, so from the
     second iteration on an iteration allocates no image-sized array.
     """
@@ -287,8 +294,12 @@ def solve(g, dp, cfg, *, dual=None):
     rows = kernel.support**2 * nch
     if dual is not None:
         _check_dual(dual, rows, h, w_, dtype)
+    lip = 8.0 * cfg.tau * (1.0 if dp is None else dp.alpha_plus * dp.alpha_plus)
+    # tested before the Workspace casts the steering fields to dtype
+    if lip > float(np.finfo(dtype).max):
+        raise ValueError("the step bound 8 tau alpha_plus^2 = %g exceeds the %s range"
+                         % (lip, dtype))
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
-    lip = 8.0 * cfg.tau * (1.0 if dp is None else dp.alpha_plus**2)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
     # becomes the accepted point, and the last accepted point prev.  A
@@ -307,8 +318,6 @@ def solve(g, dp, cfg, *, dual=None):
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         _primal_step(psi, g, dp, cfg, ws, out=z)
-        if not np.isfinite(z, out=ws.mask).all():
-            raise FloatingPointError("non-finite values in solver iterate")
         # psi += J z / L, then onto the balls: psi is the accepted point
         jacobian_apply(z, kernel, dp, out=psi, workspace=ws, step=lip)
         _project_ball(psi, p, ws)

@@ -29,17 +29,16 @@ def counting(monkeypatch, module, name):
 
 
 def test_regularizer_maps_names_to_kernel_q_and_steering():
-    g = stripe_image(16, 16, 0.5)
     k = gaussian_kernel(0.5, 3)
-    kernel, q, steering = bench.regularizer("tv", g, k, 1)
-    assert kernel.support == 1 and q == 2 and steering is None
-    assert bench.regularizer("stv", g, k, 1) == (k, 1, None)
-    kernel, q, steering = bench.regularizer("eadtv", g, k, 1)
-    assert kernel.support == 1 and q == 1 and callable(steering)
-    kernel, q, steering = bench.regularizer("adstv", g, k, 2)
-    assert kernel is k and q == 2 and callable(steering)
+    kernel, q, fields = bench.regularizer("tv", k, 1)
+    assert kernel.support == 1 and q == 2 and fields is None
+    assert bench.regularizer("stv", k, 1) == (k, 1, None)
+    kernel, q, fields = bench.regularizer("eadtv", k, 1)
+    assert kernel.support == 1 and q == 1 and callable(fields)
+    kernel, q, fields = bench.regularizer("adstv", k, 2)
+    assert kernel is k and q == 2 and callable(fields)
     with pytest.raises(ValueError, match="unknown regularizer"):
-        bench.regularizer("bogus", g, k, 1)
+        bench.regularizer("bogus", k, 1)
 
 
 def test_steering_estimates_once_and_only_when_called(monkeypatch):
@@ -47,10 +46,13 @@ def test_steering_estimates_once_and_only_when_called(monkeypatch):
     k = gaussian_kernel(0.5, 3)
     angles = counting(monkeypatch, bench, "eadtv_angles")
     analyses = counting(monkeypatch, bench, "analyze")
-    _, _, eadtv = bench.regularizer("eadtv", g, k, 1, smooth_sigma=2.0)
-    _, _, adstv = bench.regularizer("adstv", g, k, 1, num_scales=3)
+    _, _, eadtv_fields = bench.regularizer("eadtv", k, 1, smooth_sigma=2.0)
+    _, _, adstv_fields = bench.regularizer("adstv", k, 1, num_scales=3)
+    # the lookup estimates nothing
     assert not angles and not analyses
-    for alpha in (4.0, 8.0):
+    eadtv, adstv = eadtv_fields(g), adstv_fields(g)
+    assert len(angles) == 1 and len(analyses) == 1
+    for alpha in (4.0, 8.0, 16.0):
         dp = eadtv(alpha)
         theta = eadtv_angles(g, 2.0)
         expected = DirectionalParams(alpha, np.ones(theta.shape), theta)
@@ -63,7 +65,24 @@ def test_steering_estimates_once_and_only_when_called(monkeypatch):
         assert dp.alpha_plus == alpha
         np.testing.assert_array_equal(dp.alpha_minus, expected.alpha_minus)
         np.testing.assert_array_equal(dp.theta, expected.theta)
+    # one fields(g) call estimates once, for any number of alpha values
     assert len(angles) == 1 and len(analyses) == 1
+    # the table keeps no memo: each fields(g) call estimates again
+    eadtv_fields(g), adstv_fields(g)
+    assert len(angles) == 2 and len(analyses) == 2
+
+
+def test_run_tuple_times_one_estimate_and_builds_one_field_per_alpha(monkeypatch):
+    clean = stripe_image(16, 16, 0.5)
+    analyses = counting(monkeypatch, bench, "analyze")
+    built = counting(monkeypatch, bench, "DirectionalParams")
+    alphas = [3.0, 5.0, 9.0]
+    rec = bench.run_tuple(clean, "s", 0.1, "eadtv", [0.05], alphas, 0, {"max_iters": 5})
+    # no steering is built outside the sweep
+    assert [args[0] for args in built] == alphas
+    assert rec.estimate_seconds > 0
+    bench.run_tuple(clean, "s", 0.1, "adstv", [0.05], alphas, 0, {"max_iters": 5})
+    assert len(analyses) == 1
 
 
 def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
@@ -276,9 +295,13 @@ def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatc
     save_image(stripe_image(16, 16, 0.5), path)
     solves = []
     monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    loads = counting(monkeypatch, bench, "load_image")
     with pytest.raises(ValueError, match="bogus"):
         bench.bench([(path, "stripe")], [0.1], ["stv", "bogus"], [0.05], [4.0])
-    assert solves == []
+    # the table's own error, before any image is loaded
+    with pytest.raises(ValueError, match="unknown regularizer 'bogus'"):
+        bench.bench([(path, "stripe")], [0.1], ["adstv", "bogus"], [0.05], [4.0])
+    assert solves == [] and loads == []
 
 
 @pytest.mark.parametrize("sigmas, regs, taus, alphas, says", [
@@ -396,3 +419,15 @@ def test_an_image_below_the_ssim_window_is_refused_before_any_solve(tmp_path, mo
     records = bench.bench([(big, "big")], [0.05, 0.1], ["tv", "stv"], [0.05], [])
     assert len(records) == 4 and len(solves) == 4
     assert len(loads) == 3
+
+
+def test_images_with_the_same_id_are_refused_before_any_image_is_loaded(tmp_path,
+                                                                        monkeypatch):
+    pgm, pfm = tmp_path / "a.pgm", tmp_path / "a.pfm"
+    save_image(stripe_image(16, 16, 0.5), pgm)
+    save_image(stripe_image(16, 16, 0.5), pfm)
+    loads = counting(monkeypatch, bench, "load_image")
+    with pytest.raises(ValueError) as refused:
+        bench.bench([(pfm, "a"), (pgm, "a")], [0.1], ["tv"], [0.05], [])
+    assert str(refused.value) == "%s and %s have the same image id 'a'" % (pfm, pgm)
+    assert loads == []

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,8 +275,8 @@ def test_denoise_writes_the_float64_solve_within_1e6(noisy_stripes, tmp_path, mo
         out = tmp_path / ("%s.pfm" % reg)
         assert main(["denoise", "--input", str(noisy), "--output", str(out),
                      "--regularizer", reg, "--tau", "0.02", "--alpha-plus", "4"]) == 0
-        kernel, q, steering = regularizer(reg, img, gaussian_kernel(0.5, 3), 1)
-        dp = None if steering is None else steering(4.0)
+        kernel, q, fields = regularizer(reg, gaussian_kernel(0.5, 3), 1)
+        dp = None if fields is None else fields(img)(4.0)
         expected = solve(img, dp, SolverConfig(tau=0.02, q=q, kernel=kernel)).image
         np.testing.assert_allclose(load_image(out).data, expected.data, rtol=0, atol=1e-6)
     assert seen == [np.float32] * 4
@@ -484,3 +485,84 @@ def test_bench_corpus_errors(tmp_path):
     assert main(["bench", "--corpus", str(empty), "--out", str(out)]) == 1
     assert main(["bench", "--corpus", str(empty), "--out", str(out),
                  "--sigmas", "0.1,oops"]) == 1
+
+
+def refused(capsys, argv):
+    """main(argv)'s exit code and its one error line, with every warning
+    an error, so that a warning on the way fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return code, err
+
+
+def test_a_step_bound_beyond_float32_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    src, dst = tmp_path / "src.pfm", tmp_path / "dst.pfm"
+    save_image(stripe_image(16, 16, 0.5), src)
+    io = ["--input", str(src), "--output", str(dst)]
+    for argv in (["--regularizer", "adstv", "--tau", "0.05", "--alpha-plus", "1e200"],
+                 ["--regularizer", "eadtv", "--tau", "0.05", "--alpha-plus", "1e200"],
+                 ["--regularizer", "tv", "--tau", "1e38"]):
+        code, err = refused(capsys, ["denoise"] + io + argv)
+        assert code == 1 and err.startswith("error: the step bound"), err
+        assert not dst.exists()
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    out = tmp_path / "r.csv"
+    code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out),
+                                 "--sigmas", "0.1", "--regularizers", "adstv",
+                                 "--tau-grid", "0.05", "--alpha-grid", "1e200"])
+    assert code == 1 and err.startswith("error: the step bound"), err
+    assert not out.exists()
+
+
+def test_bench_refuses_noise_beyond_float32_before_any_solve(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    out = tmp_path / "r.csv"
+    solves = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    for regs in ("stv", "tv,eadtv,stv,adstv"):
+        code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out),
+                                     "--sigmas", "1e39", "--regularizers", regs,
+                                     "--tau-grid", "0.05", "--alpha-grid", "4"])
+        assert code == 1 and "exceed the float32 range" in err, err
+        assert solves == [] and not out.exists()
+
+
+def test_bench_refuses_an_unwritable_out_before_any_solve(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    grids = ["--sigmas", "0.1", "--regularizers", "tv,stv", "--tau-grid", "0.05,0.1"]
+    solves = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    for out in (tmp_path / "missing" / "r.csv", corpus):
+        code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out)]
+                            + grids)
+        assert code == 2 and err.startswith("i/o error: "), err
+        assert solves == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_failed_sweep_leaves_an_existing_out_as_it_was(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    out = tmp_path / "r.csv"
+    out.write_text("an earlier sweep\n")
+    # tv runs first and succeeds; adstv's alpha then fails its solve
+    failing = ["bench", "--corpus", str(corpus), "--out", str(out), "--sigmas", "0.1",
+               "--regularizers", "tv,adstv", "--tau-grid", "0.05", "--alpha-grid", "1e200"]
+    code, _ = refused(capsys, failing)
+    assert code == 1 and out.read_text() == "an earlier sweep\n"
+    fresh = tmp_path / "fresh.csv"
+    code, _ = refused(capsys, failing[:4] + [str(fresh)] + failing[5:])
+    assert code == 1 and not fresh.exists()
+    # a sweep that finishes replaces it
+    assert main(failing[:-1] + ["4"]) == 0
+    assert out.read_text().startswith("image_id,")

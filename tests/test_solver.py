@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -625,3 +626,30 @@ def test_overflow_in_a_finite_input_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="non-finite values in solver iterate"):
             solve(Image(data), None, cfg)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_step_bound_beyond_the_dtype_range_is_refused(dtype):
+    g = Image(rand_image(np.random.default_rng(5), 8, 8).data.astype(dtype))
+    ones = np.ones((8, 8))
+    steered = DirectionalParams(1e200, ones, np.zeros((8, 8)))
+    huge_tau = {np.float32: 1e38, np.float64: 1e308}[dtype]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step bound"):
+            solve(g, steered, SolverConfig(tau=0.05))
+        with pytest.raises(ValueError, match="step bound"):
+            solve(g, None, SolverConfig(tau=huge_tau, q=2, kernel=delta_kernel()))
+        # the largest tau whose bound fits still solves, and flattens g
+        fits = {np.float32: 1e37, np.float64: 1e300}[dtype]
+        out = solve(g, None, SolverConfig(tau=fits, q=2, kernel=delta_kernel())).image
+    assert np.ptp(out.data) < 0.01 * np.ptp(g.data)
+
+
+@pytest.mark.parametrize("constraint", [(0.0, 1.0), None])
+def test_an_infinite_sample_is_refused_before_the_box_clip(constraint):
+    data = np.random.default_rng(9).random((1, 8, 8)).astype(np.float32)
+    data[0, 2, 3] = np.inf
+    cfg = SolverConfig(tau=0.05, constraint=constraint)
+    with pytest.raises(FloatingPointError, match="non-finite values in solver iterate"):
+        solve(Image(data), None, cfg)
