@@ -24,7 +24,7 @@ import numpy as np
 from .diffops import delta_kernel
 from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, analyze, eadtv_angles
 from .image import SSIM_WINDOW, Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _step_bound, solve
 from .tensor import DirectionalParams
 
 __all__ = [
@@ -176,13 +176,18 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
         # written so that NaN fails it
         if not 0.0 < tau < np.inf:
             raise ValueError("tau grid values must be positive and finite, got %r" % tau)
-    if not steered:
-        return
-    if not alpha_grid:
-        raise ValueError("the alpha grid is empty, and %s needs one" % steered[0])
-    for alpha in alpha_grid:
-        if not 1.0 <= alpha < np.inf:  # NaN fails it too
-            raise ValueError("alpha grid values must be finite and >= 1, got %r" % alpha)
+    alphas = [None] if len(steered) < len(regularizers) else []
+    if steered:
+        if not alpha_grid:
+            raise ValueError("the alpha grid is empty, and %s needs one" % steered[0])
+        for alpha in alpha_grid:
+            if not 1.0 <= alpha < np.inf:  # NaN fails it too
+                raise ValueError("alpha grid values must be finite and >= 1, got %r" % alpha)
+        alphas += alpha_grid
+    # the step bound of every float32 solve (None: unsteered)
+    for tau in tau_grid:
+        for alpha in alphas:
+            _step_bound(tau, alpha, np.float32)
 
 
 # the opts keys of run_tuple: the solve's settings, then the analysis'

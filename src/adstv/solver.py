@@ -51,7 +51,9 @@ from .image import Image
 from .tensor import (
     Workspace,
     _check_field,
+    _finish,
     _gram,
+    _scatter,
     dual_field,
     eig2x2,
     jacobian_adjoint_apply,
@@ -135,26 +137,34 @@ def project_box(img, constraint):
     return Image(_clip(data, constraint, out=data))
 
 
+def _ball_planes(p, rows):
+    """The scratch planes _project_ball takes: one to rescale by a norm,
+    eight for the q = 1 map of blocks with more than one row."""
+    # A single row has one singular value, its norm: both balls agree.
+    return 1 if p == 2 or rows == 1 else 8
+
+
 def _project_ball(data, p, workspace=None):
     """Project each (rows, 2) block of the (2, rows, ...) field data onto
     the unit Schatten-p ball, in place; returns data.  The per-pixel
     planes come from workspace when given (the solve's Workspace, for a
-    (2, rows, H, W) field), else from a throwaway set.  A single (rows, 2)
-    matrix M is projected as _project_ball(M.T, p).T."""
+    (2, rows, band, W) band of its field, as its band scratch), else from
+    a throwaway set.  A single (rows, 2) matrix M is projected as
+    _project_ball(M.T, p).T."""
     if p != 2 and not math.isinf(p):
         raise ValueError("p must be 2 or inf")
     rows = data.shape[1]
-    # A single row has one singular value, its norm: both balls agree.
-    rescale = p == 2 or rows == 1
-    count = 1 if rescale else 8
+    count = _ball_planes(p, rows)
+    rescale = count == 1
     if workspace is None:
         shape = data.shape[2:]
         block = np.empty((count,) + shape, data.dtype)
         planes = [block[i, ...] for i in range(count)]
         mask = np.empty(shape, dtype=bool)
     else:
-        _, planes = workspace.scratch(planes=count)
-        mask = workspace.mask[0]
+        band, w = data.shape[2:]
+        planes = workspace.planes(count, (band, w), workspace.band_slot(band))
+        mask = workspace.mask[0, :band]
     # row r of component k is data[k, r, ...], a view even when 0-d
     if rescale:
         n = planes[0]
@@ -240,17 +250,45 @@ def primal_energy(f, g, dp, cfg):
     return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
-def _primal_step(psi, g, dp, cfg, workspace, out=None):
-    """z = P_C(g - tau J* psi) for the (2, rows, H, W) field psi, written
-    to out when given (a (C, H, W) array of g's dtype).  A non-finite
-    g - tau J* psi raises FloatingPointError: it is tested before the
-    clip, which would map an infinite sample into the box."""
-    z = jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp, out=out, workspace=workspace)
+def _primal_step(psi, g, cfg, workspace, out=None):
+    """z = P_C(g - tau J* psi) for the (2, rows, H, W) field psi, whose
+    bands the workspace has scattered, written to out when given (a
+    (C, H, W) array of g's dtype).  A non-finite g - tau J* psi raises
+    FloatingPointError: it is tested before the clip, which would map an
+    infinite sample into the box."""
+    z = _finish(workspace, psi, out)
     z *= cfg.tau
     np.subtract(g.data, z, out=z)
     if not np.isfinite(z, out=workspace.mask).all():
         raise FloatingPointError("non-finite values in solver iterate")
     return _clip(z, cfg.constraint, out=z)
+
+
+def _ascent(z, psi, prev, momentum, p, workspace, lip):
+    """The ascent step from the extrapolated point psi, band by band:
+    psi += J z / L, and each band goes onto the balls as soon as it has
+    its step, so that psi becomes the accepted point.  With prev, the last
+    accepted point, each band then writes the next extrapolated point
+    psi + momentum (psi - prev) over prev and scatters it for the next
+    J*; without prev (the last iteration) the band scatters psi, for the
+    final primal step.  Each band of psi and prev is read from memory
+    once.  Returns psi."""
+
+    def accept(y0, y1):
+        band = psi[:, :, y0:y1]
+        _project_ball(band, p, workspace)
+        if prev is not None:
+            # numpy buffers a ufunc over a strided band: one plane at a
+            # time, or the whole band when it is one run
+            shape = (1, -1) if band.flags.c_contiguous else (-1, y1 - y0, psi.shape[3])
+            for now, ahead in zip(band.reshape(shape), prev[:, :, y0:y1].reshape(shape)):
+                np.subtract(now, ahead, out=ahead)
+                ahead *= momentum
+                ahead += now
+        _scatter(workspace, psi if prev is None else prev, y0, y1)
+
+    return jacobian_apply(z, workspace.kernel, workspace.dp, out=psi, workspace=workspace,
+                          step=lip, each_band=accept)
 
 
 def _check_dual(dual, rows, h, w, dtype):
@@ -262,6 +300,21 @@ def _check_dual(dual, rows, h, w, dtype):
         raise ValueError("dual must be writeable")
     if not np.isfinite(dual).all():
         raise ValueError("dual samples must be finite")
+
+
+def _step_bound(tau, alpha_plus, dtype):
+    """The scalar step bound L = 8 tau (a+)^2 of a solve in dtype, 8 tau
+    unsteered (alpha_plus None).  Raises ValueError when L or alpha_plus
+    exceeds the range of dtype, into which the Workspace casts the
+    steering products such as a+ cos(theta)."""
+    lip = 8.0 * tau * (1.0 if alpha_plus is None else alpha_plus * alpha_plus)
+    top = float(np.finfo(dtype).max)
+    if lip > top:
+        raise ValueError("the step bound 8 tau alpha_plus^2 = %g exceeds the %s range"
+                         % (lip, np.dtype(dtype)))
+    if alpha_plus is not None and alpha_plus > top:
+        raise ValueError("alpha_plus = %g exceeds the %s range" % (alpha_plus, np.dtype(dtype)))
+    return lip
 
 
 def solve(g, dp, cfg, *, dual=None):
@@ -279,13 +332,18 @@ def solve(g, dp, cfg, *, dual=None):
     back into it.  A dual that does not fit raises ValueError before it is
     touched.  The result itself keeps no dual field.
 
-    A step bound L = 8 tau (a+)^2 beyond the range of g's dtype raises
-    ValueError, and a non-finite iterate FloatingPointError.
+    A step bound L = 8 tau (a+)^2 or an a+ beyond the range of g's dtype
+    raises ValueError, and a non-finite iterate FloatingPointError.
 
     One Workspace, built here, serves every J, J* and projection of the
-    solve, and the iteration tail (w, the finiteness check, the clip and
-    the rel-change difference) runs in preallocated buffers, so from the
-    second iteration on an iteration allocates no image-sized array.
+    solve.  An iteration finishes J* from the bands the last one scattered
+    (fold, steering, divergence) to get z, extends z's gradients, and then
+    streams the dual fields once, band by band of the workspace: the J
+    gather, the projection, the extrapolation and the J* scatter of a band
+    run while it is in cache (_ascent).  The iteration tail (w, the
+    finiteness check, the clip and the rel-change difference) runs in
+    preallocated buffers, so from the second iteration on an iteration
+    allocates no image-sized array.
     """
     kernel = cfg.kernel
     p = cfg.dual_p
@@ -294,17 +352,17 @@ def solve(g, dp, cfg, *, dual=None):
     rows = kernel.support**2 * nch
     if dual is not None:
         _check_dual(dual, rows, h, w_, dtype)
-    lip = 8.0 * cfg.tau * (1.0 if dp is None else dp.alpha_plus * dp.alpha_plus)
     # tested before the Workspace casts the steering fields to dtype
-    if lip > float(np.finfo(dtype).max):
-        raise ValueError("the step bound 8 tau alpha_plus^2 = %g exceeds the %s range"
-                         % (lip, dtype))
+    lip = _step_bound(cfg.tau, None if dp is None else dp.alpha_plus, dtype)
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
+    # the projection's band planes, reserved before any band is scattered
+    ws.planes(_ball_planes(p, rows), (ws.band_rows, w_), ws.band_slot(ws.band_rows))
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
-    # becomes the accepted point, and the last accepted point prev.  A
-    # given dual starts as prev, and psi as its copy: the first
-    # extrapolated point is the start point itself.
+    # becomes the accepted point, and the last accepted point prev, over
+    # which the next extrapolated point is written.  A given dual starts
+    # as prev, and psi as its copy: the first extrapolated point is the
+    # start point itself.
     psi = dual_field(rows, h, w_, dtype)
     if dual is None:
         prev = dual_field(rows, h, w_, dtype)
@@ -312,38 +370,39 @@ def solve(g, dp, cfg, *, dual=None):
         prev = dual
         np.copyto(psi, dual)
     z, z_prev = np.empty(g.shape, dtype), np.empty(g.shape, dtype)
+    # the first J* reads the start point
+    _scatter(ws, psi, 0, h)
     t = 1.0
-    iterations = 0
     stop_reason = "max_iters"
+    # every solve ends in the break of its last iteration
     for it in range(1, cfg.max_iters + 1):
-        iterations = it
-        _primal_step(psi, g, dp, cfg, ws, out=z)
-        # psi += J z / L, then onto the balls: psi is the accepted point
-        jacobian_apply(z, kernel, dp, out=psi, workspace=ws, step=lip)
-        _project_ball(psi, p, ws)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        # the next extrapolated point psi + (t - 1)/t_next (psi - prev),
-        # written over prev; the accepted psi becomes prev
-        np.subtract(psi, prev, out=prev)
-        prev *= (t - 1.0) / t_next
-        prev += psi
-        psi, prev = prev, psi
-        t = t_next
+        _primal_step(psi, g, cfg, ws, out=z)
         if it > 1:
-            # z_prev is spent after this test: the next J* overwrites it
+            # z_prev is spent after this test: the next primal step
+            # overwrites it
             base = float(np.linalg.norm(z_prev))
             delta = float(np.linalg.norm(np.subtract(z, z_prev, out=z_prev)))
             if delta <= cfg.rel_tol * max(base, 1e-30):
                 stop_reason = "tol"
-                break
+        # the last ascent scatters the accepted psi, the last dual, for the
+        # final primal step
+        last = stop_reason == "tol" or it == cfg.max_iters
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        _ascent(z, psi, None if last else prev, (t - 1.0) / t_next, p, ws, lip)
+        if last:
+            break
+        # the next extrapolated point is in prev, and the accepted psi
+        # becomes prev
+        psi, prev = prev, psi
+        t = t_next
         z, z_prev = z_prev, z
-    if dual is not None and prev is not dual:
-        np.copyto(dual, prev)
-        prev = dual
-    # only prev is read from here on: release psi before the result is
-    # allocated
-    del psi
-    return SolveResult(Image(_primal_step(prev, g, dp, cfg, ws)), iterations, stop_reason)
+    if dual is not None and psi is not dual:
+        np.copyto(dual, psi)
+        psi = dual
+    # only psi and the scatter are read from here on: release prev before
+    # the result is allocated
+    del prev
+    return SolveResult(Image(_primal_step(psi, g, cfg, ws)), it, stop_reason)
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters,

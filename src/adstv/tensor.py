@@ -16,21 +16,30 @@ direction th and modulating its strength through a-.
 
 A dual field is a C-contiguous (2, L*C, H, W) array, as dual_field
 allocates and jacobian_apply fills: field[k, r] is row r of gradient
-component k, one contiguous H x W plane.  A row is gathered as a slice of
-the gradient plane extended by the kernel radius under reflect indexing
-(one np.take through a flat index); the adjoint adds each row into a
-padded plane at the same slice, as one contiguous run, and folds the
-border back onto the samples it mirrors.  Per-pixel Gram sums run over the
-rows axis.  jacobian_apply has one tap loop, which
-adds every row into the field: plain J adds into a zeroed field, and the
-solver's dual ascent step adds J / step into its dual.  Every kernel,
-steered or not, runs that loop; a 1x1 kernel (TV, EADTV) has no extension,
-and its one row is the gradient plane itself.
+component k, one contiguous H x W plane.  Per-pixel Gram sums run over the
+rows axis.
+
+Each operator is two steps, one over the whole image and one over a band
+of image rows.  J first extends every channel's (steered) gradient planes
+by the kernel radius under reflect indexing (one np.take through a flat
+index); its tap loop then gathers each row of a band as a slice of those
+extensions and adds it into the field: plain J adds into a zeroed field,
+and the solver's dual ascent step adds J / step into its dual.  J*'s
+scatter adds each row of a band into a padded accumulator at the same
+slice, as one contiguous run; its finish folds the border back onto the
+samples it mirrors, steers, and takes the divergence.  jacobian_apply and
+jacobian_adjoint_apply run the image as one band, unless jacobian_apply
+is given an each_band hook: the solver's ascent passes one that projects
+and extrapolates each band between its gather and its scatter, while the
+band is in cache.  Bands taken from the top give every sum the order of
+the one-band case, so the band count changes no bit of any result.  A 1x1
+kernel (TV, EADTV) has no extension, its one row is the gradient plane
+itself, and J* reads the field's own planes: its scatter does nothing.
 
 A Workspace carries what every call for the same operands shares: the
-taps, the extension index, the steering products and the scratch planes.
-The solver builds one per solve and passes it to every J and J*, which then
-allocate nothing; a call without one builds its own.
+taps, the extension index, the steering products, the bands and the
+scratch planes.  The solver builds one per solve and passes it to every J
+and J*, which then allocate nothing; a call without one builds its own.
 
 Both operators follow the dtype of their input: float32 samples or fields
 give float32 results, computed through float32 scratch planes and steering
@@ -99,6 +108,11 @@ class DirectionalParams:
 # ---------------------------------------------------------------------------
 # Gather/scatter plumbing
 
+# The bytes of dual field that one band of the solver's ascent covers at
+# most: a band's rows of the two dual fields stay in cache from the gather
+# to the scatter.  A field of at most this size is one band.
+BAND_BYTES = 2**21
+
 
 class Workspace:
     """Constants and scratch memory shared by the operator calls of one solve.
@@ -106,15 +120,26 @@ class Workspace:
     Built once from (kernel, channels, H, W, dp, dtype).  It holds the taps
     as offsets and square-root weights, the flat index of the reflect
     extension by the kernel radius, the steering fields and the products
-    that the adjoint needs, a boolean mask per channel and one block of
-    scratch planes.  The steering arrays and the block are in dtype, the
-    dtype of the samples and fields the workspace serves.
-    J, J* and the ball projection each draw their planes from the start of
-    that block and never hold them past their own call, so the block is as
-    large as the largest single demand; it grows only on a demand larger
-    than any before.  Their arithmetic reads and writes whole C-contiguous
-    planes or one-dimensional runs, which numpy iterates without buffers of
-    its own: strided two-dimensional windows are only copied.
+    that the adjoint needs, a boolean mask per channel, the bands of image
+    rows that the solver's ascent works through, and one block of scratch
+    planes.  The steering arrays and the block are in dtype, the dtype of
+    the samples and fields the workspace serves.
+
+    The block is counted in extension-sized slots.  With a kernel radius
+    above 0, J*'s 2C padded accumulators take the first 2C slots and J's 2C
+    extended gradient planes the next 2C (component k of channel c at
+    2c + k in both); a one-tap kernel has no accumulators, and its gradient
+    planes are its extensions.  All other planes are scratch of one phase:
+    J's extension step takes its planes past the extensions, J*'s finish
+    over them, and a band its row, projection and grid planes past both,
+    where they spare the extensions that later bands read and the
+    accumulators that earlier bands filled.  A whole-image band has nothing
+    to spare: its row and projection start at slot 0 and its grid over the
+    spent extensions.  The block is sized for J and J* when the workspace
+    is built, and the solver reserves its projection's planes next, so it
+    never grows under a view that is still in use.  Arithmetic reads and
+    writes whole C-contiguous planes or one-dimensional runs, which numpy
+    iterates without buffers of its own: strided windows are only copied.
     """
 
     def __init__(self, kernel, channels, h, w, dp=None, dtype=np.float64):
@@ -141,22 +166,59 @@ class Workspace:
             (self.cos, self.sin, self.am, self.cos_ap, self.sin_am,
              self.sin_ap, self.cos_am) = (np.asarray(a, self.dtype) for a in steering)
         self.mask = np.empty((channels, h, w), dtype=bool)
+        # a band spans at most BAND_BYTES of the field; the bands are as
+        # even as that allows
+        row_bytes = 2 * len(self.taps) * channels * w * self.dtype.itemsize
+        count = -(-h // max(1, BAND_BYTES // row_bytes))
+        self.band_rows = -(-h // count)
+        # the (y0, y1) row ranges of the bands, from the top
+        self.bands = [(y0, min(y0 + self.band_rows, h)) for y0 in range(0, h, self.band_rows)]
+        self.ext_slot = 2 * channels if r else 0
+        self.free_slot = self.ext_slot + 2 * channels
+        steered = dp is not None
+        unit = r == 0 and self.taps[0][1] == 1.0
+        # J's extension step takes, past the extensions, the gradient pair
+        # (a one-tap kernel writes the extensions themselves) and, when
+        # steering, the raw pair; J*'s finish takes, over the extensions,
+        # the folded or weighted pair (unless the field's own planes
+        # serve) and three steering planes, or one for the divergence
+        self.gradient_planes = (2 if r else 0) + (2 if steered else 0)
+        self.finish_planes = (0 if unit else 2) + (3 if steered else 1)
         self._slot = self.padded_shape[0] * self.padded_shape[1]
         self._block = np.empty(0, self.dtype)
+        self._views = {}
+        plane = h * w
+        self._reserve(max(self.free_slot * self._slot + self.gradient_planes * plane,
+                          self.ext_slot * self._slot + self.finish_planes * plane))
 
-    def _reserve(self, slots):
-        if self._block.size < slots * self._slot:
-            self._block = None  # release the old block before the new one
-            self._block = np.empty(slots * self._slot, self.dtype)
+    def _reserve(self, size):
+        if self._block.size < size:
+            # release the old block, and the views into it, before the new
+            # one is allocated
+            self._views.clear()
+            self._block = None
+            self._block = np.empty(size, self.dtype)
 
-    def scratch(self, padded=0, planes=0):
-        """Lists of `padded` extension-sized and then `planes` image-sized
-        scratch planes, each C-contiguous, from the start of the block."""
-        self._reserve(padded + planes)
-        slots = self._block[: (padded + planes) * self._slot].reshape(-1, self._slot)
-        h, w = self.shape
-        return ([slot.reshape(self.padded_shape) for slot in slots[:padded]],
-                [slot[: h * w].reshape(h, w) for slot in slots[padded:]])
+    def planes(self, count, shape=None, slot=0):
+        """count C-contiguous planes of shape (the image's by default),
+        packed in the block from the start of slot on.  The same request
+        returns the same list of views, which callers only read."""
+        key = (count, shape, slot)
+        views = self._views.get(key)
+        if views is None:
+            rows, cols = self.shape if shape is None else shape
+            start, size = slot * self._slot, rows * cols
+            self._reserve(start + count * size)
+            views = self._views[key] = [
+                self._block[start + i * size : start + (i + 1) * size].reshape(rows, cols)
+                for i in range(count)]
+        return views
+
+    def band_slot(self, rows):
+        """The slot where the row and projection scratch of a band of rows
+        starts: the block's start for the whole image, else past the
+        extensions and accumulators."""
+        return 0 if rows == self.shape[0] else self.free_slot
 
 
 def _workspace(workspace, kernel, channels, h, w, dp, dtype):
@@ -234,7 +296,138 @@ def _gradient(ws, channel, gx, gy, tmp):
     gy *= ws.am
 
 
-def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=None):
+def _extend(ws, channels):
+    """J's whole-image step: the (steered) gradient of every channel of the
+    (C, H, W) samples, extended by the kernel radius under reflect
+    indexing, in the workspace's extension planes, which it returns."""
+    ext = ws.planes(2 * ws.channels, ws.padded_shape, ws.ext_slot)
+    planes = ws.planes(ws.gradient_planes, slot=ws.free_slot)
+    r = ws.kernel.radius
+    for c in range(ws.channels):
+        if r:
+            _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
+            for k in range(2):
+                np.take(planes[k], ws.extension, out=ext[2 * c + k], mode="clip")
+        else:
+            _gradient(ws, channels[c], ext[2 * c], ext[2 * c + 1], planes)
+    return ext
+
+
+def _gather(ws, ext, out, y0, y1, step):
+    """J's tap loop over rows y0:y1: adds every row of the patch Jacobian,
+    gathered from the extensions ext, into those rows of the field out,
+    each divided by step unless it is None.  A one-tap kernel's row is its
+    gradient plane itself, which no other row reads: it is scaled in
+    place."""
+    r = ws.kernel.radius
+    w = ws.shape[1]
+    L = len(ws.taps)
+    if r:
+        row = ws.planes(1, (y1 - y0, w), ws.band_slot(y1 - y0))[0]
+    for c in range(ws.channels):
+        for k in range(2):
+            src = ext[2 * c + k]
+            for l, ((dy, dx), sw) in enumerate(ws.taps):
+                if sw == 0.0:
+                    continue
+                # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
+                if r:
+                    row[...] = src[r - dy + y0 : r - dy + y1, r - dx : r - dx + w]
+                else:
+                    row = src[y0:y1]
+                if sw != 1.0:
+                    row *= sw
+                if step is not None:
+                    row /= step
+                out[k, c * L + l, y0:y1] += row
+
+
+def _scatter(ws, data, y0, y1):
+    """J*'s per-band step: adds rows y0:y1 of every row plane of the field
+    data into the workspace's padded accumulators, each sample at its
+    source pixel i - p_l.  The band that starts at row 0 zeroes them
+    first, and the bands must come from the top: then every accumulator
+    sample takes its taps in tap order, whatever the bands.  A one-tap
+    kernel has nothing to scatter: _finish reads the field's own planes."""
+    r = ws.kernel.radius
+    if not r:
+        return
+    h, w = ws.shape
+    L = len(ws.taps)
+    acc = ws.planes(2 * ws.channels, ws.padded_shape)
+    if y0 == 0:
+        for plane in acc:
+            plane[...] = 0.0
+    rows = y1 - y0
+    wp = ws.padded_shape[1]
+    # A row is copied into a (rows, wp) grid whose last 2r columns are
+    # zero, so adding it into the padded plane is one contiguous run; the
+    # zeros land on samples of the padded plane outside the window.
+    grid = ws.planes(1, (rows, wp), ws.ext_slot if rows == h else ws.free_slot)[0]
+    grid[:, w:] = 0.0
+    run = (rows - 1) * wp + w
+    term = grid.reshape(-1)[:run]
+    for c in range(ws.channels):
+        for k in range(2):
+            flat = acc[2 * c + k].reshape(-1)
+            for l, ((dy, dx), sw) in enumerate(ws.taps):
+                if sw == 0.0:
+                    continue
+                grid[:, :w] = data[k, c * L + l, y0:y1]
+                if sw != 1.0:
+                    term *= sw
+                start = (r - dy + y0) * wp + (r - dx)
+                flat[start : start + run] += term
+
+
+def _finish(ws, data, out=None):
+    """J*'s whole-image step, once every band of the field data is
+    scattered: folds the reflect border of each accumulator onto the
+    samples it mirrors, steers, and writes the negative divergence to out
+    (a new (C, H, W) array when not given), which it returns.  A one-tap
+    kernel reads data's own planes, times the tap's weight."""
+    h, w = ws.shape
+    r = ws.kernel.radius
+    if out is None:
+        out = np.empty((ws.channels, h, w), ws.dtype)
+    planes = ws.planes(ws.finish_planes, slot=ws.ext_slot)
+    first = ws.finish_planes - (3 if ws.dp is not None else 1)
+    if r:
+        acc = ws.planes(2 * ws.channels, ws.padded_shape)
+    for c in range(ws.channels):
+        if r:
+            for k in range(2):
+                a = acc[2 * c + k]
+                for j in (*range(r), *range(h + r, h + 2 * r)):
+                    a[r + ws.ys[j]] += a[j]
+                folded = planes[k]
+                folded[...] = a[r : r + h, r : r + w]
+                for j in (*range(r), *range(w + r, w + 2 * r)):
+                    folded[:, ws.xs[j]] += a[r : r + h, j]
+            ax, ay = planes[0], planes[1]
+        else:
+            # one tap: the rows are the channel's gradients, times sw
+            ax, ay = data[0, c], data[1, c]
+            sw = ws.taps[0][1]
+            if sw != 1.0:
+                ax = np.multiply(sw, ax, out=planes[0])
+                ay = np.multiply(sw, ay, out=planes[1])
+        if ws.dp is not None:
+            bx, by, tmp = planes[first : first + 3]
+            np.multiply(ws.cos_ap, ax, out=bx)
+            np.multiply(ws.sin_am, ay, out=tmp)
+            bx -= tmp
+            np.multiply(ws.sin_ap, ax, out=by)
+            np.multiply(ws.cos_am, ay, out=tmp)
+            by += tmp
+            ax, ay = bx, by
+        div_backward(ax, ay, out=out[c], scratch=planes[-1])
+        np.negative(out[c], out=out[c])
+    return out
+
+
+def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=None,
+                   each_band=None):
     """Raw forward operator: (C, H, W) samples -> (2, L*C, H, W) field.
 
     The result is a C-contiguous field in the samples' dtype (float32 stays
@@ -249,9 +442,17 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     zeroed, and each row is divided by step before it is added, so out
     gains J(channels) / step.  step is a scalar, the solver's one step
     bound.
+
+    each_band, valid only with step, splits the rows into the workspace's
+    bands: each_band(y0, y1) is called as soon as rows y0:y1 of every row
+    plane of out are complete, band by band from the top, so that the
+    caller can work on a band while it is in cache.  Without it the image
+    is one band.
     """
     if np.ndim(step):
         raise ValueError("step must be a scalar")
+    if each_band is not None and step is None:
+        raise ValueError("each_band is valid only with step")
     channels = as_float(channels)
     nch, h, w = channels.shape
     ws = _workspace(workspace, kernel, nch, h, w, dp, channels.dtype)
@@ -264,30 +465,11 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
         _check_field(out, "out", (2, L * nch, h, w), channels.dtype)
         if step is None:
             out[...] = 0.0
-    r = kernel.radius
-    # planes[2] takes the row being added (when steering it is free once
-    # the gradient is taken); with one tap the row is the gradient plane
-    # itself, which no other row reads
-    pads, planes = ws.scratch(1 if r else 0, 4 if dp is not None else 2 + (r > 0))
-    for c in range(nch):
-        _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
-        for k in range(2):
-            ext = planes[k]
-            if r:
-                ext = np.take(ext, ws.extension, out=pads[0], mode="clip")
-            for l, ((dy, dx), sw) in enumerate(ws.taps):
-                if sw == 0.0:
-                    continue
-                # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                row = ext
-                if r:
-                    row = planes[2]
-                    row[...] = ext[r - dy : r - dy + h, r - dx : r - dx + w]
-                if sw != 1.0:
-                    row *= sw
-                if step is not None:
-                    row /= step
-                out[k, c * L + l] += row
+    ext = _extend(ws, channels)
+    for y0, y1 in ws.bands if each_band is not None else [(0, h)]:
+        _gather(ws, ext, out, y0, y1, step)
+        if each_band is not None:
+            each_band(y0, y1)
     return out
 
 
@@ -304,71 +486,12 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
         raise ValueError("the field must be (2, rows, H, W)")
     _, rows, h, w = data.shape
     ws = _workspace(workspace, kernel, channels, h, w, dp, data.dtype)
-    L = len(ws.taps)
-    if rows != L * channels:
+    if rows != len(ws.taps) * channels:
         raise ValueError("field row count does not match kernel and channels")
-    if out is None:
-        out = np.empty((channels, h, w), data.dtype)
-    elif out.shape != (channels, h, w) or out.dtype != data.dtype:
+    if out is not None and (out.shape != (channels, h, w) or out.dtype != data.dtype):
         raise ValueError("out does not match image, channels and dtype")
-    r = kernel.radius
-    steered = dp is not None
-    unit = r == 0 and ws.taps[0][1] == 1.0
-    # planes[:2] hold the scattered rows unless the field's own planes
-    # serve; the next three (one unsteered) serve steering and divergence
-    first = 0 if unit else 2
-    pads, planes = ws.scratch(3 if r else 0, first + (3 if steered else 1))
-    if r:
-        wp = ws.padded_shape[1]
-        # A row is copied into an (h, wp) layout whose last 2r columns are
-        # zero, so adding it into the padded plane is one contiguous run;
-        # the zeros land on samples of the padded plane outside the window.
-        run = (h - 1) * wp + w
-        grid = pads[2].reshape(-1)[: h * wp].reshape(h, wp)
-        grid[:, w:] = 0.0
-        term = pads[2].reshape(-1)[:run]
-    for c in range(channels):
-        if r == 0:
-            # one tap: the rows are the channel's gradients, times sw
-            ax, ay = data[0, c], data[1, c]
-            sw = ws.taps[0][1]
-            if sw != 1.0:
-                ax = np.multiply(sw, ax, out=planes[0])
-                ay = np.multiply(sw, ay, out=planes[1])
-        else:
-            for k in range(2):
-                # scatter each row back to its source pixel i - p_l, then
-                # fold the reflect border onto the samples it came from
-                acc = pads[k]
-                acc[...] = 0.0
-                flat = acc.reshape(-1)
-                for l, ((dy, dx), sw) in enumerate(ws.taps):
-                    if sw == 0.0:
-                        continue
-                    grid[:, :w] = data[k, c * L + l]
-                    if sw != 1.0:
-                        term *= sw
-                    start = (r - dy) * wp + (r - dx)
-                    flat[start : start + run] += term
-                for j in (*range(r), *range(h + r, h + 2 * r)):
-                    acc[r + ws.ys[j]] += acc[j]
-                folded = planes[k]
-                folded[...] = acc[r : r + h, r : r + w]
-                for j in (*range(r), *range(w + r, w + 2 * r)):
-                    folded[:, ws.xs[j]] += acc[r : r + h, j]
-            ax, ay = planes[0], planes[1]
-        if steered:
-            bx, by, tmp = planes[first : first + 3]
-            np.multiply(ws.cos_ap, ax, out=bx)
-            np.multiply(ws.sin_am, ay, out=tmp)
-            bx -= tmp
-            np.multiply(ws.sin_ap, ax, out=by)
-            np.multiply(ws.cos_am, ay, out=tmp)
-            by += tmp
-            ax, ay = bx, by
-        div_backward(ax, ay, out=out[c], scratch=planes[-1])
-        np.negative(out[c], out=out[c])
-    return out
+    _scatter(ws, data, 0, h)
+    return _finish(ws, data, out)
 
 
 # ---------------------------------------------------------------------------

@@ -169,25 +169,22 @@ def reference_solve(g, dp, cfg, lip=None, dual=None):
 def iteration_probe(monkeypatch, on_iterate=None, on_accepted=None):
     """Watch solve's loop from outside, through monkeypatch.
 
-    on_iterate(z) sees each iteration's primal iterate z, the first
-    argument solve hands to jacobian_apply; on_accepted(psi) sees each
-    iteration's accepted dual, the field _project_ball returns.  Both are
-    solve's reused buffers, valid until the next iteration; the last
-    accepted dual stays intact after solve returns.  Both wraps go through
-    monkeypatch.setattr on adstv.solver, which fails if either attribute
-    is renamed."""
-    apply, project = solver.jacobian_apply, solver._project_ball
+    Each iteration's ascent is one jacobian_apply call, which projects
+    every band of the dual as soon as it has its step.  on_iterate(z) sees
+    the iteration's primal iterate z, the first argument solve hands to
+    that call; on_accepted(psi) sees the field the call returns, the
+    iteration's whole accepted dual.  Both are solve's reused buffers,
+    valid until the next iteration; the last accepted dual stays intact
+    after solve returns.  The wrap goes through monkeypatch.setattr on
+    adstv.solver, which fails if the attribute is renamed."""
+    apply = solver.jacobian_apply
 
     def jacobian_apply(z, *args, **kwargs):
         if on_iterate is not None:
             on_iterate(z)
-        return apply(z, *args, **kwargs)
-
-    def project_ball(*args, **kwargs):
-        accepted = project(*args, **kwargs)
+        accepted = apply(z, *args, **kwargs)
         if on_accepted is not None:
             on_accepted(accepted)
         return accepted
 
     monkeypatch.setattr(solver, "jacobian_apply", jacobian_apply)
-    monkeypatch.setattr(solver, "_project_ball", project_ball)

@@ -549,20 +549,68 @@ def test_bench_refuses_an_unwritable_out_before_any_solve(tmp_path, capsys, monk
     assert not (tmp_path / "missing").exists()
 
 
-def test_a_failed_sweep_leaves_an_existing_out_as_it_was(tmp_path, capsys):
+def test_an_alpha_plus_beyond_float32_is_a_validation_error(tmp_path, capsys):
+    # at this tau the step bound 8 tau alpha_plus^2 fits float32, and
+    # alpha_plus itself, which the steering products carry, does not
+    src, dst = tmp_path / "src.pfm", tmp_path / "dst.pfm"
+    save_image(stripe_image(16, 16, 0.5), src)
+    for reg in ("eadtv", "adstv"):
+        code, err = refused(capsys, ["denoise", "--input", str(src), "--output", str(dst),
+                                     "--regularizer", reg, "--tau", "1e-80",
+                                     "--alpha-plus", "1e39"])
+        assert code == 1 and err.startswith(
+            "error: alpha_plus = 1e+39 exceeds the float32 range"), err
+        assert not dst.exists()
+
+
+def test_bench_refuses_a_step_bound_beyond_float32_before_any_solve(tmp_path, capsys,
+                                                                    monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    out = tmp_path / "r.csv"
+    solves, analyses = [], []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    monkeypatch.setattr(bench, "analyze", lambda *args: analyses.append(args))
+    # tv's solves would fit; adstv's step bound, or its alpha_plus, does not
+    for taus, alphas, says in (("0.05", "4,1e200", "the step bound"),
+                               ("1e-80", "1e39", "alpha_plus = 1e+39")):
+        code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out),
+                                     "--sigmas", "0.1", "--regularizers", "tv,adstv",
+                                     "--tau-grid", taus, "--alpha-grid", alphas])
+        assert code == 1 and err.startswith("error: " + says), err
+        assert "exceeds the float32 range" in err
+    # an unsteered grid is held to the unsteered bound 8 tau
+    code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out),
+                                 "--sigmas", "0.1", "--regularizers", "tv",
+                                 "--tau-grid", "0.05,1e38"])
+    assert code == 1 and err.startswith("error: the step bound"), err
+    assert solves == [] and analyses == [] and not out.exists()
+
+
+def test_a_failed_sweep_leaves_an_existing_out_as_it_was(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
     out = tmp_path / "r.csv"
     out.write_text("an earlier sweep\n")
-    # tv runs first and succeeds; adstv's alpha then fails its solve
-    failing = ["bench", "--corpus", str(corpus), "--out", str(out), "--sigmas", "0.1",
-               "--regularizers", "tv,adstv", "--tau-grid", "0.05", "--alpha-grid", "1e200"]
-    code, _ = refused(capsys, failing)
-    assert code == 1 and out.read_text() == "an earlier sweep\n"
-    fresh = tmp_path / "fresh.csv"
-    code, _ = refused(capsys, failing[:4] + [str(fresh)] + failing[5:])
-    assert code == 1 and not fresh.exists()
+    sweep = ["bench", "--corpus", str(corpus), "--out", str(out), "--sigmas", "0.1",
+             "--regularizers", "tv,adstv", "--tau-grid", "0.05", "--alpha-grid", "4"]
+    real = bench.solve
+
+    def steered_fails(g, dp, cfg):
+        if dp is not None:
+            raise FloatingPointError("non-finite values in solver iterate")
+        return real(g, dp, cfg)
+
+    # tv runs first and succeeds; adstv's first solve then fails
+    with monkeypatch.context() as mp:
+        mp.setattr(bench, "solve", steered_fails)
+        code, _ = refused(capsys, sweep)
+        assert code == 1 and out.read_text() == "an earlier sweep\n"
+        fresh = tmp_path / "fresh.csv"
+        code, _ = refused(capsys, sweep[:4] + [str(fresh)] + sweep[5:])
+        assert code == 1 and not fresh.exists()
     # a sweep that finishes replaces it
-    assert main(failing[:-1] + ["4"]) == 0
+    assert main(sweep) == 0
     assert out.read_text().startswith("image_id,")

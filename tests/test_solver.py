@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adstv import Image
+from adstv import Image, tensor
 from adstv.bench import derive_seed
 from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
@@ -21,6 +21,7 @@ from adstv.solver import (
 from adstv.image import NoiseSpec, add_gaussian_noise
 from adstv.tensor import (
     DirectionalParams,
+    Workspace,
     dual_field,
     jacobian_adjoint_apply,
     jacobian_apply,
@@ -47,6 +48,13 @@ def project_block(m, p):
 def svd_clamp(m):
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return (u * np.minimum(s, 1.0)) @ vt
+
+
+def band_rows(monkeypatch, rows, kernel, channels, w, dtype=np.float64):
+    """Patch tensor.BAND_BYTES so that a band of a (2, support^2 * channels,
+    H, w) field of dtype spans at most rows image rows."""
+    row_bytes = 2 * kernel.support**2 * channels * w * np.dtype(dtype).itemsize
+    monkeypatch.setattr(tensor, "BAND_BYTES", rows * row_bytes)
 
 
 def test_config_validation_and_defaults():
@@ -459,6 +467,94 @@ def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
         assert np.array_equal(dual, ref_dual)
 
 
+BAND_KERNELS = {"delta": delta_kernel(), "3x3": gaussian_kernel(0.5, 3),
+                "5x5": gaussian_kernel(1.0, 5)}
+
+
+@pytest.mark.parametrize("kernel", sorted(BAND_KERNELS))
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_banded_solve_is_bit_identical_to_fresh_array_reference(rows, kernel, monkeypatch):
+    # 19 rows as bands of at most 1, 2, 3 or 7 rows: the last band of 2,
+    # 3 and 7 is short (1, 1 and 5 rows).  Every output and final dual of
+    # a banded solve equals the one-band reference, bit for bit: cold
+    # solves that hit the cap, and for each channel count and dtype a warm
+    # one that stops on the tolerance.
+    k = BAND_KERNELS[kernel]
+    h, w = 19, 8
+    rng = np.random.default_rng([rows, k.support])
+    for c in (1, 3):
+        for dtype in (np.float32, np.float64):
+            band_rows(monkeypatch, rows, k, c, w, dtype)
+            bands = Workspace(k, c, h, w, None, dtype).bands
+            assert bands[0] == (0, rows) and bands[-1][1] == h
+            assert [y1 - y0 for y0, y1 in bands[:-1]] == [rows] * (len(bands) - 1)
+            for steered in (False, True):
+                for q in (1, 2):
+                    g = Image((rng.random((c, h, w)) * 1.4 - 0.2).astype(dtype))
+                    dp = rand_params(rng, h, w) if steered else None
+                    cfg = SolverConfig(tau=0.1, q=q, kernel=k, max_iters=4, rel_tol=1e-15)
+                    dual = ref_dual = None
+                    if (steered, q) == ((dtype == np.float64), (1 if c == 1 else 2)):
+                        cfg = replace(cfg, max_iters=60, rel_tol=1e-2)
+                        dual = dual_field(k.support**2 * c, h, w, dtype)
+                        dual[...] = rng.standard_normal(dual.shape)
+                        _project_ball(dual, cfg.dual_p)
+                        ref_dual = dual.copy()
+                    res = solve(g, dp, cfg, dual=dual)
+                    expected, iterations = reference_solve(g, dp, cfg, dual=ref_dual)
+                    assert res.iterations == iterations
+                    assert res.stop_reason == ("max_iters" if dual is None else "tol")
+                    assert np.array_equal(res.image.data, expected)
+                    if dual is not None:
+                        assert np.array_equal(dual, ref_dual)
+
+
+@pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
+def test_the_probe_sees_each_iteration_once_at_any_band_count(steered, monkeypatch):
+    # the iterates and accepted duals iteration_probe hands out are the
+    # same, one per iteration, whatever the band count, and the last
+    # accepted dual is the one solve writes back
+    rng = np.random.default_rng(61)
+    h, w = 23, 14
+    g = rand_image(rng, h, w)
+    dp = rand_params(rng, h, w) if steered else None
+    kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=9, rel_tol=1e-15)
+    seen = {}
+    for rows in (None, 1, 4):
+        if rows is not None:
+            band_rows(monkeypatch, rows, kernel, 1, w)
+        iterates, accepted = [], []
+        dual = dual_field(kernel.support**2, h, w)
+        with pytest.MonkeyPatch.context() as mp:
+            iteration_probe(mp, on_iterate=lambda z: iterates.append(z.copy()),
+                            on_accepted=lambda psi: accepted.append(psi.copy()))
+            res = solve(g, dp, cfg, dual=dual)
+        assert len(iterates) == len(accepted) == res.iterations == 9
+        assert np.array_equal(accepted[-1], dual)
+        seen[rows] = (iterates, accepted)
+    assert len(Workspace(kernel, 1, h, w, dp).bands) == 6
+    for rows in (1, 4):
+        for ours, one_band in zip(seen[rows], seen[None]):
+            assert all(np.array_equal(a, b) for a, b in zip(ours, one_band))
+
+
+def test_band_counts_follow_the_field_size():
+    # a field of at most BAND_BYTES is one band: the 0.66 MB float32 field
+    # of a 96^2 3x3 solve, and the float32 field of a 512^2 TV cleanup,
+    # exactly 2 MiB; the 37.7 MB float64 field of a 512^2 3x3 solve is cut
+    # into even bands, none above BAND_BYTES
+    k3 = gaussian_kernel(0.5, 3)
+    assert len(Workspace(k3, 1, 96, 96, None, np.float32).bands) == 1
+    assert 2 * 512 * 512 * 4 == tensor.BAND_BYTES
+    assert len(Workspace(delta_kernel(), 1, 512, 512, None, np.float32).bands) == 1
+    bands = Workspace(k3, 1, 512, 512, None, np.float64).bands
+    assert len(bands) >= 2
+    sizes = {y1 - y0 for y0, y1 in bands}
+    assert max(sizes) - min(sizes) <= 1 and sum(sizes) > 0
+    assert max(sizes) * 2 * 9 * 512 * 8 <= tensor.BAND_BYTES
+
+
 def test_a_zero_start_is_the_cold_start_and_returns_the_last_dual():
     rng = np.random.default_rng(28)
     g = Image(rng.random((1, 9, 8)).astype(np.float32))
@@ -538,9 +634,11 @@ def test_stop_reason_tells_tol_from_the_cap(steered):
     assert solve(g, dp, one).stop_reason == "max_iters"
 
 
-@pytest.mark.parametrize("case", ["tv", "steered"])
-def test_iterations_after_the_second_allocate_less_than_a_plane(case, monkeypatch):
-    # peak traced memory between consecutive projections (one whole
+@pytest.mark.parametrize("case, rows", [("tv", None), ("steered", None), ("tv", 5),
+                                        ("steered", 5)],
+                         ids=["tv", "steered", "tv-bands-of-5", "steered-bands-of-5"])
+def test_iterations_after_the_second_allocate_less_than_a_plane(case, rows, monkeypatch):
+    # peak traced memory between consecutive accepted duals (one whole
     # iteration apart), above what was held at the earlier one
     rng = np.random.default_rng(24)
     h = w = 64
@@ -551,6 +649,9 @@ def test_iterations_after_the_second_allocate_less_than_a_plane(case, monkeypatc
     else:
         dp = rand_params(rng, h, w)
         cfg = SolverConfig(tau=0.1, q=1, max_iters=8, rel_tol=1e-15)
+    if rows is not None:
+        band_rows(monkeypatch, rows, cfg.kernel, 1, w)
+        assert len(Workspace(cfg.kernel, 1, h, w, dp).bands) == 13
     growth = {}
     held = {}
 
@@ -572,18 +673,30 @@ def test_iterations_after_the_second_allocate_less_than_a_plane(case, monkeypatc
     assert all(growth[it] < plane for it in range(3, 9)), growth
 
 
-def test_steered_solve_peaks_below_two_dual_fields_and_the_workspace():
+def test_steered_solve_peaks_below_two_dual_fields_and_the_workspace(monkeypatch):
+    steered_solve_peaks_below_two_dual_fields_and_the_workspace(None, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [5, 32], ids=["bands-of-5", "two-bands"])
+def test_banded_steered_solve_peaks_below_the_same_bound(rows, monkeypatch):
+    steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch)
+
+
+def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch):
     # The bound is counted from the shapes: two dual fields of 2 * 9 planes,
-    # the workspace block (eight extension-sized planes, the demand of the
-    # q=1 projection and of J*) and eleven planes for the rest: z, z_prev,
-    # cos and sin of theta, the four steering products, the extension index
-    # and the masks; the step is a scalar.  A third dual field (18 planes)
-    # does not fit.
+    # the workspace block (eight extension-sized planes: past the four
+    # slots of the accumulators and the extensions, the four planes of J's
+    # extension step, or a band's projection, which is no larger) and
+    # eleven planes for the rest: z, z_prev, cos and sin of theta, the
+    # four steering products, the extension index and the masks; the step
+    # is a scalar.  A third dual field (18 planes) does not fit.
     rng = np.random.default_rng(25)
     h = w = 64
     g = Image(rng.random((1, h, w)))
     dp = rand_params(rng, h, w)
     cfg = SolverConfig(tau=0.1, q=1, max_iters=4, rel_tol=1e-15)
+    if rows is not None:
+        band_rows(monkeypatch, rows, cfg.kernel, 1, w)
     plane = h * w * 8
     fields = 2 * (2 * 9) * plane
     block = 8 * (h + 2) * (w + 2) * 8
@@ -653,3 +766,18 @@ def test_an_infinite_sample_is_refused_before_the_box_clip(constraint):
     cfg = SolverConfig(tau=0.05, constraint=constraint)
     with pytest.raises(FloatingPointError, match="non-finite values in solver iterate"):
         solve(Image(data), None, cfg)
+
+
+def test_an_alpha_plus_beyond_the_dtype_range_is_refused_before_the_cast():
+    # the step bound 8 tau alpha_plus^2 fits float32 at this tau, and
+    # alpha_plus, which the Workspace's float32 steering products carry,
+    # does not; a float64 solve takes it
+    rng = np.random.default_rng(6)
+    g = rand_image(rng, 8, 8)
+    steered = DirectionalParams(1e39, np.ones((8, 8)), rng.random((8, 8)) * 3.0)
+    cfg = SolverConfig(tau=1e-80, q=1, kernel=delta_kernel())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha_plus = 1e\\+39 exceeds the float32 range"):
+            solve(Image(g.data.astype(np.float32)), steered, cfg)
+        assert solve(g, steered, cfg).image.data.dtype == np.float64

@@ -240,12 +240,10 @@ def test_workspace_and_out_change_no_value(support):
             out = np.empty((2, support**2 * c, h, w))
             into = np.empty((c, h, w))
             for _ in range(2):
-                for plane in sum(ws.scratch(3, 8), []):
-                    plane[...] = np.nan
+                ws._block[...] = np.nan
                 assert jacobian_apply(f, k, dp, out=out, workspace=ws) is out
                 np.testing.assert_array_equal(out, jf)
-                for plane in sum(ws.scratch(3, 8), []):
-                    plane[...] = np.nan
+                ws._block[...] = np.nan
                 assert jacobian_adjoint_apply(psi, k, c, dp, out=into, workspace=ws) is into
                 np.testing.assert_array_equal(into, adj)
             other = None if dp is not None else rand_params(rng, h, w)
@@ -284,8 +282,7 @@ def test_step_mode_adds_j_over_step_into_out(kernel, shape):
                 expected = psi0 + jacobian_apply(z, k, dp) / step
                 psi = dual_field(rows, h, w)
                 psi[...] = psi0
-                for plane in sum(ws.scratch(3, 8), []):
-                    plane[...] = np.nan
+                ws._block[...] = np.nan
                 assert jacobian_apply(z, k, dp, out=psi, workspace=ws, step=step) is psi
                 assert np.array_equal(psi, expected)
 
@@ -296,6 +293,9 @@ def test_step_mode_needs_out_and_a_scalar_step():
     k = gaussian_kernel(0.5, 3)
     with pytest.raises(ValueError, match="only with out"):
         jacobian_apply(f, k, step=2.0)
+    # the band hook belongs to the ascent step
+    with pytest.raises(ValueError, match="only with step"):
+        jacobian_apply(f, k, out=dual_field(9, 6, 5), each_band=lambda y0, y1: None)
     # an (H, W) step plane, or any other array, is refused
     for step in (np.ones((6, 5)), np.ones((6, 1)), np.ones(1)):
         psi = dual_field(9, 6, 5)
@@ -633,7 +633,7 @@ def test_float32_operands_keep_float32_buffers(support):
             assert jacobian_adjoint_apply(field, k, c, dp).dtype == np.float32
             into = np.empty((c, h, w), np.float32)
             assert jacobian_adjoint_apply(field, k, c, dp, out=into, workspace=ws) is into
-            assert all(plane.dtype == np.float32 for plane in sum(ws.scratch(3, 8), []))
+            assert ws._block.dtype == np.float32
 
 
 def test_mixing_dtypes_with_a_workspace_or_out_raises():
