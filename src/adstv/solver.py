@@ -29,12 +29,26 @@ The ascent starts from the zero field, or from a dual the caller passes
 any point of the balls is a valid start, so a dual from a related problem
 (a coarser grid, a nearby tau) can warm-start the solve.
 
-The primal iterate z = P_C(w) doubles as the convergence test: iteration
-stops when its relative l2 change drops below rel_tol (stop_reason "tol"),
-or after max_iters (stop_reason "max_iters").  One helper computes z, for
-every iteration and for the final image, and one clip serves it, the box
-projection and the dual objective.  The ball projection takes its Gram
-eigenvalues from tensor.eig2x2, the helper analyze uses.
+Three rules stop the loop.  The primal iterate z = P_C(w) doubles as a
+convergence test: iteration stops when its relative l2 change drops below
+rel_tol (stop_reason "tol").  With a gap_tol, every GAP_EVERY iterations
+but the last the ascent scatters the accepted dual psi in place of the
+extrapolated point, and the solve takes the relative duality gap
+(P(z) - D(psi)) / P(z) at z = P_C(g - tau J~* psi), the very image it
+would return: the loop stops when the gap is at most gap_tol (stop_reason
+"gap"), and otherwise scatters the extrapolated point and goes on.  Else
+it stops after max_iters (stop_reason "max_iters").  The gap needs no dual
+field and no J~ call: at z = P_C(w), P(z) - D(psi) = tau R(z) - <z, tau
+J~* psi> (Fenchel-Young), and R(z) sums the Schatten norms of the per-pixel
+Gram of J~ z, the kernel-smoothed structure tensor of z's steered gradient
+(tensor._schatten_sum), from a few planes of the solve's Workspace.  Its
+sums are float64.  A solve with a gap_tol reports the gap of the image it
+returns, whatever stopped it.
+
+One helper computes z, for every iteration and for the final image, and
+one clip serves it, the box projection and the dual objective.  The ball
+projection takes its Gram eigenvalues from tensor.eig2x2, the helper
+analyze uses.
 
 A solve follows the dtype of its input image: a float32 g is solved in
 float32 throughout (dual fields, iterates, scratch planes and result), and
@@ -53,7 +67,9 @@ from .tensor import (
     _check_field,
     _finish,
     _gram,
+    _norm_planes,
     _scatter,
+    _schatten_sum,
     dual_field,
     eig2x2,
     jacobian_adjoint_apply,
@@ -76,6 +92,9 @@ __all__ = [
 KERNEL_SIGMA = 0.5
 KERNEL_SUPPORT = 3
 
+# A solve with a gap_tol takes its duality gap every GAP_EVERY iterations.
+GAP_EVERY = 10
+
 
 def _default_kernel():
     return gaussian_kernel(KERNEL_SIGMA, KERNEL_SUPPORT)
@@ -83,7 +102,8 @@ def _default_kernel():
 
 @dataclass
 class SolverConfig:
-    """Solver settings; the defaults match the reference configuration."""
+    """Solver settings; the defaults match the reference configuration.
+    gap_tol None takes no duality gap."""
 
     tau: float
     q: int = 1
@@ -91,6 +111,7 @@ class SolverConfig:
     rel_tol: float = 1e-5
     constraint: tuple = (0.0, 1.0)
     kernel: Kernel = dataclass_field(default_factory=_default_kernel)
+    gap_tol: float = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -101,6 +122,9 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError("rel_tol must be positive and finite")
+        if self.gap_tol is not None and not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
+            raise ValueError("gap_tol must be None or positive and finite, got %r"
+                             % self.gap_tol)
         if self.constraint is not None:
             lo, hi = self.constraint
             if not lo < hi:
@@ -114,12 +138,15 @@ class SolverConfig:
 @dataclass
 class SolveResult:
     """The restored image, the iterations run, and why the loop stopped:
-    "tol" when the relative change of z fell below rel_tol, "max_iters"
-    when the cap ran out first."""
+    "tol" when the relative change of z fell below rel_tol, "gap" when the
+    relative duality gap fell to gap_tol, "max_iters" when the cap ran out
+    first.  gap is the relative duality gap of the returned image, None
+    when the solve had no gap_tol."""
 
     image: Image
     iterations: int
     stop_reason: str = "max_iters"
+    gap: float = None
 
 
 def _clip(data, constraint, out=None):
@@ -250,29 +277,50 @@ def primal_energy(f, g, dp, cfg):
     return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
-def _primal_step(psi, g, cfg, workspace, out=None):
+def _primal_step(psi, g, cfg, workspace, out=None, scaled=None):
     """z = P_C(g - tau J* psi) for the (2, rows, H, W) field psi, whose
     bands the workspace has scattered, written to out when given (a
-    (C, H, W) array of g's dtype).  A non-finite g - tau J* psi raises
+    (C, H, W) array of g's dtype).  scaled, when given, is another such
+    array, which keeps tau J* psi.  A non-finite g - tau J* psi raises
     FloatingPointError: it is tested before the clip, which would map an
     infinite sample into the box."""
-    z = _finish(workspace, psi, out)
-    z *= cfg.tau
-    np.subtract(g.data, z, out=z)
+    s = _finish(workspace, psi, out if scaled is None else scaled)
+    s *= cfg.tau
+    z = np.subtract(g.data, s, out=s if scaled is None else out)
     if not np.isfinite(z, out=workspace.mask).all():
         raise FloatingPointError("non-finite values in solver iterate")
     return _clip(z, cfg.constraint, out=z)
 
 
-def _ascent(z, psi, prev, momentum, p, workspace, lip):
+def _relative_gap(psi, g, cfg, workspace, z, scaled):
+    """The relative duality gap (P(z) - D(psi)) / P(z) at the dual psi,
+    whose bands the workspace has scattered, and z = P_C(g - tau J* psi),
+    which it writes to z as _primal_step does; scaled is a scratch array
+    of z's shape and dtype.  At this z, P(z) - D(psi) = tau R(z) - <z,
+    tau J* psi>, which spares D the cancellation of ||g||^2 - ||w||^2; R
+    comes from the Gram of J z (tensor._schatten_sum), which leaves every
+    scratch plane of the workspace spent.  The gap is 0 where P(z) = 0: z
+    = g is then optimal."""
+    _primal_step(psi, g, cfg, workspace, out=z, scaled=scaled)
+    dot = float(np.einsum("cij,cij->", z, scaled, dtype=np.float64))
+    fit = np.subtract(g.data, z, out=scaled)
+    penalty = cfg.tau * _schatten_sum(workspace, z, cfg.q)
+    primal = 0.5 * float(np.einsum("cij,cij->", fit, fit, dtype=np.float64)) + penalty
+    # an allowance for the round-off of the per-pixel values, which are in
+    # z's dtype, keeps the gap an upper bound
+    slack = 4.0 * float(np.finfo(z.dtype).eps) * (penalty + abs(dot))
+    return max(penalty - dot + slack, 0.0) / primal if primal > 0 else 0.0
+
+
+def _ascent(z, psi, prev, momentum, p, workspace, lip, scatter_accepted=False):
     """The ascent step from the extrapolated point psi, band by band:
     psi += J z / L, and each band goes onto the balls as soon as it has
     its step, so that psi becomes the accepted point.  With prev, the last
     accepted point, each band then writes the next extrapolated point
     psi + momentum (psi - prev) over prev and scatters it for the next
-    J*; without prev (the last iteration) the band scatters psi, for the
-    final primal step.  Each band of psi and prev is read from memory
-    once.  Returns psi."""
+    J*; without prev (the last iteration), or with scatter_accepted (a gap
+    check), the band scatters psi instead.  Each band of psi and prev is
+    read from memory once.  Returns psi."""
 
     def accept(y0, y1):
         band = psi[:, :, y0:y1]
@@ -285,7 +333,7 @@ def _ascent(z, psi, prev, momentum, p, workspace, lip):
                 np.subtract(now, ahead, out=ahead)
                 ahead *= momentum
                 ahead += now
-        _scatter(workspace, psi if prev is None else prev, y0, y1)
+        _scatter(workspace, psi if prev is None or scatter_accepted else prev, y0, y1)
 
     return jacobian_apply(z, workspace.kernel, workspace.dp, out=psi, workspace=workspace,
                           step=lip, each_band=accept)
@@ -319,7 +367,8 @@ def _step_bound(tau, alpha_plus, dtype):
 
 def solve(g, dp, cfg, *, dual=None):
     """Run the dual ascent; returns a SolveResult: the restored image, the
-    iteration count and the stop reason.
+    iteration count, the stop reason and, with a cfg.gap_tol, the image's
+    relative duality gap.
 
     The solve follows g's dtype: a float32 g gives float32 dual fields,
     iterates and result, anything else float64.  dp may be None for the
@@ -343,7 +392,11 @@ def solve(g, dp, cfg, *, dual=None):
     run while it is in cache (_ascent).  The iteration tail (w, the
     finiteness check, the clip and the rel-change difference) runs in
     preallocated buffers, so from the second iteration on an iteration
-    allocates no image-sized array.
+    allocates no image-sized array.  A gap check (every GAP_EVERY
+    iterations with a cfg.gap_tol) runs in the workspace and one more
+    image-sized buffer; a check that does not stop the loop scatters the
+    extrapolated point again, so the iterates are those of a solve without
+    checks, bit for bit.
     """
     kernel = cfg.kernel
     p = cfg.dual_p
@@ -355,8 +408,13 @@ def solve(g, dp, cfg, *, dual=None):
     # tested before the Workspace casts the steering fields to dtype
     lip = _step_bound(cfg.tau, None if dp is None else dp.alpha_plus, dtype)
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
-    # the projection's band planes, reserved before any band is scattered
+    # the projection's band planes and the gap's planes, reserved before
+    # any band is scattered
     ws.planes(_ball_planes(p, rows), (ws.band_rows, w_), ws.band_slot(ws.band_rows))
+    scaled = None
+    if cfg.gap_tol is not None:
+        _norm_planes(ws)
+        scaled = np.empty(g.shape, dtype)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
     # becomes the accepted point, and the last accepted point prev, over
@@ -374,6 +432,7 @@ def solve(g, dp, cfg, *, dual=None):
     _scatter(ws, psi, 0, h)
     t = 1.0
     stop_reason = "max_iters"
+    gap = None
     # every solve ends in the break of its last iteration
     for it in range(1, cfg.max_iters + 1):
         _primal_step(psi, g, cfg, ws, out=z)
@@ -387,10 +446,20 @@ def solve(g, dp, cfg, *, dual=None):
         # the last ascent scatters the accepted psi, the last dual, for the
         # final primal step
         last = stop_reason == "tol" or it == cfg.max_iters
+        check = not last and scaled is not None and it % GAP_EVERY == 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        _ascent(z, psi, None if last else prev, (t - 1.0) / t_next, p, ws, lip)
+        _ascent(z, psi, None if last else prev, (t - 1.0) / t_next, p, ws, lip,
+                scatter_accepted=check)
         if last:
             break
+        if check:
+            # the check's image goes to the spent z_prev
+            gap = _relative_gap(psi, g, cfg, ws, z_prev, scaled)
+            if gap <= cfg.gap_tol:
+                stop_reason = "gap"
+                break
+            for y0, y1 in ws.bands:
+                _scatter(ws, prev, y0, y1)
         # the next extrapolated point is in prev, and the accepted psi
         # becomes prev
         psi, prev = prev, psi
@@ -402,7 +471,15 @@ def solve(g, dp, cfg, *, dual=None):
     # only psi and the scatter are read from here on: release prev before
     # the result is allocated
     del prev
-    return SolveResult(Image(_primal_step(psi, g, cfg, ws)), it, stop_reason)
+    if stop_reason == "gap":
+        # the image of the check that stopped the loop
+        image = z_prev
+    elif scaled is None:
+        image = _primal_step(psi, g, cfg, ws)
+    else:
+        image = np.empty(g.shape, dtype)
+        gap = _relative_gap(psi, g, cfg, ws, image, scaled)
+    return SolveResult(Image(image), it, stop_reason, gap)
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters,

@@ -22,9 +22,10 @@ rows axis.
 Each operator is two steps, one over the whole image and one over a band
 of image rows.  J first extends every channel's (steered) gradient planes
 by the kernel radius under reflect indexing (one np.take through a flat
-index); its tap loop then gathers each row of a band as a slice of those
-extensions and adds it into the field: plain J adds into a zeroed field,
-and the solver's dual ascent step adds J / step into its dual.  J*'s
+index); its tap loop then scales a band's rows of those extensions once
+per distinct tap weight, gathers each row of the band as a slice of them
+and adds it into the field: plain J adds into a zeroed field, and the
+solver's dual ascent step adds J / step into its dual.  J*'s
 scatter adds each row of a band into a padded accumulator at the same
 slice, as one contiguous run; its finish folds the border back onto the
 samples it mirrors, steers, and takes the divergence.  jacobian_apply and
@@ -35,6 +36,11 @@ band is in cache.  Bands taken from the top give every sum the order of
 the one-band case, so the band count changes no bit of any result.  A 1x1
 kernel (TV, EADTV) has no extension, its one row is the gradient plane
 itself, and J* reads the field's own planes: its scatter does nothing.
+
+The solver's duality gap needs the regularizer of an image, the sum of
+the Schatten norms of J's per-pixel blocks, and _schatten_sum takes it
+from the blocks' Gram matrices, the kernel-smoothed products of the
+extended gradients, without J's field.
 
 A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products, the bands and the
@@ -135,11 +141,13 @@ class Workspace:
     where they spare the extensions that later bands read and the
     accumulators that earlier bands filled.  A whole-image band has nothing
     to spare: its row and projection start at slot 0 and its grid over the
-    spent extensions.  The block is sized for J and J* when the workspace
-    is built, and the solver reserves its projection's planes next, so it
-    never grows under a view that is still in use.  Arithmetic reads and
-    writes whole C-contiguous planes or one-dimensional runs, which numpy
-    iterates without buffers of its own: strided windows are only copied.
+    spent extensions.  J's band scratch is the band's extension rows
+    scaled by one tap weight, then the row.  The block is sized for J and
+    J* when the workspace is built, and the solver reserves its
+    projection's planes and its gap's next, so it never grows under a view
+    that is still in use.  Arithmetic reads and writes whole C-contiguous
+    planes or one-dimensional runs, which numpy iterates without buffers
+    of its own: strided windows are only copied.
     """
 
     def __init__(self, kernel, channels, h, w, dp=None, dtype=np.float64):
@@ -152,6 +160,11 @@ class Workspace:
         self.dtype = np.dtype(dtype)
         # Python floats, so that they scale a float32 plane in float32
         self.taps = [(offset, float(np.sqrt(weight))) for offset, weight in kernel.taps()]
+        # the nonzero square-root weights, each with its (l, offset) taps
+        self.tap_weights = {}
+        for l, (offset, sw) in enumerate(self.taps):
+            if sw != 0.0:
+                self.tap_weights.setdefault(sw, []).append((l, offset))
         r = kernel.radius
         self.padded_shape = (h + 2 * r, w + 2 * r)
         self.ys, self.xs = _extension(r, h, w)
@@ -188,8 +201,14 @@ class Workspace:
         self._block = np.empty(0, self.dtype)
         self._views = {}
         plane = h * w
-        self._reserve(max(self.free_slot * self._slot + self.gradient_planes * plane,
-                          self.ext_slot * self._slot + self.finish_planes * plane))
+        sizes = [self.free_slot * self._slot + self.gradient_planes * plane,
+                 self.ext_slot * self._slot + self.finish_planes * plane]
+        if r:
+            # J's gather scratch: a whole-image band from slot 0, a smaller
+            # one past the extensions
+            sizes += [self.band_slot(rows) * self._slot + sum(
+                a * b for a, b in _gather_shapes(self, rows)) for rows in {h, self.band_rows}]
+        self._reserve(max(sizes))
 
     def _reserve(self, size):
         if self._block.size < size:
@@ -199,15 +218,16 @@ class Workspace:
             self._block = None
             self._block = np.empty(size, self.dtype)
 
-    def planes(self, count, shape=None, slot=0):
+    def planes(self, count, shape=None, slot=0, skip=0):
         """count C-contiguous planes of shape (the image's by default),
-        packed in the block from the start of slot on.  The same request
-        returns the same list of views, which callers only read."""
-        key = (count, shape, slot)
+        packed in the block from skip samples past the start of slot on.
+        The same request returns the same list of views, which callers
+        only read."""
+        key = (count, shape, slot, skip)
         views = self._views.get(key)
         if views is None:
             rows, cols = self.shape if shape is None else shape
-            start, size = slot * self._slot, rows * cols
+            start, size = slot * self._slot + skip, rows * cols
             self._reserve(start + count * size)
             views = self._views[key] = [
                 self._block[start + i * size : start + (i + 1) * size].reshape(rows, cols)
@@ -313,33 +333,47 @@ def _extend(ws, channels):
     return ext
 
 
+def _gather_shapes(ws, rows):
+    """The shapes of _gather's two scratch planes for a band of rows: the
+    band's extension rows scaled by one tap weight, and the row plane."""
+    r = ws.kernel.radius
+    return (rows + 2 * r, ws.padded_shape[1]), (rows, ws.shape[1])
+
+
 def _gather(ws, ext, out, y0, y1, step):
     """J's tap loop over rows y0:y1: adds every row of the patch Jacobian,
     gathered from the extensions ext, into those rows of the field out,
-    each divided by step unless it is None.  A one-tap kernel's row is its
-    gradient plane itself, which no other row reads: it is scaled in
-    place."""
+    each divided by step unless it is None.  The extension rows that the
+    band reads are scaled once per distinct tap weight (and divided by
+    step), and every row of that weight is a window of them, copied into
+    the row plane and added: per sample the same operations as scaling
+    each row.  A one-tap kernel's row is its gradient plane itself, which
+    no other row reads: it is scaled in place."""
     r = ws.kernel.radius
-    w = ws.shape[1]
     L = len(ws.taps)
+    band, w = y1 - y0, ws.shape[1]
     if r:
-        row = ws.planes(1, (y1 - y0, w), ws.band_slot(y1 - y0))[0]
+        slot = ws.band_slot(band)
+        padded, row_shape = _gather_shapes(ws, band)
+        scaled = ws.planes(1, padded, slot)[0]
+        row = ws.planes(1, row_shape, slot, padded[0] * padded[1])[0]
     for c in range(ws.channels):
         for k in range(2):
             src = ext[2 * c + k]
-            for l, ((dy, dx), sw) in enumerate(ws.taps):
-                if sw == 0.0:
-                    continue
-                # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                if r:
-                    row[...] = src[r - dy + y0 : r - dy + y1, r - dx : r - dx + w]
-                else:
-                    row = src[y0:y1]
+            for sw, taps in ws.tap_weights.items():
+                rows = src[y0 : y1 + 2 * r]
+                dst = scaled if r else rows
                 if sw != 1.0:
-                    row *= sw
+                    rows = np.multiply(rows, sw, out=dst)
                 if step is not None:
-                    row /= step
-                out[k, c * L + l, y0:y1] += row
+                    rows = np.divide(rows, step, out=dst)
+                # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
+                for l, (dy, dx) in taps:
+                    if r:
+                        row[...] = rows[r - dy : r - dy + band, r - dx : r - dx + w]
+                    else:
+                        row = rows
+                    out[k, c * L + l, y0:y1] += row
 
 
 def _scatter(ws, data, y0, y1):
@@ -554,3 +588,92 @@ def regularizer_value(f, k, dp=None, q=1):
     if q == 1:
         return float(np.sum(np.sqrt(lp) + np.sqrt(lm)))
     return float(np.sum(np.sqrt(lp + lm)))
+
+
+def _norm_planes(ws):
+    """The scratch planes of _schatten_sum: two padded planes, over the
+    spent accumulators (past the extensions for a one-tap kernel), and for
+    a kernel radius above 0 three (H, W + 2r) grids past the extensions."""
+    r = ws.kernel.radius
+    pair = ws.planes(2, ws.padded_shape, 0 if r else ws.free_slot)
+    if not r:
+        return pair, None
+    return pair, ws.planes(3, (ws.shape[0], ws.padded_shape[1]), ws.free_slot)
+
+
+def _schatten_sum(ws, channels, q):
+    """Sum over pixels of the Schatten-q norm of (J channels)[i], in
+    float64, for the (C, H, W) samples channels, without J's field.
+
+    The Gram of J at pixel i is the structure tensor of the (steered)
+    gradients smoothed by the kernel: sum_l K[p_l] (G^T G)[i - p_l], with
+    G the (C, 2) stack of the channels' gradients.  The gradient products,
+    summed over the channels, go over the extension planes (and one spare
+    plane for xy); each kernel weight scales them once, and every tap of
+    that weight adds them as one contiguous run into an (H, W + 2r) grid,
+    the trick of J*'s scatter, whose first W columns hold the pixels.  A
+    (rows, 2) block has nuclear norm sqrt(tr + 2 sqrt(det)) of its Gram
+    and Frobenius norm sqrt(tr); a single row (one tap, one channel) has
+    both equal to its norm.  The per-pixel values are in the workspace's
+    dtype, summed in float64.  Every plane of the workspace is scratch
+    here, the accumulators and the extensions included: the caller
+    scatters again before the next J*."""
+    h, w = ws.shape
+    r = ws.kernel.radius
+    nuclear = q == 1 and len(ws.taps) * ws.channels > 1
+    ext = _extend(ws, channels)
+    (pxy, spare), grids = _norm_planes(ws)
+    pxx, pyy = ext[0], ext[1]
+    for c in range(ws.channels):
+        gx, gy = ext[2 * c], ext[2 * c + 1]
+        if nuclear:
+            xy = np.multiply(gx, gy, out=pxy if c == 0 else spare)
+            if c:
+                pxy += xy
+        gx *= gx
+        gy *= gy
+        if c:
+            pxx += gx
+            pyy += gy
+    if nuclear:
+        products = (pxx, pxy, pyy)
+    else:
+        products = (np.add(pxx, pyy, out=pxx),)
+    wp = ws.padded_shape[1]
+    # the samples of the grids that hold pixels, as one run
+    run = (h - 1) * wp + w
+    if r:
+        for prod, grid in zip(products, grids):
+            flat = grid.reshape(-1)[:run]
+            first = True
+            for sw, taps in ws.tap_weights.items():
+                src = prod if sw == 1.0 else np.multiply(prod, sw * sw, out=spare)
+                src = src.reshape(-1)
+                for _, (dy, dx) in taps:
+                    start = (r - dy) * wp + (r - dx)
+                    if first:
+                        flat[...] = src[start : start + run]
+                        first = False
+                    else:
+                        flat += src[start : start + run]
+    else:
+        # the one tap's weight scales every product
+        sw = ws.taps[0][1]
+        for prod in products:
+            if sw != 1.0:
+                prod *= sw * sw
+        grids = pxx, pxy, pyy
+    gxx, gxy, gyy = (grid.reshape(-1)[:run] for grid in grids)
+    if nuclear:
+        trace = np.add(gxx, gyy, out=spare.reshape(-1)[:run])
+        gxx *= gyy
+        gxy *= gxy
+        gxx -= gxy
+        np.maximum(gxx, 0.0, out=gxx)
+        np.sqrt(gxx, out=gxx)
+        gxx *= 2.0
+        gxx += trace
+    np.sqrt(gxx, out=gxx)
+    # the run's samples past each row's W pixels are not pixels
+    grids[0][:, w:] = 0.0
+    return float(np.sum(gxx, dtype=np.float64))

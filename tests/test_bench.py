@@ -8,7 +8,7 @@ from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import DpeConfig, eadtv_angles, estimate
 from adstv.image import Image, add_gaussian_noise, save_image
-from adstv.solver import SolverConfig, solve
+from adstv.solver import GAP_EVERY, SolverConfig, solve
 from adstv.tensor import DirectionalParams
 
 from conftest import stripe_image
@@ -90,9 +90,9 @@ def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
     seen = []
     solve = bench.solve
 
-    def spy(g, dp, cfg):
+    def spy(g, dp, cfg, dual=None):
         seen.append((dp is None, cfg.kernel.support, cfg.q))
-        return solve(g, dp, cfg)
+        return solve(g, dp, cfg, dual=dual)
 
     monkeypatch.setattr(bench, "solve", spy)
     for reg, expected in (("tv", [(True, 1, 2)] * 2),
@@ -106,26 +106,63 @@ def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
         assert rec.alpha_plus in ((1.0,) if expected[0][0] else (3.0, 6.0))
 
 
+def test_run_tuple_chains_each_tau_from_the_last_dual_within_an_alpha(monkeypatch):
+    # one field per tuple: each alpha starts from zeros, each tau after its
+    # first from the dual the last tau left; every tuple starts cold
+    clean = stripe_image(12, 12, 0.5)
+    calls = []
+    solve = bench.solve
+
+    def spy(g, dp, cfg, dual=None):
+        start = dual.copy()
+        result = solve(g, dp, cfg, dual=dual)
+        calls.append((dp, cfg.tau, dual, start, dual.copy()))
+        return result
+
+    monkeypatch.setattr(bench, "solve", spy)
+    taus, alphas = [0.01, 0.02, 0.04], [3.0, 6.0]
+    for reg in ("stv", "adstv", "adstv"):
+        calls.clear()
+        bench.run_tuple(clean, "s", 0.1, reg, taus, alphas, 0, {"max_iters": 12})
+        assert len(calls) == len(taus) * (1 if reg == "stv" else len(alphas))
+        fields = {id(dual) for _, _, dual, _, _ in calls}
+        assert len(fields) == 1
+        for i, (dp, tau, _, start, end) in enumerate(calls):
+            assert tau == taus[i % len(taus)]
+            assert dp is None or dp.alpha_plus == alphas[i // len(taus)]
+            if i % len(taus) == 0:
+                assert not start.any()
+            else:
+                assert np.array_equal(start, calls[i - 1][4])
+            assert end.any()
+
+
 def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
     clean = stripe_image(12, 12, 0.5)
     seen = []
     solve = bench.solve
 
-    def spy(g, dp, cfg):
-        seen.append((cfg.max_iters, cfg.rel_tol, cfg.q, cfg.kernel, cfg.constraint))
-        return solve(g, dp, cfg)
+    def spy(g, dp, cfg, dual=None):
+        seen.append((cfg.max_iters, cfg.rel_tol, cfg.q, cfg.kernel, cfg.constraint,
+                     cfg.gap_tol))
+        return solve(g, dp, cfg, dual=dual)
 
     monkeypatch.setattr(bench, "solve", spy)
     default = SolverConfig(tau=0.02)
     wide = gaussian_kernel(1.0, 5)
+    # the gap stop is the sweep's own default, not SolverConfig's
+    sweep = bench.SWEEP_GAP_TOL
     for opts, expected in (
-            ({}, (default.max_iters, default.rel_tol, default.q, default.kernel)),
-            ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel)),
-            ({"rel_tol": 1e-3, "q": 2, "kernel": wide}, (default.max_iters, 1e-3, 2, wide))):
+            ({}, (default.max_iters, default.rel_tol, default.q, default.kernel, sweep)),
+            ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel, sweep)),
+            ({"rel_tol": 1e-3, "q": 2, "kernel": wide}, (default.max_iters, 1e-3, 2, wide, sweep)),
+            ({"gap_tol": 1e-4}, (default.max_iters, default.rel_tol, default.q, default.kernel,
+                                 1e-4))):
         seen.clear()
         bench.run_tuple(clean, "s", 0.1, "stv", [0.02], [3.0], 0, opts)
         (got,) = seen
         assert got[:3] == expected[:3] and got[4] == default.constraint
+        assert got[5] == expected[4]
         np.testing.assert_array_equal(got[3].weights, expected[3].weights)
 
 
@@ -153,7 +190,9 @@ def test_bad_opts_values_are_refused_before_any_solve(tmp_path, monkeypatch):
     bad = (({"st_support": 0}, "st_support"), ({"st_support": 4}, "st_support"),
            ({"num_scales": 5}, "num_scales"), ({"num_scales": 0}, "num_scales"),
            ({"max_iters": 0}, "max_iters"), ({"q": 3}, "q must"),
-           ({"rel_tol": -1.0}, "rel_tol"))
+           ({"rel_tol": -1.0}, "rel_tol"), ({"gap_tol": 0.0}, "gap_tol"),
+           ({"gap_tol": -1.0}, "gap_tol"), ({"gap_tol": np.nan}, "gap_tol"),
+           ({"gap_tol": np.inf}, "gap_tol"))
     for opts, says in bad:
         # a value that is never valid is refused even where no regularizer
         # would read it
@@ -172,7 +211,8 @@ def test_only_a_missing_or_none_option_is_unset(monkeypatch):
             bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
     analyses = counting(monkeypatch, bench, "analyze")
     solves = counting(monkeypatch, bench, "solve")
-    unset = dict.fromkeys(("max_iters", "rel_tol", "q", "kernel", "num_scales", "st_support"))
+    unset = dict.fromkeys(("max_iters", "rel_tol", "gap_tol", "q", "kernel", "num_scales",
+                           "st_support"))
     for opts in ({}, unset):
         bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
     # sigma 0.2 takes three scales, a 16-pixel image support 7, and the
@@ -182,6 +222,7 @@ def test_only_a_missing_or_none_option_is_unset(monkeypatch):
     for _, _, cfg in solves:
         assert (cfg.max_iters, cfg.rel_tol, cfg.q) == (default.max_iters, default.rel_tol,
                                                        default.q)
+        assert cfg.gap_tol == bench.SWEEP_GAP_TOL
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
 
 
@@ -222,22 +263,31 @@ def test_solves_run_in_float32_on_fields_from_the_float64_noisy_image(monkeypatc
 
 def test_records_report_stop_reason_and_estimate_seconds():
     clean = stripe_image(16, 16, 0.5)
-    assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds")
+    assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds,gap")
     for reg in bench.REGULARIZERS:
         steered = reg in ("eadtv", "adstv")
-        # a loose tol stops before the cap, a tight one runs to it
+        # a loose tol stops before the cap and before the first gap check,
+        # a tight one runs to the cap (too short for a check), and a loose
+        # gap_tol stops at the first check
         early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
                                 {"max_iters": 100, "rel_tol": 1e-2})
         capped = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
                                  {"max_iters": 5, "rel_tol": 1e-9})
+        certified = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
+                                    {"max_iters": 100, "rel_tol": 1e-9, "gap_tol": 0.5})
         assert early.iters < 100 and early.stop_reason == "tol"
         assert capped.iters == 5 and capped.stop_reason == "max_iters"
-        for rec in (early, capped):
+        assert certified.iters == GAP_EVERY and certified.stop_reason == "gap"
+        assert certified.gap <= 0.5
+        for rec in (early, capped, certified):
             assert (rec.estimate_seconds > 0) if steered else (rec.estimate_seconds == 0.0)
             row = rec.csv_row().split(",")
             assert len(row) == len(bench.CSV_HEADER.split(","))
-            assert row[-2] == rec.stop_reason
-            assert float(row[-1]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
+            assert row[-3] == rec.stop_reason
+            assert float(row[-2]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
+            # every sweep solve takes a gap, of the image it returns
+            assert 0.0 <= rec.gap < np.inf
+            assert float(row[-1]) == pytest.approx(rec.gap, rel=1e-3)
 
 
 def test_an_exact_restoration_is_kept_with_psnr_inf(tmp_path):
@@ -260,9 +310,15 @@ def test_csv_row_formats_each_field_by_its_type():
                           wall_seconds=4e-7, seed=123, stop_reason="tol",
                           estimate_seconds=2.0)
     assert bench.CSV_HEADER == ("image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,"
-                                "ssim,iters,wall_seconds,seed,stop_reason,estimate_seconds")
+                                "ssim,iters,wall_seconds,seed,stop_reason,estimate_seconds,gap")
+    # no gap taken: an empty cell
     assert rec.csv_row() == ("a,stv,0.100000,0.250000,1.000000,30.123457,0.500000,17,"
-                             "0.000000,123,tol,2.000000")
+                             "0.000000,123,tol,2.000000,")
+    gapped = dataclasses.replace(rec, stop_reason="gap", gap=0.000123456)
+    assert gapped.csv_row().endswith(",123,gap,2.000000,1.235e-04")
+    for bad in (np.nan, np.inf, -1e-3):
+        with pytest.raises(ValueError, match="gap"):
+            dataclasses.replace(rec, gap=bad)
 
 
 # the grids of the sweep-96 benchmark workload
@@ -277,12 +333,23 @@ SWEEP_GRID = {
 def test_float32_sweep_picks_the_float64_choices(monkeypatch):
     # Every record of the sweep grids on synth_half at sigma 0.1 must pick
     # the (tau, alpha) of the same sweep with float64 solves, with its PSNR
-    # within 1e-5 dB
+    # within 1e-5 dB.  This compares dtypes, not stop rules: the gap stop
+    # is off, and both sweeps chain their warm starts alike
+    monkeypatch.setattr(bench, "SWEEP_GAP_TOL", None)
     clean = Image(synth_half_oriented()[None])
     records = {reg: bench.run_tuple(clean, "synth_half", 0.1, reg, taus, alphas, 1)
                for reg, (taus, alphas) in SWEEP_GRID.items()}
     drawn = capture_noisy(monkeypatch)
-    monkeypatch.setattr(bench, "solve", lambda g, dp, cfg: solve(drawn[-1], dp, cfg))
+
+    def solve64(g, dp, cfg, dual):
+        # the sweep's float32 dual starts the float64 solve and takes its
+        # final dual
+        dual64 = dual.astype(np.float64)
+        result = solve(drawn[-1], dp, cfg, dual=dual64)
+        dual[...] = dual64
+        return result
+
+    monkeypatch.setattr(bench, "solve", solve64)
     for reg, (taus, alphas) in SWEEP_GRID.items():
         rec64 = bench.run_tuple(clean, "synth_half", 0.1, reg, taus, alphas, 1)
         rec = records[reg]

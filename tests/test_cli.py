@@ -11,7 +11,7 @@ from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import EADTV_SMOOTH_SIGMA, DpeConfig, eadtv_angles
 from adstv.image import NoiseSpec, add_gaussian_noise
-from adstv.solver import KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, solve
+from adstv.solver import GAP_EVERY, KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, solve
 
 from conftest import rand_image, stripe_image
 
@@ -209,6 +209,8 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
                  ["bench", "--corpus", "a", "--out", "b"]):
         args = parser.parse_args(argv)
         assert (args.iters, args.tol, args.q) == (default.max_iters, default.rel_tol, default.q)
+        # unset: off for denoise, bench.SWEEP_GAP_TOL for bench
+        assert args.gap_tol is None
         assert (args.kernel_sigma, args.kernel_support) == (KERNEL_SIGMA, KERNEL_SUPPORT)
         kernel = gaussian_kernel(args.kernel_sigma, args.kernel_support)
         np.testing.assert_array_equal(kernel.weights, default.kernel.weights)
@@ -218,9 +220,9 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
     save_image(stripe_image(16, 16, 0.5), corpus / "a.pgm")
     seen = []
 
-    def spy(g, dp, cfg):
+    def spy(g, dp, cfg, dual=None):
         seen.append(cfg)
-        return solve(g, dp, cfg)
+        return solve(g, dp, cfg, dual=dual)
 
     monkeypatch.setattr(bench, "solve", spy)
     assert main(["bench", "--corpus", str(corpus), "--out", str(tmp_path / "out.csv"),
@@ -230,7 +232,50 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
     for cfg in seen:
         assert (cfg.max_iters, cfg.rel_tol, cfg.q, cfg.constraint) == (
             default.max_iters, default.rel_tol, default.q, default.constraint)
+        assert cfg.gap_tol == bench.SWEEP_GAP_TOL
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
+
+
+def test_gap_tol_reaches_every_solve_and_bad_values_are_refused_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    src = corpus / "a.pgm"
+    save_image(stripe_image(16, 16, 0.5), src)
+    out = tmp_path / "out.pgm"
+    csv = tmp_path / "out.csv"
+    denoise = ["denoise", "--input", str(src), "--output", str(out), "--regularizer",
+               "adstv", "--tau", "0.05", "--alpha-plus", "3"]
+    sweep = ["bench", "--corpus", str(corpus), "--out", str(csv), "--sigmas", "0.1",
+             "--regularizers", "stv", "--tau-grid", "0.05"]
+    seen = []
+    for module in (cli, bench):
+        real = module.solve
+
+        def spy(g, dp, cfg, dual=None, real=real):
+            seen.append(cfg.gap_tol)
+            return real(g, dp, cfg, dual=dual)
+
+        monkeypatch.setattr(module, "solve", spy)
+    for argv, gap_tol in ((denoise, None), (denoise + ["--gap-tol", "1e-4"], 1e-4),
+                          (sweep, bench.SWEEP_GAP_TOL), (sweep + ["--gap-tol", "0.01"], 0.01)):
+        seen.clear()
+        assert main(argv) == 0
+        assert seen == [gap_tol]
+    out.unlink()
+    csv.unlink()
+    seen.clear()
+    loads = []
+    for module in (cli, bench):
+        monkeypatch.setattr(module, "load_image", loads.append)
+    for argv in (denoise, sweep):
+        for bad in ("nan", "inf", "0", "-1"):
+            assert main(argv + ["--gap-tol", bad]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: gap_tol") and err.count("\n") == 1, err
+    # refused before any image is loaded or solved, and nothing is written
+    assert loads == [] and seen == []
+    assert not out.exists() and not csv.exists()
 
 
 def test_analysis_flags_default_to_the_library_defaults():
@@ -452,7 +497,7 @@ def test_bench_writes_expected_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ("image_id,regularizer,sigma_eta,tau,alpha_plus,"
                         "psnr_db,ssim,iters,wall_seconds,seed,stop_reason,"
-                        "estimate_seconds")
+                        "estimate_seconds,gap")
     assert len(lines) == 4
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[1] for r in rows] == ["tv", "stv", "adstv"]
@@ -462,7 +507,14 @@ def test_bench_writes_expected_csv(tmp_path):
     assert float(by_reg["adstv"][5]) >= float(by_reg["stv"][5])
     assert float(by_reg["tv"][4]) == 1.0  # alpha unused for tv
     assert all(1 <= int(r[7]) <= 100 for r in rows)
-    assert all(r[10] == ("tol" if int(r[7]) < 100 else "max_iters") for r in rows)
+    # a gap stop falls on a check, and every row has the gap of its image,
+    # at most bench.SWEEP_GAP_TOL where it stopped the solve
+    for r in rows:
+        if r[10] == "gap":
+            assert int(r[7]) % GAP_EVERY == 0 and float(r[12]) <= bench.SWEEP_GAP_TOL
+        else:
+            assert r[10] == ("tol" if int(r[7]) < 100 else "max_iters")
+        assert 0.0 <= float(r[12]) < math.inf
     # only the steered regularizer estimates fields
     assert by_reg["tv"][11] == by_reg["stv"][11] == "0.000000"
     assert float(by_reg["adstv"][11]) > 0
@@ -472,7 +524,8 @@ def test_bench_writes_expected_csv(tmp_path):
 
     def strip_wall(text):
         # drop the two timing columns, wall_seconds and estimate_seconds
-        return [ln.split(",")[:8] + ln.split(",")[9:11] for ln in text.splitlines()]
+        return [ln.split(",")[:8] + ln.split(",")[9:11] + ln.split(",")[12:]
+                for ln in text.splitlines()]
 
     assert strip_wall(out.read_text()) == strip_wall(out2.read_text())
 
@@ -598,10 +651,10 @@ def test_a_failed_sweep_leaves_an_existing_out_as_it_was(tmp_path, capsys, monke
              "--regularizers", "tv,adstv", "--tau-grid", "0.05", "--alpha-grid", "4"]
     real = bench.solve
 
-    def steered_fails(g, dp, cfg):
+    def steered_fails(g, dp, cfg, dual=None):
         if dp is not None:
             raise FloatingPointError("non-finite values in solver iterate")
-        return real(g, dp, cfg)
+        return real(g, dp, cfg, dual=dual)
 
     # tv runs first and succeeds; adstv's first solve then fails
     with monkeypatch.context() as mp:

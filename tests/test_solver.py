@@ -10,6 +10,7 @@ from adstv import Image, tensor
 from adstv.bench import derive_seed
 from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
+    GAP_EVERY,
     SolverConfig,
     _project_ball,
     dual_objective,
@@ -62,17 +63,19 @@ def test_config_validation_and_defaults():
     assert cfg.q == 1 and cfg.max_iters == 100 and cfg.rel_tol == 1e-5
     assert cfg.constraint == (0.0, 1.0)
     assert cfg.kernel.support == 3
+    assert cfg.gap_tol is None  # no duality gap is taken
     assert math.isinf(cfg.dual_p)
     assert SolverConfig(tau=0.1, q=2).dual_p == 2
     for bad in (dict(tau=0.0), dict(tau=0.1, q=3), dict(tau=0.1, max_iters=0),
-                dict(tau=0.1, rel_tol=0.0), dict(tau=0.1, constraint=(1.0, 0.0))):
+                dict(tau=0.1, rel_tol=0.0), dict(tau=0.1, constraint=(1.0, 0.0)),
+                dict(tau=0.1, gap_tol=0.0), dict(tau=0.1, gap_tol=-1.0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
 
 def test_config_rejects_non_finite():
     for value in (math.nan, math.inf):
-        for bad in (dict(tau=value), dict(tau=0.1, rel_tol=value)):
+        for bad in (dict(tau=value), dict(tau=0.1, rel_tol=value), dict(tau=0.1, gap_tol=value)):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
@@ -575,7 +578,7 @@ def test_a_zero_start_is_the_cold_start_and_returns_the_last_dual():
     assert np.array_equal(dual, last["psi"])
     # a result keeps no dual field alive: the caller's buffer is the only
     # way out for the dual
-    assert sorted(vars(cold)) == ["image", "iterations", "stop_reason"]
+    assert sorted(vars(cold)) == ["gap", "image", "iterations", "stop_reason"]
     assert not np.shares_memory(dual, warm.image.data)
 
 
@@ -682,7 +685,15 @@ def test_banded_steered_solve_peaks_below_the_same_bound(rows, monkeypatch):
     steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch)
 
 
-def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch):
+@pytest.mark.parametrize("rows", [None, 5], ids=["one-band", "bands-of-5"])
+def test_gap_checks_keep_the_steered_peak_below_the_same_bound(rows, monkeypatch):
+    # two checks that do not stop the loop and the final gap
+    steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch,
+                                                                gap_tol=1e-300)
+
+
+def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch,
+                                                                gap_tol=None):
     # The bound is counted from the shapes: two dual fields of 2 * 9 planes,
     # the workspace block (eight extension-sized planes: past the four
     # slots of the accumulators and the extensions, the four planes of J's
@@ -695,6 +706,8 @@ def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatc
     g = Image(rng.random((1, h, w)))
     dp = rand_params(rng, h, w)
     cfg = SolverConfig(tau=0.1, q=1, max_iters=4, rel_tol=1e-15)
+    if gap_tol is not None:
+        cfg = replace(cfg, max_iters=2 * GAP_EVERY + 1, gap_tol=gap_tol)
     if rows is not None:
         band_rows(monkeypatch, rows, cfg.kernel, 1, w)
     plane = h * w * 8
@@ -703,11 +716,12 @@ def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatc
     bound = fields + block + 11 * plane
     tracemalloc.start()
     try:
-        solve(g, dp, cfg)
+        res = solve(g, dp, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
+    assert res.iterations == cfg.max_iters and (res.gap is None) == (gap_tol is None)
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.25, 1.0])
@@ -781,3 +795,135 @@ def test_an_alpha_plus_beyond_the_dtype_range_is_refused_before_the_cast():
         with pytest.raises(ValueError, match="alpha_plus = 1e\\+39 exceeds the float32 range"):
             solve(Image(g.data.astype(np.float32)), steered, cfg)
         assert solve(g, steered, cfg).image.data.dtype == np.float64
+
+
+GAP_CASES = [(dtype, steered, q, kernel, c, rows)
+             for dtype in ("float32", "float64") for steered in (False, True)
+             for q in (1, 2) for kernel in ("delta", "3x3") for c in (1, 3)
+             for rows in (None, 4)]
+
+
+@pytest.mark.parametrize("dtype, steered, q, kernel, c, rows", GAP_CASES,
+                         ids=["-".join(map(str, case)) for case in GAP_CASES])
+def test_a_gap_stop_is_certified_and_bit_identical_to_the_reference(dtype, steered, q, kernel,
+                                                                    c, rows, monkeypatch):
+    # The image and final dual of a gap-stopped solve have a gap, taken by
+    # the float64 energies, of at most gap_tol and of at most the gap the
+    # solve reports; both are those of the fresh-array reference run for
+    # the same iteration count, bit for bit.  rows 4 cuts 19 rows into 5
+    # bands.
+    k = BAND_KERNELS[kernel]
+    h, w = 19, 14
+    if rows is not None:
+        band_rows(monkeypatch, rows, k, c, w, dtype)
+        assert len(Workspace(k, c, h, w, None, dtype).bands) == 5
+    rng = np.random.default_rng([q, k.support, c])
+    g = Image((rng.random((c, h, w)) * 1.2 - 0.1).astype(dtype))
+    dp = rand_params(rng, h, w, alpha_plus=3.0) if steered else None
+    cfg = SolverConfig(tau=0.05 if steered else 0.15, q=q, kernel=k, max_iters=3000,
+                       rel_tol=1e-15, gap_tol=1e-3)
+    dual = dual_field(k.support**2 * c, h, w, g.data.dtype)
+    res = solve(g, dp, cfg, dual=dual)
+    assert res.stop_reason == "gap" and res.iterations % GAP_EVERY == 0
+    primal = primal_energy(res.image, g, dp, cfg)
+    certified = (primal - dual_objective(dual, g, dp, cfg)) / primal
+    assert 0.0 <= certified <= cfg.gap_tol, (certified, res.gap)
+    # the reported gap bounds it from above, up to the round-off of the
+    # oracle, whose eig2x2 leaves sqrt(eps) in a one-row block's minor
+    # singular value, and within the float32 solve's round-off allowance
+    assert certified - 1e-9 <= res.gap <= certified + 1e-5, (certified, res.gap)
+    ref_dual = dual_field(k.support**2 * c, h, w, g.data.dtype)
+    expected, iterations = reference_solve(g, dp, replace(cfg, max_iters=res.iterations),
+                                           dual=ref_dual)
+    assert iterations == res.iterations
+    assert np.array_equal(res.image.data, expected)
+    assert np.array_equal(dual, ref_dual)
+
+
+@pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
+def test_the_probe_sees_each_iteration_once_with_gap_checks(steered, monkeypatch):
+    # checks that do not stop the loop leave every iterate and accepted
+    # dual as they are without checks, one per iteration; a check never
+    # runs J through the module's jacobian_apply
+    rng = np.random.default_rng(62)
+    h, w = 17, 12
+    g = rand_image(rng, h, w)
+    dp = rand_params(rng, h, w) if steered else None
+    kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=3 * GAP_EVERY + 4,
+                       rel_tol=1e-15)
+    seen = {}
+    for gap_tol in (None, 1e-300):
+        iterates, accepted = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            iteration_probe(mp, on_iterate=lambda z: iterates.append(z.copy()),
+                            on_accepted=lambda psi: accepted.append(psi.copy()))
+            res = solve(g, dp, replace(cfg, gap_tol=gap_tol))
+        assert len(iterates) == len(accepted) == res.iterations == cfg.max_iters
+        assert res.stop_reason == "max_iters" and (res.gap is None) == (gap_tol is None)
+        seen[gap_tol] = (iterates, accepted, res.image.data)
+    for ours, plain in zip(seen[1e-300], seen[None]):
+        assert all(np.array_equal(a, b) for a, b in zip(ours, plain))
+    # a solve that the gap stops: one probe call per iteration too
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        iteration_probe(mp, on_iterate=calls.append)
+        res = solve(g, dp, replace(cfg, max_iters=1000, gap_tol=0.5))
+    assert res.stop_reason == "gap" and len(calls) == res.iterations == GAP_EVERY
+
+
+def test_the_returned_gap_is_that_of_the_returned_image():
+    # whatever stops a solve with a gap_tol, its gap is the one the float64
+    # energies give its image and final dual, up to round-off
+    rng = np.random.default_rng(63)
+    h, w = 16, 13
+    g = Image(rng.random((1, h, w)).astype(np.float32))
+    dp = rand_params(rng, h, w, alpha_plus=4.0)
+    cfg = SolverConfig(tau=0.03, q=1, gap_tol=1e-6, rel_tol=1e-15)
+    for max_iters, rel_tol, reason in ((7, 1e-15, "max_iters"), (100, 1e-2, "tol")):
+        dual = dual_field(9, h, w, np.float32)
+        res = solve(g, dp, replace(cfg, max_iters=max_iters, rel_tol=rel_tol), dual=dual)
+        assert res.stop_reason == reason
+        primal = primal_energy(res.image, g, dp, cfg)
+        certified = (primal - dual_objective(dual, g, dp, cfg)) / primal
+        assert certified <= res.gap <= certified + 1e-5, (certified, res.gap)
+    assert solve(g, dp, replace(cfg, gap_tol=None)).gap is None
+
+
+@pytest.mark.parametrize("kernel", [gaussian_kernel(0.5, 3), gaussian_kernel(1.0, 5),
+                                    gaussian_kernel(1.5, 7)], ids=["3x3", "5x5", "7x7"])
+@pytest.mark.parametrize("shape, rows", [((19, 3), None), ((19, 3), 2), ((3, 2), None),
+                                         ((2, 9), 1)])
+def test_the_workspace_block_never_grows_once_a_solve_has_begun(kernel, shape, rows,
+                                                                monkeypatch):
+    # every plane the iterations and the gap checks take is reserved before
+    # the first extension: a block that grew later would free the views
+    # that J, J* and the projection still hold.  Narrow images make J's
+    # scaled extension rows the largest scratch.
+    h, w = shape
+    if rows is not None:
+        band_rows(monkeypatch, rows, kernel, 1, w, np.float32)
+    started = []
+    grown = []
+    extend, reserve = tensor._extend, Workspace._reserve
+
+    def watched_extend(ws, channels):
+        started.append(True)
+        return extend(ws, channels)
+
+    def watched_reserve(ws, size):
+        if started and size > ws._block.size:
+            grown.append(size)
+        return reserve(ws, size)
+
+    monkeypatch.setattr(tensor, "_extend", watched_extend)
+    monkeypatch.setattr(Workspace, "_reserve", watched_reserve)
+    rng = np.random.default_rng(64)
+    g = Image(rng.random((1, h, w)).astype(np.float32))
+    for dp in (None, rand_params(rng, h, w)):
+        for q in (1, 2):
+            started.clear()
+            cfg = SolverConfig(tau=0.1, q=q, kernel=kernel, max_iters=GAP_EVERY + 2,
+                               rel_tol=1e-15, gap_tol=1e-30)
+            assert solve(g, dp, cfg).iterations == GAP_EVERY + 2
+            assert started and not grown
