@@ -12,10 +12,10 @@ solve runs on one float32 copy of it, and PSNR and SSIM compare each result
 with the float64 clean image.  A float32 solve cannot resolve a rel_tol
 below about 1e-7, so such a tol runs to max_iters.
 
-Every solve of a sweep stops on a certified relative duality gap of
-SWEEP_GAP_TOL unless opts set another gap_tol, and within one alpha_plus
-each tau after the first starts from the dual the previous tau left: the
-dual feasible set depends on neither tau nor the steering.
+Every solve of a sweep stops once its relative duality gap is at most
+SWEEP_GAP_TOL, and within one alpha_plus each tau after the first starts
+from the dual the previous tau left: the dual feasible set depends on
+neither tau nor the steering.
 """
 
 import dataclasses
@@ -50,9 +50,9 @@ __all__ = [
 
 REGULARIZERS = ("tv", "eadtv", "stv", "adstv")
 
-# The relative duality gap at which a sweep's solves stop, unless opts set
-# gap_tol: in a 3000-iteration study a gap at or below 1e-3 kept PSNR
-# within 0.020 dB of the converged solve.
+# The relative duality gap at which a sweep's solves stop: in a
+# 3000-iteration study a gap at or below 1e-3 kept PSNR within 0.020 dB of
+# the converged solve.
 SWEEP_GAP_TOL = 1e-3
 
 
@@ -208,7 +208,7 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
 
 
 # the opts keys of run_tuple: the solve's settings, then the analysis'
-_SOLVER_OPTS = ("max_iters", "rel_tol", "gap_tol", "q", "kernel")
+_SOLVER_OPTS = ("max_iters", "rel_tol", "q", "kernel")
 _ANALYSIS_OPTS = ("num_scales", "st_support")
 _OPTS = _SOLVER_OPTS + _ANALYSIS_OPTS
 
@@ -216,9 +216,9 @@ _OPTS = _SOLVER_OPTS + _ANALYSIS_OPTS
 def _given_opts(opts):
     """The keys that opts sets, to anything but None, and the SolverConfig
     of its solver keys at a placeholder tau of 1 (every solve replaces the
-    tau and the regularizer's kernel and q), with gap_tol SWEEP_GAP_TOL
-    unless opts set it.  A key outside _OPTS, or a value that SolverConfig
-    or DpeConfig refuses, raises ValueError, whether or not a steered
+    tau and the regularizer's kernel and q), which stops on a gap of
+    SWEEP_GAP_TOL.  A key outside _OPTS, or a value that SolverConfig or
+    DpeConfig refuses, raises ValueError, whether or not a steered
     regularizer would read it."""
     opts = opts or {}
     unknown = sorted(set(opts) - set(_OPTS))
@@ -226,9 +226,8 @@ def _given_opts(opts):
         raise ValueError("unknown opts key(s) %s; run_tuple reads %s"
                          % (", ".join(map(repr, unknown)), ", ".join(_OPTS)))
     given = {key: value for key, value in opts.items() if value is not None}
-    solve_opts = {"gap_tol": SWEEP_GAP_TOL}
-    solve_opts.update((k, given[k]) for k in _SOLVER_OPTS if k in given)
-    settings = SolverConfig(tau=1.0, **solve_opts)
+    settings = SolverConfig(tau=1.0, gap_tol=SWEEP_GAP_TOL,
+                            **{k: given[k] for k in _SOLVER_OPTS if k in given})
     analysis = {k: given[k] for k in _ANALYSIS_OPTS if k in given}
     if analysis:
         # DpeConfig's defaults fill an unset analysis key, and alpha_plus
@@ -242,8 +241,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     """Best-PSNR record for one (image, sigma, regularizer) tuple.
 
     The fields are estimated from the float64 noisy image, and every solve
-    runs on its float32 copy.  opts may set the solve's max_iters, rel_tol,
-    gap_tol (SWEEP_GAP_TOL by default), q and kernel (SolverConfig's
+    runs on its float32 copy and stops on a gap of SWEEP_GAP_TOL.  opts may
+    set the solve's max_iters, rel_tol, q and kernel (SolverConfig's
     defaults fill the rest) and the analysis' num_scales and st_support (by
     default from sigma_eta and the image size); a key that is missing or
     None is unset, and any other key, or a value SolverConfig or DpeConfig

@@ -5,9 +5,7 @@ Subcommands: denoise, add-noise, metrics, estimate, bench.
 denoise and bench estimate the direction fields from the float64 samples
 and run every solve on a float32 copy of the noisy image.  A --tol below
 about 1e-7 is finer than a float32 solve resolves, so such a solve runs to
---iters.  --gap-tol stops a solve once its relative duality gap, taken
-every solver.GAP_EVERY iterations, is at most the given value: denoise
-takes no gap unless it is given, bench stops at bench.SWEEP_GAP_TOL.
+--iters.
 
 The bench CSV has one row per (image, sigma, regularizer), the best-PSNR
 run; its columns are the fields of bench.RunRecord.  bench refuses an --out
@@ -28,7 +26,6 @@ import numpy as np
 
 from .bench import (
     REGULARIZERS,
-    SWEEP_GAP_TOL,
     bench,
     default_alpha_grid,
     default_num_scales,
@@ -40,7 +37,7 @@ from .diffops import gaussian_kernel
 from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, _fold_angle
 from .image import (Image, FormatError, NoiseSpec, add_gaussian_noise, load_image, output_format,
                     psnr, save_image, ssim)
-from .solver import GAP_EVERY, KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, project_box, solve
+from .solver import KERNEL_SIGMA, KERNEL_SUPPORT, SolverConfig, project_box, solve
 from .tensor import DirectionalParams
 
 __all__ = ["main"]
@@ -55,10 +52,6 @@ def _add_solve_flags(p):
     p.add_argument("--tol", type=float, default=SolverConfig.rel_tol,
                    help="relative-change stop (default %(default)g); the float32 "
                         "solve resolves no tol below about 1e-7")
-    p.add_argument("--gap-tol", type=float, default=None,
-                   help="relative duality-gap stop, taken every %d iterations (default: "
-                        "off for denoise, bench.SWEEP_GAP_TOL = %g for bench)"
-                        % (GAP_EVERY, SWEEP_GAP_TOL))
 
 
 def _add_analysis_flags(p):
@@ -114,20 +107,15 @@ def cmd_denoise(args):
         raise ValueError("--theta-override applies to adstv only, not %s" % reg)
     if args.theta_override is not None and not math.isfinite(args.theta_override):
         raise ValueError("--theta-override must be finite")
+    img = load_image(args.input)
+    # the result has the input's channels: refuse an output path that
+    # cannot take them before anything is estimated or solved
+    output_format(args.output, img.channels)
     box = None if args.unconstrained else (0.0, 1.0)
     kernel, q, fields = regularizer(
         reg, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,
         smooth_sigma=args.smooth_sigma,
         num_scales=_num_scales(args), st_support=args.st_support)
-    # the solve's settings are checked before any image is loaded
-    cfg = None
-    if args.tau != 0:
-        cfg = SolverConfig(tau=args.tau, q=q, max_iters=args.iters, rel_tol=args.tol,
-                           gap_tol=args.gap_tol, constraint=box, kernel=kernel)
-    img = load_image(args.input)
-    # the result has the input's channels: refuse an output path that
-    # cannot take them before anything is estimated or solved
-    output_format(args.output, img.channels)
     dp = None
     if args.theta_override is not None:
         # fixed global direction: no estimation, unit dose everywhere
@@ -142,9 +130,11 @@ def cmd_denoise(args):
         if dp is None:
             raise ValueError("--dump-fields requires a directional regularizer")
         _dump_fields(args.dump_fields, dp)
-    if cfg is None:
+    if args.tau == 0:
         out = project_box(img, box)
     else:
+        cfg = SolverConfig(tau=args.tau, q=q, max_iters=args.iters,
+                           rel_tol=args.tol, constraint=box, kernel=kernel)
         # a float32 iteration costs about half a float64 one; the fields
         # above were estimated from the float64 samples
         out = solve(Image(img.data.astype(np.float32)), dp, cfg).image
@@ -201,7 +191,6 @@ def cmd_bench(args):
     opts = {
         "max_iters": args.iters,
         "rel_tol": args.tol,
-        "gap_tol": args.gap_tol,
         "q": args.q,
         "kernel": gaussian_kernel(args.kernel_sigma, args.kernel_support),
         "num_scales": args.scales,

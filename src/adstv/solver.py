@@ -42,8 +42,9 @@ field and no J~ call: at z = P_C(w), P(z) - D(psi) = tau R(z) - <z, tau
 J~* psi> (Fenchel-Young), and R(z) sums the Schatten norms of the per-pixel
 Gram of J~ z, the kernel-smoothed structure tensor of z's steered gradient
 (tensor._schatten_sum), from a few planes of the solve's Workspace.  Its
-sums are float64.  A solve with a gap_tol reports the gap of the image it
-returns, whatever stopped it.
+sums are float64, its per-pixel values in the solve's dtype, so a float32
+gap is an estimate, not a proven bound.  A solve with a gap_tol reports
+the gap of the image it returns, whatever stopped it.
 
 One helper computes z, for every iteration and for the final image, and
 one clip serves it, the box projection and the dual objective.  The ball
@@ -306,8 +307,10 @@ def _relative_gap(psi, g, cfg, workspace, z, scaled):
     fit = np.subtract(g.data, z, out=scaled)
     penalty = cfg.tau * _schatten_sum(workspace, z, cfg.q)
     primal = 0.5 * float(np.einsum("cij,cij->", fit, fit, dtype=np.float64)) + penalty
-    # an allowance for the round-off of the per-pixel values, which are in
-    # z's dtype, keeps the gap an upper bound
+    # a 4-ulp allowance for the round-off of the per-pixel values, which
+    # are in z's dtype.  It bounds no worst case (a near rank-1 block's
+    # sqrt(det) can lose sqrt(eps) of its norm, and the Gram's and J*'s
+    # sums a few ulp of their terms), so in float32 the gap is an estimate
     slack = 4.0 * float(np.finfo(z.dtype).eps) * (penalty + abs(dot))
     return max(penalty - dot + slack, 0.0) / primal if primal > 0 else 0.0
 

@@ -22,10 +22,9 @@ rows axis.
 Each operator is two steps, one over the whole image and one over a band
 of image rows.  J first extends every channel's (steered) gradient planes
 by the kernel radius under reflect indexing (one np.take through a flat
-index); its tap loop then scales a band's rows of those extensions once
-per distinct tap weight, gathers each row of the band as a slice of them
-and adds it into the field: plain J adds into a zeroed field, and the
-solver's dual ascent step adds J / step into its dual.  J*'s
+index); its tap loop then gathers each row of a band as a slice of those
+extensions and adds it into the field: plain J adds into a zeroed field,
+and the solver's dual ascent step adds J / step into its dual.  J*'s
 scatter adds each row of a band into a padded accumulator at the same
 slice, as one contiguous run; its finish folds the border back onto the
 samples it mirrors, steers, and takes the divergence.  jacobian_apply and
@@ -141,13 +140,12 @@ class Workspace:
     where they spare the extensions that later bands read and the
     accumulators that earlier bands filled.  A whole-image band has nothing
     to spare: its row and projection start at slot 0 and its grid over the
-    spent extensions.  J's band scratch is the band's extension rows
-    scaled by one tap weight, then the row.  The block is sized for J and
-    J* when the workspace is built, and the solver reserves its
-    projection's planes and its gap's next, so it never grows under a view
-    that is still in use.  Arithmetic reads and writes whole C-contiguous
-    planes or one-dimensional runs, which numpy iterates without buffers
-    of its own: strided windows are only copied.
+    spent extensions.  The block is sized for J and J* when the workspace
+    is built, and the solver reserves its projection's planes and its
+    gap's next, so it never grows under a view that is still in use.
+    Arithmetic reads and writes whole C-contiguous planes or
+    one-dimensional runs, which numpy iterates without buffers of its own:
+    strided windows are only copied.
     """
 
     def __init__(self, kernel, channels, h, w, dp=None, dtype=np.float64):
@@ -160,11 +158,6 @@ class Workspace:
         self.dtype = np.dtype(dtype)
         # Python floats, so that they scale a float32 plane in float32
         self.taps = [(offset, float(np.sqrt(weight))) for offset, weight in kernel.taps()]
-        # the nonzero square-root weights, each with its (l, offset) taps
-        self.tap_weights = {}
-        for l, (offset, sw) in enumerate(self.taps):
-            if sw != 0.0:
-                self.tap_weights.setdefault(sw, []).append((l, offset))
         r = kernel.radius
         self.padded_shape = (h + 2 * r, w + 2 * r)
         self.ys, self.xs = _extension(r, h, w)
@@ -201,14 +194,8 @@ class Workspace:
         self._block = np.empty(0, self.dtype)
         self._views = {}
         plane = h * w
-        sizes = [self.free_slot * self._slot + self.gradient_planes * plane,
-                 self.ext_slot * self._slot + self.finish_planes * plane]
-        if r:
-            # J's gather scratch: a whole-image band from slot 0, a smaller
-            # one past the extensions
-            sizes += [self.band_slot(rows) * self._slot + sum(
-                a * b for a, b in _gather_shapes(self, rows)) for rows in {h, self.band_rows}]
-        self._reserve(max(sizes))
+        self._reserve(max(self.free_slot * self._slot + self.gradient_planes * plane,
+                          self.ext_slot * self._slot + self.finish_planes * plane))
 
     def _reserve(self, size):
         if self._block.size < size:
@@ -218,16 +205,15 @@ class Workspace:
             self._block = None
             self._block = np.empty(size, self.dtype)
 
-    def planes(self, count, shape=None, slot=0, skip=0):
+    def planes(self, count, shape=None, slot=0):
         """count C-contiguous planes of shape (the image's by default),
-        packed in the block from skip samples past the start of slot on.
-        The same request returns the same list of views, which callers
-        only read."""
-        key = (count, shape, slot, skip)
+        packed in the block from the start of slot on.  The same request
+        returns the same list of views, which callers only read."""
+        key = (count, shape, slot)
         views = self._views.get(key)
         if views is None:
             rows, cols = self.shape if shape is None else shape
-            start, size = slot * self._slot + skip, rows * cols
+            start, size = slot * self._slot, rows * cols
             self._reserve(start + count * size)
             views = self._views[key] = [
                 self._block[start + i * size : start + (i + 1) * size].reshape(rows, cols)
@@ -333,47 +319,33 @@ def _extend(ws, channels):
     return ext
 
 
-def _gather_shapes(ws, rows):
-    """The shapes of _gather's two scratch planes for a band of rows: the
-    band's extension rows scaled by one tap weight, and the row plane."""
-    r = ws.kernel.radius
-    return (rows + 2 * r, ws.padded_shape[1]), (rows, ws.shape[1])
-
-
 def _gather(ws, ext, out, y0, y1, step):
     """J's tap loop over rows y0:y1: adds every row of the patch Jacobian,
     gathered from the extensions ext, into those rows of the field out,
-    each divided by step unless it is None.  The extension rows that the
-    band reads are scaled once per distinct tap weight (and divided by
-    step), and every row of that weight is a window of them, copied into
-    the row plane and added: per sample the same operations as scaling
-    each row.  A one-tap kernel's row is its gradient plane itself, which
-    no other row reads: it is scaled in place."""
+    each divided by step unless it is None.  A one-tap kernel's row is its
+    gradient plane itself, which no other row reads: it is scaled in
+    place."""
     r = ws.kernel.radius
+    w = ws.shape[1]
     L = len(ws.taps)
-    band, w = y1 - y0, ws.shape[1]
     if r:
-        slot = ws.band_slot(band)
-        padded, row_shape = _gather_shapes(ws, band)
-        scaled = ws.planes(1, padded, slot)[0]
-        row = ws.planes(1, row_shape, slot, padded[0] * padded[1])[0]
+        row = ws.planes(1, (y1 - y0, w), ws.band_slot(y1 - y0))[0]
     for c in range(ws.channels):
         for k in range(2):
             src = ext[2 * c + k]
-            for sw, taps in ws.tap_weights.items():
-                rows = src[y0 : y1 + 2 * r]
-                dst = scaled if r else rows
-                if sw != 1.0:
-                    rows = np.multiply(rows, sw, out=dst)
-                if step is not None:
-                    rows = np.divide(rows, step, out=dst)
+            for l, ((dy, dx), sw) in enumerate(ws.taps):
+                if sw == 0.0:
+                    continue
                 # row (c, l) at pixel i is sqrt(K[p_l]) grad[i - p_l]
-                for l, (dy, dx) in taps:
-                    if r:
-                        row[...] = rows[r - dy : r - dy + band, r - dx : r - dx + w]
-                    else:
-                        row = rows
-                    out[k, c * L + l, y0:y1] += row
+                if r:
+                    row[...] = src[r - dy + y0 : r - dy + y1, r - dx : r - dx + w]
+                else:
+                    row = src[y0:y1]
+                if sw != 1.0:
+                    row *= sw
+                if step is not None:
+                    row /= step
+                out[k, c * L + l, y0:y1] += row
 
 
 def _scatter(ws, data, y0, y1):
@@ -643,13 +615,18 @@ def _schatten_sum(ws, channels, q):
     # the samples of the grids that hold pixels, as one run
     run = (h - 1) * wp + w
     if r:
+        # the taps of each nonzero weight
+        weights = {}
+        for offset, sw in ws.taps:
+            if sw != 0.0:
+                weights.setdefault(sw, []).append(offset)
         for prod, grid in zip(products, grids):
             flat = grid.reshape(-1)[:run]
             first = True
-            for sw, taps in ws.tap_weights.items():
+            for sw, offsets in weights.items():
                 src = prod if sw == 1.0 else np.multiply(prod, sw * sw, out=spare)
                 src = src.reshape(-1)
-                for _, (dy, dx) in taps:
+                for dy, dx in offsets:
                     start = (r - dy) * wp + (r - dx)
                     if first:
                         flat[...] = src[start : start + run]

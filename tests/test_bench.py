@@ -150,19 +150,16 @@ def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
     monkeypatch.setattr(bench, "solve", spy)
     default = SolverConfig(tau=0.02)
     wide = gaussian_kernel(1.0, 5)
-    # the gap stop is the sweep's own default, not SolverConfig's
-    sweep = bench.SWEEP_GAP_TOL
     for opts, expected in (
-            ({}, (default.max_iters, default.rel_tol, default.q, default.kernel, sweep)),
-            ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel, sweep)),
-            ({"rel_tol": 1e-3, "q": 2, "kernel": wide}, (default.max_iters, 1e-3, 2, wide, sweep)),
-            ({"gap_tol": 1e-4}, (default.max_iters, default.rel_tol, default.q, default.kernel,
-                                 1e-4))):
+            ({}, (default.max_iters, default.rel_tol, default.q, default.kernel)),
+            ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel)),
+            ({"rel_tol": 1e-3, "q": 2, "kernel": wide}, (default.max_iters, 1e-3, 2, wide))):
         seen.clear()
         bench.run_tuple(clean, "s", 0.1, "stv", [0.02], [3.0], 0, opts)
         (got,) = seen
         assert got[:3] == expected[:3] and got[4] == default.constraint
-        assert got[5] == expected[4]
+        # the gap stop is the sweep's own, not SolverConfig's
+        assert got[5] == bench.SWEEP_GAP_TOL
         np.testing.assert_array_equal(got[3].weights, expected[3].weights)
 
 
@@ -190,9 +187,7 @@ def test_bad_opts_values_are_refused_before_any_solve(tmp_path, monkeypatch):
     bad = (({"st_support": 0}, "st_support"), ({"st_support": 4}, "st_support"),
            ({"num_scales": 5}, "num_scales"), ({"num_scales": 0}, "num_scales"),
            ({"max_iters": 0}, "max_iters"), ({"q": 3}, "q must"),
-           ({"rel_tol": -1.0}, "rel_tol"), ({"gap_tol": 0.0}, "gap_tol"),
-           ({"gap_tol": -1.0}, "gap_tol"), ({"gap_tol": np.nan}, "gap_tol"),
-           ({"gap_tol": np.inf}, "gap_tol"))
+           ({"rel_tol": -1.0}, "rel_tol"))
     for opts, says in bad:
         # a value that is never valid is refused even where no regularizer
         # would read it
@@ -211,8 +206,7 @@ def test_only_a_missing_or_none_option_is_unset(monkeypatch):
             bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
     analyses = counting(monkeypatch, bench, "analyze")
     solves = counting(monkeypatch, bench, "solve")
-    unset = dict.fromkeys(("max_iters", "rel_tol", "gap_tol", "q", "kernel", "num_scales",
-                           "st_support"))
+    unset = dict.fromkeys(("max_iters", "rel_tol", "q", "kernel", "num_scales", "st_support"))
     for opts in ({}, unset):
         bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
     # sigma 0.2 takes three scales, a 16-pixel image support 7, and the
@@ -261,20 +255,22 @@ def test_solves_run_in_float32_on_fields_from_the_float64_noisy_image(monkeypatc
             assert args[0].data is noisy
 
 
-def test_records_report_stop_reason_and_estimate_seconds():
+def test_records_report_stop_reason_and_estimate_seconds(monkeypatch):
     clean = stripe_image(16, 16, 0.5)
     assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds,gap")
     for reg in bench.REGULARIZERS:
         steered = reg in ("eadtv", "adstv")
         # a loose tol stops before the cap and before the first gap check,
         # a tight one runs to the cap (too short for a check), and a loose
-        # gap_tol stops at the first check
+        # sweep gap stops at the first check
         early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
                                 {"max_iters": 100, "rel_tol": 1e-2})
         capped = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
                                  {"max_iters": 5, "rel_tol": 1e-9})
-        certified = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
-                                    {"max_iters": 100, "rel_tol": 1e-9, "gap_tol": 0.5})
+        with monkeypatch.context() as mp:
+            mp.setattr(bench, "SWEEP_GAP_TOL", 0.5)
+            certified = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
+                                        {"max_iters": 100, "rel_tol": 1e-9})
         assert early.iters < 100 and early.stop_reason == "tol"
         assert capped.iters == 5 and capped.stop_reason == "max_iters"
         assert certified.iters == GAP_EVERY and certified.stop_reason == "gap"

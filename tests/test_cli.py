@@ -209,8 +209,6 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
                  ["bench", "--corpus", "a", "--out", "b"]):
         args = parser.parse_args(argv)
         assert (args.iters, args.tol, args.q) == (default.max_iters, default.rel_tol, default.q)
-        # unset: off for denoise, bench.SWEEP_GAP_TOL for bench
-        assert args.gap_tol is None
         assert (args.kernel_sigma, args.kernel_support) == (KERNEL_SIGMA, KERNEL_SUPPORT)
         kernel = gaussian_kernel(args.kernel_sigma, args.kernel_support)
         np.testing.assert_array_equal(kernel.weights, default.kernel.weights)
@@ -234,48 +232,6 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
             default.max_iters, default.rel_tol, default.q, default.constraint)
         assert cfg.gap_tol == bench.SWEEP_GAP_TOL
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
-
-
-def test_gap_tol_reaches_every_solve_and_bad_values_are_refused_before_any_work(
-        tmp_path, capsys, monkeypatch):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    src = corpus / "a.pgm"
-    save_image(stripe_image(16, 16, 0.5), src)
-    out = tmp_path / "out.pgm"
-    csv = tmp_path / "out.csv"
-    denoise = ["denoise", "--input", str(src), "--output", str(out), "--regularizer",
-               "adstv", "--tau", "0.05", "--alpha-plus", "3"]
-    sweep = ["bench", "--corpus", str(corpus), "--out", str(csv), "--sigmas", "0.1",
-             "--regularizers", "stv", "--tau-grid", "0.05"]
-    seen = []
-    for module in (cli, bench):
-        real = module.solve
-
-        def spy(g, dp, cfg, dual=None, real=real):
-            seen.append(cfg.gap_tol)
-            return real(g, dp, cfg, dual=dual)
-
-        monkeypatch.setattr(module, "solve", spy)
-    for argv, gap_tol in ((denoise, None), (denoise + ["--gap-tol", "1e-4"], 1e-4),
-                          (sweep, bench.SWEEP_GAP_TOL), (sweep + ["--gap-tol", "0.01"], 0.01)):
-        seen.clear()
-        assert main(argv) == 0
-        assert seen == [gap_tol]
-    out.unlink()
-    csv.unlink()
-    seen.clear()
-    loads = []
-    for module in (cli, bench):
-        monkeypatch.setattr(module, "load_image", loads.append)
-    for argv in (denoise, sweep):
-        for bad in ("nan", "inf", "0", "-1"):
-            assert main(argv + ["--gap-tol", bad]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: gap_tol") and err.count("\n") == 1, err
-    # refused before any image is loaded or solved, and nothing is written
-    assert loads == [] and seen == []
-    assert not out.exists() and not csv.exists()
 
 
 def test_analysis_flags_default_to_the_library_defaults():

@@ -37,6 +37,7 @@ from conftest import (
     rand_image,
     rand_params,
     reference_solve,
+    stripe_image,
 )
 from test_acceptance import synth_half_oriented
 
@@ -841,6 +842,32 @@ def test_a_gap_stop_is_certified_and_bit_identical_to_the_reference(dtype, steer
 
 
 @pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
+@pytest.mark.parametrize("kernel", [gaussian_kernel(0.5, 3), gaussian_kernel(1.5, 7)],
+                         ids=["3x3", "7x7"])
+def test_a_float32_gap_on_oriented_stripes_is_not_below_the_oracle(kernel, steered):
+    # A grating's gradients share one direction, so every per-pixel block
+    # of J z is near rank 1, where the float32 sqrt(det) of its Gram loses
+    # the most: the reported q = 1 gap still holds the float64 energies'
+    # gap, at a gap stop, near float32's floor and before the first check.
+    h, w = 40, 40
+    angle = 0.5
+    rng = np.random.default_rng(65)
+    g = stripe_image(h, w, angle).data + 0.02 * rng.standard_normal((1, h, w))
+    g = Image(g.astype(np.float32))
+    dp = DirectionalParams(4.0, np.ones((h, w)), np.full((h, w), angle)) if steered else None
+    cfg = SolverConfig(tau=0.05, q=1, kernel=kernel, rel_tol=1e-15)
+    for gap_tol, max_iters, reasons in ((1e-3, 3000, {"gap"}), (1e-5, 300, {"gap", "max_iters"}),
+                                        (1e-3, GAP_EVERY - 1, {"max_iters"})):
+        dual = dual_field(kernel.support**2, h, w, np.float32)
+        res = solve(g, dp, replace(cfg, max_iters=max_iters, gap_tol=gap_tol), dual=dual)
+        assert res.stop_reason in reasons
+        primal = primal_energy(res.image, g, dp, cfg)
+        certified = (primal - dual_objective(dual, g, dp, cfg)) / primal
+        # 1e-9: the oracle's own sqrt(eps) in a rank-1 block's minor value
+        assert certified - 1e-9 <= res.gap, (certified, res.gap)
+
+
+@pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
 def test_the_probe_sees_each_iteration_once_with_gap_checks(steered, monkeypatch):
     # checks that do not stop the loop leave every iterate and accepted
     # dual as they are without checks, one per iteration; a check never
@@ -898,8 +925,8 @@ def test_the_workspace_block_never_grows_once_a_solve_has_begun(kernel, shape, r
                                                                 monkeypatch):
     # every plane the iterations and the gap checks take is reserved before
     # the first extension: a block that grew later would free the views
-    # that J, J* and the projection still hold.  Narrow images make J's
-    # scaled extension rows the largest scratch.
+    # that J, J* and the projection still hold.  Narrow images make the
+    # gap's padded and (H, W + 2r) planes the largest scratch.
     h, w = shape
     if rows is not None:
         band_rows(monkeypatch, rows, kernel, 1, w, np.float32)

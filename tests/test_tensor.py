@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adstv import Image, tensor
+from adstv import Image
 from adstv.diffops import Kernel, delta_kernel, gaussian_kernel, grad_forward, reflect_index
 from adstv.tensor import (
     DirectionalParams,
@@ -285,60 +285,6 @@ def test_step_mode_adds_j_over_step_into_out(kernel, shape):
                 ws._block[...] = np.nan
                 assert jacobian_apply(z, k, dp, out=psi, workspace=ws, step=step) is psi
                 assert np.array_equal(psi, expected)
-
-
-def per_row_gather(z, k, dp, psi0, step):
-    """psi0 plus J z, each row divided by step unless it is None, by the
-    tap loop that scales every row on its own: the window of the extended
-    gradient is copied, times sqrt(K[p_l]), over step, and added."""
-    c, h, w = z.shape
-    ws = Workspace(k, c, h, w, dp, z.dtype)
-    ext = [plane.copy() for plane in tensor._extend(ws, z)]
-    r, L = k.radius, len(ws.taps)
-    out = psi0.copy()
-    for ch in range(c):
-        for comp in range(2):
-            for l, ((dy, dx), sw) in enumerate(ws.taps):
-                if sw == 0.0:
-                    continue
-                row = ext[2 * ch + comp][r - dy : r - dy + h, r - dx : r - dx + w].copy()
-                if sw != 1.0:
-                    row *= sw
-                if step is not None:
-                    row /= step
-                out[comp, ch * L + l] += row
-    return out
-
-
-@pytest.mark.parametrize("kernel", sorted(STEP_KERNELS))
-@pytest.mark.parametrize("shape", [(1, 4), (2, 3), (9, 2), (7, 5)])
-def test_the_tap_loop_equals_scaling_each_row(kernel, shape, monkeypatch):
-    # J scales a band's extension rows once per tap weight and copies each
-    # row out of them: bit for bit the rows scaled one by one, for both
-    # dtypes, plain and in step mode, at one band and at bands of one row
-    k = STEP_KERNELS[kernel]
-    h, w = shape
-    rng = np.random.default_rng([h, w, k.support, len(kernel), 7])
-    for c in (1, 3):
-        for dtype in (np.float32, np.float64):
-            for dp in (None, rand_params(rng, h, w)):
-                rows = k.support**2 * c
-                z = rand_image(rng, h, w, c).data.astype(dtype)
-                zero = dual_field(rows, h, w, dtype)
-                assert np.array_equal(jacobian_apply(z, k, dp),
-                                      per_row_gather(z, k, dp, zero, None))
-                psi0 = rng.standard_normal((2, rows, h, w)).astype(dtype)
-                expected = per_row_gather(z, k, dp, psi0, 3.7)
-                for band in (h, 1):
-                    row_bytes = 2 * rows * w * np.dtype(dtype).itemsize
-                    monkeypatch.setattr(tensor, "BAND_BYTES", band * row_bytes)
-                    ws = Workspace(k, c, h, w, dp, dtype)
-                    assert len(ws.bands) == h // band
-                    ws._block[...] = np.nan
-                    psi = psi0.copy()
-                    jacobian_apply(z, k, dp, out=psi, workspace=ws, step=3.7,
-                                   each_band=lambda y0, y1: None)
-                    assert np.array_equal(psi, expected)
 
 
 def test_step_mode_needs_out_and_a_scalar_step():
