@@ -13,9 +13,13 @@ with the float64 clean image.  A float32 solve cannot resolve a rel_tol
 below about 1e-7, so such a tol runs to max_iters.
 
 Every solve of a sweep stops once its relative duality gap is at most
-SWEEP_GAP_TOL, and within one alpha_plus each tau after the first starts
-from the dual the previous tau left: the dual feasible set depends on
-neither tau nor the steering.
+SWEEP_GAP_TOL.  A tuple's solves run as one warm-start chain in order of
+the effective weight tau * alpha_plus (ties to the smaller alpha_plus,
+then to grid order): the first starts from zeros, and each later one from
+the dual the previous one left, a feasible start because the dual
+feasible set depends on neither tau nor the steering.  The rule for the
+kept record does not depend on that order: it is the highest PSNR, a tie
+going to the earlier grid point, alpha_plus first and then tau.
 """
 
 import dataclasses
@@ -249,9 +253,22 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     refuses, raises ValueError before the first solve, as does a noisy
     sample beyond the float32 range.
 
-    One dual field serves every solve of the tuple as start and output:
-    each alpha_plus starts from the zero field, and each tau after its
-    first from the dual the previous tau left."""
+    The tuple solves every (alpha_plus, tau) pair of the grids (alpha_plus
+    1 for tv and stv) in one chain, in order of the effective weight
+    tau * alpha_plus, ties going to the smaller alpha_plus and then to grid
+    order: the steered operator is alpha_plus diag(1, alpha_minus /
+    alpha_plus) R(-theta) grad, so a solve depends on tau and alpha_plus
+    through their product and the ratio.  One dual field is every solve's
+    start and output: the first solve starts from zeros, and each later one
+    from the dual the previous one left.  Any earlier dual is a feasible
+    start, as the dual feasible set, the unit balls, depends on neither tau
+    nor the steering; the nearest weight's is the closest at hand.  An
+    alpha_plus's DirectionalParams is built when its solve comes up, after
+    the previous one is released, so at most one is held.
+
+    The kept record is the highest PSNR, a tie going to the earlier point
+    of the grid order (alpha_plus first, then tau), whatever the solve
+    order; its SSIM is scored once, after the last solve."""
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts, settings = _given_opts(opts)
@@ -267,41 +284,49 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
         num_scales=opts.get("num_scales", default_num_scales(sigma_eta)),
         st_support=opts.get("st_support"))
     estimate_seconds = 0.0
+    steering = None
     if fields is None:
-        runs = [(1.0, None)]
+        alpha_grid = [1.0]
     else:
         t0 = time.perf_counter()
         steering = fields(noisy)
         estimate_seconds = time.perf_counter() - t0
-        runs = ((a, steering(a)) for a in alpha_grid)
 
-    best = None
+    grid = [(alpha, tau) for alpha in alpha_grid for tau in tau_grid]
+    # a stable sort: equal keys keep grid order
+    order = sorted(range(len(grid)), key=lambda i: (grid[i][0] * grid[i][1], grid[i][0]))
     dual = dual_field(kernel.support**2 * clean.channels, clean.height, clean.width, np.float32)
-    for alpha, dp in runs:
-        dual[...] = 0.0
-        for tau in tau_grid:
-            cfg = dataclasses.replace(settings, tau=float(tau), q=q, kernel=kernel)
-            t0 = time.perf_counter()
-            result = solve(noisy32, dp, cfg, dual=dual)
-            wall = time.perf_counter() - t0
-            p = psnr(clean, result.image)
-            if best is None or p > best.psnr_db:
-                best = RunRecord(
-                    image_id=image_id,
-                    regularizer=reg,
-                    sigma_eta=float(sigma_eta),
-                    tau=float(tau),
-                    alpha_plus=float(alpha),
-                    psnr_db=p,
-                    ssim=ssim(clean, result.image),
-                    iters=result.iterations,
-                    wall_seconds=wall,
-                    seed=seed,
-                    stop_reason=result.stop_reason,
-                    estimate_seconds=estimate_seconds,
-                    gap=result.gap,
-                )
-    return best
+    dp = best = None
+    for i in order:
+        alpha, tau = grid[i]
+        if steering is not None and (dp is None or dp.alpha_plus != alpha):
+            # the fields of the last alpha_plus are released before these are built
+            dp = None
+            dp = steering(alpha)
+        cfg = dataclasses.replace(settings, tau=float(tau), q=q, kernel=kernel)
+        t0 = time.perf_counter()
+        result = solve(noisy32, dp, cfg, dual=dual)
+        wall = time.perf_counter() - t0
+        p = psnr(clean, result.image)
+        if best is None or p > best[0] or (p == best[0] and i < best[1]):
+            best = (p, i, result, wall)
+    p, i, result, wall = best
+    alpha, tau = grid[i]
+    return RunRecord(
+        image_id=image_id,
+        regularizer=reg,
+        sigma_eta=float(sigma_eta),
+        tau=float(tau),
+        alpha_plus=float(alpha),
+        psnr_db=p,
+        ssim=ssim(clean, result.image),
+        iters=result.iterations,
+        wall_seconds=wall,
+        seed=seed,
+        stop_reason=result.stop_reason,
+        estimate_seconds=estimate_seconds,
+        gap=result.gap,
+    )
 
 
 def _run_task(task):

@@ -120,7 +120,8 @@ def cmd_denoise(args):
     if args.theta_override is not None:
         # fixed global direction: no estimation, unit dose everywhere
         shape = (img.height, img.width)
-        theta = _fold_angle(np.full(shape, args.theta_override))
+        # Python's % is np.mod; _fold_angle then maps pi to 0
+        theta = _fold_angle(np.full(shape, args.theta_override % math.pi))
         dp = DirectionalParams(args.alpha_plus, np.ones(shape), theta)
     elif fields is not None:
         if reg == "adstv":

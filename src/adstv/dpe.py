@@ -129,11 +129,16 @@ class DpeConfig:
 
 
 def _fold_angle(a):
-    """Fold the float array a into [0, pi), in place, and return it."""
-    out = np.mod(a, np.pi, out=a)
-    # mod of a tiny negative can round up to pi exactly
-    out[out >= np.pi] = 0.0
-    return out
+    """Fold the float array a, whose values lie in [-pi, pi], into [0, pi),
+    in place, and return it.
+
+    On that range this is np.mod(a, pi) with pi mapped to 0, bit for bit:
+    pi is added where a's sign bit is set, so -0.0 (like +0.0) ends as
+    +0.0, and a sum that rounds up to pi, or pi itself, becomes 0.
+    """
+    np.add(a, np.pi, out=a, where=np.signbit(a))
+    np.copyto(a, 0.0, where=a >= np.pi)
+    return a
 
 
 def _minor_angle(sxx, sxy, syy, c):

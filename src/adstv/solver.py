@@ -210,7 +210,7 @@ def _project_ball(data, p, workspace=None):
     # holds at that point.
     gxx, gxy, gyy, half, sp, fp, fm, quot = planes
     _gram(data, out=(gxx, gxy, gyy))
-    # l+ into sp, l- over gxx and the radius hypot(half, gxy) over gyy
+    # l+ into sp, l- over gxx and the radius sqrt(half^2 + gxy^2) over gyy
     sp, sm = eig2x2(gxx, gxy, gyy, out=(sp, gxx, half, gyy))
     rad = gyy
     np.sqrt(sp, out=sp)

@@ -507,26 +507,36 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=
 def eig2x2(sxx, sxy, syy, out=None):
     """Closed-form eigenvalues of symmetric 2x2 matrices.
 
-    Returns (lambda_plus, lambda_minus) = mean +- rad, rad = hypot(half,
-    sxy), with mean and half the half-sum and half-difference of the
-    diagonal, so lambda_plus >= lambda_minus.  Works on scalars or arrays
-    of matching shape, in the entries' dtype (float32 stays float32,
-    anything else is float64).
+    Returns (lambda_plus, lambda_minus) = mean +- rad, rad = sqrt(half^2 +
+    sxy^2), with mean and half the half-sum and half-difference of the
+    diagonal, so lambda_plus >= lambda_minus.  Works on scalars (as 0-d
+    arrays) or arrays of matching shape, in the entries' dtype (float32
+    stays float32, anything else is float64).  The squares overflow for
+    |half| or |sxy| above about 1e19 in float32 (1e154 in float64), and
+    lose precision to subnormals below about 1e-19 (1e-154).
 
     out, when given, is four planes (lp, lm, half, rad) that receive
     lambda_plus, lambda_minus, half and rad; lm may be sxx's plane and rad
-    syy's, which are read before those are written.  Without out an array
-    call holds at most three planes besides its inputs.
+    syy's, which are read before those are written.  Without out a call
+    holds three planes besides its inputs.
     """
     sxx, sxy, syy = as_float(sxx), as_float(sxy), as_float(syy)
-    lp, lm, half, rad = (None,) * 4 if out is None else out
-    half = np.subtract(sxx, syy, out=half)
+    if out is None:
+        shape = np.broadcast_shapes(sxx.shape, sxy.shape, syy.shape)
+        lp, half, rad = (np.empty(shape, np.result_type(sxx, sxy, syy)) for _ in range(3))
+        # lm takes half's plane once half is spent
+        lm = half
+    else:
+        lp, lm, half, rad = out
+    np.subtract(sxx, syy, out=half)
     half *= 0.5
-    lp = np.add(sxx, syy, out=lp)
+    np.add(sxx, syy, out=lp)
     lp *= 0.5
-    rad = np.hypot(half, sxy, out=rad)
-    del half  # without out, its plane is freed before lm takes one
-    lm = np.subtract(lp, rad, out=lm)
+    # rad in its own plane, and sxy^2 in lm's, whose value (or sxx's) is spent
+    np.multiply(half, half, out=rad)
+    rad += np.multiply(sxy, sxy, out=lm)
+    np.sqrt(rad, out=rad)
+    np.subtract(lp, rad, out=lm)
     lp += rad
     return lp, lm
 

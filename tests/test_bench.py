@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,9 +107,10 @@ def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
         assert rec.alpha_plus in ((1.0,) if expected[0][0] else (3.0, 6.0))
 
 
-def test_run_tuple_chains_each_tau_from_the_last_dual_within_an_alpha(monkeypatch):
-    # one field per tuple: each alpha starts from zeros, each tau after its
-    # first from the dual the last tau left; every tuple starts cold
+def test_run_tuple_chains_every_solve_in_tau_alpha_order(monkeypatch):
+    # one chain per tuple through one field, in order of tau * alpha_plus
+    # with ties to the smaller alpha_plus: the first solve starts from
+    # zeros and each later one from the dual the one before it left
     clean = stripe_image(12, 12, 0.5)
     calls = []
     solve = bench.solve
@@ -120,21 +122,70 @@ def test_run_tuple_chains_each_tau_from_the_last_dual_within_an_alpha(monkeypatc
         return result
 
     monkeypatch.setattr(bench, "solve", spy)
-    taus, alphas = [0.01, 0.02, 0.04], [3.0, 6.0]
-    for reg in ("stv", "adstv", "adstv"):
+    # tau * alpha_plus ties at 0.04 and 0.08, exactly: the factors differ
+    # by powers of two
+    taus, alphas = [0.04, 0.01, 0.02], [4.0, 2.0]
+    steered = [(2.0, 0.01), (2.0, 0.02), (4.0, 0.01), (2.0, 0.04), (4.0, 0.02), (4.0, 0.04)]
+    for reg, expected in (("stv", [(None, 0.01), (None, 0.02), (None, 0.04)]),
+                          ("adstv", steered), ("eadtv", steered), ("adstv", steered)):
         calls.clear()
         bench.run_tuple(clean, "s", 0.1, reg, taus, alphas, 0, {"max_iters": 12})
-        assert len(calls) == len(taus) * (1 if reg == "stv" else len(alphas))
-        fields = {id(dual) for _, _, dual, _, _ in calls}
-        assert len(fields) == 1
-        for i, (dp, tau, _, start, end) in enumerate(calls):
-            assert tau == taus[i % len(taus)]
-            assert dp is None or dp.alpha_plus == alphas[i // len(taus)]
-            if i % len(taus) == 0:
-                assert not start.any()
-            else:
-                assert np.array_equal(start, calls[i - 1][4])
-            assert end.any()
+        assert [(dp and dp.alpha_plus, tau) for dp, tau, _, _, _ in calls] == expected
+        assert len({id(dual) for _, _, dual, _, _ in calls}) == 1
+        # every tuple starts cold
+        assert not calls[0][3].any()
+        for prev, call in zip(calls, calls[1:]):
+            assert np.array_equal(call[3], prev[4])
+        assert all(end.any() for _, _, _, _, end in calls)
+
+
+def test_kept_record_is_the_first_grid_point_among_equal_psnrs(monkeypatch):
+    # every run scores alike: the kept one is the grid's first point,
+    # alpha_plus first and then tau, which the chain solves neither first
+    # nor last, and its SSIM is the one scored, of the image that run
+    # returned
+    clean = stripe_image(12, 12, 0.5)
+    results = []
+    solve = bench.solve
+
+    def spy(g, dp, cfg, dual=None):
+        results.append(((dp and dp.alpha_plus, cfg.tau), solve(g, dp, cfg, dual=dual)))
+        return results[-1][1]
+
+    monkeypatch.setattr(bench, "solve", spy)
+    monkeypatch.setattr(bench, "psnr", lambda clean, image: 30.0)
+    scored = counting(monkeypatch, bench, "ssim")
+    for reg, taus, alphas, first in (("tv", [0.02, 0.01, 0.04], [], (None, 0.02)),
+                                     ("adstv", [0.02, 0.01], [2.0, 4.0], (2.0, 0.02))):
+        results.clear()
+        scored.clear()
+        rec = bench.run_tuple(clean, "s", 0.1, reg, taus, alphas, 0, {"max_iters": 12})
+        solved = [key for key, _ in results]
+        assert first in solved[1:-1]
+        kept = dict(results)[first]
+        assert (rec.alpha_plus, rec.tau) == (first[0] or 1.0, first[1])
+        assert (rec.psnr_db, rec.iters, rec.stop_reason, rec.gap) == (
+            30.0, kept.iterations, kept.stop_reason, kept.gap)
+        # one SSIM per tuple, of the kept run's image
+        assert len(scored) == 1 and scored[0][1] is kept.image
+        assert rec.ssim == bench.ssim(clean, kept.image)
+
+
+def test_run_tuple_holds_one_alpha_plus_fields_at_a_time():
+    # 12 alpha_plus values hold no more than 2 do, within one plane: each
+    # DirectionalParams is built when its solve comes up and released
+    # before the next one is built
+    clean = stripe_image(64, 64, 0.5)
+    plane = clean.height * clean.width * 8
+    peaks = []
+    for alphas in ([2.0, 3.0], [float(a) for a in range(2, 14)]):
+        tracemalloc.start()
+        try:
+            bench.run_tuple(clean, "s", 0.1, "adstv", [0.02], alphas, 0, {"max_iters": 5})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + plane, (peaks, plane)
 
 
 def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):

@@ -128,6 +128,25 @@ def test_minor_angle_is_half_pi_where_coherence_is_zero():
             np.testing.assert_array_equal(angle[c == 0.0], np.pi / 2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fold_angle_is_mod_pi_bit_for_bit(dtype):
+    # _fold_angle against np.mod(a, pi) with pi then mapped to 0, the sign
+    # of zero included (np.mod folds -0.0 to +0.0), over [-pi, pi]
+    pi = dtype(np.pi)
+    tiny = np.finfo(dtype).smallest_subnormal
+    edges = np.array([-np.pi, -pi, -np.nextafter(pi, 0), -1.0, -0.0, 0.0, -tiny, -2 * tiny,
+                      tiny, -np.finfo(dtype).tiny, np.nextafter(pi, 0), pi, np.pi, 1.0], dtype)
+    rng = np.random.default_rng(44)
+    for a in (edges, rng.uniform(-np.pi, np.pi, 10000).astype(dtype)):
+        want = np.mod(a, np.pi)
+        want[want >= np.pi] = 0.0
+        got = dpe._fold_angle(a.copy())
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert ((got >= 0.0) & (got < np.pi)).all()
+
+
 def test_scale_fields_memory_bound():
     # The planes a 256^2 call holds at once beyond its input, stage by
     # stage: the pre-smoothed plane and the Sobel pair (3); the Sobel pair,

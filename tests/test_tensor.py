@@ -510,6 +510,36 @@ def test_eig2x2_matches_lapack():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eig2x2_matches_a_float64_hypot_reference(dtype):
+    # sqrt(half^2 + sxy^2) in the entries' dtype against float64 hypot, at
+    # magnitudes 1e-6 to 1e6 and at near-equal eigenvalues, where half is
+    # 0 or a few ulps of the diagonal
+    rng = np.random.default_rng(43)
+    eps = np.finfo(dtype).eps
+    a = rng.standard_normal((4000, 2, 2))
+    mats = a @ a.transpose(0, 2, 1) * 10.0 ** rng.uniform(-6, 6, 4000)[:, None, None]
+    sxx, sxy, syy = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+    d = 10.0 ** rng.uniform(-6, 6, 1000)
+    near = (d, d * (1.0 + eps * rng.integers(0, 4, 1000)), d)
+    tiny = d * 10.0 ** rng.uniform(-6, 0, 1000) * rng.choice([-1.0, 1.0], 1000)
+    entries = [np.concatenate(e).astype(dtype)
+               for e in ((sxx, near[0]), (sxy, tiny), (syy, near[1]))]
+    out = tuple(np.empty_like(entries[0]) for _ in range(4))
+    lp, lm = eig2x2(*entries, out=out)
+    sxx, sxy, syy = (e.astype(np.float64) for e in entries)
+    half = 0.5 * (sxx - syy)
+    rad = np.hypot(half, sxy)
+    np.testing.assert_allclose(out[3], rad, rtol=2 * eps, atol=0)
+    mean = 0.5 * (sxx + syy)
+    # lambda- cancels where it is small against lambda+: error relative to
+    # the matrix's scale
+    scale = np.abs(mean) + rad
+    assert np.all(np.abs(lp - (mean + rad)) <= 3 * eps * scale)
+    assert np.all(np.abs(lm - (mean - rad)) <= 3 * eps * scale)
+    assert np.all(lp >= lm)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_eig2x2_out_planes_change_no_value_and_allocate_nothing(dtype):
     rng = np.random.default_rng(41)
     a = rng.standard_normal((64, 64, 2, 2)).astype(dtype)
