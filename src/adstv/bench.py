@@ -9,8 +9,7 @@ grid checks and the CLI all ask it, and it keeps no state.
 
 The direction fields are estimated from the float64 noisy image; every
 solve runs on one float32 copy of it, and PSNR and SSIM compare each result
-with the float64 clean image.  A float32 solve cannot resolve a rel_tol
-below about 1e-7, so such a tol runs to max_iters.
+with the float64 clean image.
 
 Every solve of a sweep stops once its relative duality gap is at most
 SWEEP_GAP_TOL.  A tuple's solves run as one warm-start chain in order of
@@ -212,7 +211,7 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
 
 
 # the opts keys of run_tuple: the solve's settings, then the analysis'
-_SOLVER_OPTS = ("max_iters", "rel_tol", "q", "kernel")
+_SOLVER_OPTS = ("max_iters", "q", "kernel")
 _ANALYSIS_OPTS = ("num_scales", "st_support")
 _OPTS = _SOLVER_OPTS + _ANALYSIS_OPTS
 
@@ -246,8 +245,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
 
     The fields are estimated from the float64 noisy image, and every solve
     runs on its float32 copy and stops on a gap of SWEEP_GAP_TOL.  opts may
-    set the solve's max_iters, rel_tol, q and kernel (SolverConfig's
-    defaults fill the rest) and the analysis' num_scales and st_support (by
+    set the solve's max_iters, q and kernel (SolverConfig's defaults fill
+    the rest) and the analysis' num_scales and st_support (by
     default from sigma_eta and the image size); a key that is missing or
     None is unset, and any other key, or a value SolverConfig or DpeConfig
     refuses, raises ValueError before the first solve, as does a noisy

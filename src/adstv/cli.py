@@ -3,9 +3,9 @@
 Subcommands: denoise, add-noise, metrics, estimate, bench.
 
 denoise and bench estimate the direction fields from the float64 samples
-and run every solve on a float32 copy of the noisy image.  A --tol below
-about 1e-7 is finer than a float32 solve resolves, so such a solve runs to
---iters.
+and run every solve on a float32 copy of the noisy image.  --iters caps
+every solve, whose relative-change stop keeps SolverConfig's default;
+bench's solves also stop on a duality gap of bench.SWEEP_GAP_TOL.
 
 The bench CSV has one row per (image, sigma, regularizer), the best-PSNR
 run; its columns are the fields of bench.RunRecord.  bench refuses an --out
@@ -49,9 +49,6 @@ def _add_solve_flags(p):
     p.add_argument("--q", type=int, default=SolverConfig.q, choices=(1, 2),
                    help="Schatten order of the per-pixel penalty")
     p.add_argument("--iters", type=int, default=SolverConfig.max_iters)
-    p.add_argument("--tol", type=float, default=SolverConfig.rel_tol,
-                   help="relative-change stop (default %(default)g); the float32 "
-                        "solve resolves no tol below about 1e-7")
 
 
 def _add_analysis_flags(p):
@@ -134,8 +131,8 @@ def cmd_denoise(args):
     if args.tau == 0:
         out = project_box(img, box)
     else:
-        cfg = SolverConfig(tau=args.tau, q=q, max_iters=args.iters,
-                           rel_tol=args.tol, constraint=box, kernel=kernel)
+        cfg = SolverConfig(tau=args.tau, q=q, max_iters=args.iters, constraint=box,
+                           kernel=kernel)
         # a float32 iteration costs about half a float64 one; the fields
         # above were estimated from the float64 samples
         out = solve(Image(img.data.astype(np.float32)), dp, cfg).image
@@ -191,7 +188,6 @@ def cmd_bench(args):
     alpha_grid = default_alpha_grid() if args.alpha_grid == "auto" else _parse_float_list(args.alpha_grid)
     opts = {
         "max_iters": args.iters,
-        "rel_tol": args.tol,
         "q": args.q,
         "kernel": gaussian_kernel(args.kernel_sigma, args.kernel_support),
         "num_scales": args.scales,

@@ -14,6 +14,7 @@ anything else as float64 (see as_float); the smoothing runs in float64.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,18 +87,22 @@ def delta_kernel():
 def gaussian_kernel(sigma, support):
     """Sampled 2-D Gaussian on a support x support grid, normalized to sum 1.
 
-    support must be odd; support 1 returns the delta kernel regardless of
-    sigma.
+    support must be an odd positive integer; support 1 returns the delta
+    kernel regardless of sigma.  A sigma of 1e150 or more gives the uniform
+    kernel, the limit of large sigma, whose square would overflow.
     """
-    if support % 2 == 0 or support < 1:
-        raise ValueError("support must be odd and positive")
+    if not isinstance(support, numbers.Integral) or support % 2 == 0 or support < 1:
+        raise ValueError("support must be an odd positive integer, got %r" % (support,))
     if support == 1:
         return delta_kernel()
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("kernel sigma must be positive and finite")
     r = support // 2
     t = np.arange(-r, r + 1, dtype=np.float64)
-    g = np.exp(-(t**2) / (2.0 * sigma**2))
+    # from sigma 1e150 on every weight rounds to exp(-0), and near 1e154
+    # the square overflows: take that uniform limit directly
+    two_var = 2.0 * sigma**2 if float(sigma) < 1e150 else math.inf
+    g = np.exp(-(t**2) / two_var)
     w = np.outer(g, g)
     return Kernel(w / w.sum())
 

@@ -53,6 +53,7 @@ times.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +123,13 @@ class DpeConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha_plus) and self.alpha_plus > 1.0):
             raise ValueError("alpha_plus must be finite and > 1")
-        if self.num_scales not in (2, 3):
-            raise ValueError("num_scales must be 2 or 3")
-        if self.st_support < 3 or self.st_support % 2 == 0:
-            raise ValueError("st_support must be odd and >= 3")
+        # 2.0 would compare equal to 2, and 7.5 would run as support 7
+        if not isinstance(self.num_scales, numbers.Integral) or self.num_scales not in (2, 3):
+            raise ValueError("num_scales must be the integer 2 or 3, got %r" % (self.num_scales,))
+        if (not isinstance(self.st_support, numbers.Integral) or self.st_support < 3
+                or self.st_support % 2 == 0):
+            raise ValueError("st_support must be an odd integer >= 3, got %r"
+                             % (self.st_support,))
 
 
 def _fold_angle(a):
@@ -197,7 +201,7 @@ def tv_regularize_field(field, fidelity_half, tau, box):
     is float64 either way.
 
     A half-fidelity solve (the theta cleanup) stops after CLEANUP_MAX_ITERS
-    iterations or on tv_denoise's rel_tol.  A full-fidelity solve (a
+    iterations or on SolverConfig.rel_tol.  A full-fidelity solve (a
     coherence cleanup) on a field whose sides are all COARSE_MIN_SIDE or
     longer runs on two grids: CLEANUP_COARSE_ITERS iterations on the 2x2
     means of the field at half the TV weight, then CLEANUP_FINE_ITERS on

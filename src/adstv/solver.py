@@ -57,6 +57,7 @@ a float64 g in float64.  Both run the same code.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -119,8 +120,8 @@ class SolverConfig:
             raise ValueError("tau must be positive and finite")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1, got %r" % (self.max_iters,))
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError("rel_tol must be positive and finite")
         if self.gap_tol is not None and not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
@@ -485,8 +486,7 @@ def solve(g, dp, cfg, *, dual=None):
     return SolveResult(Image(image), it, stop_reason, gap)
 
 
-def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters,
-               rel_tol=SolverConfig.rel_tol, dual=None):
+def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters, dual=None):
     """Classical TV denoising of a single-channel image over a box.
 
     Realized as the delta-kernel, q = 2, unsteered special case of the same
@@ -501,5 +501,5 @@ def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters,
     if tau == 0:
         return project_box(g, box)
     cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), constraint=box,
-                       max_iters=max_iters, rel_tol=rel_tol)
+                       max_iters=max_iters)
     return solve(g, None, cfg, dual=dual).image

@@ -44,7 +44,8 @@ extended gradients, without J's field.
 A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products, the bands and the
 scratch planes.  The solver builds one per solve and passes it to every J
-and J*, which then allocate nothing; a call without one builds its own.
+and to J*'s two steps, which then allocate nothing; a jacobian_apply call
+without one, and every jacobian_adjoint_apply call, builds its own.
 
 Both operators follow the dtype of their input: float32 samples or fields
 give float32 results, computed through float32 scratch planes and steering
@@ -479,25 +480,22 @@ def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=Non
     return out
 
 
-def jacobian_adjoint_apply(data, kernel, channels, dp=None, out=None, workspace=None):
-    """Raw adjoint operator: (2, L*C, H, W) field -> (C, H, W) samples.
+def jacobian_adjoint_apply(data, kernel, channels, dp=None):
+    """Raw adjoint operator: (2, L*C, H, W) field -> new (C, H, W) samples.
 
     The result is in the field's dtype (float32 stays float32, anything
-    else is float64).  out, when given, is a C-contiguous (C, H, W) array
-    of that dtype that is filled and returned.  workspace is as for
-    jacobian_apply.
+    else is float64).  solve does not call it: it runs J*'s two steps,
+    _scatter and _finish, through its own Workspace.
     """
     data = as_float(data)
     if data.ndim != 4 or data.shape[0] != 2:
         raise ValueError("the field must be (2, rows, H, W)")
     _, rows, h, w = data.shape
-    ws = _workspace(workspace, kernel, channels, h, w, dp, data.dtype)
+    ws = Workspace(kernel, channels, h, w, dp, data.dtype)
     if rows != len(ws.taps) * channels:
         raise ValueError("field row count does not match kernel and channels")
-    if out is not None and (out.shape != (channels, h, w) or out.dtype != data.dtype):
-        raise ValueError("out does not match image, channels and dtype")
     _scatter(ws, data, 0, h)
-    return _finish(ws, data, out)
+    return _finish(ws, data)
 
 
 # ---------------------------------------------------------------------------

@@ -284,13 +284,17 @@ def test_criterion05_reductions():
     # rel_tol below float precision locks both paths to the same iteration
     # count, so equal-in-exact-arithmetic sequences stay in step
     common = dict(max_iters=100, rel_tol=1e-14)
-    tv_ref = tv_denoise(g, 0.1, max_iters=100, rel_tol=1e-14)
+    # tv_denoise's configuration, at this rel_tol
     cfg_tv = SolverConfig(tau=0.1, q=2, kernel=delta_kernel(), **common)
+    tv_ref = solve(g, None, cfg_tv).image
     ident = DirectionalParams(1.0, np.ones((h, w)), np.zeros((h, w)))
-    via_none = solve(g, None, cfg_tv).image
     via_ident = solve(g, ident, cfg_tv).image
-    diff_a = max(float(np.abs(via_none.data - tv_ref.data).max()),
-                 float(np.abs(via_ident.data - tv_ref.data).max()))
+    # and tv_denoise, which takes SolverConfig's rel_tol
+    via_tv = tv_denoise(g, 0.1, max_iters=100)
+    via_none = solve(g, None, SolverConfig(tau=0.1, q=2, kernel=delta_kernel(),
+                                           max_iters=100)).image
+    diff_a = max(float(np.abs(via_ident.data - tv_ref.data).max()),
+                 float(np.abs(via_tv.data - via_none.data).max()))
     cfg_stv = SolverConfig(tau=0.1, q=1, kernel=gaussian_kernel(0.5, 3), **common)
     stv = solve(g, None, cfg_stv).image
     const_theta = DirectionalParams(1.0, np.ones((h, w)), np.full((h, w), 0.7))

@@ -204,7 +204,7 @@ def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
     for opts, expected in (
             ({}, (default.max_iters, default.rel_tol, default.q, default.kernel)),
             ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel)),
-            ({"rel_tol": 1e-3, "q": 2, "kernel": wide}, (default.max_iters, 1e-3, 2, wide))):
+            ({"q": 2, "kernel": wide}, (default.max_iters, default.rel_tol, 2, wide))):
         seen.clear()
         bench.run_tuple(clean, "s", 0.1, "stv", [0.02], [3.0], 0, opts)
         (got,) = seen
@@ -221,11 +221,15 @@ def test_unknown_opts_keys_are_refused_before_any_tuple_runs(tmp_path, monkeypat
     save_image(clean, path)
     tuples = counting(monkeypatch, bench, "run_tuple")
     solves = counting(monkeypatch, bench, "solve")
-    with pytest.raises(ValueError, match="'max_iter'"):
-        bench.bench([(path, "stripe")], [0.1], ["stv"], [0.05], [4.0], opts={"max_iter": 3})
+    # rel_tol is SolverConfig's alone: the sweep has no key for it
+    unknown = (({"max_iter": 3}, "'max_iter'"), ({"rel_tol": 1e-3}, "'rel_tol'"))
+    for opts, says in unknown:
+        with pytest.raises(ValueError, match="unknown opts key.*" + says):
+            bench.bench([(path, "stripe")], [0.1], ["stv"], [0.05], [4.0], opts=opts)
     assert tuples == []
-    with pytest.raises(ValueError, match="'max_iter'"):
-        bench.run_tuple(clean, "stripe", 0.1, "stv", [0.05], [4.0], 0, {"max_iter": 3})
+    for opts, says in unknown:
+        with pytest.raises(ValueError, match="unknown opts key.*" + says):
+            bench.run_tuple(clean, "stripe", 0.1, "stv", [0.05], [4.0], 0, opts)
     assert solves == []
 
 
@@ -238,7 +242,10 @@ def test_bad_opts_values_are_refused_before_any_solve(tmp_path, monkeypatch):
     bad = (({"st_support": 0}, "st_support"), ({"st_support": 4}, "st_support"),
            ({"num_scales": 5}, "num_scales"), ({"num_scales": 0}, "num_scales"),
            ({"max_iters": 0}, "max_iters"), ({"q": 3}, "q must"),
-           ({"rel_tol": -1.0}, "rel_tol"))
+           # a count that is not an integer: 2.5 and 2.0 used to reach
+           # range() and raise TypeError, and 7.5 ran as support 7
+           ({"max_iters": 2.5}, "max_iters"), ({"num_scales": 2.0}, "num_scales"),
+           ({"st_support": 7.5}, "st_support"))
     for opts, says in bad:
         # a value that is never valid is refused even where no regularizer
         # would read it
@@ -257,7 +264,7 @@ def test_only_a_missing_or_none_option_is_unset(monkeypatch):
             bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
     analyses = counting(monkeypatch, bench, "analyze")
     solves = counting(monkeypatch, bench, "solve")
-    unset = dict.fromkeys(("max_iters", "rel_tol", "q", "kernel", "num_scales", "st_support"))
+    unset = dict.fromkeys(("max_iters", "q", "kernel", "num_scales", "st_support"))
     for opts in ({}, unset):
         bench.run_tuple(clean, "s", 0.2, "adstv", [0.02], [3.0], 0, opts)
     # sigma 0.2 takes three scales, a 16-pixel image support 7, and the
@@ -307,21 +314,27 @@ def test_solves_run_in_float32_on_fields_from_the_float64_noisy_image(monkeypatc
 
 
 def test_records_report_stop_reason_and_estimate_seconds(monkeypatch):
+    @dataclasses.dataclass
+    class Loose(SolverConfig):
+        rel_tol: float = 1e-2
+
     clean = stripe_image(16, 16, 0.5)
     assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds,gap")
     for reg in bench.REGULARIZERS:
         steered = reg in ("eadtv", "adstv")
-        # a loose tol stops before the cap and before the first gap check,
-        # a tight one runs to the cap (too short for a check), and a loose
-        # sweep gap stops at the first check
-        early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
-                                {"max_iters": 100, "rel_tol": 1e-2})
-        capped = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
-                                 {"max_iters": 5, "rel_tol": 1e-9})
+        # a loose rel_tol (set through the SolverConfig bench builds, as no
+        # opts key sets one) stops before the cap and before the first gap
+        # check, a short cap runs out before a check, and a loose sweep
+        # gap stops at the first check
+        with monkeypatch.context() as mp:
+            mp.setattr(bench, "SolverConfig", Loose)
+            early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
+                                    {"max_iters": 100})
+        capped = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0, {"max_iters": 5})
         with monkeypatch.context() as mp:
             mp.setattr(bench, "SWEEP_GAP_TOL", 0.5)
             certified = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
-                                        {"max_iters": 100, "rel_tol": 1e-9})
+                                        {"max_iters": 100})
         assert early.iters < 100 and early.stop_reason == "tol"
         assert capped.iters == 5 and capped.stop_reason == "max_iters"
         assert certified.iters == GAP_EVERY and certified.stop_reason == "gap"

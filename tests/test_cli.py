@@ -1,6 +1,10 @@
+import argparse
+import dataclasses
 import inspect
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,35 @@ def test_help_and_flag_errors():
     assert main(["no-such-command"]) == 1
 
 
+def test_tol_is_an_unknown_flag(noisy_stripes, tmp_path, capsys):
+    # the relative-change stop is SolverConfig.rel_tol's alone
+    _, noisy = noisy_stripes
+    out = tmp_path / "out.pfm"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "a.pgm")
+    for argv in (["denoise", "--input", str(noisy), "--output", str(out),
+                  "--regularizer", "tv", "--tau", "0.1"],
+                 ["bench", "--corpus", str(corpus), "--out", str(out)]):
+        for tol in ("1e-3", "nan"):
+            assert main(argv + ["--tol", tol]) == 1
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_readme_cli_section_names_every_flag():
+    # README's CLI section documents every flag the parser defines, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    defined = {flag for sub in commands.values() for action in sub._actions
+               for flag in action.option_strings if flag.startswith("--")}
+    assert documented == defined - {"--help"}
+
+
 def test_missing_input_is_io_error(tmp_path):
     out = tmp_path / "out.pgm"
     assert main(["denoise", "--input", str(tmp_path / "absent.pgm"),
@@ -60,7 +93,6 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
     for argv, says in (
             (["denoise", "--regularizer", "tv", "--tau", "nan"], "tau"),
             (["denoise", "--regularizer", "stv", "--tau", "inf"], "tau"),
-            (["denoise", "--regularizer", "stv", "--tau", "0.1", "--tol", "nan"], "rel_tol"),
             (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--alpha-plus", "nan"],
              "alpha_plus"),
             # rejected before the direction fields are estimated
@@ -102,6 +134,22 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "float32" in err
     assert not big.exists()
+    # a finite kernel sigma too large to square is the uniform kernel, as
+    # 1e150 already is, and not an OverflowError traceback; bench builds
+    # its kernel the same way
+    outs = []
+    for sigma in ("1e150", "1e155", "1e300"):
+        outs.append(tmp_path / ("sigma%s.pfm" % sigma))
+        assert main(["denoise", "--input", str(src), "--output", str(outs[-1]),
+                     "--regularizer", "stv", "--tau", "0.1", "--iters", "3",
+                     "--kernel-sigma", sigma]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "a.pgm")
+    assert main(["bench", "--corpus", str(corpus), "--out", str(tmp_path / "b.csv"),
+                 "--sigmas", "0.1", "--regularizers", "stv", "--tau-grid", "0.05",
+                 "--iters", "3", "--kernel-sigma", "1e300"]) == 0
     # a non-finite sample is rejected when the file is loaded
     data = rng.random((1, 8, 8))
     data[0, 3, 4] = np.nan
@@ -133,13 +181,20 @@ def test_denoise_tau_zero_unconstrained_keeps_out_of_range(tmp_path):
     np.testing.assert_allclose(load_image(dst).data, data, atol=1e-6)
 
 
-def test_adstv_alpha_one_override_matches_stv(noisy_stripes, tmp_path):
+def test_adstv_alpha_one_override_matches_stv(noisy_stripes, tmp_path, monkeypatch):
     # a unit dose with one fixed angle only rotates each gradient pair, so
-    # the steered run must land on the plain structure tensor result
+    # the steered run must land on the plain structure tensor result.  A
+    # rel_tol below float32 resolution, which no flag sets, runs every
+    # solve to --iters, so that the runs stay in step
+    @dataclasses.dataclass
+    class Tight(SolverConfig):
+        rel_tol: float = 1e-14
+
+    monkeypatch.setattr(cli, "SolverConfig", Tight)
     _, noisy = noisy_stripes
     out_stv = tmp_path / "stv.pfm"
     out_ad = tmp_path / "ad.pfm"
-    common = ["--tau", "0.05", "--iters", "60", "--tol", "1e-14"]
+    common = ["--tau", "0.05", "--iters", "60"]
     assert main(["denoise", "--input", str(noisy), "--output", str(out_stv),
                  "--regularizer", "stv"] + common) == 0
     assert main(["denoise", "--input", str(noisy), "--output", str(out_ad),
@@ -208,7 +263,7 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
                   "--tau", "0.1"],
                  ["bench", "--corpus", "a", "--out", "b"]):
         args = parser.parse_args(argv)
-        assert (args.iters, args.tol, args.q) == (default.max_iters, default.rel_tol, default.q)
+        assert (args.iters, args.q) == (default.max_iters, default.q)
         assert (args.kernel_sigma, args.kernel_support) == (KERNEL_SIGMA, KERNEL_SUPPORT)
         kernel = gaussian_kernel(args.kernel_sigma, args.kernel_support)
         np.testing.assert_array_equal(kernel.weights, default.kernel.weights)

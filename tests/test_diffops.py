@@ -142,8 +142,14 @@ def test_gaussian_kernel_values():
     raw = np.exp(-(t[:, None] ** 2 + t[None, :] ** 2) / 14.0)
     np.testing.assert_allclose(k7.weights, raw / raw.sum(), atol=1e-14)
     assert np.array_equal(k7.weights, k7.weights[::-1, ::-1])
-    with pytest.raises(ValueError):
-        gaussian_kernel(1.0, 4)
+    # a sigma whose square overflows is the uniform limit, as 1e150 is
+    for sigma in (1e150, 1e155, 1e300, np.finfo(np.float64).max):
+        assert np.array_equal(gaussian_kernel(sigma, 5).weights, np.full((5, 5), 1 / 25))
+    # 7.5 used to run as support 7
+    for support in (4, 7.5, 7.0):
+        with pytest.raises(ValueError, match="support"):
+            gaussian_kernel(1.0, support)
+    assert gaussian_kernel(1.0, np.int64(5)).support == 5
     with pytest.raises(ValueError):
         gaussian_kernel(-1.0, 3)
     for bad in (np.nan, np.inf, -np.inf):

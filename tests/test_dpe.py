@@ -43,9 +43,12 @@ def test_config_validation():
     assert cfg.num_scales == 2 and cfg.st_support == 7
     for bad in (dict(alpha_plus=1.0), dict(alpha_plus=3.0, num_scales=4),
                 dict(alpha_plus=3.0, num_scales=1), dict(alpha_plus=3.0, st_support=4),
-                dict(alpha_plus=3.0, st_support=1)):
+                dict(alpha_plus=3.0, st_support=1), dict(alpha_plus=3.0, num_scales=2.0),
+                dict(alpha_plus=3.0, st_support=7.5), dict(alpha_plus=3.0, st_support=7.0)):
         with pytest.raises(ValueError):
             DpeConfig(**bad)
+    cfg = DpeConfig(alpha_plus=3.0, num_scales=np.int32(3), st_support=np.int64(9))
+    assert (cfg.num_scales, cfg.st_support) == (3, 9)
 
 
 def test_config_rejects_non_finite():

@@ -69,9 +69,11 @@ def test_config_validation_and_defaults():
     assert SolverConfig(tau=0.1, q=2).dual_p == 2
     for bad in (dict(tau=0.0), dict(tau=0.1, q=3), dict(tau=0.1, max_iters=0),
                 dict(tau=0.1, rel_tol=0.0), dict(tau=0.1, constraint=(1.0, 0.0)),
-                dict(tau=0.1, gap_tol=0.0), dict(tau=0.1, gap_tol=-1.0)):
+                dict(tau=0.1, gap_tol=0.0), dict(tau=0.1, gap_tol=-1.0),
+                dict(tau=0.1, max_iters=2.5), dict(tau=0.1, max_iters=100.0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    assert SolverConfig(tau=0.1, max_iters=np.int64(7)).max_iters == 7
 
 
 def test_config_rejects_non_finite():

@@ -8,7 +8,9 @@ from adstv.diffops import Kernel, delta_kernel, gaussian_kernel, grad_forward, r
 from adstv.tensor import (
     DirectionalParams,
     Workspace,
+    _finish,
     _gram,
+    _scatter,
     coherence,
     dual_field,
     eig2x2,
@@ -225,8 +227,9 @@ def test_single_tap_weight_scales_the_rows():
 
 @pytest.mark.parametrize("support", [1, 3, 5])
 def test_workspace_and_out_change_no_value(support):
-    # J and J* through one reused workspace, whose scratch is filled with
-    # NaN before every call, and into given outputs equal the plain calls
+    # J and J*'s scatter and finish, the path solve runs, through one
+    # reused workspace, whose scratch is filled with NaN before every
+    # call, and into given outputs equal the plain calls
     rng = np.random.default_rng(support)
     k = delta_kernel() if support == 1 else gaussian_kernel(0.8, support)
     h, w = 7, 5
@@ -244,13 +247,16 @@ def test_workspace_and_out_change_no_value(support):
                 assert jacobian_apply(f, k, dp, out=out, workspace=ws) is out
                 np.testing.assert_array_equal(out, jf)
                 ws._block[...] = np.nan
-                assert jacobian_adjoint_apply(psi, k, c, dp, out=into, workspace=ws) is into
+                _scatter(ws, psi, 0, h)
+                assert _finish(ws, psi, into) is into
                 np.testing.assert_array_equal(into, adj)
             other = None if dp is not None else rand_params(rng, h, w)
             with pytest.raises(ValueError):
                 jacobian_apply(f, k, other, workspace=ws)
-            with pytest.raises(ValueError):
-                jacobian_adjoint_apply(psi, k, c, other, workspace=ws)
+            # J* is the plain operator: it takes no workspace and no out
+            for kwargs in (dict(workspace=ws), dict(out=into)):
+                with pytest.raises(TypeError):
+                    jacobian_adjoint_apply(psi, k, c, dp, **kwargs)
 
 
 STEP_KERNELS = {
@@ -662,7 +668,8 @@ def test_float32_operands_keep_float32_buffers(support):
             assert field.dtype == np.float32
             assert jacobian_adjoint_apply(field, k, c, dp).dtype == np.float32
             into = np.empty((c, h, w), np.float32)
-            assert jacobian_adjoint_apply(field, k, c, dp, out=into, workspace=ws) is into
+            _scatter(ws, field, 0, h)
+            assert _finish(ws, field, into) is into
             assert ws._block.dtype == np.float32
 
 
@@ -674,12 +681,7 @@ def test_mixing_dtypes_with_a_workspace_or_out_raises():
         f = rand_image(rng, h, w).data
         for ws_dtype, dtype in ((np.float64, np.float32), (np.float32, np.float64)):
             ws = Workspace(k, 1, h, w, dp, ws_dtype)
-            field = dual_field(9, h, w, dtype)
             with pytest.raises(ValueError, match="workspace"):
                 jacobian_apply(f.astype(dtype), k, dp, workspace=ws)
-            with pytest.raises(ValueError, match="workspace"):
-                jacobian_adjoint_apply(field, k, 1, dp, workspace=ws)
             with pytest.raises(ValueError, match="out"):
                 jacobian_apply(f.astype(dtype), k, dp, out=dual_field(9, h, w, ws_dtype))
-            with pytest.raises(ValueError, match="out"):
-                jacobian_adjoint_apply(field, k, 1, dp, out=np.empty((1, h, w), ws_dtype))
