@@ -184,8 +184,13 @@ def default_alpha_grid():
 
 def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
     """Reject a grid that would leave a tuple without a single solve, or
-    whose values a solve would refuse.  An unknown regularizer raises
+    whose values a solve would refuse, and an empty regularizer or sigma
+    list, which would leave no tuple at all.  An unknown regularizer raises
     regularizer's own error."""
+    if not regularizers:
+        raise ValueError("the regularizer list is empty")
+    if not sigmas:
+        raise ValueError("the sigma list is empty")
     steered = [reg for reg in regularizers if regularizer(reg, None, 1)[2] is not None]
     for sigma in sigmas:
         # refuses the sigmas NoiseSpec refuses: NaN, infinite or negative
@@ -343,6 +348,7 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     than SSIM's window on either side is refused."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %r" % jobs)
+    sigmas, regularizers = list(sigmas), list(regularizers)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids(regularizers, sigmas, tau_grid, alpha_grid)
     opts, _ = _given_opts(opts)

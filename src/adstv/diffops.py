@@ -89,7 +89,9 @@ def gaussian_kernel(sigma, support):
 
     support must be an odd positive integer; support 1 returns the delta
     kernel regardless of sigma.  A sigma of 1e150 or more gives the uniform
-    kernel, the limit of large sigma, whose square would overflow.
+    kernel, the limit of large sigma, whose square would overflow; one below
+    0.02 gives the limit of small sigma, all the weight at the centre, whose
+    square underflows from about 1e-154 on.
     """
     if not isinstance(support, numbers.Integral) or support % 2 == 0 or support < 1:
         raise ValueError("support must be an odd positive integer, got %r" % (support,))
@@ -98,6 +100,12 @@ def gaussian_kernel(sigma, support):
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("kernel sigma must be positive and finite")
     r = support // 2
+    if sigma < 0.02:
+        # every weight off the centre is at most exp(-1 / 8e-4) = exp(-1250),
+        # which rounds to 0
+        w = np.zeros((support, support))
+        w[r, r] = 1.0
+        return Kernel(w)
     t = np.arange(-r, r + 1, dtype=np.float64)
     # from sigma 1e150 on every weight rounds to exp(-0), and near 1e154
     # the square overflows: take that uniform limit directly

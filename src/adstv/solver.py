@@ -66,7 +66,6 @@ from .diffops import Kernel, delta_kernel, gaussian_kernel
 from .image import Image
 from .tensor import (
     Workspace,
-    _check_field,
     _finish,
     _gram,
     _norm_planes,
@@ -347,7 +346,10 @@ def _check_dual(dual, rows, h, w, dtype):
     """Raise ValueError unless dual can start a solve and take its final
     dual: a writeable, finite, C-contiguous (2, rows, H, W) field of the
     solve's dtype, as dual_field makes."""
-    _check_field(dual, "dual", (2, rows, h, w), dtype)
+    if (not isinstance(dual, np.ndarray) or dual.shape != (2, rows, h, w)
+            or dual.dtype != dtype or not dual.flags.c_contiguous):
+        raise ValueError("dual must be a C-contiguous (2, rows, H, W) field, as dual_field "
+                         "makes, for this image and kernel, in the samples' dtype")
     if not dual.flags.writeable:
         raise ValueError("dual must be writeable")
     if not np.isfinite(dual).all():

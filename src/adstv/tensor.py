@@ -23,18 +23,19 @@ Each operator is two steps, one over the whole image and one over a band
 of image rows.  J first extends every channel's (steered) gradient planes
 by the kernel radius under reflect indexing (one np.take through a flat
 index); its tap loop then gathers each row of a band as a slice of those
-extensions and adds it into the field: plain J adds into a zeroed field,
-and the solver's dual ascent step adds J / step into its dual.  J*'s
+extensions and adds it into the field.  J has two modes: plain J adds
+into a new zeroed field, and the solver's dual ascent step adds J / step
+into its dual, calling an each_band hook on every band as soon as the
+band is complete: the solver's hook projects and extrapolates the band
+and scatters it for the next J*, while the band is in cache.  J*'s
 scatter adds each row of a band into a padded accumulator at the same
 slice, as one contiguous run; its finish folds the border back onto the
-samples it mirrors, steers, and takes the divergence.  jacobian_apply and
-jacobian_adjoint_apply run the image as one band, unless jacobian_apply
-is given an each_band hook: the solver's ascent passes one that projects
-and extrapolates each band between its gather and its scatter, while the
-band is in cache.  Bands taken from the top give every sum the order of
-the one-band case, so the band count changes no bit of any result.  A 1x1
-kernel (TV, EADTV) has no extension, its one row is the gradient plane
-itself, and J* reads the field's own planes: its scatter does nothing.
+samples it mirrors, steers, and takes the divergence.  Both modes of J
+run the workspace's bands, and jacobian_adjoint_apply the image as one
+band.  Bands taken from the top give every sum the order of the one-band
+case, so the band count changes no bit of any result.  A 1x1 kernel (TV,
+EADTV) has no extension, its one row is the gradient plane itself, and
+J* reads the field's own planes: its scatter does nothing.
 
 The solver's duality gap needs the regularizer of an image, the sum of
 the Schatten norms of J's per-pixel blocks, and _schatten_sum takes it
@@ -43,9 +44,9 @@ extended gradients, without J's field.
 
 A Workspace carries what every call for the same operands shares: the
 taps, the extension index, the steering products, the bands and the
-scratch planes.  The solver builds one per solve and passes it to every J
-and to J*'s two steps, which then allocate nothing; a jacobian_apply call
-without one, and every jacobian_adjoint_apply call, builds its own.
+scratch planes.  The solver builds one per solve and passes it to every
+ascent step and to J*'s two steps, which then allocate nothing; plain J
+and jacobian_adjoint_apply build their own.
 
 Both operators follow the dtype of their input: float32 samples or fields
 give float32 results, computed through float32 scratch planes and steering
@@ -127,9 +128,9 @@ class Workspace:
     as offsets and square-root weights, the flat index of the reflect
     extension by the kernel radius, the steering fields and the products
     that the adjoint needs, a boolean mask per channel, the bands of image
-    rows that the solver's ascent works through, and one block of scratch
-    planes.  The steering arrays and the block are in dtype, the dtype of
-    the samples and fields the workspace serves.
+    rows that J works through, and one block of scratch planes.  The
+    steering arrays and the block are in dtype, the dtype of the samples
+    and fields the workspace serves.
 
     The block is counted in extension-sized slots.  With a kernel radius
     above 0, J*'s 2C padded accumulators take the first 2C slots and J's 2C
@@ -226,26 +227,6 @@ class Workspace:
         starts: the block's start for the whole image, else past the
         extensions and accumulators."""
         return 0 if rows == self.shape[0] else self.free_slot
-
-
-def _workspace(workspace, kernel, channels, h, w, dp, dtype):
-    """workspace, checked against the call's operands, or a new one."""
-    if workspace is None:
-        return Workspace(kernel, channels, h, w, dp, dtype)
-    if (workspace.kernel is not kernel or workspace.dp is not dp
-            or workspace.channels != channels or workspace.shape != (h, w)
-            or workspace.dtype != dtype):
-        raise ValueError("workspace was built for other operands")
-    return workspace
-
-
-def _check_field(field, name, shape, dtype):
-    """Raise ValueError, naming the field name, unless field is a
-    C-contiguous array of this shape and dtype, as dual_field makes."""
-    if (not isinstance(field, np.ndarray) or field.shape != shape or field.dtype != dtype
-            or not field.flags.c_contiguous):
-        raise ValueError("%s must be a C-contiguous (2, rows, H, W) field, as dual_field "
-                         "makes, for this image and kernel, in the samples' dtype" % name)
 
 
 def dual_field(rows, h, w, dtype=np.float64):
@@ -433,48 +414,36 @@ def _finish(ws, data, out=None):
     return out
 
 
-def jacobian_apply(channels, kernel, dp=None, out=None, workspace=None, step=None,
+def jacobian_apply(channels, kernel, dp=None, *, out=None, workspace=None, step=None,
                    each_band=None):
     """Raw forward operator: (C, H, W) samples -> (2, L*C, H, W) field.
 
-    The result is a C-contiguous field in the samples' dtype (float32 stays
-    float32, anything else is float64).  out, when given, is such a field
-    (an earlier result) and is filled and returned instead of a new one.
-    workspace is the solve's Workspace for these operands; without one the
-    call builds its own.
+    J has two modes.  Plain J, jacobian_apply(channels, kernel, dp),
+    returns a new C-contiguous field in the samples' dtype (float32 stays
+    float32, anything else is float64), through a throwaway Workspace.
 
-    Every row is added into the field through a scratch plane: plain J
-    adds into a zeroed out (a new dual_field when out is not given).
-    step, valid only with out, makes this the dual ascent step: out is not
-    zeroed, and each row is divided by step before it is added, so out
-    gains J(channels) / step.  step is a scalar, the solver's one step
-    bound.
+    With out, workspace and step, given together, it is the solver's dual
+    ascent step: workspace is the solve's Workspace, built for these
+    channels, kernel, dp and dtype, and out a field of its shape and dtype
+    (from dual_field); each row is divided by the scalar step and added
+    into out, which gains J(channels) / step and is returned.  each_band,
+    when given, is called as each_band(y0, y1) as soon as rows y0:y1 of
+    every row plane of out are complete, band by band from the top, so
+    that the caller can work on a band while it is in cache.
 
-    each_band, valid only with step, splits the rows into the workspace's
-    bands: each_band(y0, y1) is called as soon as rows y0:y1 of every row
-    plane of out are complete, band by band from the top, so that the
-    caller can work on a band while it is in cache.  Without it the image
-    is one band.
+    Both modes run the workspace's bands, whose count changes no bit of
+    the result.
     """
-    if np.ndim(step):
-        raise ValueError("step must be a scalar")
-    if each_band is not None and step is None:
-        raise ValueError("each_band is valid only with step")
+    if (out is None) != (workspace is None) or (out is None) != (step is None):
+        raise ValueError("out, workspace and step must be given together: the ascent step")
     channels = as_float(channels)
-    nch, h, w = channels.shape
-    ws = _workspace(workspace, kernel, nch, h, w, dp, channels.dtype)
-    L = len(ws.taps)
-    if out is None:
-        if step is not None:
-            raise ValueError("step is valid only with out")
-        out = dual_field(L * nch, h, w, channels.dtype)
-    else:
-        _check_field(out, "out", (2, L * nch, h, w), channels.dtype)
-        if step is None:
-            out[...] = 0.0
-    ext = _extend(ws, channels)
-    for y0, y1 in ws.bands if each_band is not None else [(0, h)]:
-        _gather(ws, ext, out, y0, y1, step)
+    if workspace is None:
+        nch, h, w = channels.shape
+        workspace = Workspace(kernel, nch, h, w, dp, channels.dtype)
+        out = dual_field(len(workspace.taps) * nch, h, w, channels.dtype)
+    ext = _extend(workspace, channels)
+    for y0, y1 in workspace.bands:
+        _gather(workspace, ext, out, y0, y1, step)
         if each_band is not None:
             each_band(y0, y1)
     return out

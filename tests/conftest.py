@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import ndimage
 
-from adstv import Image, dpe, solver
+from adstv import Image, dpe, solver, tensor
 from adstv.diffops import grad_forward
 from adstv.dpe import _minor_angle
 from adstv.image import to_luminance
@@ -41,6 +41,13 @@ def apply_direction(g, ap, am, th):
     gx = g[..., 0]
     gy = g[..., 1]
     return np.stack([ap * (ct * gx + st * gy), am * (ct * gy - st * gx)], axis=-1)
+
+
+def band_rows(monkeypatch, rows, kernel, channels, w, dtype=np.float64):
+    """Patch tensor.BAND_BYTES so that a band of a (2, support^2 * channels,
+    H, w) field of dtype spans at most rows image rows."""
+    row_bytes = 2 * kernel.support**2 * channels * w * np.dtype(dtype).itemsize
+    monkeypatch.setattr(tensor, "BAND_BYTES", rows * row_bytes)
 
 
 def pixel_blocks(field):

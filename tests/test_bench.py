@@ -448,6 +448,8 @@ def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatc
     pytest.param([0.1], ["tv", "eadtv"], [0.05], [np.nan], "alpha grid",
                  id="tv-eadtv-nan-alpha"),
     pytest.param([0.1], ["adstv"], [0.05], [np.inf], "alpha grid", id="adstv-inf-alpha"),
+    pytest.param([0.1], [], [0.05], [2.0], "regularizer list", id="no-regularizer"),
+    pytest.param([], ["tv"], [0.05], [2.0], "sigma list", id="no-sigma"),
 ])
 def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, sigmas, regs,
                                                    taus, alphas, says):
@@ -456,10 +458,13 @@ def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, sigmas
     save_image(clean, path)
     solves = counting(monkeypatch, bench, "solve")
     analyses = counting(monkeypatch, bench, "analyze")
+    loads = counting(monkeypatch, bench, "load_image")
     with pytest.raises(ValueError, match=says):
         bench.bench([(path, "stripe")], sigmas, regs, taus, alphas)
-    # the last sigma is the one a sigma case makes bad
-    for reg in regs:
+    assert loads == []
+    # the last sigma is the one a sigma case makes bad; run_tuple takes one
+    # sigma, so an empty sigma list has no run_tuple case
+    for reg in regs if sigmas else []:
         if says == "alpha grid" and reg not in ("eadtv", "adstv"):
             continue  # an unsteered tuple reads no alpha grid
         with pytest.raises(ValueError, match=says):

@@ -562,6 +562,26 @@ def refused(capsys, argv):
     return code, err
 
 
+def test_bench_refuses_an_empty_regularizer_list(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    out = tmp_path / "r.csv"
+    code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out),
+                                 "--regularizers", ","])
+    assert code == 1 and err == "error: the regularizer list is empty\n", err
+    assert not out.exists()
+
+
+def test_denoise_takes_a_kernel_sigma_whose_square_underflows(noisy_stripes, tmp_path):
+    # the small-sigma limit, all the weight at the centre
+    _, noisy = noisy_stripes
+    out = tmp_path / "o.pfm"
+    assert main(["denoise", "--input", str(noisy), "--output", str(out),
+                 "--regularizer", "stv", "--tau", "0.05", "--kernel-sigma", "1e-200"]) == 0
+    assert out.exists()
+
+
 def test_a_step_bound_beyond_float32_is_a_validation_error(tmp_path, capsys, monkeypatch):
     src, dst = tmp_path / "src.pfm", tmp_path / "dst.pfm"
     save_image(stripe_image(16, 16, 0.5), src)

@@ -145,6 +145,20 @@ def test_gaussian_kernel_values():
     # a sigma whose square overflows is the uniform limit, as 1e150 is
     for sigma in (1e150, 1e155, 1e300, np.finfo(np.float64).max):
         assert np.array_equal(gaussian_kernel(sigma, 5).weights, np.full((5, 5), 1 / 25))
+    # one whose square underflows, or nearly, is the small-sigma limit, with
+    # no floating-point warning on the way
+    for sigma in (1e-160, 1e-200, 5e-324):
+        for support in (3, 5):
+            centre = np.zeros((support, support))
+            centre[support // 2, support // 2] = 1.0
+            assert np.array_equal(gaussian_kernel(sigma, support).weights, centre)
+    # the sigmas in use give the sampled Gaussian, bit for bit
+    for sigma in (0.5, 1.5, np.sqrt(3), np.sqrt(5), np.sqrt(7), np.sqrt(11), np.sqrt(15)):
+        for support in (3, 5, 7, 9):
+            t = np.arange(-(support // 2), support // 2 + 1, dtype=np.float64)
+            g = np.exp(-(t**2) / (2.0 * sigma**2))
+            w = np.outer(g, g)
+            assert np.array_equal(gaussian_kernel(sigma, support).weights, w / w.sum())
     # 7.5 used to run as support 7
     for support in (4, 7.5, 7.0):
         with pytest.raises(ValueError, match="support"):

@@ -30,6 +30,7 @@ from adstv.tensor import (
 )
 
 from conftest import (
+    band_rows,
     dual_gradient,
     identity_params,
     iteration_probe,
@@ -50,13 +51,6 @@ def project_block(m, p):
 def svd_clamp(m):
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return (u * np.minimum(s, 1.0)) @ vt
-
-
-def band_rows(monkeypatch, rows, kernel, channels, w, dtype=np.float64):
-    """Patch tensor.BAND_BYTES so that a band of a (2, support^2 * channels,
-    H, w) field of dtype spans at most rows image rows."""
-    row_bytes = 2 * kernel.support**2 * channels * w * np.dtype(dtype).itemsize
-    monkeypatch.setattr(tensor, "BAND_BYTES", rows * row_bytes)
 
 
 def test_config_validation_and_defaults():

@@ -23,6 +23,7 @@ from adstv.solver import _project_ball
 
 from conftest import (
     apply_direction,
+    band_rows,
     identity_params,
     minor_angle,
     pixel_blocks,
@@ -138,21 +139,35 @@ def test_gather_scatter_on_images_smaller_than_the_kernel(support, shape):
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
-def test_jacobian_apply_returns_a_contiguous_field_and_fills_out():
+def test_jacobian_apply_returns_a_contiguous_field():
     rng = np.random.default_rng(19)
     f = rand_image(rng, 6, 5, 3)
     k = gaussian_kernel(0.5, 3)
     dp = rand_params(rng, 6, 5)
     jf = jacobian_apply(f.data, k, dp)
     assert jf.shape == (2, 27, 6, 5) and jf.flags.c_contiguous
-    out = np.zeros((2, 27, 6, 5))
-    assert jacobian_apply(f.data, k, dp, out=out) is out
-    np.testing.assert_array_equal(out, jf)
-    # too few rows, the (H, W, rows, 2) layout, and a strided field
-    for bad in (np.zeros((2, 9, 6, 5)), np.zeros((6, 5, 27, 2)),
-                np.zeros((2, 27, 6, 10))[..., ::2]):
-        with pytest.raises(ValueError, match="out"):
-            jacobian_apply(f.data, k, dp, out=bad)
+
+
+@pytest.mark.parametrize("support", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("steered", [False, True], ids=["unsteered", "steered"])
+@pytest.mark.parametrize("c", [1, 3])
+def test_banded_plain_j_equals_the_one_band_field(monkeypatch, support, dtype, steered, c):
+    # plain J runs its workspace's bands, as the ascent does: three or more
+    # bands, even or not, change no bit of the field
+    rng = np.random.default_rng([support, c, int(steered), np.dtype(dtype).itemsize])
+    k = delta_kernel() if support == 1 else gaussian_kernel(0.7, 3)
+    h, w = 8, 5
+    f = rand_image(rng, h, w, c).data.astype(dtype)
+    dp = rand_params(rng, h, w) if steered else None
+    assert len(Workspace(k, c, h, w, dp, dtype).bands) == 1
+    whole = jacobian_apply(f, k, dp)
+    for rows in (1, 2, 3):
+        band_rows(monkeypatch, rows, k, c, w, dtype)
+        assert len(Workspace(k, c, h, w, dp, dtype).bands) >= 3
+        banded = jacobian_apply(f, k, dp)
+        assert banded.dtype == dtype
+        assert np.array_equal(banded, whole)
 
 
 def test_adjoint_refuses_a_field_whose_leading_axis_is_not_two():
@@ -169,12 +184,8 @@ def test_adjoint_refuses_a_field_whose_leading_axis_is_not_two():
 
 
 def test_dual_field_is_contiguous_and_its_planes_are_views():
-    rng = np.random.default_rng(23)
-    f = rand_image(rng, 6, 5, 3)
-    k = gaussian_kernel(0.5, 3)
     field = dual_field(27, 6, 5)
     assert field.shape == (2, 27, 6, 5) and field.flags.c_contiguous and not field.any()
-    assert jacobian_apply(f.data, k, out=field) is field
     planes = field.reshape(54, 6, 5, copy=False)
     for kk in range(2):
         for r in range(27):
@@ -227,9 +238,10 @@ def test_single_tap_weight_scales_the_rows():
 
 @pytest.mark.parametrize("support", [1, 3, 5])
 def test_workspace_and_out_change_no_value(support):
-    # J and J*'s scatter and finish, the path solve runs, through one
-    # reused workspace, whose scratch is filled with NaN before every
-    # call, and into given outputs equal the plain calls
+    # J's ascent step from a zeroed field with step 1, and J*'s scatter and
+    # finish, the path solve runs, through one reused workspace, whose
+    # scratch is filled with NaN before every call, and into given outputs
+    # equal the plain calls
     rng = np.random.default_rng(support)
     k = delta_kernel() if support == 1 else gaussian_kernel(0.8, support)
     h, w = 7, 5
@@ -244,15 +256,13 @@ def test_workspace_and_out_change_no_value(support):
             into = np.empty((c, h, w))
             for _ in range(2):
                 ws._block[...] = np.nan
-                assert jacobian_apply(f, k, dp, out=out, workspace=ws) is out
+                out[...] = 0.0
+                assert jacobian_apply(f, k, dp, out=out, workspace=ws, step=1.0) is out
                 np.testing.assert_array_equal(out, jf)
                 ws._block[...] = np.nan
                 _scatter(ws, psi, 0, h)
                 assert _finish(ws, psi, into) is into
                 np.testing.assert_array_equal(into, adj)
-            other = None if dp is not None else rand_params(rng, h, w)
-            with pytest.raises(ValueError):
-                jacobian_apply(f, k, other, workspace=ws)
             # J* is the plain operator: it takes no workspace and no out
             for kwargs in (dict(workspace=ws), dict(out=into)):
                 with pytest.raises(TypeError):
@@ -293,20 +303,21 @@ def test_step_mode_adds_j_over_step_into_out(kernel, shape):
                 assert np.array_equal(psi, expected)
 
 
-def test_step_mode_needs_out_and_a_scalar_step():
+def test_step_mode_needs_out_workspace_and_step_together():
+    # J is plain, or the ascent step with all three: any other mix is
+    # refused before the field is touched
     rng = np.random.default_rng(31)
     f = rand_image(rng, 6, 5, 1).data
     k = gaussian_kernel(0.5, 3)
-    with pytest.raises(ValueError, match="only with out"):
-        jacobian_apply(f, k, step=2.0)
-    # the band hook belongs to the ascent step
-    with pytest.raises(ValueError, match="only with step"):
-        jacobian_apply(f, k, out=dual_field(9, 6, 5), each_band=lambda y0, y1: None)
-    # an (H, W) step plane, or any other array, is refused
-    for step in (np.ones((6, 5)), np.ones((6, 1)), np.ones(1)):
-        psi = dual_field(9, 6, 5)
-        with pytest.raises(ValueError, match="step must be a scalar"):
-            jacobian_apply(f, k, out=psi, step=step)
+    dp = rand_params(rng, 6, 5)
+    ws = Workspace(k, 1, 6, 5, dp)
+    psi = dual_field(9, 6, 5)
+    ascent = dict(out=psi, workspace=ws, step=2.0)
+    for left_out in [("workspace", "step"), ("out", "step"), ("out", "workspace"),
+                     ("step",), ("workspace",), ("out",)]:
+        kwargs = {key: value for key, value in ascent.items() if key not in left_out}
+        with pytest.raises(ValueError, match="together"):
+            jacobian_apply(f, k, dp, **kwargs)
         assert not psi.any()
 
 
@@ -663,7 +674,6 @@ def test_float32_operands_keep_float32_buffers(support):
                                        rtol=1e-5, atol=1e-5)
             field = dual_field(rows, h, w, np.float32)
             assert field.dtype == np.float32 and field.shape == (2, rows, h, w)
-            assert jacobian_apply(f, k, dp, out=field, workspace=ws) is field
             assert jacobian_apply(f, k, dp, out=field, workspace=ws, step=3.0) is field
             assert field.dtype == np.float32
             assert jacobian_adjoint_apply(field, k, c, dp).dtype == np.float32
@@ -671,17 +681,3 @@ def test_float32_operands_keep_float32_buffers(support):
             _scatter(ws, field, 0, h)
             assert _finish(ws, field, into) is into
             assert ws._block.dtype == np.float32
-
-
-def test_mixing_dtypes_with_a_workspace_or_out_raises():
-    rng = np.random.default_rng(39)
-    h, w = 6, 5
-    k = gaussian_kernel(0.5, 3)
-    for dp in (None, rand_params(rng, h, w)):
-        f = rand_image(rng, h, w).data
-        for ws_dtype, dtype in ((np.float64, np.float32), (np.float32, np.float64)):
-            ws = Workspace(k, 1, h, w, dp, ws_dtype)
-            with pytest.raises(ValueError, match="workspace"):
-                jacobian_apply(f.astype(dtype), k, dp, workspace=ws)
-            with pytest.raises(ValueError, match="out"):
-                jacobian_apply(f.astype(dtype), k, dp, out=dual_field(9, h, w, ws_dtype))
