@@ -184,17 +184,28 @@ def default_alpha_grid():
 
 def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
     """Reject a grid that would leave a tuple without a single solve, or
-    whose values a solve would refuse, and an empty regularizer or sigma
-    list, which would leave no tuple at all.  An unknown regularizer raises
-    regularizer's own error."""
+    whose values a solve would refuse, an empty regularizer or sigma list,
+    which would leave no tuple at all, and a repeated regularizer or sigma,
+    which would run a tuple twice.  Two sigmas are the same when they agree
+    to the 6 decimals of derive_seed and of the CSV.  An unknown
+    regularizer raises regularizer's own error."""
     if not regularizers:
         raise ValueError("the regularizer list is empty")
     if not sigmas:
         raise ValueError("the sigma list is empty")
     steered = [reg for reg in regularizers if regularizer(reg, None, 1)[2] is not None]
+    for i, reg in enumerate(regularizers):
+        if reg in regularizers[:i]:
+            raise ValueError("the regularizer %r is listed twice" % reg)
+    seen = {}
     for sigma in sigmas:
         # refuses the sigmas NoiseSpec refuses: NaN, infinite or negative
         default_num_scales(sigma)
+        key = "%.6f" % sigma
+        if key in seen:
+            raise ValueError("the sigma %r is listed twice: %r agrees with it to 6 decimals"
+                             % (seen[key], sigma))
+        seen[key] = sigma
     if not tau_grid:
         raise ValueError("the tau grid is empty")
     for tau in tau_grid:

@@ -42,7 +42,9 @@ def as_float(a):
 
 @dataclass
 class Kernel:
-    """Nonnegative square convolution kernel with odd support and unit sum."""
+    """Nonnegative square convolution kernel with odd support and unit sum.
+    A one-tap kernel, whose weight is within 1e-12 of 1, is stored as
+    exactly [[1.0]]: the identity."""
 
     weights: np.ndarray
 
@@ -59,7 +61,7 @@ class Kernel:
             raise ValueError("kernel weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("kernel weights must sum to 1")
-        self.weights = w
+        self.weights = np.ones((1, 1)) if w.size == 1 else w
 
     @property
     def support(self):
@@ -206,7 +208,7 @@ def convolve_channel(channel, kernel):
     """
     f = np.asarray(channel, dtype=np.float64)
     if kernel.support == 1:
-        return f * kernel.weights[0, 0]
+        return f.copy()
     w = kernel.weights
     factor = w.sum(axis=0)
     if not np.abs(np.outer(factor, factor) - w).max() <= 1e-12 * w.max():

@@ -30,26 +30,27 @@ any point of the balls is a valid start, so a dual from a related problem
 (a coarser grid, a nearby tau) can warm-start the solve.
 
 Three rules stop the loop.  The primal iterate z = P_C(w) doubles as a
-convergence test: iteration stops when its relative l2 change drops below
-rel_tol (stop_reason "tol").  With a gap_tol, every GAP_EVERY iterations
-but the last the ascent scatters the accepted dual psi in place of the
-extrapolated point, and the solve takes the relative duality gap
-(P(z) - D(psi)) / P(z) at z = P_C(g - tau J~* psi), the very image it
-would return: the loop stops when the gap is at most gap_tol (stop_reason
-"gap"), and otherwise scatters the extrapolated point and goes on.  Else
-it stops after max_iters (stop_reason "max_iters").  The gap needs no dual
-field and no J~ call: at z = P_C(w), P(z) - D(psi) = tau R(z) - <z, tau
-J~* psi> (Fenchel-Young), and R(z) sums the Schatten norms of the per-pixel
-Gram of J~ z, the kernel-smoothed structure tensor of z's steered gradient
-(tensor._schatten_sum), from a few planes of the solve's Workspace.  Its
-sums are float64, its per-pixel values in the solve's dtype, so a float32
-gap is an estimate, not a proven bound.  A solve with a gap_tol reports
-the gap of the image it returns, whatever stopped it.
+convergence test: the iteration where its relative l2 change drops below
+rel_tol is the last (stop_reason "tol"), as is iteration max_iters
+(stop_reason "max_iters").  The last iteration, and with a gap_tol every
+GAP_EVERY-th, is a check: the ascent scatters the accepted dual psi in
+place of the extrapolated point, and the solve takes z = P_C(g - tau J~*
+psi), the image it returns if it stops there, and with a gap_tol the
+relative duality gap (P(z) - D(psi)) / P(z).  The last check always stops
+the loop; an earlier one stops it when the gap is at most gap_tol
+(stop_reason "gap"), else scatters the extrapolated point and goes on.
+The gap needs no dual field and no J~ call: at z = P_C(w), P(z) - D(psi)
+= tau R(z) - <z, tau J~* psi> (Fenchel-Young), and R(z) sums the Schatten
+norms of the per-pixel Gram of J~ z, the kernel-smoothed structure tensor
+of z's steered gradient (tensor._schatten_sum), from a few planes of the
+solve's Workspace.  Its sums are float64, its per-pixel values in the
+solve's dtype, so a float32 gap is an estimate, not a proven bound.  A
+solve with a gap_tol reports the gap of the image it returns, whatever
+stopped it.
 
-One helper computes z, for every iteration and for the final image, and
-one clip serves it, the box projection and the dual objective.  The ball
-projection takes its Gram eigenvalues from tensor.eig2x2, the helper
-analyze uses.
+One helper computes z, for every iteration and every check, and one clip
+serves it, the box projection and the dual objective.  The ball projection
+takes its Gram eigenvalues from tensor.eig2x2, the helper analyze uses.
 
 A solve follows the dtype of its input image: a float32 g is solved in
 float32 throughout (dual fields, iterates, scratch planes and result), and
@@ -278,16 +279,16 @@ def primal_energy(f, g, dp, cfg):
     return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
-def _primal_step(psi, g, cfg, workspace, out=None, scaled=None):
+def _primal_step(psi, g, cfg, workspace, out, scaled=None):
     """z = P_C(g - tau J* psi) for the (2, rows, H, W) field psi, whose
-    bands the workspace has scattered, written to out when given (a
-    (C, H, W) array of g's dtype).  scaled, when given, is another such
+    bands the workspace has scattered, written to out, a (C, H, W) array
+    of g's dtype, which it returns.  scaled, when given, is another such
     array, which keeps tau J* psi.  A non-finite g - tau J* psi raises
     FloatingPointError: it is tested before the clip, which would map an
     infinite sample into the box."""
     s = _finish(workspace, psi, out if scaled is None else scaled)
     s *= cfg.tau
-    z = np.subtract(g.data, s, out=s if scaled is None else out)
+    z = np.subtract(g.data, s, out=out)
     if not np.isfinite(z, out=workspace.mask).all():
         raise FloatingPointError("non-finite values in solver iterate")
     return _clip(z, cfg.constraint, out=z)
@@ -321,9 +322,10 @@ def _ascent(z, psi, prev, momentum, p, workspace, lip, scatter_accepted=False):
     its step, so that psi becomes the accepted point.  With prev, the last
     accepted point, each band then writes the next extrapolated point
     psi + momentum (psi - prev) over prev and scatters it for the next
-    J*; without prev (the last iteration), or with scatter_accepted (a gap
-    check), the band scatters psi instead.  Each band of psi and prev is
-    read from memory once.  Returns psi."""
+    J*; with scatter_accepted (a check, the last iteration among them)
+    the band scatters psi instead.  Without prev (the last iteration) no
+    extrapolated point is written.  Each band of psi and prev is read from
+    memory once.  Returns psi."""
 
     def accept(y0, y1):
         band = psi[:, :, y0:y1]
@@ -336,7 +338,7 @@ def _ascent(z, psi, prev, momentum, p, workspace, lip, scatter_accepted=False):
                 np.subtract(now, ahead, out=ahead)
                 ahead *= momentum
                 ahead += now
-        _scatter(workspace, psi if prev is None or scatter_accepted else prev, y0, y1)
+        _scatter(workspace, psi if scatter_accepted else prev, y0, y1)
 
     return jacobian_apply(z, workspace.kernel, workspace.dp, out=psi, workspace=workspace,
                           step=lip, each_band=accept)
@@ -398,11 +400,13 @@ def solve(g, dp, cfg, *, dual=None):
     run while it is in cache (_ascent).  The iteration tail (w, the
     finiteness check, the clip and the rel-change difference) runs in
     preallocated buffers, so from the second iteration on an iteration
-    allocates no image-sized array.  A gap check (every GAP_EVERY
-    iterations with a cfg.gap_tol) runs in the workspace and one more
-    image-sized buffer; a check that does not stop the loop scatters the
-    extrapolated point again, so the iterates are those of a solve without
-    checks, bit for bit.
+    allocates no image-sized array.  A check (the last iteration, and every
+    GAP_EVERY-th with a cfg.gap_tol) writes the image of the accepted dual
+    into the spent one of the two iterate buffers, which the result then
+    holds; a gap runs in the workspace and one more image-sized buffer.  A
+    check that does not stop the loop scatters the extrapolated point
+    again, so the iterates are those of a solve without checks, bit for
+    bit.
     """
     kernel = cfg.kernel
     p = cfg.dual_p
@@ -439,7 +443,7 @@ def solve(g, dp, cfg, *, dual=None):
     t = 1.0
     stop_reason = "max_iters"
     gap = None
-    # every solve ends in the break of its last iteration
+    # every solve ends in the break of its last iteration, a check
     for it in range(1, cfg.max_iters + 1):
         _primal_step(psi, g, cfg, ws, out=z)
         if it > 1:
@@ -449,18 +453,19 @@ def solve(g, dp, cfg, *, dual=None):
             delta = float(np.linalg.norm(np.subtract(z, z_prev, out=z_prev)))
             if delta <= cfg.rel_tol * max(base, 1e-30):
                 stop_reason = "tol"
-        # the last ascent scatters the accepted psi, the last dual, for the
-        # final primal step
         last = stop_reason == "tol" or it == cfg.max_iters
-        check = not last and scaled is not None and it % GAP_EVERY == 0
+        check = last or (scaled is not None and it % GAP_EVERY == 0)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         _ascent(z, psi, None if last else prev, (t - 1.0) / t_next, p, ws, lip,
                 scatter_accepted=check)
-        if last:
-            break
         if check:
-            # the check's image goes to the spent z_prev
-            gap = _relative_gap(psi, g, cfg, ws, z_prev, scaled)
+            # the image of the accepted psi goes to the spent z_prev
+            if scaled is None:
+                _primal_step(psi, g, cfg, ws, out=z_prev)
+            else:
+                gap = _relative_gap(psi, g, cfg, ws, z_prev, scaled)
+            if last:
+                break
             if gap <= cfg.gap_tol:
                 stop_reason = "gap"
                 break
@@ -473,19 +478,7 @@ def solve(g, dp, cfg, *, dual=None):
         z, z_prev = z_prev, z
     if dual is not None and psi is not dual:
         np.copyto(dual, psi)
-        psi = dual
-    # only psi and the scatter are read from here on: release prev before
-    # the result is allocated
-    del prev
-    if stop_reason == "gap":
-        # the image of the check that stopped the loop
-        image = z_prev
-    elif scaled is None:
-        image = _primal_step(psi, g, cfg, ws)
-    else:
-        image = np.empty(g.shape, dtype)
-        gap = _relative_gap(psi, g, cfg, ws, image, scaled)
-    return SolveResult(Image(image), it, stop_reason, gap)
+    return SolveResult(Image(z_prev), it, stop_reason, gap)
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters, dual=None):

@@ -184,14 +184,13 @@ class Workspace:
         self.ext_slot = 2 * channels if r else 0
         self.free_slot = self.ext_slot + 2 * channels
         steered = dp is not None
-        unit = r == 0 and self.taps[0][1] == 1.0
         # J's extension step takes, past the extensions, the gradient pair
         # (a one-tap kernel writes the extensions themselves) and, when
         # steering, the raw pair; J*'s finish takes, over the extensions,
-        # the folded or weighted pair (unless the field's own planes
-        # serve) and three steering planes, or one for the divergence
+        # the folded pair (a one-tap kernel's field planes serve as it)
+        # and three steering planes, or one for the divergence
         self.gradient_planes = (2 if r else 0) + (2 if steered else 0)
-        self.finish_planes = (0 if unit else 2) + (3 if steered else 1)
+        self.finish_planes = (2 if r else 0) + (3 if steered else 1)
         self._slot = self.padded_shape[0] * self.padded_shape[1]
         self._block = np.empty(0, self.dtype)
         self._views = {}
@@ -305,7 +304,7 @@ def _gather(ws, ext, out, y0, y1, step):
     """J's tap loop over rows y0:y1: adds every row of the patch Jacobian,
     gathered from the extensions ext, into those rows of the field out,
     each divided by step unless it is None.  A one-tap kernel's row is its
-    gradient plane itself, which no other row reads: it is scaled in
+    gradient plane itself, which no other row reads: it is divided in
     place."""
     r = ws.kernel.radius
     w = ws.shape[1]
@@ -373,7 +372,7 @@ def _finish(ws, data, out=None):
     scattered: folds the reflect border of each accumulator onto the
     samples it mirrors, steers, and writes the negative divergence to out
     (a new (C, H, W) array when not given), which it returns.  A one-tap
-    kernel reads data's own planes, times the tap's weight."""
+    kernel, of weight 1, reads data's own planes."""
     h, w = ws.shape
     r = ws.kernel.radius
     if out is None:
@@ -394,12 +393,8 @@ def _finish(ws, data, out=None):
                     folded[:, ws.xs[j]] += a[r : r + h, j]
             ax, ay = planes[0], planes[1]
         else:
-            # one tap: the rows are the channel's gradients, times sw
+            # one tap: the rows are the channel's gradients
             ax, ay = data[0, c], data[1, c]
-            sw = ws.taps[0][1]
-            if sw != 1.0:
-                ax = np.multiply(sw, ax, out=planes[0])
-                ay = np.multiply(sw, ay, out=planes[1])
         if ws.dp is not None:
             bx, by, tmp = planes[first : first + 3]
             np.multiply(ws.cos_ap, ax, out=bx)
@@ -611,11 +606,7 @@ def _schatten_sum(ws, channels, q):
                     else:
                         flat += src[start : start + run]
     else:
-        # the one tap's weight scales every product
-        sw = ws.taps[0][1]
-        for prod in products:
-            if sw != 1.0:
-                prod *= sw * sw
+        # one tap of weight 1: the products are the grids
         grids = pxx, pxy, pyy
     gxx, gxy, gyy = (grid.reshape(-1)[:run] for grid in grids)
     if nuclear:

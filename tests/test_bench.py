@@ -450,6 +450,10 @@ def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatc
     pytest.param([0.1], ["adstv"], [0.05], [np.inf], "alpha grid", id="adstv-inf-alpha"),
     pytest.param([0.1], [], [0.05], [2.0], "regularizer list", id="no-regularizer"),
     pytest.param([], ["tv"], [0.05], [2.0], "sigma list", id="no-sigma"),
+    pytest.param([0.1], ["tv", "stv", "tv"], [0.05], [], "regularizer 'tv' is listed twice",
+                 id="repeated-regularizer"),
+    pytest.param([0.1, 0.2, 0.1 + 1e-12], ["tv"], [0.05], [], "sigma 0.1 is listed twice",
+                 id="sigmas-equal-to-6-decimals"),
 ])
 def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, sigmas, regs,
                                                    taus, alphas, says):
@@ -463,8 +467,9 @@ def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, sigmas
         bench.bench([(path, "stripe")], sigmas, regs, taus, alphas)
     assert loads == []
     # the last sigma is the one a sigma case makes bad; run_tuple takes one
-    # sigma, so an empty sigma list has no run_tuple case
-    for reg in regs if sigmas else []:
+    # sigma and one regularizer, so an empty sigma list and a repeat have
+    # no run_tuple case
+    for reg in regs if sigmas and "listed twice" not in says else []:
         if says == "alpha grid" and reg not in ("eadtv", "adstv"):
             continue  # an unsteered tuple reads no alpha grid
         with pytest.raises(ValueError, match=says):

@@ -573,6 +573,23 @@ def test_bench_refuses_an_empty_regularizer_list(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_refuses_a_repeated_sigma_or_regularizer_before_any_solve(tmp_path, capsys,
+                                                                         monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_image(stripe_image(16, 16, 0.5), corpus / "s.pgm")
+    out = tmp_path / "r.csv"
+    solves = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    for sigmas, regs, says in (("0.1,0.1", "tv", "error: the sigma 0.1 is listed twice"),
+                               ("0.1", "tv,tv", "error: the regularizer 'tv' is listed twice")):
+        code, err = refused(capsys, ["bench", "--corpus", str(corpus), "--out", str(out),
+                                     "--sigmas", sigmas, "--regularizers", regs,
+                                     "--tau-grid", "0.05"])
+        assert code == 1 and err.startswith(says), err
+        assert solves == [] and not out.exists()
+
+
 def test_denoise_takes_a_kernel_sigma_whose_square_underflows(noisy_stripes, tmp_path):
     # the small-sigma limit, all the weight at the centre
     _, noisy = noisy_stripes

@@ -895,6 +895,29 @@ def test_the_probe_sees_each_iteration_once_with_gap_checks(steered, monkeypatch
     assert res.stop_reason == "gap" and len(calls) == res.iterations == GAP_EVERY
 
 
+@pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
+def test_a_cap_on_a_check_iteration_stops_on_max_iters_with_the_checks_image(steered):
+    # the solve of the test above whose cap falls on its first gap check:
+    # the cap names the stop, and its image, gap and final dual are bit for
+    # bit those of the uncapped solve, which the same check stops on gap
+    rng = np.random.default_rng(62)
+    h, w = 17, 12
+    g = rand_image(rng, h, w)
+    dp = rand_params(rng, h, w) if steered else None
+    kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, gap_tol=0.5, rel_tol=1e-15)
+    runs = []
+    for max_iters in (GAP_EVERY, 1000):
+        dual = dual_field(kernel.support**2 * g.channels, h, w, g.data.dtype)
+        runs.append((solve(g, dp, replace(cfg, max_iters=max_iters), dual=dual), dual))
+    (capped, capped_dual), (stopped, stopped_dual) = runs
+    assert capped.stop_reason == "max_iters" and stopped.stop_reason == "gap"
+    assert capped.iterations == stopped.iterations == GAP_EVERY
+    assert capped.gap == stopped.gap <= cfg.gap_tol
+    np.testing.assert_array_equal(capped.image.data, stopped.image.data)
+    np.testing.assert_array_equal(capped_dual, stopped_dual)
+
+
 def test_the_returned_gap_is_that_of_the_returned_image():
     # whatever stops a solve with a gap_tol, its gap is the one the float64
     # energies give its image and final dual, up to round-off

@@ -218,22 +218,24 @@ def test_upsample_dual_repeats_blocks_and_stays_on_the_balls(shape, rows, p):
     assert norms.max() <= 1.0 + 1e-6
 
 
-def test_single_tap_weight_scales_the_rows():
-    # a 1x1 kernel whose weight is not exactly 1 scales J and J* by its
-    # square root
+def test_a_one_tap_kernel_is_stored_as_the_identity():
+    # a 1x1 weight within the unit-sum tolerance of 1 is stored as exactly
+    # 1, so its J and J* are those of the delta kernel, bit for bit (1 +
+    # 1e-12 rounds to just past the tolerance)
     rng = np.random.default_rng(29)
-    k = Kernel(np.array([[1.0 - 1e-12]]))
-    sw = np.sqrt(1.0 - 1e-12)
-    assert sw != 1.0
-    for c in (1, 3):
-        for dp in (None, rand_params(rng, 6, 5)):
-            f = rand_image(rng, 6, 5, c).data
-            np.testing.assert_array_equal(
-                jacobian_apply(f, k, dp), sw * jacobian_apply(f, delta_kernel(), dp))
-            psi = rng.standard_normal((2, c, 6, 5))
-            np.testing.assert_array_equal(
-                jacobian_adjoint_apply(psi, k, c, dp),
-                jacobian_adjoint_apply(sw * psi, delta_kernel(), c, dp))
+    for weight in (1.0 - 1e-12, 1.0 + 5e-13):
+        assert weight != 1.0
+        k = Kernel(np.array([[weight]]))
+        assert k.weights.dtype == np.float64 and k.weights.tolist() == [[1.0]]
+        for c in (1, 3):
+            for dp in (None, rand_params(rng, 6, 5)):
+                f = rand_image(rng, 6, 5, c).data
+                np.testing.assert_array_equal(
+                    jacobian_apply(f, k, dp), jacobian_apply(f, delta_kernel(), dp))
+                psi = rng.standard_normal((2, c, 6, 5))
+                np.testing.assert_array_equal(
+                    jacobian_adjoint_apply(psi, k, c, dp),
+                    jacobian_adjoint_apply(psi, delta_kernel(), c, dp))
 
 
 @pytest.mark.parametrize("support", [1, 3, 5])
