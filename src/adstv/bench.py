@@ -23,6 +23,7 @@ going to the earlier grid point, alpha_plus first and then tau.
 
 import dataclasses
 import hashlib
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,7 +105,7 @@ class RunRecord:
     """One CSV row, its fields in order (CSV_HEADER holds their names): the
     best-PSNR run of one tuple.  psnr_db is inf for an exact restoration,
     wall_seconds is that run's solve time, stop_reason why it stopped
-    ("tol", "gap" or "max_iters"), estimate_seconds the time of the
+    ("gap" or "max_iters"), estimate_seconds the time of the
     tuple's direction estimation (0 for tv and stv), and gap the relative
     duality gap of the kept run's image (None, an empty cell, when its
     solve took none)."""
@@ -245,7 +246,7 @@ def _given_opts(opts):
         raise ValueError("unknown opts key(s) %s; run_tuple reads %s"
                          % (", ".join(map(repr, unknown)), ", ".join(_OPTS)))
     given = {key: value for key, value in opts.items() if value is not None}
-    settings = SolverConfig(tau=1.0, gap_tol=SWEEP_GAP_TOL,
+    settings = SolverConfig(tau=1.0, rel_tol=SWEEP_GAP_TOL,
                             **{k: given[k] for k in _SOLVER_OPTS if k in given})
     analysis = {k: given[k] for k in _ANALYSIS_OPTS if k in given}
     if analysis:
@@ -352,13 +353,16 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
           master_seed=0, jobs=1, opts=None):
     """Sweep all tuples; returns RunRecords in deterministic order.
 
-    jobs is the number of worker processes, at least 1 (1 runs every tuple
-    in this process).  opts is run_tuple's, checked before any tuple runs.
-    Two images with the same id are refused before any image is loaded.
-    Each image is loaded once, before the first tuple, and one smaller
-    than SSIM's window on either side is refused."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1, got %r" % jobs)
+    jobs is the number of worker processes, an integer of at least 1 (1
+    runs every tuple in this process).  opts is run_tuple's, checked
+    before any tuple runs.  Two images with the same id are refused before
+    any image is loaded.  Each image is loaded once, before the first
+    tuple, and one smaller than SSIM's window on either side is refused."""
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError("jobs must be an integer >= 1, got %r" % (jobs,))
+    # derive_seed's %d would run a master_seed of 1.7 as 1
+    if not isinstance(master_seed, numbers.Integral):
+        raise ValueError("master_seed must be an integer, got %r" % (master_seed,))
     sigmas, regularizers = list(sigmas), list(regularizers)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids(regularizers, sigmas, tau_grid, alpha_grid)

@@ -3,9 +3,9 @@
 Subcommands: denoise, add-noise, metrics, estimate, bench.
 
 denoise and bench estimate the direction fields from the float64 samples
-and run every solve on a float32 copy of the noisy image.  --iters caps
-every solve, whose relative-change stop keeps SolverConfig's default;
-bench's solves also stop on a duality gap of bench.SWEEP_GAP_TOL.
+and run every solve on a float32 copy of the noisy image.  A denoise
+solve runs exactly --iters iterations; a bench solve stops on a duality
+gap of bench.SWEEP_GAP_TOL, or after --iters.
 
 The bench CSV has one row per (image, sigma, regularizer), the best-PSNR
 run; its columns are the fields of bench.RunRecord.  bench refuses an --out

@@ -89,18 +89,18 @@ def delta_kernel():
 def gaussian_kernel(sigma, support):
     """Sampled 2-D Gaussian on a support x support grid, normalized to sum 1.
 
-    support must be an odd positive integer; support 1 returns the delta
-    kernel regardless of sigma.  A sigma of 1e150 or more gives the uniform
-    kernel, the limit of large sigma, whose square would overflow; one below
-    0.02 gives the limit of small sigma, all the weight at the centre, whose
-    square underflows from about 1e-154 on.
+    support must be an odd positive integer, and support 1 is the delta
+    kernel; sigma must be positive and finite.  A sigma of 1e150 or more
+    gives the uniform kernel, the limit of large sigma, whose square would
+    overflow; one below 0.02 gives the limit of small sigma, all the
+    weight at the centre, whose square underflows from about 1e-154 on.
     """
     if not isinstance(support, numbers.Integral) or support % 2 == 0 or support < 1:
         raise ValueError("support must be an odd positive integer, got %r" % (support,))
-    if support == 1:
-        return delta_kernel()
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("kernel sigma must be positive and finite")
+    if support == 1:
+        return delta_kernel()
     r = support // 2
     if sigma < 0.02:
         # every weight off the centre is at most exp(-1 / 8e-4) = exp(-1250),

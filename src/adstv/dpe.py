@@ -200,8 +200,8 @@ def tv_regularize_field(field, fidelity_half, tau, box):
     float32 already); tau = 0 is the float64 clip onto the box.  The result
     is float64 either way.
 
-    A half-fidelity solve (the theta cleanup) stops after CLEANUP_MAX_ITERS
-    iterations or on SolverConfig.rel_tol.  A full-fidelity solve (a
+    A half-fidelity solve (the theta cleanup) runs CLEANUP_MAX_ITERS
+    iterations, and takes no duality gap.  A full-fidelity solve (a
     coherence cleanup) on a field whose sides are all COARSE_MIN_SIDE or
     longer runs on two grids: CLEANUP_COARSE_ITERS iterations on the 2x2
     means of the field at half the TV weight, then CLEANUP_FINE_ITERS on

@@ -29,24 +29,21 @@ The ascent starts from the zero field, or from a dual the caller passes
 any point of the balls is a valid start, so a dual from a related problem
 (a coarser grid, a nearby tau) can warm-start the solve.
 
-Three rules stop the loop.  The primal iterate z = P_C(w) doubles as a
-convergence test: the iteration where its relative l2 change drops below
-rel_tol is the last (stop_reason "tol"), as is iteration max_iters
-(stop_reason "max_iters").  The last iteration, and with a gap_tol every
-GAP_EVERY-th, is a check: the ascent scatters the accepted dual psi in
-place of the extrapolated point, and the solve takes z = P_C(g - tau J~*
-psi), the image it returns if it stops there, and with a gap_tol the
+Two rules stop the loop.  The last iteration is a check, and with a
+rel_tol so is every GAP_EVERY-th: the ascent scatters the accepted dual psi
+in place of the extrapolated point, and the solve takes z = P_C(g - tau
+J~* psi), the image it returns if it stops there, and with a rel_tol the
 relative duality gap (P(z) - D(psi)) / P(z).  The last check always stops
-the loop; an earlier one stops it when the gap is at most gap_tol
-(stop_reason "gap"), else scatters the extrapolated point and goes on.
-The gap needs no dual field and no J~ call: at z = P_C(w), P(z) - D(psi)
-= tau R(z) - <z, tau J~* psi> (Fenchel-Young), and R(z) sums the Schatten
-norms of the per-pixel Gram of J~ z, the kernel-smoothed structure tensor
-of z's steered gradient (tensor._schatten_sum), from a few planes of the
-solve's Workspace.  Its sums are float64, its per-pixel values in the
-solve's dtype, so a float32 gap is an estimate, not a proven bound.  A
-solve with a gap_tol reports the gap of the image it returns, whatever
-stopped it.
+the loop (stop_reason "max_iters"); an earlier one stops it when the gap
+is at most rel_tol (stop_reason "gap"), else scatters the extrapolated
+point and goes on.  The gap needs no dual field and no J~ call: at z =
+P_C(w), P(z) - D(psi) = tau R(z) - <z, tau J~* psi> (Fenchel-Young), and
+R(z) sums the Schatten norms of the per-pixel Gram of J~ z, the
+kernel-smoothed structure tensor of z's steered gradient
+(tensor._schatten_sum), from a few planes of the solve's Workspace.  Its
+sums are float64, its per-pixel values in the solve's dtype, so a float32
+gap is an estimate, not a proven bound.  A solve with a rel_tol reports
+the gap of the image it returns, whatever stopped it.
 
 One helper computes z, for every iteration and every check, and one clip
 serves it, the box projection and the dual objective.  The ball projection
@@ -94,7 +91,7 @@ __all__ = [
 KERNEL_SIGMA = 0.5
 KERNEL_SUPPORT = 3
 
-# A solve with a gap_tol takes its duality gap every GAP_EVERY iterations.
+# A solve with a rel_tol takes its duality gap every GAP_EVERY iterations.
 GAP_EVERY = 10
 
 
@@ -105,15 +102,15 @@ def _default_kernel():
 @dataclass
 class SolverConfig:
     """Solver settings; the defaults match the reference configuration.
-    gap_tol None takes no duality gap."""
+    rel_tol is the relative duality gap (P - D) / P that stops a solve;
+    None runs max_iters iterations and takes no gap."""
 
     tau: float
     q: int = 1
     max_iters: int = 100
-    rel_tol: float = 1e-5
+    rel_tol: float = None
     constraint: tuple = (0.0, 1.0)
     kernel: Kernel = dataclass_field(default_factory=_default_kernel)
-    gap_tol: float = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -122,15 +119,10 @@ class SolverConfig:
             raise ValueError("q must be 1 or 2")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1, got %r" % (self.max_iters,))
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError("rel_tol must be positive and finite")
-        if self.gap_tol is not None and not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
-            raise ValueError("gap_tol must be None or positive and finite, got %r"
-                             % self.gap_tol)
-        if self.constraint is not None:
-            lo, hi = self.constraint
-            if not lo < hi:
-                raise ValueError("constraint bounds must satisfy lo < hi")
+        if self.rel_tol is not None and not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be None or positive and finite, got %r"
+                             % self.rel_tol)
+        _check_box(self.constraint)
 
     @property
     def dual_p(self):
@@ -140,15 +132,21 @@ class SolverConfig:
 @dataclass
 class SolveResult:
     """The restored image, the iterations run, and why the loop stopped:
-    "tol" when the relative change of z fell below rel_tol, "gap" when the
-    relative duality gap fell to gap_tol, "max_iters" when the cap ran out
-    first.  gap is the relative duality gap of the returned image, None
-    when the solve had no gap_tol."""
+    "gap" when the relative duality gap fell to rel_tol, "max_iters" when
+    the cap ran out first.  gap is the relative duality gap of the
+    returned image, None when the solve had no rel_tol."""
 
     image: Image
     iterations: int
     stop_reason: str = "max_iters"
     gap: float = None
+
+
+def _check_box(constraint):
+    """Raise ValueError unless constraint is None or a box lo < hi, which a
+    NaN bound fails."""
+    if constraint is not None and not constraint[0] < constraint[1]:
+        raise ValueError("constraint bounds must satisfy lo < hi, got %r" % (constraint,))
 
 
 def _clip(data, constraint, out=None):
@@ -161,7 +159,9 @@ def _clip(data, constraint, out=None):
 
 def project_box(img, constraint):
     """Clamp every sample into the box; identity when unconstrained.  The
-    result never shares img's samples."""
+    result never shares img's samples.  A box SolverConfig would refuse
+    (lo >= hi, or a NaN bound) raises ValueError."""
+    _check_box(constraint)
     data = img.data.copy()
     return Image(_clip(data, constraint, out=data))
 
@@ -375,7 +375,7 @@ def _step_bound(tau, alpha_plus, dtype):
 
 def solve(g, dp, cfg, *, dual=None):
     """Run the dual ascent; returns a SolveResult: the restored image, the
-    iteration count, the stop reason and, with a cfg.gap_tol, the image's
+    iteration count, the stop reason and, with a cfg.rel_tol, the image's
     relative duality gap.
 
     The solve follows g's dtype: a float32 g gives float32 dual fields,
@@ -398,15 +398,14 @@ def solve(g, dp, cfg, *, dual=None):
     streams the dual fields once, band by band of the workspace: the J
     gather, the projection, the extrapolation and the J* scatter of a band
     run while it is in cache (_ascent).  The iteration tail (w, the
-    finiteness check, the clip and the rel-change difference) runs in
-    preallocated buffers, so from the second iteration on an iteration
-    allocates no image-sized array.  A check (the last iteration, and every
-    GAP_EVERY-th with a cfg.gap_tol) writes the image of the accepted dual
-    into the spent one of the two iterate buffers, which the result then
-    holds; a gap runs in the workspace and one more image-sized buffer.  A
-    check that does not stop the loop scatters the extrapolated point
-    again, so the iterates are those of a solve without checks, bit for
-    bit.
+    finiteness check and the clip) runs in one preallocated buffer z, so
+    from the second iteration on an iteration allocates no image-sized
+    array.  A check (the last iteration, and every GAP_EVERY-th with a
+    cfg.rel_tol) writes the image of the accepted dual over the spent z,
+    which the result then holds; a gap runs in the workspace and one more
+    image-sized buffer.  A check that does not stop the loop scatters the
+    extrapolated point again, so the iterates are those of a solve
+    without checks, bit for bit.
     """
     kernel = cfg.kernel
     p = cfg.dual_p
@@ -422,7 +421,7 @@ def solve(g, dp, cfg, *, dual=None):
     # any band is scattered
     ws.planes(_ball_planes(p, rows), (ws.band_rows, w_), ws.band_slot(ws.band_rows))
     scaled = None
-    if cfg.gap_tol is not None:
+    if cfg.rel_tol is not None:
         _norm_planes(ws)
         scaled = np.empty(g.shape, dtype)
     # Two dual fields alternate through the loop: the extrapolated point
@@ -437,7 +436,7 @@ def solve(g, dp, cfg, *, dual=None):
     else:
         prev = dual
         np.copyto(psi, dual)
-    z, z_prev = np.empty(g.shape, dtype), np.empty(g.shape, dtype)
+    z = np.empty(g.shape, dtype)
     # the first J* reads the start point
     _scatter(ws, psi, 0, h)
     t = 1.0
@@ -446,27 +445,20 @@ def solve(g, dp, cfg, *, dual=None):
     # every solve ends in the break of its last iteration, a check
     for it in range(1, cfg.max_iters + 1):
         _primal_step(psi, g, cfg, ws, out=z)
-        if it > 1:
-            # z_prev is spent after this test: the next primal step
-            # overwrites it
-            base = float(np.linalg.norm(z_prev))
-            delta = float(np.linalg.norm(np.subtract(z, z_prev, out=z_prev)))
-            if delta <= cfg.rel_tol * max(base, 1e-30):
-                stop_reason = "tol"
-        last = stop_reason == "tol" or it == cfg.max_iters
+        last = it == cfg.max_iters
         check = last or (scaled is not None and it % GAP_EVERY == 0)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         _ascent(z, psi, None if last else prev, (t - 1.0) / t_next, p, ws, lip,
                 scatter_accepted=check)
         if check:
-            # the image of the accepted psi goes to the spent z_prev
+            # z, spent by the ascent, takes the image of the accepted psi
             if scaled is None:
-                _primal_step(psi, g, cfg, ws, out=z_prev)
+                _primal_step(psi, g, cfg, ws, out=z)
             else:
-                gap = _relative_gap(psi, g, cfg, ws, z_prev, scaled)
+                gap = _relative_gap(psi, g, cfg, ws, z, scaled)
             if last:
                 break
-            if gap <= cfg.gap_tol:
+            if gap <= cfg.rel_tol:
                 stop_reason = "gap"
                 break
             for y0, y1 in ws.bands:
@@ -475,10 +467,9 @@ def solve(g, dp, cfg, *, dual=None):
         # becomes prev
         psi, prev = prev, psi
         t = t_next
-        z, z_prev = z_prev, z
     if dual is not None and psi is not dual:
         np.copyto(dual, psi)
-    return SolveResult(Image(z_prev), it, stop_reason, gap)
+    return SolveResult(Image(z), it, stop_reason, gap)
 
 
 def tv_denoise(g, tau, box=(0.0, 1.0), max_iters=SolverConfig.max_iters, dual=None):

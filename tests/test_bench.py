@@ -194,24 +194,23 @@ def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
     solve = bench.solve
 
     def spy(g, dp, cfg, dual=None):
-        seen.append((cfg.max_iters, cfg.rel_tol, cfg.q, cfg.kernel, cfg.constraint,
-                     cfg.gap_tol))
+        seen.append((cfg.max_iters, cfg.q, cfg.kernel, cfg.constraint, cfg.rel_tol))
         return solve(g, dp, cfg, dual=dual)
 
     monkeypatch.setattr(bench, "solve", spy)
     default = SolverConfig(tau=0.02)
     wide = gaussian_kernel(1.0, 5)
     for opts, expected in (
-            ({}, (default.max_iters, default.rel_tol, default.q, default.kernel)),
-            ({"max_iters": 7}, (7, default.rel_tol, default.q, default.kernel)),
-            ({"q": 2, "kernel": wide}, (default.max_iters, default.rel_tol, 2, wide))):
+            ({}, (default.max_iters, default.q, default.kernel)),
+            ({"max_iters": 7}, (7, default.q, default.kernel)),
+            ({"q": 2, "kernel": wide}, (default.max_iters, 2, wide))):
         seen.clear()
         bench.run_tuple(clean, "s", 0.1, "stv", [0.02], [3.0], 0, opts)
         (got,) = seen
-        assert got[:3] == expected[:3] and got[4] == default.constraint
+        assert got[:2] == expected[:2] and got[3] == default.constraint
         # the gap stop is the sweep's own, not SolverConfig's
-        assert got[5] == bench.SWEEP_GAP_TOL
-        np.testing.assert_array_equal(got[3].weights, expected[3].weights)
+        assert got[4] == bench.SWEEP_GAP_TOL
+        np.testing.assert_array_equal(got[2].weights, expected[2].weights)
 
 
 def test_unknown_opts_keys_are_refused_before_any_tuple_runs(tmp_path, monkeypatch):
@@ -221,7 +220,7 @@ def test_unknown_opts_keys_are_refused_before_any_tuple_runs(tmp_path, monkeypat
     save_image(clean, path)
     tuples = counting(monkeypatch, bench, "run_tuple")
     solves = counting(monkeypatch, bench, "solve")
-    # rel_tol is SolverConfig's alone: the sweep has no key for it
+    # a sweep's rel_tol is SWEEP_GAP_TOL: no key sets it
     unknown = (({"max_iter": 3}, "'max_iter'"), ({"rel_tol": 1e-3}, "'rel_tol'"))
     for opts, says in unknown:
         with pytest.raises(ValueError, match="unknown opts key.*" + says):
@@ -272,9 +271,8 @@ def test_only_a_missing_or_none_option_is_unset(monkeypatch):
     assert [(cfg.num_scales, cfg.st_support) for _, cfg in analyses] == [(3, 7), (3, 7)]
     default = SolverConfig(tau=0.02)
     for _, _, cfg in solves:
-        assert (cfg.max_iters, cfg.rel_tol, cfg.q) == (default.max_iters, default.rel_tol,
-                                                       default.q)
-        assert cfg.gap_tol == bench.SWEEP_GAP_TOL
+        assert (cfg.max_iters, cfg.q) == (default.max_iters, default.q)
+        assert cfg.rel_tol == bench.SWEEP_GAP_TOL
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
 
 
@@ -314,28 +312,21 @@ def test_solves_run_in_float32_on_fields_from_the_float64_noisy_image(monkeypatc
 
 
 def test_records_report_stop_reason_and_estimate_seconds(monkeypatch):
-    @dataclasses.dataclass
-    class Loose(SolverConfig):
-        rel_tol: float = 1e-2
-
     clean = stripe_image(16, 16, 0.5)
     assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds,gap")
     for reg in bench.REGULARIZERS:
         steered = reg in ("eadtv", "adstv")
-        # a loose rel_tol (set through the SolverConfig bench builds, as no
-        # opts key sets one) stops before the cap and before the first gap
-        # check, a short cap runs out before a check, and a loose sweep
-        # gap stops at the first check
-        with monkeypatch.context() as mp:
-            mp.setattr(bench, "SolverConfig", Loose)
-            early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
-                                    {"max_iters": 100})
+        # the sweep gap stops a solve on a check before the cap, a short
+        # cap runs out before a check, and a loose sweep gap stops at the
+        # first check: a record's stop is "gap" or "max_iters", nothing else
+        early = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0, {"max_iters": 100})
         capped = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0, {"max_iters": 5})
         with monkeypatch.context() as mp:
             mp.setattr(bench, "SWEEP_GAP_TOL", 0.5)
             certified = bench.run_tuple(clean, "s", 0.1, reg, [0.05], [3.0], 0,
                                         {"max_iters": 100})
-        assert early.iters < 100 and early.stop_reason == "tol"
+        assert early.iters < 100 and early.stop_reason == "gap"
+        assert early.iters % GAP_EVERY == 0 and early.gap <= bench.SWEEP_GAP_TOL
         assert capped.iters == 5 and capped.stop_reason == "max_iters"
         assert certified.iters == GAP_EVERY and certified.stop_reason == "gap"
         assert certified.gap <= 0.5
@@ -367,13 +358,13 @@ def test_an_exact_restoration_is_kept_with_psnr_inf(tmp_path):
 def test_csv_row_formats_each_field_by_its_type():
     rec = bench.RunRecord(image_id="a", regularizer="stv", sigma_eta=0.1, tau=0.25,
                           alpha_plus=1.0, psnr_db=30.1234567, ssim=0.5, iters=17,
-                          wall_seconds=4e-7, seed=123, stop_reason="tol",
+                          wall_seconds=4e-7, seed=123, stop_reason="max_iters",
                           estimate_seconds=2.0)
     assert bench.CSV_HEADER == ("image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,"
                                 "ssim,iters,wall_seconds,seed,stop_reason,estimate_seconds,gap")
     # no gap taken: an empty cell
     assert rec.csv_row() == ("a,stv,0.100000,0.250000,1.000000,30.123457,0.500000,17,"
-                             "0.000000,123,tol,2.000000,")
+                             "0.000000,123,max_iters,2.000000,")
     gapped = dataclasses.replace(rec, stop_reason="gap", gap=0.000123456)
     assert gapped.csv_row().endswith(",123,gap,2.000000,1.235e-04")
     for bad in (np.nan, np.inf, -1e-3):
@@ -539,7 +530,24 @@ def test_bench_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch, cap
                  "--sigmas", "0.1", "--regularizers", "tv", "--tau-grid", "0.05",
                  "--jobs", str(jobs)]) == 1
     assert tasks == [] and not out.exists()
-    assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+    assert capsys.readouterr().err.startswith("error: jobs must be an integer >= 1")
+
+
+@pytest.mark.parametrize("key, value", [("jobs", 1.5), ("jobs", 2.0), ("jobs", "2"),
+                                        ("master_seed", 1.7), ("master_seed", 1.0),
+                                        ("master_seed", "0")])
+def test_bench_refuses_a_jobs_or_master_seed_that_is_not_an_integer(monkeypatch, key, value):
+    # jobs 1.5 would reach the pool as a TypeError, and master_seed 1.7
+    # would run as seed 1 through derive_seed's %d
+    loads = counting(monkeypatch, bench, "load_image")
+    with pytest.raises(ValueError, match=key):
+        bench.bench([("unused.pgm", "x")], [0.1], ["tv"], [0.05], [], **{key: value})
+    assert loads == []
+    # numpy integers are integers
+    monkeypatch.setattr(bench, "load_image", lambda path: stripe_image(16, 16, 0.5))
+    monkeypatch.setattr(bench, "_run_task", lambda task: task[6])
+    assert bench.bench([("unused.pgm", "x")], [0.1], ["tv"], [0.05], [],
+                       master_seed=np.int64(3), jobs=np.int32(1)) == [3]
 
 
 def test_an_image_below_the_ssim_window_is_refused_before_any_solve(tmp_path, monkeypatch):

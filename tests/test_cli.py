@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import inspect
 import math
 import re
@@ -43,7 +42,8 @@ def test_help_and_flag_errors():
 
 
 def test_tol_is_an_unknown_flag(noisy_stripes, tmp_path, capsys):
-    # the relative-change stop is SolverConfig.rel_tol's alone
+    # no flag sets a tolerance: denoise runs --iters, and bench stops on
+    # bench.SWEEP_GAP_TOL
     _, noisy = noisy_stripes
     out = tmp_path / "out.pfm"
     corpus = tmp_path / "corpus"
@@ -104,6 +104,9 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
              "kernel"),
             (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--kernel-sigma", "inf"],
              "kernel"),
+            # a one-tap kernel is the delta kernel, but its sigma is still checked
+            (["denoise", "--regularizer", "stv", "--tau", "0.1", "--kernel-support", "1",
+              "--kernel-sigma", "nan"], "kernel sigma"),
             (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--smooth-sigma", "inf"],
              "smooth_sigma"),
             (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--smooth-sigma", "nan"],
@@ -184,13 +187,15 @@ def test_denoise_tau_zero_unconstrained_keeps_out_of_range(tmp_path):
 def test_adstv_alpha_one_override_matches_stv(noisy_stripes, tmp_path, monkeypatch):
     # a unit dose with one fixed angle only rotates each gradient pair, so
     # the steered run must land on the plain structure tensor result.  A
-    # rel_tol below float32 resolution, which no flag sets, runs every
-    # solve to --iters, so that the runs stay in step
-    @dataclasses.dataclass
-    class Tight(SolverConfig):
-        rel_tol: float = 1e-14
+    # denoise solve takes no gap and runs exactly --iters, so that the runs
+    # stay in step
+    results = []
 
-    monkeypatch.setattr(cli, "SolverConfig", Tight)
+    def spy(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "solve", spy)
     _, noisy = noisy_stripes
     out_stv = tmp_path / "stv.pfm"
     out_ad = tmp_path / "ad.pfm"
@@ -208,6 +213,7 @@ def test_adstv_alpha_one_override_matches_stv(noisy_stripes, tmp_path, monkeypat
                  "--regularizer", "adstv", "--alpha-plus", "1",
                  "--theta-override", "0"] + common) == 0
     assert out_ad0.read_bytes() == out_stv.read_bytes()
+    assert [(r.iterations, r.stop_reason, r.gap) for r in results] == [(60, "max_iters", None)] * 3
 
 
 def test_theta_override_is_refused_for_every_regularizer_but_adstv(noisy_stripes, tmp_path,
@@ -283,9 +289,9 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
                  "--alpha-grid", "3"]) == 0
     assert len(seen) == 4
     for cfg in seen:
-        assert (cfg.max_iters, cfg.rel_tol, cfg.q, cfg.constraint) == (
-            default.max_iters, default.rel_tol, default.q, default.constraint)
-        assert cfg.gap_tol == bench.SWEEP_GAP_TOL
+        assert (cfg.max_iters, cfg.q, cfg.constraint) == (
+            default.max_iters, default.q, default.constraint)
+        assert cfg.rel_tol == bench.SWEEP_GAP_TOL
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
 
 
@@ -524,7 +530,7 @@ def test_bench_writes_expected_csv(tmp_path):
         if r[10] == "gap":
             assert int(r[7]) % GAP_EVERY == 0 and float(r[12]) <= bench.SWEEP_GAP_TOL
         else:
-            assert r[10] == ("tol" if int(r[7]) < 100 else "max_iters")
+            assert r[10] == "max_iters" and int(r[7]) == 100
         assert 0.0 <= float(r[12]) < math.inf
     # only the steered regularizer estimates fields
     assert by_reg["tv"][11] == by_reg["stv"][11] == "0.000000"

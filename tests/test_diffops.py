@@ -133,6 +133,11 @@ def test_kernel_validation():
 
 def test_gaussian_kernel_values():
     assert gaussian_kernel(5.0, 1).support == 1
+    # sigma is checked before the one-tap shortcut, as at any other support
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        for support in (1, 3):
+            with pytest.raises(ValueError, match="kernel sigma"):
+                gaussian_kernel(bad, support)
     k = gaussian_kernel(0.5, 3)
     assert abs(k.weights.sum() - 1.0) < 1e-14
     # corner-to-center ratio is exp(-(1+1)/(2*0.25)) = e^-4

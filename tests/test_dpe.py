@@ -527,7 +527,7 @@ def cold_gap(g, cfg, lip=None):
     if lip is None:
         z = solve(g, None, cfg, dual=dual).image.data
     else:
-        z = reference_solve(g, None, cfg, lip=lip, dual=dual)[0]
+        z = reference_solve(g, None, cfg, lip=lip, dual=dual)
     return relative_gap(g, z, dual, cfg)
 
 

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,15 +55,17 @@ def svd_clamp(m):
 
 def test_config_validation_and_defaults():
     cfg = SolverConfig(tau=0.1)
-    assert cfg.q == 1 and cfg.max_iters == 100 and cfg.rel_tol == 1e-5
+    assert [f.name for f in fields(SolverConfig)] == [
+        "tau", "q", "max_iters", "rel_tol", "constraint", "kernel"]
+    assert cfg.q == 1 and cfg.max_iters == 100
+    assert cfg.rel_tol is None  # no duality gap is taken
     assert cfg.constraint == (0.0, 1.0)
     assert cfg.kernel.support == 3
-    assert cfg.gap_tol is None  # no duality gap is taken
     assert math.isinf(cfg.dual_p)
     assert SolverConfig(tau=0.1, q=2).dual_p == 2
     for bad in (dict(tau=0.0), dict(tau=0.1, q=3), dict(tau=0.1, max_iters=0),
-                dict(tau=0.1, rel_tol=0.0), dict(tau=0.1, constraint=(1.0, 0.0)),
-                dict(tau=0.1, gap_tol=0.0), dict(tau=0.1, gap_tol=-1.0),
+                dict(tau=0.1, rel_tol=0.0), dict(tau=0.1, rel_tol=-1.0),
+                dict(tau=0.1, constraint=(1.0, 0.0)), dict(tau=0.1, constraint=(0.0, np.nan)),
                 dict(tau=0.1, max_iters=2.5), dict(tau=0.1, max_iters=100.0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
@@ -72,7 +74,7 @@ def test_config_validation_and_defaults():
 
 def test_config_rejects_non_finite():
     for value in (math.nan, math.inf):
-        for bad in (dict(tau=value), dict(tau=0.1, rel_tol=value), dict(tau=0.1, gap_tol=value)):
+        for bad in (dict(tau=value), dict(tau=0.1, rel_tol=value)):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
@@ -117,6 +119,18 @@ def test_project_box():
     np.testing.assert_array_equal(out.data, [[[0.0, 0.4], [1.0, 1.0]]])
     np.testing.assert_array_equal(project_box(out, (0.0, 1.0)).data, out.data)
     np.testing.assert_array_equal(project_box(img, None).data, img.data)
+
+
+@pytest.mark.parametrize("box", [(1.0, 0.0), (0.5, 0.5), (np.nan, 1.0), (0.0, np.nan)])
+def test_project_box_and_tv_denoise_refuse_an_empty_or_nan_box(box):
+    # tau = 0 takes the box projection, and a positive tau refuses the box
+    # in SolverConfig: both with the same error
+    g = Image(np.full((1, 5, 5), 0.5))
+    with pytest.raises(ValueError, match="constraint bounds"):
+        project_box(g, box)
+    for tau in (0.0, 0.1):
+        with pytest.raises(ValueError, match="constraint bounds"):
+            tv_denoise(g, tau, box=box)
 
 
 def test_project_schatten_inside_ball_and_clamp():
@@ -358,15 +372,17 @@ def test_tv_denoise_trivial_cases():
 
 
 def test_tv_denoise_duality_gap_certificate():
-    # 10k-iteration reference run closes the primal-dual gap, certifying
-    # optimality of the fixed point the default run approaches
+    # a run of up to 10k iterations to a relative gap of 1e-12 closes the
+    # primal-dual gap, certifying optimality of the fixed point the default
+    # run approaches
     rng = np.random.default_rng(11)
     g = rand_image(rng, 4, 4)
     tau = 0.2
-    cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), max_iters=10000, rel_tol=1e-15)
+    cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), max_iters=10000, rel_tol=1e-12)
     # a zero start is the cold start, and receives the last accepted dual
     psi = dual_field(1, 4, 4, g.data.dtype)
     res = solve(g, None, cfg, dual=psi)
+    assert res.stop_reason == "gap"
     gap = primal_energy(res.image, g, None, cfg) - dual_objective(psi, g, None, cfg)
     assert 0 <= gap < 1e-4
 
@@ -383,7 +399,7 @@ def test_tv_denoise_matches_convex_solver():
     stacked = cp.vstack([cp.vec(gx, order="C"), cp.vec(gy, order="C")])
     objective = 0.5 * cp.sum_squares(f - g) + tau * cp.sum(cp.norm(stacked, axis=0))
     cp.Problem(cp.Minimize(objective), [f >= 0, f <= 1]).solve(solver=cp.CLARABEL)
-    cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), max_iters=5000, rel_tol=1e-14)
+    cfg = SolverConfig(tau=tau, q=2, kernel=delta_kernel(), max_iters=5000)
     ours = solve(Image(g[None]), None, cfg).image
     assert np.abs(ours.data[0] - f.value).max() < 5e-5
 
@@ -415,7 +431,7 @@ def test_steered_solve_matches_convex_solver():
     ]
     objective = 0.5 * cp.sum_squares(fv - g.ravel()) + tau * cp.sum(terms)
     cp.Problem(cp.Minimize(objective), [fv >= 0, fv <= 1]).solve(solver=cp.CLARABEL)
-    cfg = SolverConfig(tau=tau, q=1, kernel=k, max_iters=5000, rel_tol=1e-14)
+    cfg = SolverConfig(tau=tau, q=1, kernel=k, max_iters=5000)
     ours = solve(Image(g[None]), dp, cfg).image
     assert np.abs(ours.data.ravel() - fv.value).max() < 1e-6
 
@@ -433,21 +449,20 @@ def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
             # the dtype of analyze's cleanups
             g = Image(g.data.astype(np.float32))
         dp = None
-        cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=60, rel_tol=1e-3)
+        cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=60)
     elif case == "stv":
         # unsteered, with a kernel radius above 0
         g = Image(rng.random((1, h, w)) * 1.4 - 0.2)
         dp = None
-        cfg = SolverConfig(tau=0.1, q=1, max_iters=60, rel_tol=1e-3)
+        cfg = SolverConfig(tau=0.1, q=1, max_iters=60)
     elif case == "steered-3-5x5":
         g = Image(rng.random((3, h, w)) * 1.4 - 0.2)
         dp = rand_params(rng, h, w)
-        cfg = SolverConfig(tau=0.1, q=1, kernel=gaussian_kernel(1.0, 5), max_iters=60,
-                           rel_tol=1e-3)
+        cfg = SolverConfig(tau=0.1, q=1, kernel=gaussian_kernel(1.0, 5), max_iters=60)
     else:
         g = Image(rng.random((int(case.split("-")[1]), h, w)) * 1.4 - 0.2)
         dp = rand_params(rng, h, w)
-        cfg = SolverConfig(tau=0.1, q=1, max_iters=60, rel_tol=1e-3)
+        cfg = SolverConfig(tau=0.1, q=1, max_iters=60)
     dual = ref_dual = None
     if case.endswith("-warm"):
         # a start on the balls, as a coarser grid or a nearby tau leaves one
@@ -458,8 +473,8 @@ def test_solve_is_bit_identical_to_fresh_array_reference(case, shape):
         ref_dual = dual_field(rows, h, w, g.data.dtype)
         np.copyto(ref_dual, dual)
     res = solve(g, dp, cfg, dual=dual)
-    expected, iterations = reference_solve(g, dp, cfg, dual=ref_dual)
-    assert res.iterations == iterations
+    expected = reference_solve(g, dp, cfg, dual=ref_dual)
+    assert res.iterations == cfg.max_iters
     assert res.image.data.dtype == expected.dtype == g.data.dtype
     assert np.array_equal(res.image.data, expected)
     if dual is not None:
@@ -478,7 +493,7 @@ def test_banded_solve_is_bit_identical_to_fresh_array_reference(rows, kernel, mo
     # 3 and 7 is short (1, 1 and 5 rows).  Every output and final dual of
     # a banded solve equals the one-band reference, bit for bit: cold
     # solves that hit the cap, and for each channel count and dtype a warm
-    # one that stops on the tolerance.
+    # one that stops on its gap, against the reference capped there.
     k = BAND_KERNELS[kernel]
     h, w = 19, 8
     rng = np.random.default_rng([rows, k.support])
@@ -492,18 +507,18 @@ def test_banded_solve_is_bit_identical_to_fresh_array_reference(rows, kernel, mo
                 for q in (1, 2):
                     g = Image((rng.random((c, h, w)) * 1.4 - 0.2).astype(dtype))
                     dp = rand_params(rng, h, w) if steered else None
-                    cfg = SolverConfig(tau=0.1, q=q, kernel=k, max_iters=4, rel_tol=1e-15)
+                    cfg = SolverConfig(tau=0.1, q=q, kernel=k, max_iters=4)
                     dual = ref_dual = None
                     if (steered, q) == ((dtype == np.float64), (1 if c == 1 else 2)):
-                        cfg = replace(cfg, max_iters=60, rel_tol=1e-2)
+                        cfg = replace(cfg, max_iters=100, rel_tol=1e-2)
                         dual = dual_field(k.support**2 * c, h, w, dtype)
                         dual[...] = rng.standard_normal(dual.shape)
                         _project_ball(dual, cfg.dual_p)
                         ref_dual = dual.copy()
                     res = solve(g, dp, cfg, dual=dual)
-                    expected, iterations = reference_solve(g, dp, cfg, dual=ref_dual)
-                    assert res.iterations == iterations
-                    assert res.stop_reason == ("max_iters" if dual is None else "tol")
+                    assert res.stop_reason == ("max_iters" if dual is None else "gap")
+                    expected = reference_solve(g, dp, replace(cfg, max_iters=res.iterations),
+                                               dual=ref_dual)
                     assert np.array_equal(res.image.data, expected)
                     if dual is not None:
                         assert np.array_equal(dual, ref_dual)
@@ -519,7 +534,7 @@ def test_the_probe_sees_each_iteration_once_at_any_band_count(steered, monkeypat
     g = rand_image(rng, h, w)
     dp = rand_params(rng, h, w) if steered else None
     kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
-    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=9, rel_tol=1e-15)
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=9)
     seen = {}
     for rows in (None, 1, 4):
         if rows is not None:
@@ -558,7 +573,7 @@ def test_band_counts_follow_the_field_size():
 def test_a_zero_start_is_the_cold_start_and_returns_the_last_dual():
     rng = np.random.default_rng(28)
     g = Image(rng.random((1, 9, 8)).astype(np.float32))
-    cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=40, rel_tol=1e-15)
+    cfg = SolverConfig(tau=0.2, q=2, kernel=delta_kernel(), max_iters=40)
     last = {}
 
     def keep(psi):
@@ -617,17 +632,17 @@ def test_bad_initial_duals_raise_and_are_left_untouched():
 
 
 @pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
-def test_stop_reason_tells_tol_from_the_cap(steered):
+def test_stop_reason_tells_the_gap_from_the_cap(steered):
     rng = np.random.default_rng(27)
     g = rand_image(rng, 12, 10)
     dp = rand_params(rng, 12, 10) if steered else None
     kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
     cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=1000, rel_tol=1e-4)
     res = solve(g, dp, cfg)
-    assert res.stop_reason == "tol" and 1 < res.iterations < 1000
-    assert res.iterations == reference_solve(g, dp, cfg)[1]
-    # the test fires at the last allowed iteration: still "tol"
-    assert solve(g, dp, replace(cfg, max_iters=res.iterations)).stop_reason == "tol"
+    assert res.stop_reason == "gap" and 1 < res.iterations < 1000
+    assert res.iterations % GAP_EVERY == 0 and res.gap <= cfg.rel_tol
+    expected = reference_solve(g, dp, replace(cfg, max_iters=res.iterations))
+    assert np.array_equal(res.image.data, expected)
     capped = solve(g, dp, replace(cfg, max_iters=res.iterations - 1))
     assert capped.stop_reason == "max_iters" and capped.iterations == res.iterations - 1
     one = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=1)
@@ -645,10 +660,10 @@ def test_iterations_after_the_second_allocate_less_than_a_plane(case, rows, monk
     g = Image(rng.random((1, h, w)))
     if case == "tv":
         dp = None
-        cfg = SolverConfig(tau=0.1, q=2, kernel=delta_kernel(), max_iters=8, rel_tol=1e-15)
+        cfg = SolverConfig(tau=0.1, q=2, kernel=delta_kernel(), max_iters=8)
     else:
         dp = rand_params(rng, h, w)
-        cfg = SolverConfig(tau=0.1, q=1, max_iters=8, rel_tol=1e-15)
+        cfg = SolverConfig(tau=0.1, q=1, max_iters=8)
     if rows is not None:
         band_rows(monkeypatch, rows, cfg.kernel, 1, w)
         assert len(Workspace(cfg.kernel, 1, h, w, dp).bands) == 13
@@ -686,25 +701,25 @@ def test_banded_steered_solve_peaks_below_the_same_bound(rows, monkeypatch):
 def test_gap_checks_keep_the_steered_peak_below_the_same_bound(rows, monkeypatch):
     # two checks that do not stop the loop and the final gap
     steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch,
-                                                                gap_tol=1e-300)
+                                                                rel_tol=1e-300)
 
 
 def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatch,
-                                                                gap_tol=None):
+                                                                rel_tol=None):
     # The bound is counted from the shapes: two dual fields of 2 * 9 planes,
     # the workspace block (eight extension-sized planes: past the four
     # slots of the accumulators and the extensions, the four planes of J's
     # extension step, or a band's projection, which is no larger) and
-    # eleven planes for the rest: z, z_prev, cos and sin of theta, the
-    # four steering products, the extension index and the masks; the step
-    # is a scalar.  A third dual field (18 planes) does not fit.
+    # eleven planes for the rest: z, the gap's second image, cos and sin
+    # of theta, the four steering products, the extension index and the
+    # masks; the step is a scalar.  A third dual field (18 planes) does not fit.
     rng = np.random.default_rng(25)
     h = w = 64
     g = Image(rng.random((1, h, w)))
     dp = rand_params(rng, h, w)
-    cfg = SolverConfig(tau=0.1, q=1, max_iters=4, rel_tol=1e-15)
-    if gap_tol is not None:
-        cfg = replace(cfg, max_iters=2 * GAP_EVERY + 1, gap_tol=gap_tol)
+    cfg = SolverConfig(tau=0.1, q=1, max_iters=4)
+    if rel_tol is not None:
+        cfg = replace(cfg, max_iters=2 * GAP_EVERY + 1, rel_tol=rel_tol)
     if rows is not None:
         band_rows(monkeypatch, rows, cfg.kernel, 1, w)
     plane = h * w * 8
@@ -718,7 +733,7 @@ def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
-    assert res.iterations == cfg.max_iters and (res.gap is None) == (gap_tol is None)
+    assert res.iterations == cfg.max_iters and (res.gap is None) == (rel_tol is None)
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.25, 1.0])
@@ -805,7 +820,7 @@ GAP_CASES = [(dtype, steered, q, kernel, c, rows)
 def test_a_gap_stop_is_certified_and_bit_identical_to_the_reference(dtype, steered, q, kernel,
                                                                     c, rows, monkeypatch):
     # The image and final dual of a gap-stopped solve have a gap, taken by
-    # the float64 energies, of at most gap_tol and of at most the gap the
+    # the float64 energies, of at most rel_tol and of at most the gap the
     # solve reports; both are those of the fresh-array reference run for
     # the same iteration count, bit for bit.  rows 4 cuts 19 rows into 5
     # bands.
@@ -818,21 +833,19 @@ def test_a_gap_stop_is_certified_and_bit_identical_to_the_reference(dtype, steer
     g = Image((rng.random((c, h, w)) * 1.2 - 0.1).astype(dtype))
     dp = rand_params(rng, h, w, alpha_plus=3.0) if steered else None
     cfg = SolverConfig(tau=0.05 if steered else 0.15, q=q, kernel=k, max_iters=3000,
-                       rel_tol=1e-15, gap_tol=1e-3)
+                       rel_tol=1e-3)
     dual = dual_field(k.support**2 * c, h, w, g.data.dtype)
     res = solve(g, dp, cfg, dual=dual)
     assert res.stop_reason == "gap" and res.iterations % GAP_EVERY == 0
     primal = primal_energy(res.image, g, dp, cfg)
     certified = (primal - dual_objective(dual, g, dp, cfg)) / primal
-    assert 0.0 <= certified <= cfg.gap_tol, (certified, res.gap)
+    assert 0.0 <= certified <= cfg.rel_tol, (certified, res.gap)
     # the reported gap bounds it from above, up to the round-off of the
     # oracle, whose eig2x2 leaves sqrt(eps) in a one-row block's minor
     # singular value, and within the float32 solve's round-off allowance
     assert certified - 1e-9 <= res.gap <= certified + 1e-5, (certified, res.gap)
     ref_dual = dual_field(k.support**2 * c, h, w, g.data.dtype)
-    expected, iterations = reference_solve(g, dp, replace(cfg, max_iters=res.iterations),
-                                           dual=ref_dual)
-    assert iterations == res.iterations
+    expected = reference_solve(g, dp, replace(cfg, max_iters=res.iterations), dual=ref_dual)
     assert np.array_equal(res.image.data, expected)
     assert np.array_equal(dual, ref_dual)
 
@@ -851,11 +864,11 @@ def test_a_float32_gap_on_oriented_stripes_is_not_below_the_oracle(kernel, steer
     g = stripe_image(h, w, angle).data + 0.02 * rng.standard_normal((1, h, w))
     g = Image(g.astype(np.float32))
     dp = DirectionalParams(4.0, np.ones((h, w)), np.full((h, w), angle)) if steered else None
-    cfg = SolverConfig(tau=0.05, q=1, kernel=kernel, rel_tol=1e-15)
-    for gap_tol, max_iters, reasons in ((1e-3, 3000, {"gap"}), (1e-5, 300, {"gap", "max_iters"}),
+    cfg = SolverConfig(tau=0.05, q=1, kernel=kernel)
+    for rel_tol, max_iters, reasons in ((1e-3, 3000, {"gap"}), (1e-5, 300, {"gap", "max_iters"}),
                                         (1e-3, GAP_EVERY - 1, {"max_iters"})):
         dual = dual_field(kernel.support**2, h, w, np.float32)
-        res = solve(g, dp, replace(cfg, max_iters=max_iters, gap_tol=gap_tol), dual=dual)
+        res = solve(g, dp, replace(cfg, max_iters=max_iters, rel_tol=rel_tol), dual=dual)
         assert res.stop_reason in reasons
         primal = primal_energy(res.image, g, dp, cfg)
         certified = (primal - dual_objective(dual, g, dp, cfg)) / primal
@@ -873,25 +886,24 @@ def test_the_probe_sees_each_iteration_once_with_gap_checks(steered, monkeypatch
     g = rand_image(rng, h, w)
     dp = rand_params(rng, h, w) if steered else None
     kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
-    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=3 * GAP_EVERY + 4,
-                       rel_tol=1e-15)
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, max_iters=3 * GAP_EVERY + 4)
     seen = {}
-    for gap_tol in (None, 1e-300):
+    for rel_tol in (None, 1e-300):
         iterates, accepted = [], []
         with pytest.MonkeyPatch.context() as mp:
             iteration_probe(mp, on_iterate=lambda z: iterates.append(z.copy()),
                             on_accepted=lambda psi: accepted.append(psi.copy()))
-            res = solve(g, dp, replace(cfg, gap_tol=gap_tol))
+            res = solve(g, dp, replace(cfg, rel_tol=rel_tol))
         assert len(iterates) == len(accepted) == res.iterations == cfg.max_iters
-        assert res.stop_reason == "max_iters" and (res.gap is None) == (gap_tol is None)
-        seen[gap_tol] = (iterates, accepted, res.image.data)
+        assert res.stop_reason == "max_iters" and (res.gap is None) == (rel_tol is None)
+        seen[rel_tol] = (iterates, accepted, res.image.data)
     for ours, plain in zip(seen[1e-300], seen[None]):
         assert all(np.array_equal(a, b) for a, b in zip(ours, plain))
     # a solve that the gap stops: one probe call per iteration too
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         iteration_probe(mp, on_iterate=calls.append)
-        res = solve(g, dp, replace(cfg, max_iters=1000, gap_tol=0.5))
+        res = solve(g, dp, replace(cfg, max_iters=1000, rel_tol=0.5))
     assert res.stop_reason == "gap" and len(calls) == res.iterations == GAP_EVERY
 
 
@@ -905,7 +917,7 @@ def test_a_cap_on_a_check_iteration_stops_on_max_iters_with_the_checks_image(ste
     g = rand_image(rng, h, w)
     dp = rand_params(rng, h, w) if steered else None
     kernel = gaussian_kernel(0.5, 3) if steered else delta_kernel()
-    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, gap_tol=0.5, rel_tol=1e-15)
+    cfg = SolverConfig(tau=0.1, q=1, kernel=kernel, rel_tol=0.5)
     runs = []
     for max_iters in (GAP_EVERY, 1000):
         dual = dual_field(kernel.support**2 * g.channels, h, w, g.data.dtype)
@@ -913,27 +925,47 @@ def test_a_cap_on_a_check_iteration_stops_on_max_iters_with_the_checks_image(ste
     (capped, capped_dual), (stopped, stopped_dual) = runs
     assert capped.stop_reason == "max_iters" and stopped.stop_reason == "gap"
     assert capped.iterations == stopped.iterations == GAP_EVERY
-    assert capped.gap == stopped.gap <= cfg.gap_tol
+    assert capped.gap == stopped.gap <= cfg.rel_tol
     np.testing.assert_array_equal(capped.image.data, stopped.image.data)
     np.testing.assert_array_equal(capped_dual, stopped_dual)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_gap_taken_only_at_the_cap_leaves_the_image_bit_identical(dtype):
+    # the configuration of the benchmark's 512^2 denoise (tau 0.01, a+ 10,
+    # 3x3 q = 1, rel_tol 1e-5, 10 iterations) on a small image: its one
+    # check, at the cap, reports a gap and returns the image of the same
+    # solve without a rel_tol, bit for bit
+    rng = np.random.default_rng(66)
+    h, w = 21, 17
+    g = Image(rand_image(rng, h, w).data.astype(dtype))
+    dp = rand_params(rng, h, w, alpha_plus=10.0)
+    cfg = SolverConfig(tau=0.01, q=1, kernel=gaussian_kernel(0.5, 3), max_iters=10,
+                       rel_tol=1e-5, constraint=(0.0, 1.0))
+    gapped = solve(g, dp, cfg)
+    plain = solve(g, dp, replace(cfg, rel_tol=None))
+    assert gapped.stop_reason == plain.stop_reason == "max_iters"
+    assert gapped.iterations == plain.iterations == 10
+    assert gapped.gap > cfg.rel_tol and plain.gap is None
+    np.testing.assert_array_equal(gapped.image.data, plain.image.data)
+
+
 def test_the_returned_gap_is_that_of_the_returned_image():
-    # whatever stops a solve with a gap_tol, its gap is the one the float64
+    # whatever stops a solve with a rel_tol, its gap is the one the float64
     # energies give its image and final dual, up to round-off
     rng = np.random.default_rng(63)
     h, w = 16, 13
     g = Image(rng.random((1, h, w)).astype(np.float32))
     dp = rand_params(rng, h, w, alpha_plus=4.0)
-    cfg = SolverConfig(tau=0.03, q=1, gap_tol=1e-6, rel_tol=1e-15)
-    for max_iters, rel_tol, reason in ((7, 1e-15, "max_iters"), (100, 1e-2, "tol")):
+    cfg = SolverConfig(tau=0.03, q=1)
+    for max_iters, rel_tol, reason in ((7, 1e-6, "max_iters"), (100, 1e-2, "gap")):
         dual = dual_field(9, h, w, np.float32)
         res = solve(g, dp, replace(cfg, max_iters=max_iters, rel_tol=rel_tol), dual=dual)
         assert res.stop_reason == reason
         primal = primal_energy(res.image, g, dp, cfg)
         certified = (primal - dual_objective(dual, g, dp, cfg)) / primal
         assert certified <= res.gap <= certified + 1e-5, (certified, res.gap)
-    assert solve(g, dp, replace(cfg, gap_tol=None)).gap is None
+    assert solve(g, dp, cfg).gap is None
 
 
 @pytest.mark.parametrize("kernel", [gaussian_kernel(0.5, 3), gaussian_kernel(1.0, 5),
@@ -970,6 +1002,6 @@ def test_the_workspace_block_never_grows_once_a_solve_has_begun(kernel, shape, r
         for q in (1, 2):
             started.clear()
             cfg = SolverConfig(tau=0.1, q=q, kernel=kernel, max_iters=GAP_EVERY + 2,
-                               rel_tol=1e-15, gap_tol=1e-30)
+                               rel_tol=1e-30)
             assert solve(g, dp, cfg).iterations == GAP_EVERY + 2
             assert started and not grown
