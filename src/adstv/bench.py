@@ -267,7 +267,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     default from sigma_eta and the image size); a key that is missing or
     None is unset, and any other key, or a value SolverConfig or DpeConfig
     refuses, raises ValueError before the first solve, as does a noisy
-    sample beyond the float32 range.
+    sample beyond the float32 range or a master_seed that is not an
+    integer.
 
     The tuple solves every (alpha_plus, tau) pair of the grids (alpha_plus
     1 for tv and stv) in one chain, in order of the effective weight
@@ -285,6 +286,7 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     The kept record is the highest PSNR, a tie going to the earlier point
     of the grid order (alpha_plus first, then tau), whatever the solve
     order; its SSIM is scored once, after the last solve."""
+    _check_master_seed(master_seed)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts, settings = _given_opts(opts)
@@ -345,6 +347,12 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     )
 
 
+def _check_master_seed(master_seed):
+    # derive_seed's %d would run a master_seed of 1.7 as 1
+    if not isinstance(master_seed, numbers.Integral):
+        raise ValueError("master_seed must be an integer, got %r" % (master_seed,))
+
+
 def _run_task(task):
     return run_tuple(*task)
 
@@ -360,9 +368,7 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     tuple, and one smaller than SSIM's window on either side is refused."""
     if not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError("jobs must be an integer >= 1, got %r" % (jobs,))
-    # derive_seed's %d would run a master_seed of 1.7 as 1
-    if not isinstance(master_seed, numbers.Integral):
-        raise ValueError("master_seed must be an integer, got %r" % (master_seed,))
+    _check_master_seed(master_seed)
     sigmas, regularizers = list(sigmas), list(regularizers)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids(regularizers, sigmas, tau_grid, alpha_grid)

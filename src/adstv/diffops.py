@@ -6,8 +6,10 @@ adjoint of that gradient, so <grad f, p> == <f, -div p> holds to machine
 precision.  All smoothing is correlation with mirror (edge-duplicating)
 extension, run as one 1-D pass per axis: the Sobel kernels and every
 smoothing kernel are outer products of 1-D factors, and convolve_channel
-refuses a kernel that is not.  The passes agree with the 2-D correlation to
-rounding (about 1e-15 of the input's magnitude).
+refuses a kernel that is not.  The passes are plain numpy, run over bands
+of rows, and repeat scipy.ndimage.correlate1d's arithmetic step for step,
+so they equal its two passes bit for bit; they agree with the 2-D
+correlation to rounding (about 1e-15 of the input's magnitude).
 
 The gradient and the divergence keep a float32 plane in float32 and take
 anything else as float64 (see as_float); the smoothing runs in float64.
@@ -18,7 +20,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "as_float",
@@ -216,11 +217,82 @@ def convolve_channel(channel, kernel):
     return _correlate_separable(f, factor, factor)
 
 
+# Elements in each of the banded correlation's two buffers (96 KiB of
+# float64): the band's source rows with their mirror rows, and its axis-0
+# result with mirror columns.  A 96x96 plane under 15-tap passes is one band.
+_BAND_ELEMENTS = 12288
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _correlate_separable(f, column, row):
-    """Correlation of f with np.outer(column, row) under mirror extension:
-    column along axis 0, then row along axis 1 in place."""
-    out = ndimage.correlate1d(f, column, axis=0, mode="reflect")
-    return ndimage.correlate1d(out, row, axis=1, mode="reflect", output=out)
+    """Correlation of the float64 plane f with np.outer(column, row) under
+    mirror extension, column along axis 0 and then row along axis 1, for odd
+    factors.
+
+    The rows are taken in bands.  Each band gathers its source rows with
+    their mirror rows, runs the axis-0 pass into a buffer whose mirror
+    columns it then fills, and runs the axis-1 pass straight into its rows
+    of the result, so no padded copy of the plane is ever made.  The first
+    pass takes its scratch from the band's rows of the result and the second
+    from the spent source rows.  A plane that fits the buffers is one band.
+    """
+    h, w = f.shape
+    rc, rr = len(column) // 2, len(row) // 2
+    column_plan = _pass_plan(column)
+    row_plan = column_plan if row is column else _pass_plan(row)
+    out = np.empty((h, w))
+    n = min(h, max(1, _BAND_ELEMENTS // (w + 2 * rr)))
+    rows = reflect_index(np.arange(-rc, h + rc), h)
+    edge = np.r_[0:rr, rr + w:w + 2 * rr]
+    edge_source = rr + reflect_index(edge - rr, w)
+    src = np.empty((n + 2 * rc, w))
+    mid = np.empty((n, w + 2 * rr))
+    for y0 in range(0, h, n):
+        m = min(n, h - y0)
+        band = np.take(f, rows[y0:y0 + m + 2 * rc], axis=0, out=src[:m + 2 * rc], mode="clip")
+        _correlate_pass(band, column_plan, mid[:m, rr:rr + w], out[y0:y0 + m], 0)
+        if rr:
+            mid[:m, edge] = mid[:m, edge_source]
+        _correlate_pass(mid[:m], row_plan, out[y0:y0 + m], src[:m], 1)
+    return out
+
+
+def _pass_plan(weights):
+    """The steps scipy.ndimage.correlate1d takes for an odd 1-D factor:
+    (centre offset, centre weight), the ufunc that combines a pair of taps
+    (None for single taps) and the (offset, paired offset, weight) steps.
+
+    A factor symmetric to within machine epsilon starts from the centre tap
+    and adds (left + right) * left weight pair by pair, outermost first; an
+    antisymmetric one adds (left - right) * left weight the same way; any
+    other starts from its last tap and adds the others from the first."""
+    w = np.asarray(weights, dtype=np.float64).tolist()
+    r = len(w) // 2
+    for combine, sign in ((np.add, -1.0), (np.subtract, 1.0)):
+        if all(abs(w[r + j] + sign * w[r - j]) <= _EPS for j in range(1, r + 1)):
+            return (0, w[r]), combine, [(-j, j, w[r - j]) for j in range(r, 0, -1)]
+    return (r, w[-1]), None, [(j, None, w[r + j]) for j in range(-r, r)]
+
+
+def _correlate_pass(src, plan, out, tmp, axis):
+    """out = the correlation of src with a 2r + 1 tap factor along axis (0
+    or 1), in the order of plan, where src has 2r more samples than out
+    along that axis; tmp is a scratch array of out's shape."""
+    n = out.shape[axis]
+    r = (src.shape[axis] - n) // 2
+
+    def tap(offset):
+        return src[r + offset:r + offset + n] if axis == 0 else src[:, r + offset:r + offset + n]
+
+    (centre, weight), combine, steps = plan
+    np.multiply(tap(centre), weight, out=out)
+    for a, b, weight in steps:
+        if combine is None:
+            np.multiply(tap(a), weight, out=tmp)
+        else:
+            combine(tap(a), tap(b), out=tmp)
+            tmp *= weight
+        out += tmp
 
 
 def reflect_index(idx, n):

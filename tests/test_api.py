@@ -4,6 +4,8 @@ import io
 import math
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,3 +41,13 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only: the runtime smooths with numpy
+    src = str(Path(adstv.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import adstv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))" % src)
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, timeout=120)
+    assert run.stdout.strip() == "[]"

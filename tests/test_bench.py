@@ -550,6 +550,21 @@ def test_bench_refuses_a_jobs_or_master_seed_that_is_not_an_integer(monkeypatch,
                        master_seed=np.int64(3), jobs=np.int32(1)) == [3]
 
 
+@pytest.mark.parametrize("master_seed", [1.7, 1.0, "0"])
+def test_run_tuple_refuses_a_master_seed_that_is_not_an_integer(monkeypatch, master_seed):
+    # derive_seed's %d would run 1.7 as seed 1, the noise of another seed
+    clean = stripe_image(16, 16, 0.5)
+    noises = counting(monkeypatch, bench, "add_gaussian_noise")
+    solves = counting(monkeypatch, bench, "solve")
+    with pytest.raises(ValueError, match="master_seed"):
+        bench.run_tuple(clean, "s", 0.1, "tv", [0.05], [], master_seed)
+    assert noises == [] and solves == []
+    # numpy integers are integers, and run as the same seed
+    runs = [bench.run_tuple(clean, "s", 0.1, "tv", [0.05], [], seed, {"max_iters": 5})
+            for seed in (np.int64(3), 3)]
+    assert runs[0].psnr_db == runs[1].psnr_db
+
+
 def test_an_image_below_the_ssim_window_is_refused_before_any_solve(tmp_path, monkeypatch):
     # the small image comes last, after a tuple that could run
     big, small = tmp_path / "big.pgm", tmp_path / "small.pgm"

@@ -4,7 +4,9 @@ from scipy import ndimage
 
 from adstv import Image
 from adstv.diffops import (
+    _BAND_ELEMENTS,
     Kernel,
+    _correlate_separable,
     convolve_channel,
     delta_kernel,
     div_backward,
@@ -240,6 +242,35 @@ def test_sobel_matches_2d_correlate():
             ref = ndimage.correlate(f, k, mode="reflect")
             assert got.shape == shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(f).max()
+
+
+# more rows than one band of _correlate_separable holds, for every factor
+# below; its transpose is a single band
+BANDED_SHAPE = (300, 97)
+
+
+def correlate1d_pair(f, column, row):
+    """The two ndimage passes that _correlate_separable repeats."""
+    out = ndimage.correlate1d(f, column, axis=0, mode="reflect")
+    return ndimage.correlate1d(out, row, axis=1, mode="reflect", output=out)
+
+
+def test_correlate_separable_equals_the_ndimage_passes_exactly():
+    h, w = BANDED_SHAPE
+    assert h > _BAND_ELEMENTS // (w + 2)
+    smooth, diff = np.array([1.0, 2.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    pairs = [(smooth, diff), (diff, smooth)]
+    for support in (3, 5, 7, 11, 15):
+        factor = gaussian_kernel(1.5, support).weights.sum(axis=0)
+        pairs.append((factor, factor))
+    # neither symmetric nor antisymmetric: ndimage sums its taps in order
+    pairs.append((np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.6, 0.3])))
+    rng = np.random.default_rng(8)
+    for shape in SEPARABLE_SHAPES + [BANDED_SHAPE, BANDED_SHAPE[::-1]]:
+        f = 3.0 * rng.standard_normal(shape)
+        for column, row in pairs:
+            assert np.array_equal(_correlate_separable(f, column, row),
+                                  correlate1d_pair(f, column, row)), (shape, column, row)
 
 
 def test_reflect_index_rule():

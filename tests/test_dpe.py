@@ -157,7 +157,8 @@ def test_scale_fields_memory_bound():
     # smoothed products and the three eig2x2 planes (6); the products,
     # both eigenvalues and the coherence (6); the products, the coherence,
     # the angle and 2 sxy (6).  One more plane covers the boolean masks
-    # (1/8 plane each) and the kernels.
+    # (1/8 plane each), the kernels and the smoothing's two row-band
+    # buffers (0.42 plane at 256^2).
     rng = np.random.default_rng(42)
     gl = rng.random((256, 256))
     cfg = DpeConfig(alpha_plus=3.0, num_scales=3, st_support=15)
