@@ -19,13 +19,27 @@ the dual the previous one left, a feasible start because the dual
 feasible set depends on neither tau nor the steering.  The rule for the
 kept record does not depend on that order: it is the highest PSNR, a tie
 going to the earlier grid point, alpha_plus first and then tau.
+
+Once a tuple holds a candidate, every later solve is pruned against it
+(solver.solve's prune): the sweep's solves minimize a 1-strongly convex
+primal, so a check's absolute duality gap G puts the exact minimizer
+within sqrt(2 G) of the check's image z.  When ||z - clean|| - sqrt(2 G)
+exceeds the candidate's own distance from the clean image, the exact
+minimizer scores strictly below the candidate, and the solve stops there
+(stop_reason "pruned").  A pruned solve is never a candidate, and its last
+accepted dual still starts the next solve of the chain.  The bound covers
+exact minimizers: a candidate is a solve to SWEEP_GAP_TOL, which can score
+a few hundredths of a dB off its own minimizer, and in float32 G is an
+estimate, whose round-off allowance errs toward not pruning.  A record's
+chain_iters counts the iterations of every solve of its tuple, pruned ones
+included.
 """
 
 import dataclasses
 import hashlib
+import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +47,16 @@ import numpy as np
 
 from .diffops import delta_kernel
 from .dpe import EADTV_SMOOTH_SIGMA, DpeConfig, analyze, eadtv_angles
-from .image import SSIM_WINDOW, Image, NoiseSpec, add_gaussian_noise, load_image, psnr, ssim
+from .image import (
+    SSIM_WINDOW,
+    Image,
+    NoiseSpec,
+    _mse,
+    add_gaussian_noise,
+    load_image,
+    psnr,
+    ssim,
+)
 from .solver import SolverConfig, _step_bound, solve
 from .tensor import DirectionalParams, dual_field
 
@@ -105,10 +128,12 @@ class RunRecord:
     """One CSV row, its fields in order (CSV_HEADER holds their names): the
     best-PSNR run of one tuple.  psnr_db is inf for an exact restoration,
     wall_seconds is that run's solve time, stop_reason why it stopped
-    ("gap" or "max_iters"), estimate_seconds the time of the
-    tuple's direction estimation (0 for tv and stv), and gap the relative
-    duality gap of the kept run's image (None, an empty cell, when its
-    solve took none)."""
+    ("gap" or "max_iters": a pruned solve is never kept), estimate_seconds
+    the time of the tuple's direction estimation (0 for tv and stv), gap
+    the relative duality gap of the kept run's image (None, an empty cell,
+    when its solve took none), and chain_iters the iterations of every
+    solve of the tuple, pruned ones included (by default iters, a chain of
+    the kept solve alone), at least iters."""
 
     image_id: str
     regularizer: str
@@ -123,10 +148,19 @@ class RunRecord:
     stop_reason: str = "max_iters"
     estimate_seconds: float = 0.0
     gap: Optional[float] = None
+    chain_iters: Optional[int] = None
 
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError("unknown regularizer %r" % self.regularizer)
+        if self.stop_reason not in ("gap", "max_iters"):
+            raise ValueError("stop_reason must be 'gap' or 'max_iters', got %r"
+                             % (self.stop_reason,))
+        if self.chain_iters is None:
+            self.chain_iters = self.iters
+        if not self.chain_iters >= self.iters:
+            raise ValueError("chain_iters %r is below the kept solve's %r iterations"
+                             % (self.chain_iters, self.iters))
         for name in ("sigma_eta", "tau", "alpha_plus", "ssim", "wall_seconds",
                      "estimate_seconds"):
             if not np.isfinite(getattr(self, name)):
@@ -142,7 +176,8 @@ class RunRecord:
         return ",".join("" if v is None else _CSV_FORMATS[t] % v for t, v in values)
 
 
-_CSV_FORMATS = {str: "%s", int: "%d", float: "%.6f", Optional[float]: "%.3e"}
+_CSV_FORMATS = {str: "%s", int: "%d", float: "%.6f", Optional[float]: "%.3e",
+                Optional[int]: "%d"}
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
 
 
@@ -283,9 +318,18 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     alpha_plus's DirectionalParams is built when its solve comes up, after
     the previous one is released, so at most one is held.
 
-    The kept record is the highest PSNR, a tie going to the earlier point
-    of the grid order (alpha_plus first, then tau), whatever the solve
-    order; its SSIM is scored once, after the last solve."""
+    Once a candidate is kept, each later solve gets prune=(clean, radius),
+    radius the candidate's distance sqrt(N mse) from the clean image in
+    psnr's float64 arithmetic (N samples), and stops as "pruned" at a check
+    whose duality gap proves that its exact minimizer lies farther from
+    clean than that, so scores strictly below the candidate (see the module
+    docstring for the bound and its float32 caveat).  A pruned solve is
+    never a candidate; its last accepted dual starts the next solve.
+
+    The kept record is the highest PSNR among the solves not pruned, a tie
+    going to the earlier point of the grid order (alpha_plus first, then
+    tau), whatever the solve order; its SSIM is scored once, after the
+    last solve, and its chain_iters sums the iterations of every solve."""
     _check_master_seed(master_seed)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
@@ -314,7 +358,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     # a stable sort: equal keys keep grid order
     order = sorted(range(len(grid)), key=lambda i: (grid[i][0] * grid[i][1], grid[i][0]))
     dual = dual_field(kernel.support**2 * clean.channels, clean.height, clean.width, np.float32)
-    dp = best = None
+    dp = best = prune = None
+    chain_iters = 0
     for i in order:
         alpha, tau = grid[i]
         if steering is not None and (dp is None or dp.alpha_plus != alpha):
@@ -323,11 +368,17 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
             dp = steering(alpha)
         cfg = dataclasses.replace(settings, tau=float(tau), q=q, kernel=kernel)
         t0 = time.perf_counter()
-        result = solve(noisy32, dp, cfg, dual=dual)
+        result = solve(noisy32, dp, cfg, dual=dual, prune=prune)
         wall = time.perf_counter() - t0
+        chain_iters += result.iterations
+        if result.stop_reason == "pruned":
+            continue
         p = psnr(clean, result.image)
         if best is None or p > best[0] or (p == best[0] and i < best[1]):
             best = (p, i, result, wall)
+            # the candidate's distance from clean, in psnr's arithmetic:
+            # an image farther from clean scores strictly less
+            prune = (clean, math.sqrt(clean.data.size * _mse(clean, result.image)))
     p, i, result, wall = best
     alpha, tau = grid[i]
     return RunRecord(
@@ -344,6 +395,7 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
         stop_reason=result.stop_reason,
         estimate_seconds=estimate_seconds,
         gap=result.gap,
+        chain_iters=chain_iters,
     )
 
 
@@ -393,6 +445,9 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     # a pool starts all its workers at once, so it gets no more than tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_task, tasks))
     return [_run_task(t) for t in tasks]

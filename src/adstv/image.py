@@ -271,12 +271,17 @@ def psnr(ref, test):
     """Peak signal-to-noise ratio in dB with peak 1.0 (inf for identical).
 
     The difference is taken in float64 whatever the samples' dtype."""
-    if ref.shape != test.shape:
-        raise ValueError("shape mismatch")
-    mse = np.mean(np.subtract(ref.data, test.data, dtype=np.float64) ** 2)
+    mse = _mse(ref, test)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
+
+
+def _mse(ref, test):
+    """The mean squared difference of psnr, in its float64 arithmetic."""
+    if ref.shape != test.shape:
+        raise ValueError("shape mismatch")
+    return np.mean(np.subtract(ref.data, test.data, dtype=np.float64) ** 2)
 
 
 # 11-tap Gaussian, sigma 1.5, normalized: the 1-D factor of SSIM's window

@@ -45,6 +45,17 @@ sums are float64, its per-pixel values in the solve's dtype, so a float32
 gap is an estimate, not a proven bound.  A solve with a rel_tol reports
 the gap of the image it returns, whatever stopped it.
 
+A third rule serves sweeps that keep only the best of many solves (solve's
+prune=(clean, radius)).  The primal is 1-strongly convex on the box, so at
+a check 1/2 ||z - z*||^2 <= P(z) - P(z*) <= G, the absolute gap P(z) -
+D(psi), and the exact minimizer z* lies at least ||z - clean|| - sqrt(2 G)
+from clean (Beck and Teboulle, IEEE TIP 2009; Chambolle and Pock, JMIV
+2011).  A check that the gap has not stopped, the last one excepted, stops
+the loop (stop_reason "pruned") when that exceeds radius: z* then lies
+strictly farther than radius from clean.  In float32 G is an estimate, as
+the relative gap is; its 4-ulp allowance errs toward a larger G, so
+toward not pruning.
+
 One helper computes z, for every iteration and every check, and one clip
 serves it, the box projection and the dual objective.  The ball projection
 takes its Gram eigenvalues from tensor.eig2x2, the helper analyze uses.
@@ -133,8 +144,11 @@ class SolverConfig:
 class SolveResult:
     """The restored image, the iterations run, and why the loop stopped:
     "gap" when the relative duality gap fell to rel_tol, "max_iters" when
-    the cap ran out first.  gap is the relative duality gap of the
-    returned image, None when the solve had no rel_tol."""
+    the cap ran out first, "pruned" when a check of a solve with a prune
+    showed that the exact minimizer lies farther than the prune's radius
+    from its clean image (the image is then that check's, not a solution
+    to rel_tol).  gap is the relative duality gap of the returned image,
+    None when the solve had no rel_tol."""
 
     image: Image
     iterations: int
@@ -294,15 +308,15 @@ def _primal_step(psi, g, cfg, workspace, out, scaled=None):
     return _clip(z, cfg.constraint, out=z)
 
 
-def _relative_gap(psi, g, cfg, workspace, z, scaled):
-    """The relative duality gap (P(z) - D(psi)) / P(z) at the dual psi,
-    whose bands the workspace has scattered, and z = P_C(g - tau J* psi),
-    which it writes to z as _primal_step does; scaled is a scratch array
-    of z's shape and dtype.  At this z, P(z) - D(psi) = tau R(z) - <z,
-    tau J* psi>, which spares D the cancellation of ||g||^2 - ||w||^2; R
-    comes from the Gram of J z (tensor._schatten_sum), which leaves every
-    scratch plane of the workspace spent.  The gap is 0 where P(z) = 0: z
-    = g is then optimal."""
+def _duality_gap(psi, g, cfg, workspace, z, scaled):
+    """The duality gap G = P(z) - D(psi) and the relative gap G / P(z) at
+    the dual psi, whose bands the workspace has scattered, and z = P_C(g -
+    tau J* psi), which it writes to z as _primal_step does; scaled is a
+    scratch array of z's shape and dtype, spent on return.  At this z, G =
+    tau R(z) - <z, tau J* psi>, which spares D the cancellation of ||g||^2
+    - ||w||^2; R comes from the Gram of J z (tensor._schatten_sum), which
+    leaves every scratch plane of the workspace spent.  The relative gap
+    is 0 where P(z) = 0: z = g is then optimal."""
     _primal_step(psi, g, cfg, workspace, out=z, scaled=scaled)
     dot = float(np.einsum("cij,cij->", z, scaled, dtype=np.float64))
     fit = np.subtract(g.data, z, out=scaled)
@@ -313,7 +327,35 @@ def _relative_gap(psi, g, cfg, workspace, z, scaled):
     # sqrt(det) can lose sqrt(eps) of its norm, and the Gram's and J*'s
     # sums a few ulp of their terms), so in float32 the gap is an estimate
     slack = 4.0 * float(np.finfo(z.dtype).eps) * (penalty + abs(dot))
-    return max(penalty - dot + slack, 0.0) / primal if primal > 0 else 0.0
+    gap = max(penalty - dot + slack, 0.0)
+    return gap, gap / primal if primal > 0 else 0.0
+
+
+def _check_prune(prune, g, cfg):
+    """Raise ValueError unless prune is a (clean, radius) pair that a solve
+    of g under cfg can test: cfg has a rel_tol, whose checks the test runs
+    at, clean is an image of g's shape and radius is finite and >= 0."""
+    clean, radius = prune
+    if cfg.rel_tol is None:
+        raise ValueError("prune needs a cfg.rel_tol: the prune test runs at its gap checks")
+    if clean.shape != g.shape:
+        raise ValueError("the prune image's shape %r differs from the image's %r"
+                         % (clean.shape, g.shape))
+    # written so that NaN fails it
+    if not 0.0 <= radius < math.inf:
+        raise ValueError("the prune radius must be finite and >= 0, got %r" % (radius,))
+
+
+def _beyond(z, prune, gap, scaled):
+    """True when every image within sqrt(2 gap) of z, the exact minimizer
+    among them, lies farther than radius from clean, for prune = (clean,
+    radius): ||z - clean|| - sqrt(2 gap) > radius.  z - clean is written to
+    scaled, a spent scratch array of z's shape and dtype, and its square
+    summed in float64."""
+    clean, radius = prune
+    diff = np.subtract(z, clean.data, out=scaled)
+    dist = math.sqrt(float(np.einsum("cij,cij->", diff, diff, dtype=np.float64)))
+    return dist - math.sqrt(2.0 * gap) > radius
 
 
 def _ascent(z, psi, prev, momentum, p, workspace, lip, scatter_accepted=False):
@@ -373,7 +415,7 @@ def _step_bound(tau, alpha_plus, dtype):
     return lip
 
 
-def solve(g, dp, cfg, *, dual=None):
+def solve(g, dp, cfg, *, dual=None, prune=None):
     """Run the dual ascent; returns a SolveResult: the restored image, the
     iteration count, the stop reason and, with a cfg.rel_tol, the image's
     relative duality gap.
@@ -389,6 +431,18 @@ def solve(g, dp, cfg, *, dual=None):
     back into it.  A dual that does not fit raises ValueError before it is
     touched.  The result itself keeps no dual field.
 
+    prune, when given, is a (clean, radius) pair: clean an image of g's
+    shape, radius finite and >= 0.  Each gap check that does not stop the
+    solve on its gap, the last one excepted, then stops it with
+    stop_reason "pruned" when ||z - clean|| - sqrt(2 G) > radius, where z
+    is the check's image and G its absolute duality gap: the exact
+    minimizer then lies strictly farther than radius from clean (see the
+    module docstring, and its float32 caveat).  A pruned solve writes its
+    last accepted dual back into dual, as any other solve does.  prune
+    without a cfg.rel_tol, whose checks it runs at, raises ValueError, as
+    do a clean of another shape and a radius that is negative, NaN or
+    infinite.
+
     A step bound L = 8 tau (a+)^2 or an a+ beyond the range of g's dtype
     raises ValueError, and a non-finite iterate FloatingPointError.
 
@@ -403,9 +457,10 @@ def solve(g, dp, cfg, *, dual=None):
     array.  A check (the last iteration, and every GAP_EVERY-th with a
     cfg.rel_tol) writes the image of the accepted dual over the spent z,
     which the result then holds; a gap runs in the workspace and one more
-    image-sized buffer.  A check that does not stop the loop scatters the
-    extrapolated point again, so the iterates are those of a solve
-    without checks, bit for bit.
+    image-sized buffer, which then takes z - clean for a prune test.  A
+    check that does not stop the loop scatters the extrapolated point
+    again, so the iterates are those of a solve without checks, bit for
+    bit.
     """
     kernel = cfg.kernel
     p = cfg.dual_p
@@ -414,6 +469,8 @@ def solve(g, dp, cfg, *, dual=None):
     rows = kernel.support**2 * nch
     if dual is not None:
         _check_dual(dual, rows, h, w_, dtype)
+    if prune is not None:
+        _check_prune(prune, g, cfg)
     # tested before the Workspace casts the steering fields to dtype
     lip = _step_bound(cfg.tau, None if dp is None else dp.alpha_plus, dtype)
     ws = Workspace(kernel, nch, h, w_, dp, dtype)
@@ -455,11 +512,14 @@ def solve(g, dp, cfg, *, dual=None):
             if scaled is None:
                 _primal_step(psi, g, cfg, ws, out=z)
             else:
-                gap = _relative_gap(psi, g, cfg, ws, z, scaled)
+                absolute, gap = _duality_gap(psi, g, cfg, ws, z, scaled)
             if last:
                 break
             if gap <= cfg.rel_tol:
                 stop_reason = "gap"
+                break
+            if prune is not None and _beyond(z, prune, absolute, scaled):
+                stop_reason = "pruned"
                 break
             for y0, y1 in ws.bands:
                 _scatter(ws, prev, y0, y1)

@@ -43,11 +43,22 @@ def test_every_exported_name_resolves():
         assert not missing, (module.__name__, missing)
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is a test dependency only: the runtime smooths with numpy
+def modules_the_cli_loads(package):
+    """The modules of package that a fresh interpreter has loaded after
+    importing adstv.cli, sorted."""
     src = str(Path(adstv.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, %r); import adstv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))" % src)
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == %r))" % (src, package))
     run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, timeout=120)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only: the runtime smooths with numpy
+    assert modules_the_cli_loads("scipy") == "[]"
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only a bench run with more than one job starts a process pool
+    assert modules_the_cli_loads("multiprocessing") == "[]"

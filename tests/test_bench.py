@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import tracemalloc
 
@@ -8,9 +9,9 @@ from adstv import bench
 from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import DpeConfig, eadtv_angles, estimate
-from adstv.image import Image, add_gaussian_noise, save_image
+from adstv.image import Image, NoiseSpec, add_gaussian_noise, psnr, save_image, ssim
 from adstv.solver import GAP_EVERY, SolverConfig, solve
-from adstv.tensor import DirectionalParams
+from adstv.tensor import DirectionalParams, dual_field
 
 from conftest import stripe_image
 from test_acceptance import synth_half_oriented
@@ -91,9 +92,9 @@ def test_run_tuple_uses_the_regularizer_kernel_and_q(monkeypatch):
     seen = []
     solve = bench.solve
 
-    def spy(g, dp, cfg, dual=None):
+    def spy(g, dp, cfg, dual=None, prune=None):
         seen.append((dp is None, cfg.kernel.support, cfg.q))
-        return solve(g, dp, cfg, dual=dual)
+        return solve(g, dp, cfg, dual=dual, prune=prune)
 
     monkeypatch.setattr(bench, "solve", spy)
     for reg, expected in (("tv", [(True, 1, 2)] * 2),
@@ -115,9 +116,9 @@ def test_run_tuple_chains_every_solve_in_tau_alpha_order(monkeypatch):
     calls = []
     solve = bench.solve
 
-    def spy(g, dp, cfg, dual=None):
+    def spy(g, dp, cfg, dual=None, prune=None):
         start = dual.copy()
-        result = solve(g, dp, cfg, dual=dual)
+        result = solve(g, dp, cfg, dual=dual, prune=prune)
         calls.append((dp, cfg.tau, dual, start, dual.copy()))
         return result
 
@@ -139,6 +140,38 @@ def test_run_tuple_chains_every_solve_in_tau_alpha_order(monkeypatch):
         assert all(end.any() for _, _, _, _, end in calls)
 
 
+def test_pruning_keeps_the_record_of_the_unpruned_chain(monkeypatch):
+    # the taus past the best over-smooth: their solves are pruned, and the
+    # record is that of the same chain run by hand without pruning
+    clean = stripe_image(48, 48, 0.5, contrast=0.2)
+    taus = [0.2, 0.02, 0.119, 0.04, 0.069]
+    solves = []
+    real = bench.solve
+
+    def spy(g, dp, cfg, dual=None, prune=None):
+        solves.append(real(g, dp, cfg, dual=dual, prune=prune))
+        return solves[-1]
+
+    monkeypatch.setattr(bench, "solve", spy)
+    rec = bench.run_tuple(clean, "s", 0.1, "stv", taus, [], 0)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.1, bench.derive_seed("s", 0.1, 0)))
+    g = Image(noisy.data.astype(np.float32))
+    dual = dual_field(9, 48, 48, np.float32)
+    chain = []
+    for tau in sorted(taus):
+        res = real(g, None, SolverConfig(tau=tau, rel_tol=bench.SWEEP_GAP_TOL), dual=dual)
+        chain.append((psnr(clean, res.image), tau, res))
+    p, tau, kept = max(chain, key=lambda run: run[0])
+    assert (rec.tau, rec.alpha_plus, rec.psnr_db, rec.ssim) == (tau, 1.0, p,
+                                                                  ssim(clean, kept.image))
+    assert (rec.iters, rec.stop_reason, rec.gap) == (kept.iterations, kept.stop_reason, kept.gap)
+    stops = [res.stop_reason for res in solves]
+    assert "pruned" in stops and stops[0] != "pruned"
+    # the chain counts the pruned solves too, which stopped early
+    assert rec.chain_iters == sum(res.iterations for res in solves)
+    assert rec.chain_iters < sum(res.iterations for _, _, res in chain)
+
+
 def test_kept_record_is_the_first_grid_point_among_equal_psnrs(monkeypatch):
     # every run scores alike: the kept one is the grid's first point,
     # alpha_plus first and then tau, which the chain solves neither first
@@ -148,7 +181,9 @@ def test_kept_record_is_the_first_grid_point_among_equal_psnrs(monkeypatch):
     results = []
     solve = bench.solve
 
-    def spy(g, dp, cfg, dual=None):
+    # every run is a candidate: the spy drops the prune, which would test
+    # the true distances that the constant PSNR hides
+    def spy(g, dp, cfg, dual=None, prune=None):
         results.append(((dp and dp.alpha_plus, cfg.tau), solve(g, dp, cfg, dual=dual)))
         return results[-1][1]
 
@@ -193,9 +228,9 @@ def test_run_tuple_takes_unset_solver_settings_from_solver_config(monkeypatch):
     seen = []
     solve = bench.solve
 
-    def spy(g, dp, cfg, dual=None):
+    def spy(g, dp, cfg, dual=None, prune=None):
         seen.append((cfg.max_iters, cfg.q, cfg.kernel, cfg.constraint, cfg.rel_tol))
-        return solve(g, dp, cfg, dual=dual)
+        return solve(g, dp, cfg, dual=dual, prune=prune)
 
     monkeypatch.setattr(bench, "solve", spy)
     default = SolverConfig(tau=0.02)
@@ -313,7 +348,7 @@ def test_solves_run_in_float32_on_fields_from_the_float64_noisy_image(monkeypatc
 
 def test_records_report_stop_reason_and_estimate_seconds(monkeypatch):
     clean = stripe_image(16, 16, 0.5)
-    assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds,gap")
+    assert bench.CSV_HEADER.endswith(",seed,stop_reason,estimate_seconds,gap,chain_iters")
     for reg in bench.REGULARIZERS:
         steered = reg in ("eadtv", "adstv")
         # the sweep gap stops a solve on a check before the cap, a short
@@ -334,11 +369,13 @@ def test_records_report_stop_reason_and_estimate_seconds(monkeypatch):
             assert (rec.estimate_seconds > 0) if steered else (rec.estimate_seconds == 0.0)
             row = rec.csv_row().split(",")
             assert len(row) == len(bench.CSV_HEADER.split(","))
-            assert row[-3] == rec.stop_reason
-            assert float(row[-2]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
+            assert row[-4] == rec.stop_reason
+            assert float(row[-3]) == pytest.approx(rec.estimate_seconds, abs=1e-6)
             # every sweep solve takes a gap, of the image it returns
             assert 0.0 <= rec.gap < np.inf
-            assert float(row[-1]) == pytest.approx(rec.gap, rel=1e-3)
+            assert float(row[-2]) == pytest.approx(rec.gap, rel=1e-3)
+            # one grid point: the chain is the kept solve alone
+            assert int(row[-1]) == rec.chain_iters == rec.iters
 
 
 def test_an_exact_restoration_is_kept_with_psnr_inf(tmp_path):
@@ -361,15 +398,22 @@ def test_csv_row_formats_each_field_by_its_type():
                           wall_seconds=4e-7, seed=123, stop_reason="max_iters",
                           estimate_seconds=2.0)
     assert bench.CSV_HEADER == ("image_id,regularizer,sigma_eta,tau,alpha_plus,psnr_db,"
-                                "ssim,iters,wall_seconds,seed,stop_reason,estimate_seconds,gap")
-    # no gap taken: an empty cell
+                                "ssim,iters,wall_seconds,seed,stop_reason,estimate_seconds,gap,"
+                                "chain_iters")
+    # no gap taken: an empty cell; no chain given: the kept solve's own
     assert rec.csv_row() == ("a,stv,0.100000,0.250000,1.000000,30.123457,0.500000,17,"
-                             "0.000000,123,max_iters,2.000000,")
-    gapped = dataclasses.replace(rec, stop_reason="gap", gap=0.000123456)
-    assert gapped.csv_row().endswith(",123,gap,2.000000,1.235e-04")
+                             "0.000000,123,max_iters,2.000000,,17")
+    gapped = dataclasses.replace(rec, stop_reason="gap", gap=0.000123456, chain_iters=250)
+    assert gapped.csv_row().endswith(",123,gap,2.000000,1.235e-04,250")
     for bad in (np.nan, np.inf, -1e-3):
         with pytest.raises(ValueError, match="gap"):
             dataclasses.replace(rec, gap=bad)
+    with pytest.raises(ValueError, match="chain_iters"):
+        dataclasses.replace(rec, chain_iters=16)
+    # a pruned solve is never kept, and no other stop exists
+    for bad in ("pruned", "converged", None):
+        with pytest.raises(ValueError, match="stop_reason"):
+            dataclasses.replace(rec, stop_reason=bad)
 
 
 # the grids of the sweep-96 benchmark workload
@@ -385,14 +429,17 @@ def test_float32_sweep_picks_the_float64_choices(monkeypatch):
     # Every record of the sweep grids on synth_half at sigma 0.1 must pick
     # the (tau, alpha) of the same sweep with float64 solves, with its PSNR
     # within 1e-5 dB.  This compares dtypes, not stop rules: the gap stop
-    # is off, and both sweeps chain their warm starts alike
+    # and the pruning, which needs it, are off, and both sweeps chain their
+    # warm starts alike
     monkeypatch.setattr(bench, "SWEEP_GAP_TOL", None)
+    monkeypatch.setattr(bench, "solve", lambda g, dp, cfg, dual, prune: solve(g, dp, cfg,
+                                                                              dual=dual))
     clean = Image(synth_half_oriented()[None])
     records = {reg: bench.run_tuple(clean, "synth_half", 0.1, reg, taus, alphas, 1)
                for reg, (taus, alphas) in SWEEP_GRID.items()}
     drawn = capture_noisy(monkeypatch)
 
-    def solve64(g, dp, cfg, dual):
+    def solve64(g, dp, cfg, dual, prune):
         # the sweep's float32 dual starts the float64 solve and takes its
         # final dual
         dual64 = dual.astype(np.float64)
@@ -507,7 +554,7 @@ class FakePool:
 ])
 def test_bench_pool_is_capped_at_task_count(monkeypatch, jobs, regs, workers):
     FakePool.made = []
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(bench, "load_image", lambda path: stripe_image(16, 16, 0.5))
     monkeypatch.setattr(bench, "_run_task", lambda task: task[3])
     out = bench.bench([("unused.pgm", "x")], [0.1], regs, [0.05], [4.0], jobs=jobs)

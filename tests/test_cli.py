@@ -279,9 +279,9 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
     save_image(stripe_image(16, 16, 0.5), corpus / "a.pgm")
     seen = []
 
-    def spy(g, dp, cfg, dual=None):
+    def spy(g, dp, cfg, dual=None, prune=None):
         seen.append(cfg)
-        return solve(g, dp, cfg, dual=dual)
+        return solve(g, dp, cfg, dual=dual, prune=prune)
 
     monkeypatch.setattr(bench, "solve", spy)
     assert main(["bench", "--corpus", str(corpus), "--out", str(tmp_path / "out.csv"),
@@ -514,7 +514,7 @@ def test_bench_writes_expected_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ("image_id,regularizer,sigma_eta,tau,alpha_plus,"
                         "psnr_db,ssim,iters,wall_seconds,seed,stop_reason,"
-                        "estimate_seconds,gap")
+                        "estimate_seconds,gap,chain_iters")
     assert len(lines) == 4
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[1] for r in rows] == ["tv", "stv", "adstv"]
@@ -532,6 +532,8 @@ def test_bench_writes_expected_csv(tmp_path):
         else:
             assert r[10] == "max_iters" and int(r[7]) == 100
         assert 0.0 <= float(r[12]) < math.inf
+        # the chain counts the kept solve and the other 3 or 7 of its tuple
+        assert int(r[13]) > int(r[7])
     # only the steered regularizer estimates fields
     assert by_reg["tv"][11] == by_reg["stv"][11] == "0.000000"
     assert float(by_reg["adstv"][11]) > 0
@@ -705,10 +707,10 @@ def test_a_failed_sweep_leaves_an_existing_out_as_it_was(tmp_path, capsys, monke
              "--regularizers", "tv,adstv", "--tau-grid", "0.05", "--alpha-grid", "4"]
     real = bench.solve
 
-    def steered_fails(g, dp, cfg, dual=None):
+    def steered_fails(g, dp, cfg, dual=None, prune=None):
         if dp is not None:
             raise FloatingPointError("non-finite values in solver iterate")
-        return real(g, dp, cfg, dual=dual)
+        return real(g, dp, cfg, dual=dual, prune=prune)
 
     # tv runs first and succeeds; adstv's first solve then fails
     with monkeypatch.context() as mp:

@@ -1005,3 +1005,90 @@ def test_the_workspace_block_never_grows_once_a_solve_has_begun(kernel, shape, r
                                rel_tol=1e-30)
             assert solve(g, dp, cfg).iterations == GAP_EVERY + 2
             assert started and not grown
+
+
+def low_contrast_problem(dtype):
+    """A faint grating under sigma 0.1 noise, steered along its stripes, in
+    the 3x3 q = 1 setting of the sweeps: the clean image and the noisy
+    one in dtype."""
+    h = w = 32
+    angle = 0.5
+    clean = stripe_image(h, w, angle, contrast=0.04)
+    noise = 0.1 * np.random.default_rng(7).standard_normal(clean.shape)
+    dp = DirectionalParams(4.0, np.full((h, w), 1.5), np.full((h, w), angle))
+    return clean, Image((clean.data + noise).astype(dtype)), dp
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steered", [False, True], ids=["tv", "steered"])
+def test_a_radius_never_reached_leaves_the_solve_bit_identical(steered, dtype):
+    # the prune test reads the check's image and gap and writes only the
+    # spent scratch: image, iterations, stop, gap and final dual are those
+    # of the solve without it, bit for bit
+    clean, g, dp = low_contrast_problem(dtype)
+    if not steered:
+        dp = None
+    cfg = SolverConfig(tau=0.04, q=1, max_iters=1000, rel_tol=1e-3)
+    runs = []
+    for prune in (None, (clean, 1e3)):
+        dual = dual_field(9, 32, 32, dtype)
+        runs.append((solve(g, dp, cfg, dual=dual, prune=prune), dual))
+    (plain, plain_dual), (pruned, pruned_dual) = runs
+    assert plain.stop_reason == "gap" and plain.iterations > GAP_EVERY
+    assert (pruned.iterations, pruned.stop_reason, pruned.gap) == (
+        plain.iterations, plain.stop_reason, plain.gap)
+    np.testing.assert_array_equal(pruned.image.data, plain.image.data)
+    np.testing.assert_array_equal(pruned_dual, plain_dual)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_pruned_solve_is_certified_farther_than_its_radius(dtype):
+    # The exact minimizer, here a 3000-iteration float64 solve, lies
+    # farther than the radius of every solve pruned against it.  The
+    # iterate at 40 iterations lies about 5% farther from clean than the
+    # minimizer does, so a test that left out the sqrt(2 G) term of the
+    # bound would prune at 1.02 and 1.05 times its distance.
+    clean, g, dp = low_contrast_problem(dtype)
+    cfg = SolverConfig(tau=0.04, q=1, max_iters=1000, rel_tol=1e-4)
+    exact = solve(Image(g.data.astype(np.float64)), dp, replace(cfg, max_iters=3000,
+                                                                 rel_tol=None))
+    distance = float(np.linalg.norm(exact.image.data - clean.data))
+    pruned = []
+    for factor in (0.9, 1.02, 1.05):
+        radius = factor * distance
+        dual = dual_field(9, 32, 32, dtype)
+        res = solve(g, dp, cfg, dual=dual, prune=(clean, radius))
+        if res.stop_reason == "pruned":
+            assert distance > radius, (factor, res.iterations)
+            pruned.append((res, dual))
+        else:
+            assert res.stop_reason == "gap", factor
+    assert len(pruned) == 1
+    # a pruned solve ends on a check, with that check's image and
+    # accepted dual: those of the solve capped there
+    res, dual = pruned[0]
+    assert res.iterations % GAP_EVERY == 0 and res.gap > cfg.rel_tol
+    capped_dual = dual_field(9, 32, 32, dtype)
+    capped = solve(g, dp, replace(cfg, max_iters=res.iterations), dual=capped_dual)
+    assert capped.gap == res.gap
+    np.testing.assert_array_equal(res.image.data, capped.image.data)
+    np.testing.assert_array_equal(dual, capped_dual)
+
+
+def test_prune_is_refused_without_a_gap_or_with_a_bad_image_or_radius():
+    clean, g, dp = low_contrast_problem(np.float32)
+    cfg = SolverConfig(tau=0.04, q=1, max_iters=20, rel_tol=1e-3)
+    dual = dual_field(9, 32, 32, np.float32)
+    for bad_cfg, prune, says in (
+            (replace(cfg, rel_tol=None), (clean, 1.0), "rel_tol"),
+            (cfg, (Image(clean.data[:, :31]), 1.0), "shape"),
+            (cfg, (Image(np.stack([clean.data[0]] * 3)), 1.0), "shape"),
+            (cfg, (clean, -1e-9), "radius"),
+            (cfg, (clean, math.nan), "radius"),
+            (cfg, (clean, math.inf), "radius")):
+        with pytest.raises(ValueError, match=says):
+            solve(g, dp, bad_cfg, dual=dual, prune=prune)
+    # refused before the dual is touched
+    assert not dual.any()
+    # a radius of 0 is a distance like any other
+    assert solve(g, dp, cfg, prune=(clean, 0.0)).iterations >= GAP_EVERY
