@@ -13,8 +13,8 @@ that it cannot open before the first solve, and an existing --out keeps its
 contents until the sweep has finished.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
-inconsistent dimensions, a solve that left the finite range), 2
-operating-system level I/O failure.
+inconsistent dimensions, a solve that left the finite range, settings
+whose arrays do not fit in memory), 2 operating-system level I/O failure.
 """
 
 import argparse
@@ -277,7 +277,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (FormatError, ValueError, FloatingPointError) as exc:
+    except (FormatError, ValueError, FloatingPointError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:

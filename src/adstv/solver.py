@@ -77,7 +77,6 @@ from .tensor import (
     Workspace,
     _finish,
     _gram,
-    _norm_planes,
     _scatter,
     _schatten_sum,
     dual_field,
@@ -205,8 +204,8 @@ def _project_ball(data, p, workspace=None):
         planes = [block[i, ...] for i in range(count)]
         mask = np.empty(shape, dtype=bool)
     else:
-        band, w = data.shape[2:]
-        planes = workspace.planes(count, (band, w), workspace.band_slot(band))
+        band = data.shape[2]
+        planes = [plane[:band] for plane in workspace.band_planes]
         mask = workspace.mask[0, :band]
     # row r of component k is data[k, r, ...], a view even when 0-d
     if rescale:
@@ -473,14 +472,9 @@ def solve(g, dp, cfg, *, dual=None, prune=None):
         _check_prune(prune, g, cfg)
     # tested before the Workspace casts the steering fields to dtype
     lip = _step_bound(cfg.tau, None if dp is None else dp.alpha_plus, dtype)
-    ws = Workspace(kernel, nch, h, w_, dp, dtype)
-    # the projection's band planes and the gap's planes, reserved before
-    # any band is scattered
-    ws.planes(_ball_planes(p, rows), (ws.band_rows, w_), ws.band_slot(ws.band_rows))
-    scaled = None
-    if cfg.rel_tol is not None:
-        _norm_planes(ws)
-        scaled = np.empty(g.shape, dtype)
+    ws = Workspace(kernel, nch, h, w_, dp, dtype, ball_planes=_ball_planes(p, rows),
+                   gap=cfg.rel_tol is not None)
+    scaled = None if cfg.rel_tol is None else np.empty(g.shape, dtype)
     # Two dual fields alternate through the loop: the extrapolated point
     # psi, which takes the ascent step and the projection in place and so
     # becomes the accepted point, and the last accepted point prev, over
@@ -495,7 +489,8 @@ def solve(g, dp, cfg, *, dual=None, prune=None):
         np.copyto(psi, dual)
     z = np.empty(g.shape, dtype)
     # the first J* reads the start point
-    _scatter(ws, psi, 0, h)
+    for y0, y1 in ws.bands:
+        _scatter(ws, psi, y0, y1)
     t = 1.0
     stop_reason = "max_iters"
     gap = None

@@ -21,21 +21,21 @@ rows axis.
 
 Each operator is two steps, one over the whole image and one over a band
 of image rows.  J first extends every channel's (steered) gradient planes
-by the kernel radius under reflect indexing (one np.take through a flat
-index); its tap loop then gathers each row of a band as a slice of those
-extensions and adds it into the field.  J has two modes: plain J adds
-into a new zeroed field, and the solver's dual ascent step adds J / step
-into its dual, calling an each_band hook on every band as soon as the
-band is complete: the solver's hook projects and extrapolates the band
-and scatters it for the next J*, while the band is in cache.  J*'s
-scatter adds each row of a band into a padded accumulator at the same
-slice, as one contiguous run; its finish folds the border back onto the
-samples it mirrors, steers, and takes the divergence.  Both modes of J
-run the workspace's bands, and jacobian_adjoint_apply the image as one
-band.  Bands taken from the top give every sum the order of the one-band
-case, so the band count changes no bit of any result.  A 1x1 kernel (TV,
-EADTV) has no extension, its one row is the gradient plane itself, and
-J* reads the field's own planes: its scatter does nothing.
+by the kernel radius under reflect indexing (a copy of the interior, then
+of the mirrored border rows and columns); its tap loop then gathers each
+row of a band as a slice of those extensions and adds it into the field.
+J has two modes: plain J adds into a new zeroed field, and the solver's
+dual ascent step adds J / step into its dual, calling an each_band hook
+on every band as soon as the band is complete: the solver's hook
+projects and extrapolates the band and scatters it for the next J*,
+while the band is in cache.  J*'s scatter adds each row of a band into a
+padded accumulator at the same slice, as one contiguous run; its finish
+folds the border back onto the samples it mirrors, steers, and takes the
+divergence.  Both modes of J, and J*, run the workspace's bands.  Bands
+taken from the top give every sum the order of the one-band case, so the
+band count changes no bit of any result.  A 1x1 kernel (TV, EADTV) has
+no extension, its one row is the gradient plane itself, and J* reads the
+field's own planes: its scatter does nothing.
 
 The solver's duality gap needs the regularizer of an image, the sum of
 the Schatten norms of J's per-pixel blocks, and _schatten_sum takes it
@@ -43,10 +43,10 @@ from the blocks' Gram matrices, the kernel-smoothed products of the
 extended gradients, without J's field.
 
 A Workspace carries what every call for the same operands shares: the
-taps, the extension index, the steering products, the bands and the
-scratch planes.  The solver builds one per solve and passes it to every
-ascent step and to J*'s two steps, which then allocate nothing; plain J
-and jacobian_adjoint_apply build their own.
+taps, the steering products, the bands and the scratch planes.  The
+solver builds one per solve and passes it to every ascent step and to
+J*'s two steps, which then allocate nothing; plain J and
+jacobian_adjoint_apply build their own.
 
 Both operators follow the dtype of their input: float32 samples or fields
 give float32 results, computed through float32 scratch planes and steering
@@ -124,33 +124,20 @@ BAND_BYTES = 2**21
 class Workspace:
     """Constants and scratch memory shared by the operator calls of one solve.
 
-    Built once from (kernel, channels, H, W, dp, dtype).  It holds the taps
-    as offsets and square-root weights, the flat index of the reflect
-    extension by the kernel radius, the steering fields and the products
-    that the adjoint needs, a boolean mask per channel, the bands of image
-    rows that J works through, and one block of scratch planes.  The
+    Built once from (kernel, channels, H, W, dp, dtype), and from the two
+    facts only a solve knows: the planes its projection takes per band
+    (ball_planes) and whether it takes duality gaps (gap).  It holds the
+    taps as offsets and square-root weights, the source rows and columns
+    of the reflect extension by the kernel radius, the steering fields and
+    the products that the adjoint needs, a boolean mask per channel, the
+    bands of image rows that J works through, and the named scratch planes,
+    views of one block laid out once by the table in __init__.  The
     steering arrays and the block are in dtype, the dtype of the samples
     and fields the workspace serves.
-
-    The block is counted in extension-sized slots.  With a kernel radius
-    above 0, J*'s 2C padded accumulators take the first 2C slots and J's 2C
-    extended gradient planes the next 2C (component k of channel c at
-    2c + k in both); a one-tap kernel has no accumulators, and its gradient
-    planes are its extensions.  All other planes are scratch of one phase:
-    J's extension step takes its planes past the extensions, J*'s finish
-    over them, and a band its row, projection and grid planes past both,
-    where they spare the extensions that later bands read and the
-    accumulators that earlier bands filled.  A whole-image band has nothing
-    to spare: its row and projection start at slot 0 and its grid over the
-    spent extensions.  The block is sized for J and J* when the workspace
-    is built, and the solver reserves its projection's planes and its
-    gap's next, so it never grows under a view that is still in use.
-    Arithmetic reads and writes whole C-contiguous planes or
-    one-dimensional runs, which numpy iterates without buffers of its own:
-    strided windows are only copied.
     """
 
-    def __init__(self, kernel, channels, h, w, dp=None, dtype=np.float64):
+    def __init__(self, kernel, channels, h, w, dp=None, dtype=np.float64, *,
+                 ball_planes=0, gap=False):
         if dp is not None and dp.shape != (h, w):
             raise ValueError("direction fields do not match image dimensions")
         self.kernel = kernel
@@ -163,8 +150,6 @@ class Workspace:
         r = kernel.radius
         self.padded_shape = (h + 2 * r, w + 2 * r)
         self.ys, self.xs = _extension(r, h, w)
-        # the extension of a plane is plane.flat[extension]
-        self.extension = self.ys[:, None] * w + self.xs[None, :] if r else None
         if dp is not None:
             ct, st = np.cos(dp.theta), np.sin(dp.theta)
             ap = dp.alpha_plus
@@ -181,51 +166,54 @@ class Workspace:
         self.band_rows = -(-h // count)
         # the (y0, y1) row ranges of the bands, from the top
         self.bands = [(y0, min(y0 + self.band_rows, h)) for y0 in range(0, h, self.band_rows)]
-        self.ext_slot = 2 * channels if r else 0
-        self.free_slot = self.ext_slot + 2 * channels
+        # The layout, in slots of one padded plane each.  With a kernel
+        # radius above 0, J*'s 2C padded accumulators take the first 2C
+        # slots and J's 2C extended gradient planes the next 2C (component
+        # k of channel c at 2c + k in both); a one-tap kernel has no
+        # accumulators, and its gradient planes are its extensions.  Every
+        # other plane is scratch of one phase, laid over what that phase no
+        # longer needs:
+        # - J's extension step takes, past the extensions, the gradient
+        #   pair (a one-tap kernel writes the extensions themselves) and,
+        #   when steering, the raw pair;
+        # - J*'s finish takes, over the extensions, the folded pair (a
+        #   one-tap kernel's field planes serve as it) and three steering
+        #   planes, or one for the divergence;
+        # - a band takes its gather row, then its projection's planes, and
+        #   its scatter grid (a copy of a row whose last 2r columns are
+        #   zero) past both, sparing the extensions that later bands read
+        #   and the accumulators that earlier bands filled.  A whole-image
+        #   band has nothing to spare: its row and projection start at
+        #   slot 0 and its grid over the spent extensions;
+        # - the gap takes a padded pair over the spent accumulators (past
+        #   the extensions for a one-tap kernel) and, for a radius above
+        #   0, three (H, W + 2r) grids past the extensions.
+        # A last band shorter than band_rows takes the leading rows of its
+        # planes.  Arithmetic reads and writes whole C-contiguous planes or
+        # one-dimensional runs, which numpy iterates without buffers of its
+        # own: strided windows are only copied.
+        c2 = 2 * channels
+        ext, free = (c2, 2 * c2) if r else (0, c2)
         steered = dp is not None
-        # J's extension step takes, past the extensions, the gradient pair
-        # (a one-tap kernel writes the extensions themselves) and, when
-        # steering, the raw pair; J*'s finish takes, over the extensions,
-        # the folded pair (a one-tap kernel's field planes serve as it)
-        # and three steering planes, or one for the divergence
-        self.gradient_planes = (2 if r else 0) + (2 if steered else 0)
-        self.finish_planes = (2 if r else 0) + (3 if steered else 1)
-        self._slot = self.padded_shape[0] * self.padded_shape[1]
-        self._block = np.empty(0, self.dtype)
-        self._views = {}
-        plane = h * w
-        self._reserve(max(self.free_slot * self._slot + self.gradient_planes * plane,
-                          self.ext_slot * self._slot + self.finish_planes * plane))
-
-    def _reserve(self, size):
-        if self._block.size < size:
-            # release the old block, and the views into it, before the new
-            # one is allocated
-            self._views.clear()
-            self._block = None
-            self._block = np.empty(size, self.dtype)
-
-    def planes(self, count, shape=None, slot=0):
-        """count C-contiguous planes of shape (the image's by default),
-        packed in the block from the start of slot on.  The same request
-        returns the same list of views, which callers only read."""
-        key = (count, shape, slot)
-        views = self._views.get(key)
-        if views is None:
-            rows, cols = self.shape if shape is None else shape
-            start, size = slot * self._slot, rows * cols
-            self._reserve(start + count * size)
-            views = self._views[key] = [
-                self._block[start + i * size : start + (i + 1) * size].reshape(rows, cols)
-                for i in range(count)]
-        return views
-
-    def band_slot(self, rows):
-        """The slot where the row and projection scratch of a band of rows
-        starts: the block's start for the whole image, else past the
-        extensions and accumulators."""
-        return 0 if rows == self.shape[0] else self.free_slot
+        whole = self.band_rows == h
+        table = {
+            "acc": (0, c2 if r else 0, self.padded_shape),
+            "ext": (ext, c2, self.padded_shape),
+            "gradient_scratch": (free, (2 if r else 0) + (2 if steered else 0), (h, w)),
+            "finish_scratch": (ext, (2 if r else 0) + (3 if steered else 1), (h, w)),
+            "band_planes": (0 if whole else free, max(ball_planes, 1 if r else 0),
+                            (self.band_rows, w)),
+            "scatter_grid": (ext if whole else free, 1 if r else 0, (self.band_rows, w + 2 * r)),
+            "gap_pair": (0 if r else free, 2 if gap else 0, self.padded_shape),
+            "gap_grids": (free, 3 if gap and r else 0, (h, w + 2 * r)),
+        }
+        slot = self.padded_shape[0] * self.padded_shape[1]
+        self._block = np.empty(max(at * slot + count * rows * cols
+                                   for at, count, (rows, cols) in table.values()), self.dtype)
+        for name, (at, count, (rows, cols)) in table.items():
+            start, size = at * slot, rows * cols
+            setattr(self, name, [self._block[start + i * size : start + (i + 1) * size]
+                                 .reshape(rows, cols) for i in range(count)])
 
 
 def dual_field(rows, h, w, dtype=np.float64):
@@ -286,17 +274,26 @@ def _gradient(ws, channel, gx, gy, tmp):
 def _extend(ws, channels):
     """J's whole-image step: the (steered) gradient of every channel of the
     (C, H, W) samples, extended by the kernel radius under reflect
-    indexing, in the workspace's extension planes, which it returns."""
-    ext = ws.planes(2 * ws.channels, ws.padded_shape, ws.ext_slot)
-    planes = ws.planes(ws.gradient_planes, slot=ws.free_slot)
+    indexing, in the workspace's extension planes, which it returns.  An
+    extension copies the interior, then mirrors the border rows through
+    ws.ys and the border columns through ws.xs: the transpose of _finish's
+    fold."""
+    ext = ws.ext
+    planes = ws.gradient_scratch
     r = ws.kernel.radius
+    h, w = ws.shape
     for c in range(ws.channels):
-        if r:
-            _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
-            for k in range(2):
-                np.take(planes[k], ws.extension, out=ext[2 * c + k], mode="clip")
-        else:
+        if not r:
             _gradient(ws, channels[c], ext[2 * c], ext[2 * c + 1], planes)
+            continue
+        _gradient(ws, channels[c], planes[0], planes[1], planes[2:])
+        for k in range(2):
+            e = ext[2 * c + k]
+            e[r : r + h, r : r + w] = planes[k]
+            for j in (*range(r), *range(h + r, h + 2 * r)):
+                e[j, r : r + w] = e[r + ws.ys[j], r : r + w]
+            for j in (*range(r), *range(w + r, w + 2 * r)):
+                e[:, j] = e[:, r + ws.xs[j]]
     return ext
 
 
@@ -310,7 +307,7 @@ def _gather(ws, ext, out, y0, y1, step):
     w = ws.shape[1]
     L = len(ws.taps)
     if r:
-        row = ws.planes(1, (y1 - y0, w), ws.band_slot(y1 - y0))[0]
+        row = ws.band_planes[0][: y1 - y0]
     for c in range(ws.channels):
         for k in range(2):
             src = ext[2 * c + k]
@@ -339,24 +336,23 @@ def _scatter(ws, data, y0, y1):
     r = ws.kernel.radius
     if not r:
         return
-    h, w = ws.shape
+    w = ws.shape[1]
     L = len(ws.taps)
-    acc = ws.planes(2 * ws.channels, ws.padded_shape)
     if y0 == 0:
-        for plane in acc:
+        for plane in ws.acc:
             plane[...] = 0.0
     rows = y1 - y0
     wp = ws.padded_shape[1]
     # A row is copied into a (rows, wp) grid whose last 2r columns are
     # zero, so adding it into the padded plane is one contiguous run; the
     # zeros land on samples of the padded plane outside the window.
-    grid = ws.planes(1, (rows, wp), ws.ext_slot if rows == h else ws.free_slot)[0]
+    grid = ws.scatter_grid[0][:rows]
     grid[:, w:] = 0.0
     run = (rows - 1) * wp + w
     term = grid.reshape(-1)[:run]
     for c in range(ws.channels):
         for k in range(2):
-            flat = acc[2 * c + k].reshape(-1)
+            flat = ws.acc[2 * c + k].reshape(-1)
             for l, ((dy, dx), sw) in enumerate(ws.taps):
                 if sw == 0.0:
                     continue
@@ -377,14 +373,11 @@ def _finish(ws, data, out=None):
     r = ws.kernel.radius
     if out is None:
         out = np.empty((ws.channels, h, w), ws.dtype)
-    planes = ws.planes(ws.finish_planes, slot=ws.ext_slot)
-    first = ws.finish_planes - (3 if ws.dp is not None else 1)
-    if r:
-        acc = ws.planes(2 * ws.channels, ws.padded_shape)
+    planes = ws.finish_scratch
     for c in range(ws.channels):
         if r:
             for k in range(2):
-                a = acc[2 * c + k]
+                a = ws.acc[2 * c + k]
                 for j in (*range(r), *range(h + r, h + 2 * r)):
                     a[r + ws.ys[j]] += a[j]
                 folded = planes[k]
@@ -396,7 +389,7 @@ def _finish(ws, data, out=None):
             # one tap: the rows are the channel's gradients
             ax, ay = data[0, c], data[1, c]
         if ws.dp is not None:
-            bx, by, tmp = planes[first : first + 3]
+            bx, by, tmp = planes[-3:]
             np.multiply(ws.cos_ap, ax, out=bx)
             np.multiply(ws.sin_am, ay, out=tmp)
             bx -= tmp
@@ -458,7 +451,8 @@ def jacobian_adjoint_apply(data, kernel, channels, dp=None):
     ws = Workspace(kernel, channels, h, w, dp, data.dtype)
     if rows != len(ws.taps) * channels:
         raise ValueError("field row count does not match kernel and channels")
-    _scatter(ws, data, 0, h)
+    for y0, y1 in ws.bands:
+        _scatter(ws, data, y0, y1)
     return _finish(ws, data)
 
 
@@ -534,17 +528,6 @@ def regularizer_value(f, k, dp=None, q=1):
     return float(np.sum(np.sqrt(lp + lm)))
 
 
-def _norm_planes(ws):
-    """The scratch planes of _schatten_sum: two padded planes, over the
-    spent accumulators (past the extensions for a one-tap kernel), and for
-    a kernel radius above 0 three (H, W + 2r) grids past the extensions."""
-    r = ws.kernel.radius
-    pair = ws.planes(2, ws.padded_shape, 0 if r else ws.free_slot)
-    if not r:
-        return pair, None
-    return pair, ws.planes(3, (ws.shape[0], ws.padded_shape[1]), ws.free_slot)
-
-
 def _schatten_sum(ws, channels, q):
     """Sum over pixels of the Schatten-q norm of (J channels)[i], in
     float64, for the (C, H, W) samples channels, without J's field.
@@ -566,7 +549,7 @@ def _schatten_sum(ws, channels, q):
     r = ws.kernel.radius
     nuclear = q == 1 and len(ws.taps) * ws.channels > 1
     ext = _extend(ws, channels)
-    (pxy, spare), grids = _norm_planes(ws)
+    pxy, spare = ws.gap_pair
     pxx, pyy = ext[0], ext[1]
     for c in range(ws.channels):
         gx, gy = ext[2 * c], ext[2 * c + 1]
@@ -586,6 +569,8 @@ def _schatten_sum(ws, channels, q):
     wp = ws.padded_shape[1]
     # the samples of the grids that hold pixels, as one run
     run = (h - 1) * wp + w
+    # one tap of weight 1: the products are the grids
+    grids = ws.gap_grids if r else (pxx, pxy, pyy)
     if r:
         # the taps of each nonzero weight
         weights = {}
@@ -605,9 +590,6 @@ def _schatten_sum(ws, channels, q):
                         first = False
                     else:
                         flat += src[start : start + run]
-    else:
-        # one tap of weight 1: the products are the grids
-        grids = pxx, pxy, pyy
     gxx, gxy, gyy = (grid.reshape(-1)[:run] for grid in grids)
     if nuclear:
         trace = np.add(gxx, gyy, out=spare.reshape(-1)[:run])

@@ -628,6 +628,24 @@ def test_a_step_bound_beyond_float32_is_a_validation_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_settings_beyond_memory_are_a_validation_error(noisy_stripes, tmp_path, capsys,
+                                                     monkeypatch):
+    # a kernel support or smoothing sigma whose arrays do not fit in
+    # memory ends in one error line, not a traceback; the allocation
+    # failure is simulated, so that the test allocates nothing
+    _, noisy = noisy_stripes
+    out = tmp_path / "o.pfm"
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "gaussian_kernel", too_large)
+    code, err = refused(capsys, ["denoise", "--input", str(noisy), "--output", str(out),
+                                 "--regularizer", "stv", "--tau", "0.1"])
+    assert code == 1 and err == "error: Unable to allocate 74.5 GiB for an array\n", err
+    assert not out.exists()
+
+
 def test_bench_refuses_noise_beyond_float32_before_any_solve(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from adstv import Image, tensor
+from adstv import Image, solver, tensor
 from adstv.bench import derive_seed
 from adstv.diffops import delta_kernel, gaussian_kernel
 from adstv.solver import (
@@ -711,8 +711,8 @@ def steered_solve_peaks_below_two_dual_fields_and_the_workspace(rows, monkeypatc
     # slots of the accumulators and the extensions, the four planes of J's
     # extension step, or a band's projection, which is no larger) and
     # eleven planes for the rest: z, the gap's second image, cos and sin
-    # of theta, the four steering products, the extension index and the
-    # masks; the step is a scalar.  A third dual field (18 planes) does not fit.
+    # of theta, the four steering products and the masks; the step is a
+    # scalar.  A third dual field (18 planes) does not fit.
     rng = np.random.default_rng(25)
     h = w = 64
     g = Image(rng.random((1, h, w)))
@@ -968,43 +968,62 @@ def test_the_returned_gap_is_that_of_the_returned_image():
     assert solve(g, dp, cfg).gap is None
 
 
-@pytest.mark.parametrize("kernel", [gaussian_kernel(0.5, 3), gaussian_kernel(1.0, 5),
-                                    gaussian_kernel(1.5, 7)], ids=["3x3", "5x5", "7x7"])
+@pytest.mark.parametrize("kernel", [delta_kernel(), gaussian_kernel(0.5, 3),
+                                    gaussian_kernel(1.0, 5), gaussian_kernel(1.5, 7)],
+                         ids=["1x1", "3x3", "5x5", "7x7"])
 @pytest.mark.parametrize("shape, rows", [((19, 3), None), ((19, 3), 2), ((3, 2), None),
                                          ((2, 9), 1)])
-def test_the_workspace_block_never_grows_once_a_solve_has_begun(kernel, shape, rows,
-                                                                monkeypatch):
-    # every plane the iterations and the gap checks take is reserved before
-    # the first extension: a block that grew later would free the views
-    # that J, J* and the projection still hold.  Narrow images make the
-    # gap's padded and (H, W + 2r) planes the largest scratch.
+def test_the_workspace_views_lie_in_one_block_and_never_alias_while_in_use(
+        kernel, shape, rows, monkeypatch):
+    # Every scratch view of the workspaces that solves build is a view of
+    # the one block, and no two views that one phase uses at once share
+    # memory: J*'s accumulators and J's extensions, which outlive every
+    # phase; an extension step's planes, the finish's, a band's gather
+    # row and scatter grid against what that phase reads or fills, and
+    # with several bands every band plane, since later bands read the
+    # extensions and earlier ones filled the accumulators; and the gap's
+    # planes against the extensions they sum and each other.  Narrow
+    # images make the gap's planes the largest.
     h, w = shape
+    r = kernel.radius
     if rows is not None:
         band_rows(monkeypatch, rows, kernel, 1, w, np.float32)
-    started = []
-    grown = []
-    extend, reserve = tensor._extend, Workspace._reserve
+    built = []
 
-    def watched_extend(ws, channels):
-        started.append(True)
-        return extend(ws, channels)
+    def spy(*args, **kwargs):
+        built.append(Workspace(*args, **kwargs))
+        return built[-1]
 
-    def watched_reserve(ws, size):
-        if started and size > ws._block.size:
-            grown.append(size)
-        return reserve(ws, size)
-
-    monkeypatch.setattr(tensor, "_extend", watched_extend)
-    monkeypatch.setattr(Workspace, "_reserve", watched_reserve)
+    monkeypatch.setattr(solver, "Workspace", spy)
     rng = np.random.default_rng(64)
     g = Image(rng.random((1, h, w)).astype(np.float32))
+    gaps = []
     for dp in (None, rand_params(rng, h, w)):
         for q in (1, 2):
-            started.clear()
-            cfg = SolverConfig(tau=0.1, q=q, kernel=kernel, max_iters=GAP_EVERY + 2,
-                               rel_tol=1e-30)
-            assert solve(g, dp, cfg).iterations == GAP_EVERY + 2
-            assert started and not grown
+            for rel_tol in (None, 1e-30):
+                cfg = SolverConfig(tau=0.1, q=q, kernel=kernel, max_iters=GAP_EVERY + 2,
+                                   rel_tol=rel_tol)
+                assert solve(g, dp, cfg).iterations == GAP_EVERY + 2
+                gaps.append(rel_tol is not None)
+    assert len(built) == len(gaps) == 8
+    for ws, takes_gaps in zip(built, gaps):
+        assert (len(ws.bands) > 1) == (rows is not None)
+        gap = ws.gap_pair + ws.gap_grids
+        assert len(gap) == (5 if r else 2) * takes_gaps
+        views = {"acc": ws.acc, "ext": ws.ext, "gradient": ws.gradient_scratch,
+                 "finish": ws.finish_scratch, "row": ws.band_planes[:1] if r else [],
+                 "band": ws.band_planes, "grid": ws.scatter_grid, "gap": gap}
+        for group in views.values():
+            assert all(v.base is ws._block and v.flags.c_contiguous for v in group)
+        in_use = [("acc", "ext"), ("ext", "gradient"), ("acc", "finish"), ("ext", "row"),
+                  ("acc", "grid"), ("ext", "gap")]
+        if len(ws.bands) > 1:
+            in_use += [("acc", "band"), ("ext", "band"), ("ext", "grid")]
+        for one, other in in_use:
+            assert not any(np.shares_memory(a, b)
+                           for a in views[one] for b in views[other]), (one, other)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(gap) for b in gap[i + 1 :])
 
 
 def low_contrast_problem(dtype):

@@ -19,7 +19,7 @@ from adstv.tensor import (
     regularizer_value,
     upsample_dual,
 )
-from adstv.solver import _project_ball
+from adstv.solver import SolverConfig, _project_ball, solve
 
 from conftest import (
     apply_direction,
@@ -168,6 +168,39 @@ def test_banded_plain_j_equals_the_one_band_field(monkeypatch, support, dtype, s
         banded = jacobian_apply(f, k, dp)
         assert banded.dtype == dtype
         assert np.array_equal(banded, whole)
+
+
+@pytest.mark.parametrize("kernel", ["delta", "3x3", "5x5"])
+@pytest.mark.parametrize("steered", [False, True], ids=["unsteered", "steered"])
+@pytest.mark.parametrize("c", [1, 3])
+def test_banded_adjoint_equals_the_one_band_adjoint(monkeypatch, kernel, steered, c):
+    # J* scatters its workspace's bands from the top, in
+    # jacobian_adjoint_apply and in a solve's first scatter: bands of 1, 2
+    # and 5 rows change no bit of the samples, nor of a cold or a warm
+    # solve, whose first scatter carries the start dual
+    k = {"delta": delta_kernel(), "3x3": gaussian_kernel(0.5, 3),
+         "5x5": gaussian_kernel(1.0, 5)}[kernel]
+    h, w = 11, 6
+    rows = k.support**2 * c
+    rng = np.random.default_rng([k.support, c, int(steered)])
+    dp = rand_params(rng, h, w) if steered else None
+    psi = rng.standard_normal((2, rows, h, w))
+    g = rand_image(rng, h, w, c)
+    cfg = SolverConfig(tau=0.1, q=1, kernel=k, max_iters=3)
+    start = _project_ball(rng.standard_normal((2, rows, h, w)), cfg.dual_p)
+
+    def results():
+        warm = start.copy()
+        return (jacobian_adjoint_apply(psi, k, c, dp), solve(g, dp, cfg).image.data,
+                solve(g, dp, cfg, dual=warm).image.data, warm)
+
+    assert len(Workspace(k, c, h, w, dp).bands) == 1
+    whole = results()
+    for band in (1, 2, 5):
+        band_rows(monkeypatch, band, k, c, w)
+        assert len(Workspace(k, c, h, w, dp).bands) == -(-h // band)
+        for banded, one_band in zip(results(), whole):
+            assert np.array_equal(banded, one_band)
 
 
 def test_adjoint_refuses_a_field_whose_leading_axis_is_not_two():
