@@ -20,7 +20,7 @@ from .image import (
     to_luminance,
 )
 from .solver import SolverConfig, solve, tv_denoise
-from .tensor import DirectionalParams, regularizer_value
+from .tensor import DirectionalParams
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "ssim",
     "delta_kernel",
     "gaussian_kernel",
-    "regularizer_value",
     "analyze",
     "estimate",
     "eadtv_angles",

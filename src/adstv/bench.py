@@ -303,7 +303,8 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     None is unset, and any other key, or a value SolverConfig or DpeConfig
     refuses, raises ValueError before the first solve, as does a noisy
     sample beyond the float32 range or a master_seed that is not an
-    integer.
+    integer.  A clean image smaller than SSIM's window on either side is
+    refused before the noise is drawn.
 
     The tuple solves every (alpha_plus, tau) pair of the grids (alpha_plus
     1 for tv and stv) in one chain, in order of the effective weight
@@ -331,6 +332,7 @@ def run_tuple(clean, image_id, sigma_eta, reg, tau_grid, alpha_grid,
     tau), whatever the solve order; its SSIM is scored once, after the
     last solve, and its chain_iters sums the iterations of every solve."""
     _check_master_seed(master_seed)
+    _check_ssim_size(clean, image_id)
     tau_grid, alpha_grid = list(tau_grid), list(alpha_grid)
     _check_grids([reg], [sigma_eta], tau_grid, alpha_grid)
     opts, settings = _given_opts(opts)
@@ -405,6 +407,14 @@ def _check_master_seed(master_seed):
         raise ValueError("master_seed must be an integer, got %r" % (master_seed,))
 
 
+def _check_ssim_size(clean, name):
+    """Refuse an image smaller than SSIM's window on either side, which
+    could be scored only after every solve of its tuples."""
+    if min(clean.height, clean.width) < SSIM_WINDOW:
+        raise ValueError("%s is %dx%d, smaller than SSIM's %dx%d window"
+                         % (name, clean.width, clean.height, SSIM_WINDOW, SSIM_WINDOW))
+
+
 def _run_task(task):
     return run_tuple(*task)
 
@@ -435,9 +445,7 @@ def bench(image_paths, sigmas, regularizers, tau_grid, alpha_grid,
     tasks = []
     for path, image_id in image_paths:
         clean = load_image(path)
-        if min(clean.height, clean.width) < SSIM_WINDOW:
-            raise ValueError("%s is %dx%d, smaller than SSIM's %dx%d window"
-                             % (path, clean.width, clean.height, SSIM_WINDOW, SSIM_WINDOW))
+        _check_ssim_size(clean, path)
         for sigma in sigmas:
             for reg in regularizers:
                 tasks.append((clean, image_id, float(sigma), reg,

@@ -100,6 +100,9 @@ def _dump_fields(dirpath, dp):
 
 def cmd_denoise(args):
     reg = args.regularizer
+    # --tau 0 builds no SolverConfig, which would refuse it
+    if args.iters < 1:
+        raise ValueError("--iters must be at least 1, got %d" % args.iters)
     if args.theta_override is not None and reg != "adstv":
         raise ValueError("--theta-override applies to adstv only, not %s" % reg)
     if args.theta_override is not None and not math.isfinite(args.theta_override):

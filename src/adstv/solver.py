@@ -57,8 +57,8 @@ the relative gap is; its 4-ulp allowance errs toward a larger G, so
 toward not pruning.
 
 One helper computes z, for every iteration and every check, and one clip
-serves it, the box projection and the dual objective.  The ball projection
-takes its Gram eigenvalues from tensor.eig2x2, the helper analyze uses.
+serves it and the box projection.  The ball projection takes its Gram
+eigenvalues from tensor.eig2x2, the helper analyze uses.
 
 A solve follows the dtype of its input image: a float32 g is solved in
 float32 throughout (dual fields, iterates, scratch planes and result), and
@@ -81,17 +81,15 @@ from .tensor import (
     _schatten_sum,
     dual_field,
     eig2x2,
+    # unused: perfbench/spans.py wraps this name, and its test looks it up
     jacobian_adjoint_apply,
     jacobian_apply,
-    regularizer_value,
 )
 
 __all__ = [
     "SolverConfig",
     "SolveResult",
     "project_box",
-    "dual_objective",
-    "primal_energy",
     "solve",
     "tv_denoise",
 ]
@@ -268,28 +266,6 @@ def _project_ball(data, p, workspace=None):
         br *= f11
         br += af
     return data
-
-
-def dual_objective(psi, g, dp, cfg):
-    """The dual value at the (2, rows, H, W) field psi, for the duality
-    gap.  It is computed in float64 whatever the dtype of psi and g: the
-    duality gap P - D cancels most of the digits of either energy."""
-    g64 = np.asarray(g.data, np.float64)
-    w = g64 - cfg.tau * jacobian_adjoint_apply(
-        np.asarray(psi, np.float64), cfg.kernel, g.channels, dp)
-    pc = _clip(w, cfg.constraint)
-    return float(
-        0.5 * np.sum((w - pc) ** 2) + 0.5 * (np.sum(g64**2) - np.sum(w * w))
-    )
-
-
-def primal_energy(f, g, dp, cfg):
-    """1/2 ||g - f||^2 + tau * (regularizer of f), in float64 whatever the
-    dtype of f and g."""
-    if f.shape != g.shape:
-        raise ValueError("shape mismatch")
-    fidelity = 0.5 * float(np.sum(np.subtract(g.data, f.data, dtype=np.float64) ** 2))
-    return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
 def _primal_step(psi, g, cfg, workspace, out, scaled=None):

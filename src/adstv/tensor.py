@@ -70,7 +70,6 @@ __all__ = [
     "Workspace",
     "eig2x2",
     "coherence",
-    "regularizer_value",
     "jacobian_apply",
     "jacobian_adjoint_apply",
     "dual_field",
@@ -509,23 +508,6 @@ def coherence(lambda_plus, lambda_minus):
     np.subtract(lp, lm, out=c, where=live)
     np.divide(c, lp, out=c, where=live)
     return np.clip(c, 0.0, 1.0, out=c)
-
-
-def regularizer_value(f, k, dp=None, q=1):
-    """Sum over pixels of the Schatten-q norm of the (steered) patch Jacobian.
-
-    Singular values come from the per-pixel 2x2 Gram eigenvalues, which is
-    exact for matrices with two columns.  The value is computed in float64
-    whatever f's dtype.
-    """
-    if q not in (1, 2):
-        raise ValueError("q must be 1 or 2")
-    lp, lm = eig2x2(*_gram(jacobian_apply(np.asarray(f.data, np.float64), k, dp)))
-    lp = np.maximum(lp, 0.0)
-    lm = np.maximum(lm, 0.0)
-    if q == 1:
-        return float(np.sum(np.sqrt(lp) + np.sqrt(lm)))
-    return float(np.sum(np.sqrt(lp + lm)))
 
 
 def _schatten_sum(ws, channels, q):

@@ -11,6 +11,7 @@ from adstv.image import to_luminance
 from adstv.solver import _project_ball
 from adstv.tensor import (
     DirectionalParams,
+    _gram,
     coherence,
     eig2x2,
     jacobian_adjoint_apply,
@@ -63,6 +64,46 @@ def dual_gradient(psi, g, dp, cfg):
     w = g.data - cfg.tau * jacobian_adjoint_apply(psi, cfg.kernel, g.channels, dp)
     z = w if cfg.constraint is None else np.clip(w, *cfg.constraint)
     return cfg.tau * jacobian_apply(z, cfg.kernel, dp)
+
+
+def regularizer_value(f, k, dp=None, q=1):
+    """Oracle for the regularizer: the sum over pixels of the Schatten-q
+    norm of the (steered) patch Jacobian.
+
+    Singular values come from the per-pixel 2x2 Gram eigenvalues, which is
+    exact for matrices with two columns.  The value is computed in float64
+    whatever f's dtype.
+    """
+    if q not in (1, 2):
+        raise ValueError("q must be 1 or 2")
+    lp, lm = eig2x2(*_gram(jacobian_apply(np.asarray(f.data, np.float64), k, dp)))
+    lp = np.maximum(lp, 0.0)
+    lm = np.maximum(lm, 0.0)
+    if q == 1:
+        return float(np.sum(np.sqrt(lp) + np.sqrt(lm)))
+    return float(np.sum(np.sqrt(lp + lm)))
+
+
+def dual_objective(psi, g, dp, cfg):
+    """Oracle for the dual value at the (2, rows, H, W) field psi.  It is
+    computed in float64 whatever the dtype of psi and g: the duality gap
+    P - D cancels most of the digits of either energy."""
+    g64 = np.asarray(g.data, np.float64)
+    w = g64 - cfg.tau * jacobian_adjoint_apply(
+        np.asarray(psi, np.float64), cfg.kernel, g.channels, dp)
+    pc = w if cfg.constraint is None else np.clip(w, *cfg.constraint)
+    return float(
+        0.5 * np.sum((w - pc) ** 2) + 0.5 * (np.sum(g64**2) - np.sum(w * w))
+    )
+
+
+def primal_energy(f, g, dp, cfg):
+    """Oracle for the primal value 1/2 ||g - f||^2 + tau * (regularizer of
+    f), in float64 whatever the dtype of f and g."""
+    if f.shape != g.shape:
+        raise ValueError("shape mismatch")
+    fidelity = 0.5 * float(np.sum(np.subtract(g.data, f.data, dtype=np.float64) ** 2))
+    return fidelity + cfg.tau * regularizer_value(f, cfg.kernel, dp, cfg.q)
 
 
 def rand_params(rng, h, w, alpha_plus=None):

@@ -25,8 +25,6 @@ from adstv.image import Image, NoiseSpec, add_gaussian_noise, psnr
 from adstv.solver import (
     SolverConfig,
     _project_ball,
-    dual_objective,
-    primal_energy,
     project_box,
     solve,
     tv_denoise,
@@ -41,7 +39,9 @@ from adstv.tensor import (
 from conftest import (
     analyze_stages,
     dual_gradient,
+    dual_objective,
     iteration_probe,
+    primal_energy,
     rand_image,
     rand_params,
     stripe_image,

@@ -628,6 +628,19 @@ def test_an_image_below_the_ssim_window_is_refused_before_any_solve(tmp_path, mo
     assert len(loads) == 3
 
 
+@pytest.mark.parametrize("shape", [(8, 30), (30, 10)])
+def test_run_tuple_refuses_an_image_below_the_ssim_window_before_any_work(monkeypatch, shape):
+    # ssim would refuse it only after the estimate and every solve
+    clean = stripe_image(*shape, 0.5)
+    noises = counting(monkeypatch, bench, "add_gaussian_noise")
+    analyses = counting(monkeypatch, bench, "analyze")
+    solves = counting(monkeypatch, bench, "solve")
+    with pytest.raises(ValueError, match="s is %dx%d, smaller than SSIM's 11x11 window"
+                       % (shape[1], shape[0])):
+        bench.run_tuple(clean, "s", 0.1, "adstv", [0.05, 0.1], [4.0, 8.0], 1)
+    assert noises == [] and analyses == [] and solves == []
+
+
 def test_images_with_the_same_id_are_refused_before_any_image_is_loaded(tmp_path,
                                                                         monkeypatch):
     pgm, pfm = tmp_path / "a.pgm", tmp_path / "a.pfm"

@@ -111,6 +111,10 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
              "smooth_sigma"),
             (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--smooth-sigma", "nan"],
              "smooth_sigma"),
+            # refused whether or not a solve runs
+            (["denoise", "--regularizer", "tv", "--tau", "0", "--iters", "0"], "--iters"),
+            (["denoise", "--regularizer", "tv", "--tau", "0.1", "--iters", "0"], "--iters"),
+            (["denoise", "--regularizer", "adstv", "--tau", "0", "--iters", "-1"], "--iters"),
             (["add-noise", "--sigma", "nan"], "sigma_eta"),
             (["add-noise", "--sigma", "inf"], "sigma_eta")):
         assert main(argv[:1] + io + argv[1:]) == 1

@@ -19,10 +19,18 @@ from adstv.dpe import (
     tv_regularize_field,
 )
 from adstv.image import NoiseSpec, add_gaussian_noise, to_luminance
-from adstv.solver import SolverConfig, dual_objective, primal_energy, solve, tv_denoise
+from adstv.solver import SolverConfig, solve, tv_denoise
 from adstv.tensor import coherence, dual_field, eig2x2
 
-from conftest import analyze_stages, minor_angle, rand_image, reference_solve, stripe_image
+from conftest import (
+    analyze_stages,
+    dual_objective,
+    minor_angle,
+    primal_energy,
+    rand_image,
+    reference_solve,
+    stripe_image,
+)
 from test_acceptance import synthetic_images
 
 

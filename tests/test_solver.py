@@ -13,8 +13,6 @@ from adstv.solver import (
     GAP_EVERY,
     SolverConfig,
     _project_ball,
-    dual_objective,
-    primal_energy,
     project_box,
     solve,
     tv_denoise,
@@ -26,18 +24,20 @@ from adstv.tensor import (
     dual_field,
     jacobian_adjoint_apply,
     jacobian_apply,
-    regularizer_value,
 )
 
 from conftest import (
     band_rows,
     dual_gradient,
+    dual_objective,
     identity_params,
     iteration_probe,
     pixel_blocks,
+    primal_energy,
     rand_image,
     rand_params,
     reference_solve,
+    regularizer_value,
     stripe_image,
 )
 from test_acceptance import synth_half_oriented
@@ -300,6 +300,34 @@ def test_energies_of_float32_inputs_are_taken_in_float64():
     assert regularizer_value(f, cfg.kernel, None, 1) == pytest.approx(
         regularizer_value(f64, cfg.kernel, None, 1), rel=1e-12)
     assert primal - dual > 0
+
+
+def test_the_energy_oracles_do_not_use_the_solvers_gap_code(monkeypatch):
+    # the oracles check _schatten_sum and _duality_gap, so they must give
+    # the same values with the solver's gap and primal-step code gone
+    rng = np.random.default_rng(29)
+    g, f = rand_image(rng, 7, 6), rand_image(rng, 7, 6)
+    cases = []
+    for kernel in (delta_kernel(), gaussian_kernel(0.5, 3)):
+        for dp in (None, rand_params(rng, 7, 6)):
+            for q in (1, 2):
+                cfg = SolverConfig(tau=0.2, q=q, kernel=kernel)
+                psi = rng.standard_normal((2, kernel.support**2, 7, 6))
+                cases.append((psi, dp, cfg))
+
+    def energies():
+        return [(dual_objective(psi, g, dp, cfg), primal_energy(f, g, dp, cfg),
+                 regularizer_value(f, cfg.kernel, dp, cfg.q)) for psi, dp, cfg in cases]
+
+    expected = energies()
+
+    def gone(*args, **kwargs):
+        raise AssertionError("an oracle used the solver's gap code")
+
+    for module, name in ((tensor, "_schatten_sum"), (solver, "_schatten_sum"),
+                         (solver, "_duality_gap"), (solver, "_primal_step")):
+        monkeypatch.setattr(module, name, gone)
+    assert energies() == expected
 
 
 def test_solve_vanishing_regularization():

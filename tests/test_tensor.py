@@ -16,7 +16,6 @@ from adstv.tensor import (
     eig2x2,
     jacobian_adjoint_apply,
     jacobian_apply,
-    regularizer_value,
     upsample_dual,
 )
 from adstv.solver import SolverConfig, _project_ball, solve
@@ -29,6 +28,7 @@ from conftest import (
     pixel_blocks,
     rand_image,
     rand_params,
+    regularizer_value,
     structure_tensor,
 )
 
