@@ -5,7 +5,10 @@ with a seed derived from the tuple itself (so all regularizers see the same
 noisy realization), sweeps the tau grid (and the alpha_plus grid for the
 steered regularizers), and keeps the best-PSNR run.  regularizer is the one
 table from a regularizer name to its (kernel, q, fields): the sweep, its
-grid checks and the CLI all ask it, and it keeps no state.
+grid checks and the CLI all ask it, and it keeps no state.  _check_point
+holds the rules that a (tau, alpha_plus) point of a regularizer must meet,
+which the sweep applies to every point of its grids and the CLI to its
+flags, before either loads or estimates anything.
 
 The direction fields are estimated from the float64 noisy image; every
 solve runs on one float32 copy of it, and PSNR and SSIM compare each result
@@ -94,13 +97,18 @@ def regularizer(name, kernel, q, smooth_sigma=EADTV_SMOOTH_SIGMA,
     smooth_sigma) or with analyze (num_scales scales, structure-tensor
     support st_support, by default chosen from g's size), and returns the
     map from alpha_plus to the DirectionalParams of the solve.  The lookup
-    itself estimates nothing.
+    itself estimates nothing; eadtv's refuses a smooth_sigma that is not
+    positive and finite.
     """
     if name == "tv":
         return delta_kernel(), 2, None
     if name == "stv":
         return kernel, q, None
     if name == "eadtv":
+        # eadtv_angles' rule, applied here too: a run that estimates
+        # nothing still refuses the sigma
+        if not 0.0 < smooth_sigma < np.inf:
+            raise ValueError("smooth_sigma must be positive and finite, got %r" % smooth_sigma)
 
         def fields(g):
             theta = eadtv_angles(g, smooth_sigma)
@@ -121,6 +129,27 @@ def regularizer(name, kernel, q, smooth_sigma=EADTV_SMOOTH_SIGMA,
 
         return kernel, q, fields
     raise ValueError("unknown regularizer %r" % name)
+
+
+def _check_point(name, tau, alpha_plus, estimated=True):
+    """Refuse a (tau, alpha_plus) point that a float32 solve of the
+    regularizer name could not run: a tau that is not positive and finite,
+    a steered regularizer's alpha_plus that is not finite and >= 1, or not
+    > 1 where adstv's fields are estimated (DpeConfig's rule; estimated
+    False is a fixed direction field), and a point whose step bound
+    8 tau alpha_plus^2, or whose alpha_plus, exceeds the float32 range.
+    tv and stv read no alpha_plus.  tau None is a run with no solve, and
+    checks alpha_plus alone."""
+    if tau is not None and not 0.0 < tau < np.inf:  # NaN fails it too
+        raise ValueError("tau must be positive and finite, got %r" % tau)
+    if regularizer(name, None, 1)[2] is None:
+        alpha_plus = None
+    elif not (1.0 < alpha_plus < np.inf
+              or alpha_plus == 1.0 and not (name == "adstv" and estimated)):
+        raise ValueError("alpha_plus must be finite and >= 1, and > 1 where adstv estimates "
+                         "its fields, got %r" % alpha_plus)
+    if tau is not None:
+        _step_bound(tau, alpha_plus, np.float32)
 
 
 @dataclass
@@ -219,17 +248,17 @@ def default_alpha_grid():
 
 
 def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
-    """Reject a grid that would leave a tuple without a single solve, or
-    whose values a solve would refuse, an empty regularizer or sigma list,
-    which would leave no tuple at all, and a repeated regularizer or sigma,
-    which would run a tuple twice.  Two sigmas are the same when they agree
-    to the 6 decimals of derive_seed and of the CSV.  An unknown
-    regularizer raises regularizer's own error."""
+    """Reject an empty regularizer or sigma list, which would leave no
+    tuple at all, a repeated regularizer or sigma, which would run a tuple
+    twice, an empty tau grid, or an empty alpha grid where a steered
+    regularizer needs one, which would leave a tuple without a single
+    solve, and a grid point that _check_point refuses.  Two sigmas are the
+    same when they agree to the 6 decimals of derive_seed and of the CSV.
+    An unknown regularizer raises regularizer's own error."""
     if not regularizers:
         raise ValueError("the regularizer list is empty")
     if not sigmas:
         raise ValueError("the sigma list is empty")
-    steered = [reg for reg in regularizers if regularizer(reg, None, 1)[2] is not None]
     for i, reg in enumerate(regularizers):
         if reg in regularizers[:i]:
             raise ValueError("the regularizer %r is listed twice" % reg)
@@ -244,22 +273,13 @@ def _check_grids(regularizers, sigmas, tau_grid, alpha_grid):
         seen[key] = sigma
     if not tau_grid:
         raise ValueError("the tau grid is empty")
-    for tau in tau_grid:
-        # written so that NaN fails it
-        if not 0.0 < tau < np.inf:
-            raise ValueError("tau grid values must be positive and finite, got %r" % tau)
-    alphas = [None] if len(steered) < len(regularizers) else []
-    if steered:
-        if not alpha_grid:
-            raise ValueError("the alpha grid is empty, and %s needs one" % steered[0])
-        for alpha in alpha_grid:
-            if not 1.0 <= alpha < np.inf:  # NaN fails it too
-                raise ValueError("alpha grid values must be finite and >= 1, got %r" % alpha)
-        alphas += alpha_grid
-    # the step bound of every float32 solve (None: unsteered)
-    for tau in tau_grid:
-        for alpha in alphas:
-            _step_bound(tau, alpha, np.float32)
+    for reg in regularizers:
+        steered = regularizer(reg, None, 1)[2] is not None
+        if steered and not alpha_grid:
+            raise ValueError("the alpha grid is empty, and %s needs one" % reg)
+        for alpha in alpha_grid if steered else [None]:
+            for tau in tau_grid:
+                _check_point(reg, tau, alpha)
 
 
 # the opts keys of run_tuple: the solve's settings, then the analysis'

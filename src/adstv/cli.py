@@ -5,12 +5,20 @@ Subcommands: denoise, add-noise, metrics, estimate, bench.
 denoise and bench estimate the direction fields from the float64 samples
 and run every solve on a float32 copy of the noisy image.  A denoise
 solve runs exactly --iters iterations; a bench solve stops on a duality
-gap of bench.SWEEP_GAP_TOL, or after --iters.
+gap of bench.SWEEP_GAP_TOL, or after --iters.  denoise --tau 0 is the box
+projection of its input, with no solve, and estimates fields only for
+--dump-fields.
+
+denoise, estimate and bench check their settings by the same rules,
+bench._given_opts for the solve and analysis flags and bench._check_point
+for each (tau, alpha_plus), then make or open their outputs, all before
+they load an image: a bad setting or an output that cannot be written
+fails before any work.  A run that fails removes the files and
+directories it made, and an existing output keeps its contents until the
+run writes it.
 
 The bench CSV has one row per (image, sigma, regularizer), the best-PSNR
-run; its columns are the fields of bench.RunRecord.  bench refuses an --out
-that it cannot open before the first solve, and an existing --out keeps its
-contents until the sweep has finished.
+run; its columns are the fields of bench.RunRecord.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed files,
 inconsistent dimensions, a solve that left the finite range, settings
@@ -18,7 +26,10 @@ whose arrays do not fit in memory), 2 operating-system level I/O failure.
 """
 
 import argparse
+import contextlib
 import math
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -26,9 +37,10 @@ import numpy as np
 
 from .bench import (
     REGULARIZERS,
+    _check_point,
+    _given_opts,
     bench,
     default_alpha_grid,
-    default_num_scales,
     default_tau_grid,
     regularizer,
     write_csv,
@@ -51,19 +63,12 @@ def _add_solve_flags(p):
     p.add_argument("--iters", type=int, default=SolverConfig.max_iters)
 
 
-def _add_analysis_flags(p):
-    p.add_argument("--scales", type=int, default=None, choices=(2, 3),
-                   help="coherence analysis scales (default by the noise level)")
+def _add_analysis_flags(p, scales=DpeConfig.num_scales):
+    # bench's default None takes the scale count from each noise level
+    p.add_argument("--scales", type=int, default=scales, choices=(2, 3),
+                   help="coherence analysis scales (default %s)" % (scales or "by noise level"))
     p.add_argument("--st-support", type=int, default=None,
                    help="structure tensor kernel support (default by image size)")
-
-
-def _add_field_flags(p):
-    # bench takes these from its sigma and alpha grids
-    p.add_argument("--alpha-plus", type=float, default=10.0,
-                   help="anisotropy scale for eadtv/adstv (default %(default)g)")
-    p.add_argument("--noise-sigma", type=float, default=None,
-                   help="declared noise level; only sets the default scale count")
 
 
 def _auto_grid_help(grid_fn):
@@ -72,74 +77,90 @@ def _auto_grid_help(grid_fn):
         grid_fn.__name__, len(grid), grid[0], grid[-1])
 
 
-def _num_scales(args):
-    # --noise-sigma is checked even when --scales overrides its rule
-    by_noise = DpeConfig.num_scales
-    if args.noise_sigma is not None:
-        try:
-            by_noise = default_num_scales(args.noise_sigma)
-        except ValueError as exc:
-            raise ValueError("--noise-sigma: %s" % exc) from None
-    return by_noise if args.scales is None else args.scales
+def _opts(args):
+    """run_tuple's opts from the solve and analysis flags of args (None:
+    unset)."""
+    return {"max_iters": args.iters, "q": args.q, "num_scales": args.scales,
+            "st_support": args.st_support,
+            "kernel": gaussian_kernel(args.kernel_sigma, args.kernel_support)}
 
 
-def _check_alpha_plus(args):
-    """Refuse an --alpha-plus that estimated adstv fields cannot take,
-    before they are estimated."""
-    # written so that NaN fails it too
-    if not 1.0 < args.alpha_plus < math.inf:
-        raise ValueError("adstv's estimated fields need a finite --alpha-plus > 1")
+@contextlib.contextmanager
+def _outputs(file=None, directory=None):
+    """Make the output directory, with its missing parents, and open the
+    output file for append, so that an output that cannot be written
+    fails before any work, and an existing file keeps its contents.  If
+    that or the body raises, what this made is removed."""
+    made = []
+    try:
+        # the directory first: the file may lie in it
+        for path, is_dir in ((directory, True), (file, False)):
+            if path is not None:
+                path = Path(path)
+                # the outermost of path and its parents that this makes
+                top = [p for p in (path, *path.parents) if not os.path.lexists(p)][-1:]
+                if is_dir:
+                    path.mkdir(parents=True, exist_ok=True)
+                else:
+                    open(path, "a").close()
+                made += top
+        yield
+    except BaseException:
+        for path in reversed(made):
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
+        raise
 
 
 def _dump_fields(dirpath, dp):
     d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
     save_image(Image(dp.alpha_minus[None]), d / "alpha_minus.pfm")
     save_image(Image(dp.theta[None]), d / "theta.pfm")
 
 
 def cmd_denoise(args):
-    reg = args.regularizer
-    # --tau 0 builds no SolverConfig, which would refuse it
-    if args.iters < 1:
-        raise ValueError("--iters must be at least 1, got %d" % args.iters)
-    if args.theta_override is not None and reg != "adstv":
+    reg, override = args.regularizer, args.theta_override
+    if override is not None and reg != "adstv":
         raise ValueError("--theta-override applies to adstv only, not %s" % reg)
-    if args.theta_override is not None and not math.isfinite(args.theta_override):
+    if override is not None and not math.isfinite(override):
         raise ValueError("--theta-override must be finite")
-    img = load_image(args.input)
-    # the result has the input's channels: refuse an output path that
-    # cannot take them before anything is estimated or solved
-    output_format(args.output, img.channels)
-    box = None if args.unconstrained else (0.0, 1.0)
+    _, settings = _given_opts(_opts(args))
     kernel, q, fields = regularizer(
-        reg, gaussian_kernel(args.kernel_sigma, args.kernel_support), args.q,
-        smooth_sigma=args.smooth_sigma,
-        num_scales=_num_scales(args), st_support=args.st_support)
-    dp = None
-    if args.theta_override is not None:
-        # fixed global direction: no estimation, unit dose everywhere
-        shape = (img.height, img.width)
-        # Python's % is np.mod; _fold_angle then maps pi to 0
-        theta = _fold_angle(np.full(shape, args.theta_override % math.pi))
-        dp = DirectionalParams(args.alpha_plus, np.ones(shape), theta)
-    elif fields is not None:
-        if reg == "adstv":
-            _check_alpha_plus(args)
-        dp = fields(img)(args.alpha_plus)
-    if args.dump_fields:
-        if dp is None:
-            raise ValueError("--dump-fields requires a directional regularizer")
-        _dump_fields(args.dump_fields, dp)
-    if args.tau == 0:
-        out = project_box(img, box)
-    else:
-        cfg = SolverConfig(tau=args.tau, q=q, max_iters=args.iters, constraint=box,
-                           kernel=kernel)
-        # a float32 iteration costs about half a float64 one; the fields
-        # above were estimated from the float64 samples
-        out = solve(Image(img.data.astype(np.float32)), dp, cfg).image
-    save_image(out, args.output)
+        reg, settings.kernel, settings.q, smooth_sigma=args.smooth_sigma,
+        num_scales=args.scales, st_support=args.st_support)
+    if args.dump_fields and fields is None:
+        raise ValueError("--dump-fields requires a directional regularizer")
+    # --tau 0 is the box projection: no solve, and no SolverConfig, which
+    # would refuse it
+    tau = None if args.tau == 0 else args.tau
+    _check_point(reg, tau, args.alpha_plus, estimated=override is None)
+    box = None if args.unconstrained else (0.0, 1.0)
+    cfg = None if tau is None else SolverConfig(
+        tau=tau, q=q, max_iters=settings.max_iters, constraint=box, kernel=kernel)
+    with _outputs(args.output, args.dump_fields):
+        img = load_image(args.input)
+        # the result has the input's channels
+        output_format(args.output, img.channels)
+        dp = None
+        if override is not None:
+            # fixed global direction: no estimation, unit dose everywhere
+            shape = (img.height, img.width)
+            # Python's % is np.mod; _fold_angle then maps pi to 0
+            theta = _fold_angle(np.full(shape, override % math.pi))
+            dp = DirectionalParams(args.alpha_plus, np.ones(shape), theta)
+        elif fields is not None and (cfg is not None or args.dump_fields):
+            dp = fields(img)(args.alpha_plus)
+        if args.dump_fields:
+            _dump_fields(args.dump_fields, dp)
+        if cfg is None:
+            out = project_box(img, box)
+        else:
+            # a float32 iteration costs about half a float64 one; the fields
+            # above were estimated from the float64 samples
+            out = solve(Image(img.data.astype(np.float32)), dp, cfg).image
+        save_image(out, args.output)
     return 0
 
 
@@ -158,12 +179,15 @@ def cmd_metrics(args):
 
 
 def cmd_estimate(args):
-    img = load_image(args.input)
-    # adstv's fields, whose kernel and q go unused here
-    _, _, fields = regularizer("adstv", None, 1, num_scales=_num_scales(args),
-                               st_support=args.st_support)
-    _check_alpha_plus(args)
-    _dump_fields(args.out_dir, fields(img)(args.alpha_plus))
+    # --scales takes only valid values
+    _given_opts({"st_support": args.st_support})
+    _check_point("adstv", None, args.alpha_plus)
+    with _outputs(directory=args.out_dir):
+        img = load_image(args.input)
+        # adstv's fields, whose kernel and q go unused here
+        _, _, fields = regularizer("adstv", None, 1, num_scales=args.scales,
+                                   st_support=args.st_support)
+        _dump_fields(args.out_dir, fields(img)(args.alpha_plus))
     return 0
 
 
@@ -189,26 +213,10 @@ def cmd_bench(args):
     regs = [r.strip() for r in args.regularizers.split(",") if r.strip()]
     tau_grid = default_tau_grid() if args.tau_grid == "auto" else _parse_float_list(args.tau_grid)
     alpha_grid = default_alpha_grid() if args.alpha_grid == "auto" else _parse_float_list(args.alpha_grid)
-    opts = {
-        "max_iters": args.iters,
-        "q": args.q,
-        "kernel": gaussian_kernel(args.kernel_sigma, args.kernel_support),
-        "num_scales": args.scales,
-        "st_support": args.st_support,
-    }
-    out = Path(args.out)
-    created = not out.exists()
-    # an append-mode open leaves an existing file as it is: it refuses an
-    # unwritable --out before the first solve
-    open(out, "a").close()
-    try:
-        records = bench([(p, p.stem) for p in paths], sigmas, regs, tau_grid,
-                        alpha_grid, master_seed=args.seed, jobs=args.jobs, opts=opts)
-    except BaseException:
-        if created:
-            out.unlink()
-        raise
-    write_csv(records, out)
+    with _outputs(args.out):
+        records = bench([(p, p.stem) for p in paths], sigmas, regs, tau_grid, alpha_grid,
+                        master_seed=args.seed, jobs=args.jobs, opts=_opts(args))
+        write_csv(records, args.out)
     return 0
 
 
@@ -228,7 +236,9 @@ def _build_parser():
                    help="drop the [0,1] box constraint")
     _add_solve_flags(p)
     _add_analysis_flags(p)
-    _add_field_flags(p)
+    # bench takes alpha_plus from its alpha grid
+    p.add_argument("--alpha-plus", type=float, default=10.0,
+                   help="anisotropy scale for eadtv/adstv (default %(default)g)")
     p.add_argument("--smooth-sigma", type=float, default=EADTV_SMOOTH_SIGMA,
                    help="gradient pre-smoothing for eadtv angles")
     p.add_argument("--theta-override", type=float, default=None,
@@ -253,7 +263,8 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
     _add_analysis_flags(p)
-    _add_field_flags(p)
+    p.add_argument("--alpha-plus", type=float, default=10.0,
+                   help="anisotropy scale of the exported fields (default %(default)g)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bench", help="parameter sweep over a corpus, CSV out")
@@ -266,7 +277,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     _add_solve_flags(p)
-    _add_analysis_flags(p)
+    _add_analysis_flags(p, scales=None)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -90,25 +90,20 @@ class NoiseSpec:
 # File formats
 
 
+# One header token, after any whitespace and '#' comments (each through
+# its newline).
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
+
+
 def _read_pnm_tokens(buf, count):
-    # Whitespace-separated ASCII tokens; '#' starts a comment through EOL.
     tokens = []
     pos = 0
-    while len(tokens) < count:
-        if pos >= len(buf):
+    for _ in range(count):
+        m = _PNM_TOKEN.match(buf, pos)
+        if m is None:
             raise FormatError("truncated header")
-        ch = buf[pos : pos + 1]
-        if ch == b"#":
-            eol = buf.find(b"\n", pos)
-            if eol < 0:
-                raise FormatError("truncated header")
-            pos = eol + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            m = re.match(rb"[^\s#]+", buf[pos:])
-            tokens.append(m.group(0))
-            pos += len(m.group(0))
+        tokens.append(m.group(1))
+        pos = m.end()
     return tokens, pos
 
 

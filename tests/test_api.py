@@ -62,3 +62,10 @@ def test_importing_the_cli_loads_no_scipy():
 def test_importing_the_cli_loads_no_multiprocessing():
     # only a bench run with more than one job starts a process pool
     assert modules_the_cli_loads("multiprocessing") == "[]"
+
+
+def test_the_module_entry_point_runs_in_a_fresh_interpreter():
+    src = Path(adstv.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-m", "adstv.cli", "--help"], cwd=src,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout.startswith("usage: adstv"), run.stderr

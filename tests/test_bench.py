@@ -478,14 +478,16 @@ def test_bench_rejects_unknown_regularizer_before_any_solve(tmp_path, monkeypatc
     pytest.param([0.1, -0.5], ["tv", "stv"], [0.05], [], "noise sigma",
                  id="tv-stv-negative-sigma"),
     pytest.param([np.inf], ["adstv"], [0.05], [2.0], "noise sigma", id="adstv-inf-sigma"),
-    pytest.param([0.1], ["tv"], [0.05, -1.0], [], "tau grid", id="tv-negative-tau"),
-    pytest.param([0.1], ["stv"], [0.05, 0.0], [], "tau grid", id="stv-zero-tau"),
-    pytest.param([0.1], ["eadtv"], [np.nan], [2.0], "tau grid", id="eadtv-nan-tau"),
-    pytest.param([0.1], ["adstv"], [0.05, np.inf], [2.0], "tau grid", id="adstv-inf-tau"),
-    pytest.param([0.1], ["adstv"], [0.05], [2.0, 0.5], "alpha grid", id="adstv-alpha-below-1"),
-    pytest.param([0.1], ["tv", "eadtv"], [0.05], [np.nan], "alpha grid",
+    pytest.param([0.1], ["tv"], [0.05, -1.0], [], "tau must be", id="tv-negative-tau"),
+    pytest.param([0.1], ["stv"], [0.05, 0.0], [], "tau must be", id="stv-zero-tau"),
+    pytest.param([0.1], ["eadtv"], [np.nan], [2.0], "tau must be", id="eadtv-nan-tau"),
+    pytest.param([0.1], ["adstv"], [0.05, np.inf], [2.0], "tau must be", id="adstv-inf-tau"),
+    pytest.param([0.1], ["adstv"], [0.05], [2.0, 0.5], "alpha_plus", id="adstv-alpha-below-1"),
+    pytest.param([0.1], ["tv", "eadtv"], [0.05], [np.nan], "alpha_plus",
                  id="tv-eadtv-nan-alpha"),
-    pytest.param([0.1], ["adstv"], [0.05], [np.inf], "alpha grid", id="adstv-inf-alpha"),
+    pytest.param([0.1], ["adstv"], [0.05], [np.inf], "alpha_plus", id="adstv-inf-alpha"),
+    # estimated adstv fields need alpha_plus > 1, DpeConfig's rule
+    pytest.param([0.1], ["tv", "adstv"], [0.05], [4.0, 1.0], "alpha_plus", id="adstv-alpha-1"),
     pytest.param([0.1], [], [0.05], [2.0], "regularizer list", id="no-regularizer"),
     pytest.param([], ["tv"], [0.05], [2.0], "sigma list", id="no-sigma"),
     pytest.param([0.1], ["tv", "stv", "tv"], [0.05], [], "regularizer 'tv' is listed twice",
@@ -508,7 +510,7 @@ def test_empty_grids_are_rejected_before_any_solve(tmp_path, monkeypatch, sigmas
     # sigma and one regularizer, so an empty sigma list and a repeat have
     # no run_tuple case
     for reg in regs if sigmas and "listed twice" not in says else []:
-        if says == "alpha grid" and reg not in ("eadtv", "adstv"):
+        if says in ("alpha grid", "alpha_plus") and reg not in ("eadtv", "adstv"):
             continue  # an unsteered tuple reads no alpha grid
         with pytest.raises(ValueError, match=says):
             bench.run_tuple(clean, "stripe", sigmas[-1], reg, taus, alphas, 0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adstv import Image, bench, cli, load_image, psnr, save_image, ssim
-from adstv.bench import regularizer
+from adstv.bench import REGULARIZERS, regularizer
 from adstv.cli import main
 from adstv.diffops import gaussian_kernel
 from adstv.dpe import EADTV_SMOOTH_SIGMA, DpeConfig, eadtv_angles
@@ -32,7 +32,8 @@ def noisy_stripes(tmp_path):
 
 def test_help_and_flag_errors():
     assert main(["--help"]) == 0
-    assert main(["denoise", "--help"]) == 0
+    for command in ("denoise", "add-noise", "metrics", "estimate", "bench"):
+        assert main([command, "--help"]) == 0
     assert main([]) == 1
     assert main(["denoise", "--input", "a", "--output", "b",
                  "--regularizer", "bogus", "--tau", "0.1"]) == 1
@@ -97,9 +98,9 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
              "alpha_plus"),
             # rejected before the direction fields are estimated
             (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--alpha-plus", "nan"],
-             "--alpha-plus"),
+             "alpha_plus"),
             (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--alpha-plus", "inf"],
-             "--alpha-plus"),
+             "alpha_plus"),
             (["denoise", "--regularizer", "stv", "--tau", "0.1", "--kernel-sigma", "nan"],
              "kernel"),
             (["denoise", "--regularizer", "adstv", "--tau", "0.1", "--kernel-sigma", "inf"],
@@ -111,10 +112,13 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
              "smooth_sigma"),
             (["denoise", "--regularizer", "eadtv", "--tau", "0.1", "--smooth-sigma", "nan"],
              "smooth_sigma"),
+            # refused whether or not the angles are estimated
+            (["denoise", "--regularizer", "eadtv", "--tau", "0", "--smooth-sigma", "nan"],
+             "smooth_sigma"),
             # refused whether or not a solve runs
-            (["denoise", "--regularizer", "tv", "--tau", "0", "--iters", "0"], "--iters"),
-            (["denoise", "--regularizer", "tv", "--tau", "0.1", "--iters", "0"], "--iters"),
-            (["denoise", "--regularizer", "adstv", "--tau", "0", "--iters", "-1"], "--iters"),
+            (["denoise", "--regularizer", "tv", "--tau", "0", "--iters", "0"], "max_iters"),
+            (["denoise", "--regularizer", "tv", "--tau", "0.1", "--iters", "0"], "max_iters"),
+            (["denoise", "--regularizer", "adstv", "--tau", "0", "--iters", "-1"], "max_iters"),
             (["add-noise", "--sigma", "nan"], "sigma_eta"),
             (["add-noise", "--sigma", "inf"], "sigma_eta")):
         assert main(argv[:1] + io + argv[1:]) == 1
@@ -122,18 +126,6 @@ def test_non_finite_settings_and_samples_are_validation_errors(tmp_path, capsys)
         assert err.startswith("error: ") and err.count("\n") == 1
         assert says in err
         assert not dst.exists()
-    # a non-finite or negative declared noise level is rejected before the
-    # direction fields are estimated, with --scales given or not
-    out_dir = tmp_path / "fields"
-    for argv in (["estimate", "--input", str(src), "--out-dir", str(out_dir)],
-                 ["estimate", "--input", str(src), "--out-dir", str(out_dir), "--scales", "2"],
-                 ["denoise"] + io + ["--regularizer", "adstv", "--tau", "0.1"],
-                 ["denoise"] + io + ["--regularizer", "tv", "--tau", "0.1"]):
-        for sigma in ("nan", "inf", "-inf", "-1"):
-            assert main(argv + ["--noise-sigma=" + sigma]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: --noise-sigma") and err.count("\n") == 1
-            assert not dst.exists() and not out_dir.exists()
     # noise beyond float32 range is rejected before a PFM is written
     big = tmp_path / "big.pfm"
     assert main(["add-noise", "--input", str(src), "--output", str(big),
@@ -299,18 +291,29 @@ def test_solver_flags_default_to_solver_config(tmp_path, monkeypatch):
         np.testing.assert_array_equal(cfg.kernel.weights, default.kernel.weights)
 
 
-def test_analysis_flags_default_to_the_library_defaults():
+def test_analysis_flags_default_to_the_library_defaults(tmp_path, monkeypatch):
     parser = cli._build_parser()
     denoise = parser.parse_args(["denoise", "--input", "a", "--output", "b",
                                  "--regularizer", "eadtv", "--tau", "0.1"])
-    estimate = parser.parse_args(["estimate", "--input", "a", "--out-dir", "d"])
     defaults = inspect.signature(regularizer).parameters
     assert (denoise.smooth_sigma == defaults["smooth_sigma"].default
             == inspect.signature(eadtv_angles).parameters["smooth_sigma"].default
             == EADTV_SMOOTH_SIGMA)
-    # neither --scales nor --noise-sigma given
-    for args in (denoise, estimate):
-        assert cli._num_scales(args) == defaults["num_scales"].default == DpeConfig.num_scales
+    # with no --scales, estimate and denoise analyze at the default scale count
+    src = tmp_path / "src.pfm"
+    save_image(stripe_image(16, 16, 0.5), src)
+    scales = []
+    analyze = bench.analyze
+
+    def spy(g, cfg):
+        scales.append(cfg.num_scales)
+        return analyze(g, cfg)
+
+    monkeypatch.setattr(bench, "analyze", spy)
+    assert main(["estimate", "--input", str(src), "--out-dir", str(tmp_path / "d")]) == 0
+    assert main(["denoise", "--input", str(src), "--output", str(tmp_path / "o.pfm"),
+                 "--regularizer", "adstv", "--tau", "0.05", "--iters", "1"]) == 0
+    assert scales == [defaults["num_scales"].default] * 2 == [DpeConfig.num_scales] * 2
 
 
 def test_denoise_eadtv_and_adstv_improve_noisy_stripes(noisy_stripes, tmp_path):
@@ -501,8 +504,113 @@ def test_estimate_refuses_alpha_plus_before_estimating(tmp_path, capsys, monkeyp
                      "--alpha-plus", alpha]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--alpha-plus" in err
+        assert "alpha_plus" in err
         assert not d.exists()
+
+
+def no_estimates(monkeypatch):
+    """Replace bench's two field estimators by stubs that estimate nothing
+    and record their calls; returns the record."""
+    calls = []
+    for name in ("analyze", "eadtv_angles"):
+        monkeypatch.setattr(bench, name, lambda *args, name=name: calls.append(name))
+    return calls
+
+
+@pytest.mark.parametrize("reg", ["adstv", "eadtv"])
+def test_denoise_refuses_a_bad_tau_before_estimating(noisy_stripes, tmp_path, capsys,
+                                                     monkeypatch, reg):
+    _, noisy = noisy_stripes
+    out, d = tmp_path / "out.pfm", tmp_path / "fields"
+    calls = no_estimates(monkeypatch)
+    for tau, says in ((["--tau", "-1"], "tau"), (["--tau", "nan"], "tau"),
+                      (["--tau", "1e36", "--alpha-plus", "10"], "the step bound")):
+        code, err = refused(capsys, ["denoise", "--input", str(noisy), "--output", str(out),
+                                     "--regularizer", reg, "--dump-fields", str(d)] + tau)
+        assert code == 1 and err.startswith("error: " + says), err
+        assert calls == [] and not out.exists() and not d.exists()
+
+
+def test_denoise_refuses_an_analysis_setting_for_every_regularizer(noisy_stripes, tmp_path,
+                                                                   capsys):
+    # as bench refuses it, whether or not the regularizer would read it
+    _, noisy = noisy_stripes
+    out = tmp_path / "out.pfm"
+    for reg in REGULARIZERS:
+        code, err = refused(capsys, ["denoise", "--input", str(noisy), "--output", str(out),
+                                     "--regularizer", reg, "--tau", "0.05",
+                                     "--st-support", "4"])
+        assert code == 1 and err.startswith("error: st_support"), err
+        assert not out.exists()
+
+
+def test_unwritable_outputs_are_refused_before_the_input_is_loaded(noisy_stripes, tmp_path,
+                                                                  capsys, monkeypatch):
+    _, noisy = noisy_stripes
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    loads = []
+    monkeypatch.setattr(cli, "load_image", lambda path: loads.append(path))
+    calls = no_estimates(monkeypatch)
+    denoise = ["denoise", "--input", str(noisy), "--regularizer", "adstv", "--tau", "0.05"]
+    for argv in (denoise + ["--output", str(tmp_path / "missing" / "o.pfm")],
+                 denoise + ["--output", str(tmp_path / "o.pfm"), "--dump-fields", str(taken)],
+                 denoise + ["--output", str(tmp_path / "missing" / "o.pfm"),
+                            "--dump-fields", str(tmp_path / "new" / "fields")],
+                 ["estimate", "--input", str(noisy), "--out-dir", str(taken)],
+                 ["estimate", "--input", str(noisy), "--out-dir", str(taken / "fields")]):
+        code, err = refused(capsys, argv)
+        assert code == 2 and err.startswith("i/o error: "), err
+        assert loads == [] and calls == []
+        # nothing made, and the file in the way as it was
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.pgm", "noisy.pfm", "taken"]
+        assert taken.read_text() == "a file\n"
+
+
+def test_a_failed_run_removes_the_outputs_it_made(noisy_stripes, tmp_path, capsys):
+    # an input that cannot be read fails after the outputs were made
+    absent = str(tmp_path / "absent.pfm")
+    new = tmp_path / "new"
+    for argv in (["denoise", "--input", absent, "--output", str(new / "o.pfm"),
+                  "--regularizer", "adstv", "--tau", "0.05", "--dump-fields", str(new)],
+                 ["estimate", "--input", absent, "--out-dir", str(new / "a" / "b")]):
+        code, err = refused(capsys, argv)
+        assert code == 2 and err.startswith("i/o error: "), err
+        assert not new.exists()
+    # an output inside the new --dump-fields directory is written
+    _, noisy = noisy_stripes
+    assert main(["denoise", "--input", str(noisy), "--output", str(new / "o.pfm"),
+                 "--regularizer", "adstv", "--tau", "0.05", "--iters", "2",
+                 "--dump-fields", str(new)]) == 0
+    assert sorted(p.name for p in new.iterdir()) == ["alpha_minus.pfm", "o.pfm", "theta.pfm"]
+
+
+def test_denoise_tau_zero_estimates_only_for_dump_fields(noisy_stripes, tmp_path, monkeypatch):
+    _, noisy = noisy_stripes
+    box = tmp_path / "tv.pfm"
+    assert main(["denoise", "--input", str(noisy), "--output", str(box),
+                 "--regularizer", "tv", "--tau", "0"]) == 0
+    with monkeypatch.context() as mp:
+        calls = no_estimates(mp)
+        for reg in ("eadtv", "adstv"):
+            out = tmp_path / ("%s.pfm" % reg)
+            assert main(["denoise", "--input", str(noisy), "--output", str(out),
+                         "--regularizer", reg, "--tau", "0"]) == 0
+            assert calls == [] and out.read_bytes() == box.read_bytes()
+    analyses = []
+    analyze = bench.analyze
+
+    def spy(g, cfg):
+        analyses.append(cfg)
+        return analyze(g, cfg)
+
+    monkeypatch.setattr(bench, "analyze", spy)
+    out = tmp_path / "dumped.pfm"
+    assert main(["denoise", "--input", str(noisy), "--output", str(out),
+                 "--regularizer", "adstv", "--tau", "0",
+                 "--dump-fields", str(tmp_path / "fields")]) == 0
+    assert len(analyses) == 1 and out.read_bytes() == box.read_bytes()
+    assert (tmp_path / "fields" / "theta.pfm").exists()
 
 
 def test_bench_writes_expected_csv(tmp_path):

@@ -51,6 +51,9 @@ def test_load_p5_comments_and_16bit(tmp_path):
     path.write_bytes(b"P5 # comment\n# another\n2 1 65535\n" + (30000).to_bytes(2, "big") + (65535).to_bytes(2, "big"))
     img = load_image(path)
     np.testing.assert_allclose(img.data[0], [[30000 / 65535, 1.0]], atol=1e-12)
+    # a comment glued to the token before it
+    path.write_bytes(b"P5#c\n2 2\n255\n" + bytes([0, 255, 51, 102]))
+    np.testing.assert_allclose(load_image(path).data[0], [[0.0, 1.0], [0.2, 0.4]], atol=1e-12)
 
 
 def test_load_p6_planar_reorder(tmp_path):
@@ -67,6 +70,7 @@ def test_load_rejects_bad_files(tmp_path):
         b"P5\n2 2\n255\n\x00\x00",                  # truncated payload
         b"P5\n2 2\n200\n" + bytes(4),               # bad maxval
         b"P5\n2 2\n",                               # truncated header
+        b"P5\n2 2\n# runs to the end",              # truncated header
         b"Pf\n1 1\n0\n" + bytes(4),                 # zero scale
     ]
     for payload in cases:
